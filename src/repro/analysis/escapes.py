@@ -5,13 +5,15 @@ escape into a loop that must not die:
 
 * **dynamic callable fan-out** -- ``for method in targets: method(...)``
   (the :mod:`repro.observers` registry) or a stored ``progress``/
-  ``callback`` handle invoked from the pool drain loop.  The callee is
-  user-supplied; if it raises, the exception propagates into the
-  simulation kernel or the worker-drain loop.
+  ``callback`` handle invoked while ``RunPool.map`` waits on its
+  tickets (:mod:`repro.parallel.pool`).  The callee is user-supplied;
+  if it raises, the exception propagates into the simulation kernel or
+  abandons the batch half-collected.
 * **wire decoders** -- ``pickle.loads``/``json.loads`` on bytes that
   crossed a process or socket boundary.  Malformed bytes raise, and an
-  unprotected decode in a collector/drain loop kills the thread (every
-  pending ticket then hangs forever).
+  unprotected decode in the worker engine's collector loop
+  (:mod:`repro.parallel.engine`) kills the thread (every pending ticket
+  then hangs forever).
 
 The rule (``exception-safety``) flags such calls when no enclosing
 ``try`` catches ``Exception`` (or is a bare ``except``).  Findings that

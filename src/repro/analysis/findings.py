@@ -12,8 +12,7 @@ Three pieces every analyzer uses:
   ``repro analyze --against``.
 
 Inline suppression: a finding can be silenced at its source line with a
-trailing ``# analyze: allow(<rule>)`` comment -- the static-analysis
-sibling of the determinism lint's ``# det: allow``.
+trailing ``# analyze: allow(<rule>)`` comment.
 """
 
 from __future__ import annotations
@@ -125,7 +124,7 @@ def module_name_for(relative: Path) -> str:
 
 
 def default_root() -> Path:
-    """The installed ``repro`` package directory (mirrors the lint)."""
+    """The installed ``repro`` package directory."""
     return Path(__file__).resolve().parent.parent
 
 
@@ -159,10 +158,12 @@ def load_tree(root: Optional[Path] = None) -> ModuleTable:
 def load_source_table(sources: Dict[str, str]) -> ModuleTable:
     """Build a table from in-memory sources (tests, seeded snippets).
 
-    Keys are package-relative paths like ``"pkg/mod.py"``.
+    Keys are package-relative paths like ``"pkg/mod.py"`` (backslashes
+    are normalized, as :func:`load_tree` does).
     """
     modules = []
     for path, text in sources.items():
+        path = path.replace("\\", "/")
         modules.append(Module(
             path=path,
             name=module_name_for(Path(path)),

@@ -44,6 +44,7 @@ from repro.analysis.findings import Finding, Module, ModuleTable
 #: ending in ``/`` are directory prefixes, anything else a path suffix.
 THREADED_PATHS: Tuple[str, ...] = (
     "repro/server/",
+    "repro/parallel/engine.py",
     "repro/parallel/service.py",
     "repro/parallel/pool.py",
 )

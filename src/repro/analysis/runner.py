@@ -5,7 +5,7 @@ over the shared :class:`~repro.analysis.findings.ModuleTable` and call
 graph, applies the two suppression layers (inline ``# analyze:
 allow(<rule>)`` comments, then the checked-in baseline file), and
 returns an :class:`AnalysisReport` -- the object behind both
-``repro analyze`` and the analysis half of ``repro check --lint-only``.
+``repro analyze`` and ``repro check --lint-only``.
 """
 
 from __future__ import annotations

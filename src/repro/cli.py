@@ -8,12 +8,12 @@
     python -m repro workload synthetic --processes 8 --seed 3 --baseline coordinated
     python -m repro workload tsp --store-dir /tmp/ckpts   # durable checkpoints
     python -m repro workload nbody --check        # inline verification
-    python -m repro check                         # lint + inline-checked run
+    python -m repro check                         # analyzers + inline-checked run
     python -m repro check --inline --workload sor --crash 1@40
-    python -m repro check --lint-only             # lint + static analysis only
+    python -m repro check --lint-only             # static analysis only
     python -m repro check --seed-fault race       # prove the checker bites
+    python -m repro check --seed-fault locks      # prove the analyzer bites
     python -m repro analyze                       # static analyzer suite
-    python -m repro analyze --seed-bad locks      # prove the analyzer bites
     python -m repro experiments E2 E3 --full      # print experiment tables
     python -m repro experiments E1 --check        # experiments under checking
     python -m repro experiments E2 --json out.json --seed 11
@@ -47,7 +47,6 @@ from typing import Optional
 from repro import CheckpointPolicy, ClusterConfig, DisomSystem
 from repro.analysis.report import Table
 from repro.analysis.runner import ANALYZERS
-from repro.analysis.seeded import SEED_KINDS
 from repro.analysis.timeline import render_timeline
 from repro.baselines import ALL_BASELINES
 from repro.experiments import ALL_EXPERIMENTS
@@ -57,9 +56,6 @@ from repro.workloads import ALL_WORKLOADS
 
 #: Analyzer names accepted by ``repro analyze --analyzer``.
 ANALYZER_NAMES = tuple(ANALYZERS)
-
-#: Back-compat alias; the registry lives in :mod:`repro.baselines` now.
-BASELINES = ALL_BASELINES
 
 
 def _parse_crash(spec: str) -> tuple[int, float]:
@@ -91,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     workload.add_argument("--seed", type=int, default=7)
     workload.add_argument("--interval", type=float, default=40.0,
                           help="checkpoint interval (simulated time units)")
-    workload.add_argument("--baseline", choices=sorted(BASELINES),
+    workload.add_argument("--baseline", choices=sorted(ALL_BASELINES),
                           default=None,
                           help="fault-tolerance scheme (default: disom on "
                                "the entry backend, none otherwise)")
@@ -114,8 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="verification passes: determinism lint, EC race detection and "
-             "protocol invariant checking over a workload run")
+        help="verification passes: static analysis (determinism rules "
+             "included), EC race detection and protocol invariant checking "
+             "over a workload run")
     check.add_argument("--workload", choices=sorted(ALL_WORKLOADS),
                        default="synthetic")
     check.add_argument("--processes", type=int, default=3)
@@ -128,10 +125,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the inline passes over the workload "
                             "(the default unless --lint-only)")
     check.add_argument("--lint-only", action="store_true",
-                       help="run only the determinism lint")
+                       help="run only the static analysis (determinism "
+                            "rules and the other analyzers)")
     check.add_argument("--seed-fault", choices=FAULT_KINDS, default=None,
-                       help="plant a known fault and verify it is detected "
-                            "(exits nonzero when the fault is flagged)")
+                       help="plant a known fault -- a bad trace/schedule for "
+                            "the runtime checkers, a bad source snippet for "
+                            "the analyzer of that name -- and verify it is "
+                            "detected (exits nonzero when flagged; CI "
+                            "inverts)")
     check.add_argument("--store-dir", default=None, metavar="DIR",
                        help="durable on-disk checkpoint store for the "
                             "checked run")
@@ -166,10 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--root", default=None, metavar="DIR",
                          help="package directory to analyze (default: the "
                               "installed repro package)")
-    analyze.add_argument("--seed-bad", choices=SEED_KINDS, default=None,
-                         help="run one analyzer over a seeded known-bad "
-                              "snippet (exits nonzero when detected; CI "
-                              "inverts)")
     analyze.add_argument("--json", default=None, metavar="PATH",
                          help="also write the full report as JSON")
 
@@ -314,7 +311,7 @@ def cmd_list() -> int:
         table.add_row(name, ", ".join(f"{k}={v}" for k, v in sorted(params.items())))
     print(table.render())
     print()
-    print("baselines:", ", ".join(sorted(BASELINES)))
+    print("baselines:", ", ".join(sorted(ALL_BASELINES)))
     print("experiments:", ", ".join(ALL_EXPERIMENTS))
     return 0
 
@@ -454,37 +451,35 @@ def cmd_workload(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    from repro.verify.lint import lint_tree
+    from repro.analysis.findings import Finding
+    from repro.errors import InvariantViolation
 
     if args.seed_fault:
         from repro.verify.seeded import run_seeded_fault
 
-        races, violations = run_seeded_fault(args.seed_fault)
-        print(f"seeded fault '{args.seed_fault}': {len(races)} race(s), "
-              f"{len(violations)} invariant violation(s)")
-        for race in races:
-            print(f"race: {race}")
-        for violation in violations:
-            print(violation)
-            print(violation.format_slice())
-        if not races and not violations:
+        detections = run_seeded_fault(args.seed_fault)
+        print(f"seeded fault '{args.seed_fault}': "
+              f"{len(detections)} detection(s)")
+        for detection in detections:
+            if isinstance(detection, InvariantViolation):
+                print(detection)
+                print(detection.format_slice())
+            elif isinstance(detection, Finding):
+                print(f"  {detection.render()}")
+            else:
+                print(f"race: {detection}")
+        if not detections:
             print("NOT DETECTED -- the checker failed to flag a known fault")
             return 0  # CI inverts this: undetected faults must exit zero
         return 1
 
     from repro.analysis.runner import run_analysis
 
-    failures = 0
-    findings = lint_tree()
-    print(f"determinism lint: {len(findings)} finding(s)")
-    for finding in findings:
+    analysis = run_analysis()
+    print(f"static analysis: {analysis.summary()}")
+    for finding in analysis.new:
         print(f"  {finding}")
-    failures += len(findings)
-    report = run_analysis()
-    print(f"static analysis: {report.summary()}")
-    for analysis_finding in report.new:
-        print(f"  {analysis_finding}")
-    failures += len(report.new)
+    failures = len(analysis.new)
     if args.lint_only:
         return 1 if failures else 0
 
@@ -533,7 +528,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             "processes": args.processes,
             "seed": args.seed,
             "consistency": args.consistency,
-            "lint_findings": len(findings),
+            "lint_findings": len(analysis.new),
             "completed": result.completed,
             "verified": verified.ok if verified else None,
             "races": [str(race) for race in report.races],
@@ -548,8 +543,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_storage(action: str, store_dir: str) -> int:
-    import os
-
     from repro.storage.backend import FileBackend
 
     if not os.path.isdir(store_dir):
@@ -647,8 +640,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
     write_report(report, args.json)
     if profile_sink is not None:
-        import os
-
         profile_path = os.path.splitext(args.json)[0] + ".profile.txt"
         with open(profile_path, "w") as handle:
             for name, text in profile_sink.items():
@@ -693,18 +684,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     from repro.analysis.findings import default_baseline_path, write_baseline
     from repro.analysis.runner import run_analysis
-    from repro.analysis.seeded import run_seeded
-
-    if args.seed_bad:
-        findings = run_seeded(args.seed_bad)
-        print(f"seeded bad '{args.seed_bad}': {len(findings)} finding(s)")
-        for finding in findings:
-            print(f"  {finding.render()}")
-        if not findings:
-            print("NOT DETECTED -- the analyzer failed to flag a known-bad "
-                  "snippet")
-            return 0  # CI inverts this, mirroring check --seed-fault
-        return 1
 
     report = run_analysis(
         root=Path(args.root) if args.root else None,

@@ -322,31 +322,34 @@ class DisomSystem:
         ``until``, stops at that simulated time and returns the partial
         state without raising.
         """
-        if not self._started:
-            self._started = True
-            for pid in sorted(self.processes):
-                self.processes[pid].start()
-        horizon = until if until is not None else self.config.max_time
-        self.kernel.run(until=horizon)
-        completed = self.kernel.stop_reason == "completed"
-        if self.aborted:
-            completed = False
-        if until is None:
-            # The kernel stops the instant the application completes (or
-            # aborts), but the disk finishes writes it already accepted:
-            # commit checkpoints whose simulated write was still in flight
-            # so the store is left in its durable end-of-run state.
-            for pid in sorted(self.processes):
-                protocol = self.processes[pid].checkpoint_protocol
-                flush = getattr(protocol, "flush_pending_writes", None)
-                if flush is not None:
-                    flush()
-        if until is None and not completed and not self.aborted:
-            blocked = self._describe_blocked()
-            raise SimulationError(
-                f"run did not complete by t={horizon}: {blocked}"
-            )
-        return self._build_result(completed)
+        # The trace gate is held for exactly as long as the cluster is
+        # being driven; a finished run leaves nothing set behind it.
+        with self.kernel.trace.feeding():
+            if not self._started:
+                self._started = True
+                for pid in sorted(self.processes):
+                    self.processes[pid].start()
+            horizon = until if until is not None else self.config.max_time
+            self.kernel.run(until=horizon)
+            completed = self.kernel.stop_reason == "completed"
+            if self.aborted:
+                completed = False
+            if until is None:
+                # The kernel stops the instant the application completes (or
+                # aborts), but the disk finishes writes it already accepted:
+                # commit checkpoints whose simulated write was still in flight
+                # so the store is left in its durable end-of-run state.
+                for pid in sorted(self.processes):
+                    protocol = self.processes[pid].checkpoint_protocol
+                    flush = getattr(protocol, "flush_pending_writes", None)
+                    if flush is not None:
+                        flush()
+            if until is None and not completed and not self.aborted:
+                blocked = self._describe_blocked()
+                raise SimulationError(
+                    f"run did not complete by t={horizon}: {blocked}"
+                )
+            return self._build_result(completed)
 
     def checkpoint_all(self, trigger: str = "explicit") -> None:
         """Checkpoint every alive process at the current simulated instant.
@@ -360,11 +363,12 @@ class DisomSystem:
         """
         if not self._started:
             raise ConfigError("checkpoint_all requires a started system")
-        for pid in sorted(self.processes):
-            process = self.processes[pid]
-            protocol = process.checkpoint_protocol
-            if process.alive and hasattr(protocol, "take_checkpoint"):
-                protocol.take_checkpoint(trigger, synchronous=True)
+        with self.kernel.trace.feeding():
+            for pid in sorted(self.processes):
+                process = self.processes[pid]
+                protocol = process.checkpoint_protocol
+                if process.alive and hasattr(protocol, "take_checkpoint"):
+                    protocol.take_checkpoint(trigger, synchronous=True)
 
     def recover_all_from_storage(self) -> None:
         """Cold restart: bring up a whole cluster from durable checkpoints.
@@ -400,8 +404,9 @@ class DisomSystem:
             managers.append(manager)
         # Start only after every manager exists so no recovery request
         # races ahead of a peer's ability to queue it.
-        for manager in managers:
-            manager.start()
+        with self.kernel.trace.feeding():
+            for manager in managers:
+                manager.start()
 
     def _describe_blocked(self) -> str:
         parts = []

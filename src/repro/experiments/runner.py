@@ -8,6 +8,7 @@ Usage::
     python -m repro.experiments.runner --check    # inline verification on
     python -m repro.experiments.runner --jobs 4   # fan out over 4 workers
 
+This is ``python -m repro experiments ...`` under its older spelling.
 With ``--jobs N`` independent experiments run concurrently in worker
 processes; output is still printed in registry order and is identical to
 a serial run.  When exactly one experiment is selected, the fan-out
@@ -112,48 +113,12 @@ def run_experiments(
     return outcomes, merged
 
 
-def _parse_jobs(argv: List[str]) -> int:
-    """Extract ``--jobs N`` / ``--jobs=N`` from a raw argv list."""
-    jobs = 1
-    remaining: List[str] = []
-    iterator = iter(argv)
-    for arg in iterator:
-        if arg == "--jobs":
-            jobs = int(next(iterator, "1"))
-        elif arg.startswith("--jobs="):
-            jobs = int(arg.split("=", 1)[1])
-        else:
-            remaining.append(arg)
-    argv[:] = remaining
-    return jobs
-
-
 def main(argv: list[str]) -> int:
-    argv = list(argv)
-    jobs = _parse_jobs(argv)
-    quick = "--full" not in argv
-    check = "--check" in argv
-    wanted = [a for a in argv if not a.startswith("-")]
-    from repro.parallel import WorkerFailure
+    """``python -m repro.experiments.runner ARGS`` is spelled
+    ``repro experiments ARGS``; one command prints the tables."""
+    from repro.cli import main as cli_main
 
-    outcomes, merged = run_experiments(
-        ids=wanted, quick=quick, check=check, jobs=jobs)
-    failures = 0
-    for exp_id, outcome in outcomes:
-        if isinstance(outcome, WorkerFailure):
-            print(f"### {exp_id}: FAILED with "
-                  f"{outcome.error_type}: {outcome.message}")
-            failures += 1
-            continue
-        print(outcome.render())
-        print()
-        if outcome.claim_holds is False:
-            failures += 1
-    if merged is not None:
-        print(merged.summary())
-        if not merged.ok:
-            failures += 1
-    return 1 if failures else 0
+    return cli_main(["experiments", *argv])
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -5,17 +5,19 @@ but everything *above* a run is embarrassingly parallel: sweep points,
 experiments, benchmark repeats, seeded verification runs.  This package
 provides the one engine all of those layers share:
 
-* :class:`~repro.parallel.pool.RunPool` -- warm spawn-context workers,
-  submission-index-ordered merging, typed :class:`WorkerFailure` rows,
-  per-task timeout with straggler cancellation, progress callbacks and
-  optional per-worker host calibration;
+* :class:`~repro.parallel.engine.WorkerEngine` -- the single owner of
+  worker processes: warm spawn-context workers, tickets, the collector
+  thread, liveness/deadline sweeps, typed :class:`WorkerFailure` rows;
+* :class:`~repro.parallel.pool.RunPool` -- its batch face:
+  submission-index-ordered merging, serial fallback, progress callbacks
+  and optional per-worker host calibration;
 * :func:`~repro.parallel.seeds.derive_seed` -- hash-based, process- and
   platform-stable child-seed derivation;
 * :func:`~repro.parallel.seeds.resolve_jobs` -- the uniform ``--jobs``
   contract (``1`` serial, ``0`` = one worker per CPU);
-* :class:`~repro.parallel.service.PoolService` -- the long-lived
-  request/response face of the same worker protocol (warm workers,
-  bounded admission, per-task deadlines) used by the scenario server.
+* :class:`~repro.parallel.service.PoolService` -- its long-lived
+  request/response face (pre-warmed workers, bounded admission,
+  per-task deadlines) used by the scenario server.
 
 Consumers: ``Sweep.run(jobs=N)``, ``repro experiments --jobs N``,
 ``repro bench --jobs N``, ``repro serve`` and the corresponding

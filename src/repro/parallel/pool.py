@@ -1,55 +1,40 @@
-"""``RunPool``: a warm multiprocessing worker pool for independent runs.
+"""``RunPool``: the batch face of the warm worker pool.
 
-Design constraints (see DESIGN.md section 2.9):
+``map`` is "serial fallback, else submit every call to the
+:class:`~repro.parallel.engine.WorkerEngine` and wait in submission
+order" (DESIGN.md section 2.9).  What the pool itself guarantees:
 
 * **Determinism** -- results are merged strictly by *submission index*,
   never by completion order, and every task carries its full
   configuration (seed included), so a parallel run is indistinguishable
   from the serial loop it replaces.
-* **Warm workers** -- workers are spawned once per pool and reused
-  across :meth:`RunPool.map` calls, amortizing interpreter startup and
-  package import over the whole sweep/suite.
 * **Structured failure** -- a task that raises comes back as a typed
   :class:`WorkerFailure` row in its slot (the original exception rides
   along when it survives pickling), so ``Sweep.run(keep_errors=True)``
   can keep its abort-rate studies and strict callers can re-raise.
-* **Bounded stragglers** -- an optional per-task ``timeout`` kills the
-  worker running an overdue task (the straggler's slot becomes a
-  ``timeout`` failure) and replaces the worker so queued tasks still
-  run.
 * **Graceful degradation** -- with ``jobs<=1``, a single task, or a task
   that cannot be pickled (lambdas, closures), the pool runs the batch
   inline in the parent, preserving exact serial semantics.  The
   ``ran_parallel`` attribute reports which path a ``map`` took.
 
-Host wall-clock reads in this module drive orchestration (timeouts,
-dispatch) only; they never reach simulated behavior -- the determinism
-lint exempts this file for that reason.
+Warm workers reused across ``map`` calls, straggler cancellation (the
+pool's ``timeout`` is stamped on every ticket) and crash handling are
+the engine's.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import pickle
 import queue as queue_module
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.parallel.seeds import resolve_jobs
-from repro.parallel.worker import worker_main
-
-#: How long the collection loop blocks on the result queue between
-#: liveness/timeout sweeps.
-_POLL_SECONDS = 0.05
-
-#: Seconds to wait for a worker to exit voluntarily at close time.
-_JOIN_SECONDS = 2.0
-
-
-class WorkerError(RuntimeError):
-    """Raised in the parent for a task failure whose original exception
-    could not be transported across the process boundary."""
+from repro.parallel.engine import (  # the last two are re-exported
+    Ticket,
+    WorkerEngine,
+    WorkerError,
+    WorkerFailure,
+)
 
 
 @dataclass
@@ -66,37 +51,6 @@ class Call:
     args: Tuple[Any, ...] = ()
     kwargs: Optional[Dict[str, Any]] = None
     key: str = ""
-
-
-@dataclass
-class WorkerFailure:
-    """A task that did not produce a result -- the error row format.
-
-    ``kind`` is ``"error"`` (the task raised), ``"timeout"`` (the task
-    exceeded the pool's per-task timeout and its worker was killed) or
-    ``"crash"`` (the worker process died under the task).  When the
-    original exception could be pickled it is carried in ``exception``
-    and :meth:`raise_` re-raises it; otherwise :meth:`raise_` raises a
-    :class:`WorkerError` with the marshaled description.
-    """
-
-    index: int
-    key: str
-    kind: str
-    error_type: str
-    message: str
-    traceback: str = ""
-    exception: Optional[BaseException] = field(
-        default=None, repr=False, compare=False)
-
-    def __str__(self) -> str:
-        where = f" (task {self.key})" if self.key else ""
-        return f"[{self.kind}] {self.error_type}: {self.message}{where}"
-
-    def raise_(self) -> None:
-        if self.exception is not None:
-            raise self.exception
-        raise WorkerError(str(self))
 
 
 class RunPool:
@@ -122,26 +76,21 @@ class RunPool:
     def __init__(self, jobs: int = 0, timeout: Optional[float] = None,
                  progress: Optional[Callable[[int, int, str], None]] = None,
                  calibrate_workers: bool = False) -> None:
-        self.jobs = resolve_jobs(jobs)
+        self._engine = WorkerEngine(jobs, calibrate_workers)
+        self.jobs = self._engine.jobs
         self.timeout = timeout
         self.progress = progress
-        self.calibrate_workers = calibrate_workers
         #: worker id -> calibration seconds (populated when
         #: ``calibrate_workers`` and the worker has said hello).
-        self.worker_calibrations: Dict[int, float] = {}
+        self.worker_calibrations: Dict[int, float] = self._engine.calibrations
         #: worker id that produced each slot of the last ``map`` (None
         #: for serial execution or failed slots).
         self.last_workers: List[Optional[int]] = []
         #: progress callbacks that raised (swallowed: a broken progress
-        #: printer must not abort the drain loop mid-fan-out).
+        #: printer must not abort the wait mid-fan-out).
         self.progress_errors = 0
         #: True when the last ``map`` actually fanned out.
         self.ran_parallel = False
-        self._ctx = multiprocessing.get_context("spawn")
-        self._task_queue: Optional[Any] = None
-        self._result_queue: Optional[Any] = None
-        self._workers: Dict[int, Any] = {}
-        self._next_worker_id = 0
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -155,22 +104,8 @@ class RunPool:
 
     def close(self) -> None:
         """Retire the workers.  Idempotent; called by ``__exit__``."""
-        if self._closed:
-            return
         self._closed = True
-        if self._task_queue is not None:
-            for _ in self._workers:
-                try:
-                    self._task_queue.put(None)
-                except (OSError, ValueError):  # pragma: no cover - teardown
-                    break
-        deadline = time.monotonic() + _JOIN_SECONDS
-        for process in self._workers.values():
-            process.join(timeout=max(0.0, deadline - time.monotonic()))
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=_JOIN_SECONDS)
-        self._workers.clear()
+        self._engine.close()
 
     # ------------------------------------------------------------------
     # submission
@@ -235,8 +170,8 @@ class RunPool:
     def _notify(self, done: int, total: int, key: str) -> None:
         """Invoke the progress callback, absorbing its failures.
 
-        The callback is user code running inside the drain loop; if it
-        raises, workers would be orphaned with results half-collected.
+        The callback is user code running inside the wait loop; if it
+        raises, the batch would be abandoned with results half-collected.
         """
         if self.progress is None:
             return
@@ -251,139 +186,23 @@ class RunPool:
     def _map_parallel(self, calls: Sequence[Call],
                       payloads: List[bytes]) -> List[Any]:
         total = len(calls)
-        self._ensure_queues()
-        assert self._task_queue is not None and self._result_queue is not None
-        for index, payload in enumerate(payloads):
-            self._task_queue.put((index, payload))
-        results: Dict[int, Any] = {}
-        #: worker id -> (task index, monotonic start time)
-        running: Dict[int, Tuple[int, float]] = {}
-        while len(results) < total:
-            self._spawn_missing(total - len(results))
-            self._reap(running, results, calls)
-            try:
-                message = self._result_queue.get(timeout=_POLL_SECONDS)
-            except queue_module.Empty:
-                continue
-            kind = message[0]
-            if kind == "hello":
-                _, worker_id, calibration = message
-                if calibration is not None:
-                    self.worker_calibrations[worker_id] = calibration
-            elif kind == "start":
-                _, worker_id, index = message
-                running[worker_id] = (index, time.monotonic())
-            elif kind == "done":
-                _, worker_id, index, body = message
-                running.pop(worker_id, None)
-                outcome = self._decode(index, calls[index], body)
-                # A slot already marked crashed can be healed by a late
-                # "done" (the worker died *after* sending its result); a
-                # deliberate timeout kill stays failed.
-                existing = results.get(index)
-                if existing is None or (isinstance(existing, WorkerFailure)
-                                        and existing.kind == "crash"):
-                    was_new = existing is None
-                    results[index] = outcome
-                    self.last_workers[index] = worker_id
-                    if was_new:
-                        self._notify(len(results), total, calls[index].key)
-        return [results[index] for index in range(total)]
-
-    def _ensure_queues(self) -> None:
-        if self._task_queue is None:
-            self._task_queue = self._ctx.Queue()
-            self._result_queue = self._ctx.Queue()
-
-    def _spawn_missing(self, unresolved: int) -> None:
-        """Keep ``min(jobs, unresolved-task-count)`` workers alive."""
-        target = min(self.jobs, max(unresolved, 0))
-        while len(self._workers) < target:
-            worker_id = self._next_worker_id
-            self._next_worker_id += 1
-            process = self._ctx.Process(
-                target=worker_main,
-                args=(worker_id, self._task_queue, self._result_queue,
-                      self.calibrate_workers),
-                daemon=True,
-                name=f"repro-runpool-{worker_id}",
-            )
-            process.start()
-            self._workers[worker_id] = process
-
-    def _reap(self, running: Dict[int, Tuple[int, float]],
-              results: Dict[int, Any], calls: Sequence[Call]) -> None:
-        """Collect dead workers and kill stragglers past the timeout."""
-        now = time.monotonic()
-        for worker_id, process in list(self._workers.items()):
-            if not process.is_alive():
-                del self._workers[worker_id]
-                claimed = running.pop(worker_id, None)
-                if claimed is not None and claimed[0] not in results:
-                    index = claimed[0]
-                    results[index] = WorkerFailure(
-                        index=index, key=calls[index].key, kind="crash",
-                        error_type="WorkerCrash",
-                        message=(f"worker {worker_id} exited with code "
-                                 f"{process.exitcode} while running the task"),
-                    )
-                    self._notify(len(results), len(calls),
-                                 calls[index].key)
-                continue
-            if self.timeout is None:
-                continue
-            claimed = running.get(worker_id)
-            if claimed is not None and now - claimed[1] > self.timeout:
-                index = claimed[0]
-                process.terminate()
-                process.join(timeout=_JOIN_SECONDS)
-                del self._workers[worker_id]
-                running.pop(worker_id, None)
-                if index not in results:
-                    results[index] = WorkerFailure(
-                        index=index, key=calls[index].key, kind="timeout",
-                        error_type="TimeoutError",
-                        message=(f"task exceeded the per-task timeout of "
-                                 f"{self.timeout:g}s; worker {worker_id} "
-                                 f"was cancelled"),
-                    )
-                    self._notify(len(results), len(calls),
-                                 calls[index].key)
-
-    @staticmethod
-    def _decode(index: int, call: Call, body: bytes) -> Any:
-        return decode_result_body(index, call.key, body)
-
-
-def decode_result_body(index: int, key: str, body: bytes) -> Any:
-    """Decode one ``("done", ...)`` body from the worker wire protocol.
-
-    Returns the task's value, or a :class:`WorkerFailure` row carrying
-    the worker-side error.  Shared by :class:`RunPool` (batch merging)
-    and :class:`repro.parallel.service.PoolService` (request/response).
-    """
-    try:
-        decoded = pickle.loads(body)
-    except Exception as exc:  # pragma: no cover - defensive
-        return WorkerFailure(
-            index=index, key=key, kind="error",
-            error_type=type(exc).__name__,
-            message=f"could not decode worker result: {exc}",
-        )
-    if decoded[0] == "ok":
-        return decoded[1]
-    _, error_type, message, trace, exc_bytes = decoded
-    exception: Optional[BaseException] = None
-    if exc_bytes is not None:
-        try:
-            exception = pickle.loads(exc_bytes)
-        except Exception:  # pragma: no cover - worker pre-validated
-            exception = None
-    return WorkerFailure(
-        index=index, key=key, kind="error",
-        error_type=error_type, message=message, traceback=trace,
-        exception=exception,
-    )
+        completed: queue_module.Queue[Ticket] = queue_module.Queue()
+        tickets = [
+            self._engine.admit(payload, call.key, self.timeout,
+                               completed=completed)
+            for call, payload in zip(calls, payloads)
+        ]
+        for done in range(1, total + 1):
+            self._notify(done, total, completed.get().key)
+        outcomes: List[Any] = []
+        for index, ticket in enumerate(tickets):
+            outcome = ticket.outcome
+            if isinstance(outcome, WorkerFailure):
+                outcome.index = index   # the slot, not the engine's id
+            else:
+                self.last_workers[index] = ticket.worker_id
+            outcomes.append(outcome)
+        return outcomes
 
 
 def raise_failures(outcomes: Sequence[Any]) -> None:

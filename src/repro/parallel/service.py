@@ -1,80 +1,43 @@
 """``PoolService``: the request/response face of the warm worker pool.
 
-:class:`~repro.parallel.pool.RunPool` is a *batch* engine: one thread
+:class:`~repro.parallel.pool.RunPool` has a *batch* shape: one thread
 submits a whole sweep and blocks until every slot is merged.  A server
 has the opposite shape -- many handler threads each submitting one task
 and waiting for exactly that task's result, while the pool of warm
-workers stays up across requests.  ``PoolService`` provides that shape
-on the same worker wire protocol (:mod:`repro.parallel.worker`):
+workers stays up across requests.  ``PoolService`` is the
+:class:`~repro.parallel.engine.WorkerEngine` with that shape on top:
 
-* **Warm workers** -- ``jobs`` spawn-context workers are started once
-  and reused across every request; a dead worker is respawned so the
-  service keeps serving (``worker_restarts`` counts replacements).
+* **Pre-warmed workers** -- ``jobs`` workers are asked for at
+  construction, so the first request does not pay for a spawn.
 * **Bounded admission** -- at most ``max_pending`` tasks may be
   submitted-but-unfinished; :meth:`submit` raises
   :class:`QueueFullError` beyond that, which the scenario server maps
   to HTTP 429.  Admission control lives *here*, ahead of the workers,
   so an overloaded service fails fast instead of queueing unboundedly.
-* **Per-task timeouts** -- a task past its deadline gets its worker
-  terminated (and replaced); the submitter receives a typed
-  :class:`~repro.parallel.pool.WorkerFailure` with ``kind="timeout"``.
-* **Typed failure rows** -- worker crashes and task exceptions come
-  back as :class:`WorkerFailure`, exactly like the batch pool.
+* **A default deadline** -- ``timeout`` is stamped on every ticket that
+  does not bring its own.
 
-Host wall-clock reads here drive orchestration only (timeouts, liveness
-sweeps); simulated behavior inside the workers remains a pure function
-of each task's payload -- the determinism lint exempts this file for
-the same reason it exempts ``parallel/pool.py``.
+Respawn after a crash or a deadline kill (``worker_restarts``) and the
+typed :class:`WorkerFailure` rows are the engine's, exactly as for the
+batch pool.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import pickle
-import queue as queue_module
-import threading
-import time
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.parallel.pool import WorkerFailure, decode_result_body
-from repro.parallel.seeds import resolve_jobs
-from repro.parallel.worker import worker_main
-
-#: How long the collector blocks on the result queue between
-#: liveness/timeout sweeps.
-_POLL_SECONDS = 0.05
-
-#: Seconds to wait for a worker to exit voluntarily at close time.
-_JOIN_SECONDS = 2.0
+from repro.parallel.engine import (
+    QueueFullError,
+    ServiceClosedError,
+    Ticket,
+    WorkerEngine,
+    WorkerFailure,
+)
 
 
-class QueueFullError(RuntimeError):
-    """Raised by :meth:`PoolService.submit` when the service already has
-    ``max_pending`` unfinished tasks -- the caller should shed load."""
-
-
-class ServiceClosedError(RuntimeError):
-    """Raised when submitting to (or waiting on) a closed service."""
-
-
-@dataclass
-class Ticket:
-    """One submitted task: wait on :meth:`PoolService.result` with it."""
-
-    index: int
-    key: str
-    timeout: Optional[float]
-    done: threading.Event = field(default_factory=threading.Event, repr=False)
-    outcome: Any = field(default=None, repr=False)
-    #: Host-monotonic time the task *started on a worker* (None while
-    #: queued); used by the timeout sweep, never by task results.
-    started_at: Optional[float] = field(default=None, repr=False)
-    worker_id: Optional[int] = None
-
-
-class PoolService:
+class PoolService(WorkerEngine):
     """A long-lived, thread-safe dispatcher over warm worker processes.
 
     Usage::
@@ -94,113 +57,17 @@ class PoolService:
                  max_pending: int = 16) -> None:
         if max_pending < 1:
             raise ConfigError(f"max_pending must be >= 1, got {max_pending}")
-        self.jobs = resolve_jobs(jobs)
+        super().__init__(jobs)
         self.timeout = timeout
         self.max_pending = max_pending
-        self.worker_restarts = 0
-        self.workers_spawned = 0
-        self.tasks_submitted = 0
-        self.tasks_completed = 0
-        self.collector_errors = 0
-        self._ctx = multiprocessing.get_context("spawn")
-        self._task_queue = self._ctx.Queue()
-        self._result_queue = self._ctx.Queue()
-        self._lock = threading.Lock()
-        self._tickets: Dict[int, Ticket] = {}
-        #: worker id -> process handle.
-        self._workers: Dict[int, Any] = {}
-        #: worker id -> ticket index it is currently running.
-        self._running: Dict[int, int] = {}
-        self._next_index = 0
-        self._next_worker_id = 0
-        self._closed = threading.Event()
-        with self._lock:
-            self._spawn_missing_locked()
-        self._collector = threading.Thread(
-            target=self._collect, name="repro-poolservice-collector",
-            daemon=True)
-        self._collector.start()
+        self.prewarm(self.jobs)
 
-    # ------------------------------------------------------------------
-    # introspection (for /metrics)
-    # ------------------------------------------------------------------
-    @property
-    def pending(self) -> int:
-        """Tasks submitted but not yet finished (queued + running)."""
-        with self._lock:
-            return len(self._tickets)
-
-    @property
-    def in_flight(self) -> int:
-        """Tasks currently executing on a worker."""
-        with self._lock:
-            return len(self._running)
-
-    @property
-    def queue_depth(self) -> int:
-        """Tasks admitted but not yet started on any worker."""
-        with self._lock:
-            return len(self._tickets) - len(self._running)
-
-    @property
-    def workers(self) -> int:
-        with self._lock:
-            return len(self._workers)
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "workers": len(self._workers),
-                "pending": len(self._tickets),
-                "in_flight": len(self._running),
-                "queue_depth": len(self._tickets) - len(self._running),
-                "worker_restarts": self.worker_restarts,
-                "workers_spawned": self.workers_spawned,
-                "tasks_submitted": self.tasks_submitted,
-                "tasks_completed": self.tasks_completed,
-                "collector_errors": self.collector_errors,
-            }
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
     def __enter__(self) -> "PoolService":
         return self
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
 
-    def close(self) -> None:
-        """Stop the collector, retire the workers, fail open tickets."""
-        if self._closed.is_set():
-            return
-        self._closed.set()
-        self._collector.join(timeout=_JOIN_SECONDS + 1.0)
-        with self._lock:
-            for _ in self._workers:
-                try:
-                    self._task_queue.put(None)
-                except (OSError, ValueError):  # pragma: no cover - teardown
-                    break
-            deadline = time.monotonic() + _JOIN_SECONDS
-            for process in self._workers.values():
-                process.join(timeout=max(0.0, deadline - time.monotonic()))
-                if process.is_alive():
-                    process.terminate()
-                    process.join(timeout=_JOIN_SECONDS)
-            self._workers.clear()
-            self._running.clear()
-            for ticket in list(self._tickets.values()):
-                self._finish_locked(ticket, WorkerFailure(
-                    index=ticket.index, key=ticket.key, kind="error",
-                    error_type="ServiceClosedError",
-                    message="the pool service was closed before the task "
-                            "finished",
-                ))
-
-    # ------------------------------------------------------------------
-    # submission / completion
-    # ------------------------------------------------------------------
     def submit(self, fn: Callable[..., Any], args: Tuple[Any, ...] = (),
                kwargs: Optional[Dict[str, Any]] = None, *, key: str = "",
                timeout: Optional[float] = -1.0) -> Ticket:
@@ -213,25 +80,11 @@ class PoolService:
         inline fallback -- server tasks must be module-level
         callables).  ``timeout=-1`` means "use the service default".
         """
-        if self._closed.is_set():
-            raise ServiceClosedError("cannot submit to a closed PoolService")
         payload = pickle.dumps((fn, args, kwargs or {}),
                                protocol=pickle.HIGHEST_PROTOCOL)
-        effective_timeout = self.timeout if timeout == -1.0 else timeout
-        with self._lock:
-            if len(self._tickets) >= self.max_pending:
-                raise QueueFullError(
-                    f"service already has {len(self._tickets)} unfinished "
-                    f"task(s) (max_pending={self.max_pending})"
-                )
-            index = self._next_index
-            self._next_index += 1
-            ticket = Ticket(index=index, key=key or f"task-{index}",
-                            timeout=effective_timeout)
-            self._tickets[index] = ticket
-            self.tasks_submitted += 1
-        self._task_queue.put((index, payload))
-        return ticket
+        return self.admit(payload, key or None,
+                          self.timeout if timeout == -1.0 else timeout,
+                          limit=self.max_pending)
 
     def result(self, ticket: Ticket, wait: Optional[float] = None) -> Any:
         """Block until ``ticket`` finishes; return its value or failure.
@@ -256,125 +109,6 @@ class PoolService:
         """:meth:`submit` + :meth:`result` in one call."""
         return self.result(self.submit(fn, args, kwargs, key=key,
                                        timeout=timeout), wait=wait)
-
-    # ------------------------------------------------------------------
-    # collector thread
-    # ------------------------------------------------------------------
-    def _collect(self) -> None:
-        """Collector thread main loop.
-
-        Every pending ticket waits on this thread, so it must survive
-        anything a message can throw at it -- a malformed tuple or a
-        result body that fails to unpickle is recorded in
-        ``collector_errors`` (visible via :meth:`stats`) instead of
-        killing the thread and hanging every outstanding
-        :meth:`result` call.
-        """
-        while not self._closed.is_set():
-            try:
-                if not self._collect_once():
-                    return
-            except Exception:
-                with self._lock:
-                    self.collector_errors += 1
-
-    def _collect_once(self) -> bool:
-        """One sweep + one message; False stops the collector."""
-        self._sweep()
-        try:
-            message = self._result_queue.get(timeout=_POLL_SECONDS)
-        except queue_module.Empty:
-            return True
-        except (OSError, ValueError):  # pragma: no cover - teardown
-            return False
-        kind = message[0]
-        if kind == "hello":
-            return True
-        if kind == "start":
-            _, worker_id, index = message
-            with self._lock:
-                ticket = self._tickets.get(index)
-                if ticket is not None:
-                    ticket.started_at = time.monotonic()
-                    ticket.worker_id = worker_id
-                    self._running[worker_id] = index
-        elif kind == "done":
-            _, worker_id, index, body = message
-            with self._lock:
-                self._running.pop(worker_id, None)
-                ticket = self._tickets.get(index)
-                if ticket is None:
-                    return True  # cancelled by timeout before the result
-                outcome = decode_result_body(index, ticket.key, body)
-                self._finish_locked(ticket, outcome)
-        else:
-            raise ValueError(f"unknown result-queue message kind {kind!r}")
-        return True
-
-    def _sweep(self) -> None:
-        """Respawn dead workers; cancel tasks past their deadline."""
-        now = time.monotonic()
-        with self._lock:
-            for worker_id, process in list(self._workers.items()):
-                if not process.is_alive():
-                    del self._workers[worker_id]
-                    index = self._running.pop(worker_id, None)
-                    self.worker_restarts += 1
-                    ticket = self._tickets.get(index) if index is not None \
-                        else None
-                    if ticket is not None:
-                        self._finish_locked(ticket, WorkerFailure(
-                            index=ticket.index, key=ticket.key, kind="crash",
-                            error_type="WorkerCrash",
-                            message=(f"worker {worker_id} exited with code "
-                                     f"{process.exitcode} while running the "
-                                     f"task"),
-                        ))
-                    continue
-                index = self._running.get(worker_id)
-                if index is None:
-                    continue
-                ticket = self._tickets.get(index)
-                if (ticket is not None and ticket.timeout is not None
-                        and ticket.started_at is not None
-                        and now - ticket.started_at > ticket.timeout):
-                    process.terminate()
-                    process.join(timeout=_JOIN_SECONDS)
-                    del self._workers[worker_id]
-                    self._running.pop(worker_id, None)
-                    self.worker_restarts += 1
-                    self._finish_locked(ticket, WorkerFailure(
-                        index=ticket.index, key=ticket.key, kind="timeout",
-                        error_type="TimeoutError",
-                        message=(f"task exceeded its deadline of "
-                                 f"{ticket.timeout:g}s; worker {worker_id} "
-                                 f"was cancelled"),
-                    ))
-            self._spawn_missing_locked()
-
-    def _finish_locked(self, ticket: Ticket, outcome: Any) -> None:
-        """Resolve one ticket (caller holds the lock)."""
-        self._tickets.pop(ticket.index, None)
-        ticket.outcome = outcome
-        self.tasks_completed += 1
-        ticket.done.set()
-
-    def _spawn_missing_locked(self) -> None:
-        """Keep ``jobs`` warm workers alive (caller holds the lock)."""
-        if self._closed.is_set():
-            return
-        while len(self._workers) < self.jobs:
-            worker_id = self._next_worker_id
-            self._next_worker_id += 1
-            process = self._ctx.Process(
-                target=worker_main,
-                args=(worker_id, self._task_queue, self._result_queue, False),
-                daemon=True,
-                name=f"repro-poolservice-{worker_id}",
-            )
-            process.start()
-            self._workers[worker_id] = process
-            self.workers_spawned += 1
 
 
 __all__ = ["PoolService", "QueueFullError", "ServiceClosedError", "Ticket"]

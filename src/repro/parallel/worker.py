@@ -1,4 +1,4 @@
-"""The worker-side main loop of :class:`repro.parallel.pool.RunPool`.
+"""The worker-side main loop of :class:`repro.parallel.engine.WorkerEngine`.
 
 Workers are started with the ``spawn`` context, so each one is a fresh
 interpreter that imports this module by name -- ``sys.path`` (and with it
@@ -42,7 +42,7 @@ def _run_payload(payload: bytes) -> bytes:
 
     Never raises: every exception (including result-pickling failures)
     is folded into an ``("error", ...)`` body so the parent can surface
-    it as a typed :class:`~repro.parallel.pool.WorkerFailure` row.
+    it as a typed :class:`~repro.parallel.engine.WorkerFailure` row.
     """
     try:
         fn, args, kwargs = pickle.loads(payload)

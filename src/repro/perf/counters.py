@@ -2,8 +2,9 @@
 
 Wall-clock readings here are *reporting only*: they are taken around a
 completed simulation (or micro-loop) and never feed back into simulated
-behavior, so determinism is unaffected.  The determinism lint exempts
-this module for that reason.
+behavior, so determinism is unaffected.  The determinism analysis lists
+this module host-side for that reason
+(:data:`repro.analysis.purity.PATH_TABLE`).
 """
 
 from __future__ import annotations

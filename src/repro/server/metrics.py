@@ -4,7 +4,8 @@ Everything here is *host-side observability* -- wall-clock latencies,
 request counts, queue depths.  None of it ever feeds back into
 simulated behavior (responses are produced by deterministic workers and
 cached by content address), which is why this module may read the host
-clock; the determinism lint exempts it on those grounds.
+clock; the determinism analysis lists it host-side on those grounds
+(:data:`repro.analysis.purity.PATH_TABLE`).
 """
 
 from __future__ import annotations

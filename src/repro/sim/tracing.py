@@ -11,11 +11,18 @@ log is disabled and every ``emit`` early-outs.  The early-out itself is
 cheap, but the *call site* still built the record's message (usually an
 f-string over protocol state) before ``emit`` could decline it.  Hot
 layers therefore guard their emits with :data:`TRACE_GATE` -- a
-module-level flag object maintained by the :attr:`TraceLog.enabled`
-property across every live log -- and skip argument construction
-entirely when no log in the process wants records.  Per-log ``enabled``
-stays authoritative: the gate only being *set* never makes a disabled
-log record anything, it merely lets call sites fall back to the legacy
+module-level flag object -- and skip argument construction entirely
+when no enabled log in the process is being fed.  The gate belongs to
+the *run*, not to the log object: whoever drives a cluster holds it open
+with :meth:`TraceLog.feeding` for exactly as long as the driving call
+lasts (:class:`~repro.cluster.system.DisomSystem` does so around
+``run``, ``checkpoint_all`` and ``recover_all_from_storage``), so a
+finished traced run can never pin later runs in the same interpreter --
+server workers, fuzz batches -- on the slow path.  A harness that sends
+messages through gated layers without a ``DisomSystem`` must do the
+same, or its hot-path records are skipped.  Per-log ``enabled`` stays
+authoritative: the gate only being *set* never makes a disabled log
+record anything, it merely lets call sites fall back to the legacy
 build-then-discard path.  :func:`set_fast_mode` forces exactly that
 fallback everywhere, which the byte-identity regression test uses to
 prove the fast mode changes no simulated behavior.
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
@@ -32,9 +40,10 @@ from typing import Any, Callable, Iterator, Optional
 class _TraceGate:
     """Process-wide tracing gate consulted by hot emit call sites.
 
-    ``active`` is True while any :class:`TraceLog` is enabled (or fast
-    mode is switched off); reading one attribute of one module-level
-    object is the cheapest guard Python offers short of inlining.
+    ``active`` is True while any enabled :class:`TraceLog` is being fed
+    (or fast mode is switched off); reading one attribute of one
+    module-level object is the cheapest guard Python offers short of
+    inlining.
     """
 
     __slots__ = ("active",)
@@ -47,21 +56,15 @@ class _TraceGate:
 #: arguments:  ``if TRACE_GATE.active: trace.emit(...)``.
 TRACE_GATE = _TraceGate()
 
-#: Number of currently-enabled TraceLog instances (gate bookkeeping).
-_enabled_logs = 0
+#: Number of enabled TraceLogs currently inside :meth:`TraceLog.feeding`.
+_feeding_logs = 0
 
 #: False forces the legacy always-call-emit path at gated call sites.
 _fast_mode = True
 
 
 def _refresh_gate() -> None:
-    TRACE_GATE.active = _enabled_logs > 0 or not _fast_mode
-
-
-def _note_enabled(delta: int) -> None:
-    global _enabled_logs
-    _enabled_logs += delta
-    _refresh_gate()
+    TRACE_GATE.active = _feeding_logs > 0 or not _fast_mode
 
 
 def trace_active() -> bool:
@@ -106,7 +109,8 @@ class TraceLog:
         max_records: Optional[int] = None,
         categories: Optional[set[str]] = None,
     ) -> None:
-        self._enabled = False
+        #: Whether :meth:`emit` records anything.  The inline verifier
+        #: flips this on when it attaches mid-setup.
         self.enabled = enabled
         self._max = max_records
         self._categories = categories
@@ -116,38 +120,28 @@ class TraceLog:
         #: the inline verifier's event feed).
         self.sink: Optional[Callable[[TraceRecord], None]] = None
 
-    @property
-    def enabled(self) -> bool:
-        return self._enabled
+    @contextmanager
+    def feeding(self) -> Iterator[None]:
+        """Hold :data:`TRACE_GATE` open while a driver feeds this log.
 
-    @enabled.setter
-    def enabled(self, value: bool) -> None:
-        """Enable/disable the log, keeping :data:`TRACE_GATE` in sync.
-
-        The inline verifier flips this on when it attaches mid-setup;
-        routing the flag through a property means gated call sites start
-        emitting the moment any log wants records.
+        Gated call sites emit only inside some enabled log's ``feeding``
+        block; the claim is dropped on exit, however the block ends.
+        A disabled log claims nothing.
         """
-        value = bool(value)
-        if value == self._enabled:
-            return
-        self._enabled = value
-        _note_enabled(1 if value else -1)
-
-    def __del__(self) -> None:
-        # A dropped enabled log must release its claim on the gate, or
-        # one traced run would pin every later run in the process on the
-        # slow path (e.g. the trace micro-benchmarks running before the
-        # workload benchmarks).  Guarded: module globals may already be
-        # torn down at interpreter exit.
-        if getattr(self, "_enabled", False):
-            try:
-                _note_enabled(-1)
-            except Exception:  # pragma: no cover - interpreter shutdown
-                pass
+        global _feeding_logs
+        claimed = self.enabled
+        if claimed:
+            _feeding_logs += 1
+            _refresh_gate()
+        try:
+            yield
+        finally:
+            if claimed:
+                _feeding_logs -= 1
+                _refresh_gate()
 
     def emit(self, time: float, category: str, message: str, **fields: Any) -> None:
-        if not self._enabled:
+        if not self.enabled:
             return
         if self._categories is not None and category not in self._categories:
             return

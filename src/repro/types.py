@@ -87,6 +87,8 @@ class Tid:
         key = (pid, local)
         tid = _TID_INTERN.get(key)
         if tid is None:
+            if len(_TID_INTERN) >= _INTERN_MAX:
+                _TID_INTERN.clear()
             tid = _TID_INTERN[key] = Tid(pid, local)
         return tid
 
@@ -192,8 +194,9 @@ class ExecutionPoint:
         return (self.tid.pid, self.tid.local, self.lt)
 
 
-#: Bound on the execution-point intern cache; cleared wholesale when
-#: full (interning is an optimization -- equality never depends on it).
+#: Bound on each intern cache (thread ids, execution points, version
+#: ids); cleared wholesale when full (interning is an optimization --
+#: equality never depends on it).
 _INTERN_MAX = 1 << 17
 _EP_INTERN: dict[tuple, ExecutionPoint] = {}
 

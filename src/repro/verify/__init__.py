@@ -1,16 +1,17 @@
-"""Verification layer: race detection, invariant checking, determinism lint.
+"""Verification layer: race detection and invariant checking.
 
-Three independent passes over a run (or over the source tree) surfaced by
-the ``repro check`` CLI command and attachable inline to any simulation:
+Two independent passes over a run, surfaced by the ``repro check`` CLI
+command and attachable inline to any simulation:
 
 * :mod:`repro.verify.races` -- entry-consistency race detector over the
   "mem" trace stream (vector-clock happens-before with an Eraser-style
   lockset fast path);
 * :mod:`repro.verify.invariants` -- online protocol invariant checker
-  hooked into the log, GC and recovery layers;
-* :mod:`repro.verify.lint` -- AST determinism lint over the source tree.
+  hooked into the log, GC and recovery layers.
 
-:mod:`repro.verify.inline` bundles the first two into an
+The source-level determinism rules ``repro check`` also runs live in
+:mod:`repro.analysis.purity`.  :mod:`repro.verify.inline` bundles the
+two passes into an
 :class:`~repro.verify.inline.InlineVerifier` that attaches to a live
 :class:`~repro.cluster.system.DisomSystem`.
 """
@@ -20,19 +21,15 @@ from __future__ import annotations
 from repro.verify.events import MemEvent, events_from_trace
 from repro.verify.inline import CheckReport, InlineVerifier, attach
 from repro.verify.invariants import InvariantChecker
-from repro.verify.lint import LintFinding, lint_paths, lint_tree
 from repro.verify.races import RaceDetector, RaceFinding
 
 __all__ = [
     "CheckReport",
     "InlineVerifier",
     "InvariantChecker",
-    "LintFinding",
     "MemEvent",
     "RaceDetector",
     "RaceFinding",
     "attach",
     "events_from_trace",
-    "lint_paths",
-    "lint_tree",
 ]

@@ -1,24 +1,31 @@
-"""Seeded verification faults: known-bad inputs the checkers must flag.
+"""Seeded faults: known-bad inputs every checker must flag.
 
-Each function builds a small, self-contained scenario containing exactly
-one planted defect and runs the relevant pass over it.  They serve two
-masters: the test suite asserts each fault is detected, and
-``repro check --seed-fault <kind>`` demonstrates end-to-end that a
-planted fault produces a nonzero exit with a pointed report (guarding
-against the checker silently rotting into a yes-sayer).
+One registry, :data:`SEEDED_FAULTS`, maps each kind to a callable that
+builds a small, self-contained input containing exactly one planted
+defect, runs the relevant pass over it and returns the detections --
+trace-level scenarios for the runtime checkers (race detector,
+invariant checker, the fuzzer's oracle), in-memory source snippets for
+the static analyzers.  They serve two masters: the test suite asserts
+each fault is detected, and ``repro check --seed-fault <kind>``
+demonstrates end-to-end that a planted fault produces a nonzero exit
+with a pointed report.  CI inverts that exit code, so a checker that
+silently rots into a yes-sayer fails the build, not the next person to
+introduce the defect.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+import textwrap
+from functools import partial
+from typing import Any, Callable, Dict, List, Sequence
 
+from repro.analysis.findings import Finding, load_source_table
+from repro.analysis.runner import ANALYZERS
 from repro.errors import InvariantViolation
 from repro.sim.tracing import TraceLog
 from repro.types import ExecutionPoint, Tid
 from repro.verify.invariants import InvariantChecker
 from repro.verify.races import RaceDetector, RaceFinding
-
-FAULT_KINDS = ("race", "gc-unsafe", "dummy-chain", "schedule")
 
 
 def _mem(trace: TraceLog, when: float, kind: str, tid: Tid, lt: int,
@@ -140,23 +147,164 @@ def seeded_bad_schedule() -> Dict[str, Any]:
     })
 
 
-def run_seeded_fault(kind: str) -> Tuple[List[RaceFinding],
-                                         List[InvariantViolation]]:
-    """Run one planted-fault scenario; returns (races, violations)."""
-    if kind == "race":
-        return seeded_race(), []
-    if kind == "gc-unsafe":
-        return [], seeded_gc_unsafe()
-    if kind == "dummy-chain":
-        return [], seeded_dummy_chain()
-    if kind == "schedule":
-        from repro.fuzz.engine import run_trial
+def seeded_schedule() -> List[InvariantViolation]:
+    """The padded known-bad schedule through the fuzzer's oracle."""
+    from repro.fuzz.engine import run_trial
 
-        outcome = run_trial(seeded_bad_schedule())
-        if outcome["status"] != "violation":
-            return [], []
-        return [], [InvariantViolation(
-            "seeded-schedule",
-            f"{outcome['error_type']}: {outcome['message']}")]
-    raise ValueError(f"unknown seeded fault {kind!r}; "
-                     f"choose from {FAULT_KINDS}")
+    outcome = run_trial(seeded_bad_schedule())
+    if outcome["status"] != "violation":
+        return []
+    return [InvariantViolation(
+        "seeded-schedule",
+        f"{outcome['error_type']}: {outcome['message']}")]
+
+
+# ----------------------------------------------------------------------
+# known-bad source snippets: one injected defect per static analyzer
+# ----------------------------------------------------------------------
+_LOCKS_BAD: Dict[str, str] = {
+    "repro/server/seeded_bad.py": textwrap.dedent(
+        """
+        import threading
+
+        class Counter:
+            def __init__(self):
+                self._lock = threading.Lock()
+                self._other = threading.Lock()
+                self.value = 0
+
+            def bump(self):
+                with self._lock:
+                    self.value += 1
+
+            def bump2(self):
+                with self._lock:
+                    self.value += 2
+
+            def bump3(self):
+                with self._lock:
+                    self.value += 3
+
+            def read(self):
+                with self._lock:
+                    return self.value
+
+            def racy_reset(self):
+                self.value = 0      # unguarded write
+
+            def forward(self):
+                with self._lock:
+                    with self._other:
+                        self.value += 1
+
+            def backward(self):
+                with self._other:
+                    with self._lock:
+                        self.value += 1
+
+            def leak(self):
+                self._lock.acquire()
+                if self.value > 10:
+                    return          # acquire does not dominate release
+                self._lock.release()
+        """),
+}
+
+_PURITY_BAD: Dict[str, str] = {
+    "repro/perfx/clockutil.py": textwrap.dedent(
+        """
+        import time
+
+        def elapsed():
+            return time.monotonic()
+        """),
+    "repro/sim/seeded_kernel.py": textwrap.dedent(
+        """
+        from repro.perfx import clockutil
+
+        def step():
+            return clockutil.elapsed()
+        """),
+}
+
+_HANDLERS_BAD: Dict[str, str] = {
+    "repro/net/message.py": textwrap.dedent(
+        """
+        import enum
+
+        class MessageKind(enum.Enum):
+            HELLO = "hello"
+            GOODBYE = "goodbye"
+            PING = "ping"
+            PONG = "pong"
+        """),
+    "repro/cluster/seeded_dispatch.py": textwrap.dedent(
+        """
+        from repro.net.message import MessageKind
+
+        def dispatch(kind, payload):
+            if kind is MessageKind.HELLO:
+                return "hi"
+            elif kind is MessageKind.GOODBYE:
+                return "bye"
+            elif kind is MessageKind.PING:
+                return "pong"
+            # no else: PONG falls through silently
+
+        def send_all(network):
+            network.push(MessageKind.PING)
+            network.push(MessageKind.PONG)
+        """),
+}
+
+_ESCAPES_BAD: Dict[str, str] = {
+    "repro/server/seeded_fanout.py": textwrap.dedent(
+        """
+        import pickle
+
+        class Dispatcher:
+            def __init__(self):
+                self.listeners = []
+                self.progress = None
+
+            def fire(self, event):
+                for listener in self.listeners:
+                    listener(event)       # listener may raise
+
+            def drain(self, body):
+                result = pickle.loads(body)
+                if self.progress is not None:
+                    self.progress(result)
+                return result
+        """),
+}
+
+
+def _analyze_snippet(analyzer: str, sources: Dict[str, str]) -> List[Finding]:
+    """Run one static analyzer over an in-memory known-bad module."""
+    return ANALYZERS[analyzer](load_source_table(sources))
+
+
+#: kind -> callable returning the detections (empty == the checker went
+#: blind).  The first four exercise the runtime checkers, the rest the
+#: static analyzers of the same name.
+SEEDED_FAULTS: Dict[str, Callable[[], Sequence[object]]] = {
+    "race": seeded_race,
+    "gc-unsafe": seeded_gc_unsafe,
+    "dummy-chain": seeded_dummy_chain,
+    "schedule": seeded_schedule,
+    "locks": partial(_analyze_snippet, "locks", _LOCKS_BAD),
+    "purity": partial(_analyze_snippet, "purity", _PURITY_BAD),
+    "handlers": partial(_analyze_snippet, "handlers", _HANDLERS_BAD),
+    "escapes": partial(_analyze_snippet, "escapes", _ESCAPES_BAD),
+}
+
+FAULT_KINDS = tuple(SEEDED_FAULTS)
+
+
+def run_seeded_fault(kind: str) -> Sequence[object]:
+    """Run one planted-fault scenario; returns its detections."""
+    if kind not in SEEDED_FAULTS:
+        raise ValueError(f"unknown seeded fault {kind!r}; "
+                         f"choose from {FAULT_KINDS}")
+    return SEEDED_FAULTS[kind]()

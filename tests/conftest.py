@@ -82,6 +82,28 @@ def counter_system(processes: int = 3, rounds: int = 5, seed: int = 7,
     return system
 
 
+def behavior_fingerprint(system: DisomSystem, result) -> str:
+    """Content address of everything one run *decided* (not how it was
+    observed): the summary the fast-mode and cross-run isolation tests
+    compare byte for byte."""
+    from repro.fingerprint import config_fingerprint
+
+    return config_fingerprint({
+        "duration": result.duration,
+        "events": system.kernel.dispatched,
+        "net": result.net,
+        "stable_writes": result.stable_writes,
+        "stable_bytes": result.stable_bytes,
+        "peak_log_bytes": result.peak_log_bytes,
+        "final_objects": {str(k): repr(v)
+                          for k, v in sorted(result.final_objects.items(),
+                                             key=lambda kv: str(kv[0]))},
+        "thread_results": {str(k): repr(v)
+                           for k, v in sorted(result.thread_results.items(),
+                                              key=lambda kv: str(kv[0]))},
+    })
+
+
 @pytest.fixture
 def kernel():
     from repro.sim.kernel import Kernel

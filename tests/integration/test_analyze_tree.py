@@ -48,8 +48,8 @@ class TestMutations:
 
     def test_interprocedural_chain_through_helper_module(self, tmp_path):
         # The clock read lives OUTSIDE the pure zone; the kernel only
-        # reaches it through a call.  The per-statement lint could never
-        # see this -- the effect system must walk the chain.
+        # reaches it through a call.  No per-statement rule can see
+        # this -- the effect system must walk the chain.
         root = _copy_tree(tmp_path)
         (root / "hostclock.py").write_text(
             "import time\n"
@@ -80,3 +80,26 @@ class TestMutations:
         assert any(f.rule == "purity" and "unseeded-random" in f.message
                    and f.path == "repro/memory/coherence.py"
                    for f in report.new)
+
+    def test_tree_wide_rules_reach_modules_outside_the_pure_zones(
+            self, tmp_path):
+        # cluster/ and threads/ are in no pure zone; the wall-clock and
+        # unseeded-random rules must bite there all the same, or merging
+        # the per-statement lint into this engine narrowed coverage.
+        root = _copy_tree(tmp_path)
+        system = root / "cluster" / "system.py"
+        system.write_text(system.read_text()
+                          + "\n\nimport time\n"
+                            "def _host_now():\n"
+                            "    return time.time()\n")
+        scheduler = root / "threads" / "scheduler.py"
+        scheduler.write_text(scheduler.read_text()
+                             + "\n\nimport random\n"
+                               "def _coin():\n"
+                               "    return random.random()\n")
+        report = run_analysis(root=root, use_default_baseline=False)
+        flagged = {(f.path, rule) for f in report.new if f.rule == "purity"
+                   for rule in ("wall-clock", "unseeded-random")
+                   if f": {rule} effect" in f.message}
+        assert flagged == {("repro/cluster/system.py", "wall-clock"),
+                           ("repro/threads/scheduler.py", "unseeded-random")}

@@ -1,0 +1,72 @@
+"""Runs sharing one interpreter must not see each other.
+
+Server workers and fuzz batches execute many scenarios per process, and
+a handful of process globals survive from one to the next: the trace
+gate, the ``Tid`` / ``ExecutionPoint`` / ``VersionId`` intern tables
+and the wire-size cache.  They exist for speed only.  This test proves
+it the blunt way: the same scenario fingerprints byte-identically
+before and after ~50 unrelated scenarios of every shape (sizes,
+workloads, backends, a crash, checking on and off), the gate is back
+down after each of them, and no table outgrows its declared cap.
+"""
+
+import repro.net.sizing as sizing
+import repro.types as types
+from repro.api import run_workload
+from repro.sim.tracing import set_fast_mode, trace_active
+from tests.conftest import behavior_fingerprint
+
+
+def _scenario_a() -> str:
+    system, result = run_workload("synthetic", processes=4, seed=7,
+                                  interval=40.0)
+    assert result.completed
+    return behavior_fingerprint(system, result)
+
+
+def _varied_scenarios():
+    workloads = ("synthetic", "sor", "matmul", "tsp", "nbody", "pipeline")
+    for index in range(48):
+        yield dict(workload=workloads[index % len(workloads)],
+                   processes=2 + index % 4, seed=100 + index,
+                   interval=(20.0, 40.0, 80.0)[index % 3],
+                   check=index % 5 == 0)
+    yield dict(workload="synthetic", processes=3, seed=7, interval=30.0,
+               crashes=[(1, 30.0)], check=True)
+    yield dict(workload="sor", processes=4, seed=3, interval=25.0,
+               crashes=[(1, 40.0)])
+    yield dict(workload="synthetic", processes=3, seed=5,
+               consistency="sequential")
+    yield dict(workload="synthetic", processes=3, seed=5,
+               consistency="causal")
+
+
+def test_a_run_is_unchanged_by_the_runs_before_it():
+    set_fast_mode(True)
+    try:
+        first = _scenario_a()
+        for scenario in _varied_scenarios():
+            _, result = run_workload(scenario.pop("workload"), **scenario)
+            assert result.completed or result.aborted
+            assert trace_active() is False, scenario
+        assert _scenario_a() == first
+    finally:
+        set_fast_mode(False)
+    assert len(types._TID_INTERN) <= types._INTERN_MAX
+    assert len(types._EP_INTERN) <= types._INTERN_MAX
+    assert len(types._VERSION_INTERN) <= types._INTERN_MAX
+    assert len(sizing._OBJ_SIZES) <= sizing._OBJ_SIZES_MAX
+
+
+def test_intern_tables_clear_at_their_cap(monkeypatch):
+    monkeypatch.setattr(types, "_INTERN_MAX", 8)
+    for name in ("_TID_INTERN", "_EP_INTERN", "_VERSION_INTERN"):
+        monkeypatch.setattr(types, name, {})
+    for index in range(100):
+        tid = types.Tid.of(index, 0)
+        assert tid == types.Tid(index, 0)
+        types.ExecutionPoint.of(tid, index)
+        types.VersionId.of("x", index)
+        assert len(types._TID_INTERN) <= 8
+        assert len(types._EP_INTERN) <= 8
+        assert len(types._VERSION_INTERN) <= 8

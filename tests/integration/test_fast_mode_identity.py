@@ -11,14 +11,17 @@ E11-shaped (scalability point) configurations both ways and compare
 canonical behavior summary.
 """
 
+import gc
+
 import pytest
 
+from repro import AcquireWrite, Compute, Program, Release
 from repro.checkpoint.policy import CheckpointPolicy
 from repro.cluster.config import ClusterConfig
 from repro.cluster.system import DisomSystem
-from repro.fingerprint import config_fingerprint
-from repro.sim.tracing import set_fast_mode
+from repro.sim.tracing import set_fast_mode, trace_active
 from repro.workloads import SyntheticWorkload
+from tests.conftest import behavior_fingerprint
 
 
 @pytest.fixture(autouse=True)
@@ -43,21 +46,7 @@ def _behavior_fingerprint(processes: int, rounds: int, interval: float,
     finally:
         set_fast_mode(False)
     assert result.completed and workload.verify(result).ok
-    summary = {
-        "duration": result.duration,
-        "events": system.kernel.dispatched,
-        "net": result.net,
-        "stable_writes": result.stable_writes,
-        "stable_bytes": result.stable_bytes,
-        "peak_log_bytes": result.peak_log_bytes,
-        "final_objects": {str(k): repr(v)
-                          for k, v in sorted(result.final_objects.items(),
-                                             key=lambda kv: str(kv[0]))},
-        "thread_results": {str(k): repr(v)
-                           for k, v in sorted(result.thread_results.items(),
-                                              key=lambda kv: str(kv[0]))},
-    }
-    return config_fingerprint(summary)
+    return behavior_fingerprint(system, result)
 
 
 @pytest.mark.parametrize(
@@ -90,3 +79,45 @@ def test_inline_check_overrides_fast_mode():
     assert result.completed and workload.verify(result).ok
     assert result.check_report is not None
     assert not result.invariant_violations
+
+
+def _gate_sampler(samples: list) -> Program:
+    """A thread that records what the trace gate reads at each step."""
+
+    def body(ctx):
+        for _ in range(4):
+            samples.append(trace_active())
+            value = yield AcquireWrite("counter")
+            yield Compute(1.0)
+            yield Release.of("counter", value + 1)
+        return "done"
+
+    return Program("gate-sampler", body, {})
+
+
+def _sampled_run(check: bool) -> list:
+    samples: list = []
+    system = DisomSystem(ClusterConfig(processes=2, seed=7, check=check),
+                         CheckpointPolicy(interval=50.0))
+    system.add_object("counter", initial=0, home=0)
+    for pid in range(2):
+        system.spawn(pid, _gate_sampler(samples))
+    assert system.run().completed
+    return samples
+
+
+def test_checked_run_releases_the_gate_when_it_returns():
+    """The gate is held for the duration of a traced run, not for the
+    lifetime of its log: a server worker or fuzz batch must be back on
+    the fast path the moment a checked scenario returns -- without
+    waiting for a cyclic GC to free the old system."""
+    set_fast_mode(True)
+    gc.disable()
+    try:
+        assert all(_sampled_run(check=True)), "a checked run needs the gate"
+        assert trace_active() is False
+        assert not any(_sampled_run(check=False)), (
+            "an unchecked run saw the gate a finished checked run left set")
+        assert trace_active() is False
+    finally:
+        gc.enable()

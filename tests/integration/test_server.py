@@ -17,10 +17,11 @@ import pytest
 from repro.server import ScenarioClient, ScenarioServer
 
 #: rounds= sizes for the synthetic workload: SMALL finishes in
-#: milliseconds, SLOW takes a few seconds on this hardware -- long
-#: enough to observe in-flight behavior, short enough for CI.
+#: milliseconds, SLOW takes a second or two on this hardware -- long
+#: enough to observe in-flight behavior (the tests below sleep up to
+#: 0.5 s before probing it), short enough for CI.
 SMALL = 4
-SLOW = 1500
+SLOW = 6000
 
 
 def _workload_doc(seed, rounds=SMALL):

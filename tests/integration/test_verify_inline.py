@@ -88,8 +88,18 @@ class TestReportPlumbing:
 class TestSeededFaultsAreFlagged:
     @pytest.mark.parametrize("kind", FAULT_KINDS)
     def test_detected(self, kind):
-        races, violations = run_seeded_fault(kind)
-        assert races or violations, f"seeded fault {kind!r} went undetected"
+        assert run_seeded_fault(kind), f"seeded fault {kind!r} went undetected"
+
+    def test_all_eight_kinds_are_registered(self):
+        assert FAULT_KINDS == ("race", "gc-unsafe", "dummy-chain", "schedule",
+                               "locks", "purity", "handlers", "escapes")
+
+    def test_cli_exit_code_is_inverted(self, capsys):
+        from repro.cli import main
+
+        for kind in FAULT_KINDS:
+            assert main(["check", "--seed-fault", kind]) == 1
+        assert "NOT DETECTED" not in capsys.readouterr().out
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

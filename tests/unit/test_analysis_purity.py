@@ -59,14 +59,28 @@ class TestDirectEffects:
         assert any("import time" in f.message or "import" in f.message
                    for f in findings if "wall-clock" in f.message)
 
-    def test_outside_zone_is_not_flagged(self):
+    def test_zone_rules_stop_at_the_core(self):
+        # Filesystem and threading are normal on the host side.
         findings = _findings({
             "repro/perf/mod.py": (
-                "import time\n"
-                "def now():\n"
-                "    return time.monotonic()\n"),
+                "import os\n"
+                "import threading\n"
+                "def scan():\n"
+                "    threading.Thread()\n"
+                "    return os.listdir('.')\n"),
         })
         assert findings == []
+
+    def test_tree_wide_rules_do_not(self):
+        # ...but the host clock is off limits everywhere the path table
+        # does not list as host-side.
+        source = ("import time\n"
+                  "def now():\n"
+                  "    return time.monotonic()\n")
+        assert _findings({"repro/perf/counters.py": source}) == []
+        findings = _findings({"repro/perf/mod.py": source})
+        assert [(f.line, "wall-clock" in f.message) for f in findings] == [
+            (3, True)]
 
     def test_from_import_alias_is_tracked(self):
         findings = _findings({

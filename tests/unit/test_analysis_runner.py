@@ -1,4 +1,4 @@
-"""Unit tests for the analysis driver: baselines, seeded bads, CLI."""
+"""Unit tests for the analysis driver: baselines and the CLI."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from repro.analysis.findings import (
     write_baseline,
 )
 from repro.analysis.runner import run_analysis
-from repro.analysis.seeded import SEED_KINDS, run_seeded
 from repro.cli import main
 from repro.errors import ConfigError
 
@@ -124,28 +123,11 @@ class TestRunAnalysis:
         assert "1 new" in report.summary()
 
 
-class TestSeededBads:
-    @pytest.mark.parametrize("kind", SEED_KINDS)
-    def test_every_seeded_bad_is_detected(self, kind):
-        findings = run_seeded(kind)
-        assert findings, f"analyzer failed to flag seeded bad {kind!r}"
-
-    def test_unknown_kind_raises(self):
-        with pytest.raises(ValueError):
-            run_seeded("nope")
-
-
 class TestCli:
     def test_analyze_command_is_clean_on_real_tree(self, capsys):
         assert main(["analyze"]) == 0
         out = capsys.readouterr().out
         assert "analyzed" in out and "0 new" in out
-
-    def test_analyze_seed_bad_exits_nonzero_when_detected(self, capsys):
-        for kind in SEED_KINDS:
-            assert main(["analyze", "--seed-bad", kind]) == 1
-        out = capsys.readouterr().out
-        assert "seeded bad" in out
 
     def test_analyze_write_baseline_and_reuse(self, tmp_path, capsys):
         target = tmp_path / "baseline.json"

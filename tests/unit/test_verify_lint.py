@@ -1,14 +1,34 @@
-"""Unit tests for the determinism lint."""
+"""Unit tests for the per-statement determinism rules.
 
-from repro.verify.lint import (
-    RULE_EXEMPT_SUFFIXES,
-    lint_source,
-    lint_tree,
+These are the cases of the former ``verify/lint.py``, run against the
+one engine that now owns the rules (:mod:`repro.analysis.purity`).  The
+default path is deliberately *outside* the deterministic core: the
+wall-clock / unseeded-random / unordered-iteration rules are tree-wide.
+"""
+
+from repro.analysis.findings import default_root, load_source_table
+from repro.analysis.purity import (
+    HOST_SIDE,
+    PATH_TABLE,
+    TREE_WIDE_RULES,
+    analyze_purity,
 )
+from repro.analysis.runner import run_analysis
 
 
-def rules(source, path="pkg/mod.py"):
-    return [finding.rule for finding in lint_source(path, source)]
+def lint_source(path, source):
+    findings = analyze_purity(load_source_table({path: source}))
+    return sorted(findings, key=lambda finding: finding.line)
+
+
+def rules(source, path="repro/pkg/mod.py"):
+    """The effect class of each finding, in line order."""
+    found = []
+    for finding in lint_source(path, source):
+        assert finding.rule == "purity"
+        found.append(next(rule for rule in TREE_WIDE_RULES
+                          if f": {rule} effect" in finding.message))
+    return found
 
 
 class TestWallClock:
@@ -36,6 +56,20 @@ class TestWallClock:
     def test_exempt_path(self):
         src = "import time\nt = time.perf_counter()\n"
         assert lint_source("repro/verify/inline.py", src) == []
+
+    def test_every_call_site_is_reported(self):
+        src = ("import time\n"
+               "def f():\n"
+               "    return time.time() - time.time()\n"
+               "class C:\n"
+               "    stamp = time.monotonic()\n")
+        assert rules(src) == ["wall-clock"] * 3
+
+    def test_function_local_import_is_tracked(self):
+        src = ("def f():\n"
+               "    from time import monotonic\n"
+               "    return monotonic()\n")
+        assert rules(src) == ["wall-clock"]
 
 
 class TestUnseededRandom:
@@ -90,43 +124,20 @@ class TestUnorderedIteration:
         assert rules(src) == []
 
 
-class TestSuppression:
-    def test_det_allow_marker(self):
-        src = "import time\nt = time.time()  # det: allow\n"
-        assert rules(src) == []
-
-    def test_marker_only_covers_its_line(self):
-        src = ("import time\n"
-               "a = time.time()  # det: allow\n"
-               "b = time.time()\n")
-        assert rules(src) == ["wall-clock"]
-
-    def test_marker_with_trailing_rationale(self):
-        src = ("import time\n"
-               "t = time.time()  # det: allow -- report label only\n")
-        assert rules(src) == []
-
-    def test_marker_suppresses_any_rule_on_the_line(self):
-        src = "for x in set(items):  # det: allow\n    use(x)\n"
-        assert rules(src) == []
-
-
 class TestRuleExemptions:
     def test_exemptions_are_per_rule(self):
         # A wall-clock-exempt path is NOT exempt from the other rules.
-        path = "repro/parallel/pool.py"
-        assert path.endswith(RULE_EXEMPT_SUFFIXES["wall-clock"][4])
+        path = "repro/parallel/engine.py"
+        assert (path, HOST_SIDE) in [row[:2] for row in PATH_TABLE]
         assert lint_source(path, "import time\nt = time.time()\n") == []
-        findings = lint_source(path,
-                               "import random\nx = random.random()\n")
-        assert [f.rule for f in findings] == ["unseeded-random"]
+        assert rules("import random\nx = random.random()\n",
+                     path) == ["unseeded-random"]
 
     def test_suffix_match_requires_full_segment_tail(self):
         # "verify/inline.py" must match as a path suffix, so a module
         # that merely *contains* the string elsewhere is not exempt.
-        findings = lint_source("repro/verify/inline.py.bak/mod.py",
-                               "import time\nt = time.time()\n")
-        assert [f.rule for f in findings] == ["wall-clock"]
+        assert rules("import time\nt = time.time()\n",
+                     "repro/verify/inline.py.bak/mod.py") == ["wall-clock"]
 
     def test_backslash_paths_are_normalized(self):
         findings = lint_source("repro\\verify\\inline.py",
@@ -136,22 +147,23 @@ class TestRuleExemptions:
     def test_every_exempt_suffix_names_a_real_module(self):
         # Exemptions for deleted modules linger silently; keep the
         # table honest against the installed package.
-        from repro.verify.lint import default_root
-
-        root = default_root()
-        for suffixes in RULE_EXEMPT_SUFFIXES.values():
-            for suffix in suffixes:
-                assert (root / suffix).exists(), (
-                    f"RULE_EXEMPT_SUFFIXES entry {suffix!r} matches no "
-                    f"module under {root}")
+        root = default_root().parent
+        for path, _, _, reason in PATH_TABLE:
+            assert (root / path).exists(), (
+                f"PATH_TABLE entry {path!r} matches no module under {root}")
+            assert reason, f"PATH_TABLE entry {path!r} states no reason"
 
 
 class TestSyntaxRule:
-    def test_unparsable_source_reported(self):
-        findings = lint_source("bad.py", "def broken(:\n")
-        assert [f.rule for f in findings] == ["syntax"]
+    def test_unparsable_source_reported(self, tmp_path):
+        (tmp_path / "bad.py").write_text("def broken(:\n")
+        report = run_analysis(root=tmp_path, analyzers=["purity"],
+                              use_default_baseline=False)
+        assert [f.rule for f in report.new] == ["syntax"]
 
 
 class TestRealTree:
     def test_package_is_clean(self):
-        assert lint_tree() == []
+        report = run_analysis(analyzers=["purity"],
+                              use_default_baseline=False)
+        assert report.findings == []
