@@ -33,6 +33,7 @@ Quickstart::
 from repro.api import (
     analyze,
     attach_checkers,
+    build_workload,
     fuzz,
     open_store,
     run_bench,
@@ -125,6 +126,7 @@ __all__ = [
     "ScenarioServer",
     "analyze",
     "attach_checkers",
+    "build_workload",
     "fuzz",
     "make_backend",
     "open_store",

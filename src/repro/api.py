@@ -9,6 +9,7 @@ the package layout::
     from repro import serve, ScenarioClient
 
     system, result = run_workload("synthetic", processes=8, seed=3)
+    system = build_workload("sor", crashes=[(1, 40.0)])   # un-run
     report = run_experiment("E2")
     bench = run_bench(quick=True)
 
@@ -23,48 +24,91 @@ for the knobs the CLI exposes (``seed``, ``check``, ``store_dir``).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Union
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.checkpoint.policy import CheckpointPolicy
+from repro.cluster.config import ClusterConfig
 from repro.cluster.system import DisomSystem, RunResult
-from repro.errors import ConfigError
+from repro.errors import ConfigError, InvariantViolation
+from repro.net.channel import LatencyModel
 
 
-def run_workload(
+def default_baseline(consistency: str) -> str:
+    """The fault-tolerance scheme a run gets when none is named.
+
+    The paper's DiSOM protocol on the entry backend; ``"none"`` on the
+    others, because the DiSOM checkpoint protocol is EC-only (naming
+    ``"disom"`` explicitly with a non-entry backend raises a precise
+    :class:`~repro.errors.ConfigError` at process construction).
+    """
+    return "disom" if consistency == "entry" else "none"
+
+
+def resolve_experiment(experiment: Any) -> str:
+    """The registered experiment id ``experiment`` names: an exact id,
+    else a unique prefix (``"E2"``); anything else is a ConfigError."""
+    from repro.experiments import ALL_EXPERIMENTS
+
+    matches = [eid for eid in ALL_EXPERIMENTS if eid == experiment]
+    if not matches and isinstance(experiment, str):
+        matches = [eid for eid in ALL_EXPERIMENTS
+                   if eid.startswith(experiment)]
+    if len(matches) != 1:
+        raise ConfigError(
+            f"experiment {experiment!r} matches {matches or 'nothing'}; "
+            f"ids: {list(ALL_EXPERIMENTS)}"
+        )
+    return matches[0]
+
+
+def build_workload(
     workload: Union[str, Any],
     *,
     processes: int = 4,
     seed: int = 7,
     interval: Optional[float] = 50.0,
-    crashes: Sequence[tuple] = (),
-    check: Optional[bool] = None,
+    crashes: Sequence[Tuple[int, float]] = (),
+    check: bool = False,
     store_dir: Optional[str] = None,
     observers: Optional[Any] = None,
     baseline: Optional[str] = None,
     protocol_factory: Optional[Any] = None,
     spare_nodes: Optional[int] = None,
     highwater: Optional[int] = None,
-    latency: Optional[Any] = None,
+    latency: Union[LatencyModel, Mapping[str, float], None] = None,
     consistency: str = "entry",
-) -> tuple[DisomSystem, RunResult]:
-    """Build and run one cluster execution of ``workload``.
+    trace: bool = False,
+    gc_transport: str = "piggyback",
+    dummy_transport: str = "piggyback",
+) -> DisomSystem:
+    """Assemble one cluster execution of ``workload`` and return it un-run.
+
+    The one place outside :mod:`repro.cluster` where run parameters
+    become a :class:`ClusterConfig`, a :class:`CheckpointPolicy` and a
+    protocol factory: the CLI, the scenario server, the fuzzer, the
+    experiment harness and the bench suite all come through here, so
+    "the same execution under another scheme" is assembled identically
+    whichever door it came in by.  Callers that time or inspect the run
+    call ``system.run()`` themselves; :func:`run_workload` does it for
+    everyone else.
 
     ``workload`` is a registered workload name (see ``repro list``) or a
     :class:`~repro.workloads.base.Workload` instance.  ``baseline``
     selects a fault-tolerance scheme by name (``"coordinated"``,
-    ``"sender-msg-log"``, ...; default the paper's DiSOM protocol) --
+    ``"sender-msg-log"``, ...; default :func:`default_baseline`) --
     mutually exclusive with passing a ``protocol_factory`` directly.
-    ``crashes`` is a sequence of ``(pid, at_time)`` fail-stop injections.
-    ``latency`` overrides the wire model: a
+    ``crashes`` is a sequence of ``(pid, at_time)`` fail-stop
+    injections; ``spare_nodes`` defaults to one more than their number
+    (at least 2).  ``latency`` overrides the wire model: a
     :class:`~repro.net.channel.LatencyModel` or a mapping with any of
     ``base`` / ``per_byte`` / ``jitter`` (unnamed knobs keep their
     defaults).  ``consistency`` selects the coherence backend (one of
-    :data:`repro.memory.model.CONSISTENCY_MODELS`); on a non-EC backend
-    the default fault-tolerance scheme switches from DiSOM to
-    ``"none"`` because the DiSOM checkpoint protocol is EC-only --
-    selecting it explicitly raises :class:`~repro.errors.ConfigError`.
-    Returns ``(system, result)``.
+    :data:`repro.memory.model.CONSISTENCY_MODELS`).  ``check`` attaches
+    the inline verifier, ``trace`` enables the structured trace log,
+    ``observers`` is a :class:`repro.observers.Observers` registry wired
+    to every process, ``store_dir`` routes checkpoints through a
+    durable on-disk store.
     """
-    from repro.experiments.base import run_workload as _run
     from repro.workloads import ALL_WORKLOADS
 
     if isinstance(workload, str):
@@ -75,40 +119,67 @@ def run_workload(
                 f"unknown workload {workload!r}; one of "
                 f"{sorted(ALL_WORKLOADS)}"
             ) from None
-    if baseline is None and protocol_factory is None and consistency != "entry":
-        # The DiSOM default only applies to the EC backend; the other
-        # consistency models run without fault tolerance unless a
-        # baseline is named (naming "disom" raises a precise ConfigError
-        # at process construction).
-        baseline = "none"
-    if baseline is not None:
-        if protocol_factory is not None:
-            raise ConfigError("pass baseline or protocol_factory, not both")
+    if protocol_factory is None:
         from repro.baselines import ALL_BASELINES
 
+        name = (default_baseline(consistency) if baseline is None
+                else baseline)
         try:
-            protocol_factory = ALL_BASELINES[baseline]()
+            protocol_factory = ALL_BASELINES[name]()
         except KeyError:
             raise ConfigError(
-                f"unknown baseline {baseline!r}; one of {sorted(ALL_BASELINES)}"
+                f"unknown baseline {name!r}; one of {sorted(ALL_BASELINES)}"
             ) from None
+    elif baseline is not None:
+        raise ConfigError("pass baseline or protocol_factory, not both")
+    crashes = tuple(crashes)
     if spare_nodes is None:
-        spare_nodes = max(2, len(tuple(crashes)) + 1)
-    return _run(
-        workload,
-        processes=processes,
-        seed=seed,
-        interval=interval,
-        highwater=highwater,
-        crashes=tuple(crashes),
+        spare_nodes = max(2, len(crashes) + 1)
+    if not isinstance(latency, LatencyModel):
+        latency = LatencyModel(**dict(latency or {}))
+    system = DisomSystem(
+        ClusterConfig(processes=processes, seed=seed, latency=latency,
+                      spare_nodes=spare_nodes, check=check, trace=trace,
+                      store_dir=store_dir, observers=observers,
+                      consistency=consistency),
+        CheckpointPolicy(interval=interval, log_highwater=highwater,
+                         gc_transport=gc_transport,
+                         dummy_transport=dummy_transport),
         protocol_factory=protocol_factory,
-        spare_nodes=spare_nodes,
-        check=check,
-        store_dir=store_dir,
-        observers=observers,
-        latency=latency,
-        consistency=consistency,
     )
+    workload.setup(system)
+    for pid, when in crashes:
+        system.inject_crash(pid, at_time=when)
+    return system
+
+
+def raise_on_failed_check(result: RunResult) -> None:
+    """Turn a failed inline check into an :class:`InvariantViolation`.
+
+    The message is a pure function of the run: the report's host-clock
+    verifier overhead stays on ``result.check_report``, out of it.
+    """
+    report = result.check_report
+    if report is not None and not report.ok:
+        raise InvariantViolation(
+            "inline-check",
+            f"inline verification failed: {report.verdict()}; "
+            + "; ".join(report.problem_strings()),
+        )
+
+
+def run_workload(workload: Union[str, Any],
+                 **params: Any) -> Tuple[DisomSystem, RunResult]:
+    """Build (:func:`build_workload`, same keywords) and run one cluster
+    execution of ``workload``; return ``(system, result)``.
+
+    With ``check=True`` any race or invariant violation the inline
+    verifier finds raises :class:`~repro.errors.InvariantViolation`.
+    """
+    system = build_workload(workload, **params)
+    result = system.run()
+    raise_on_failed_check(result)
+    return system, result
 
 
 def run_experiment(
@@ -127,28 +198,11 @@ def run_experiment(
     experiment runs internally; results are identical to a serial run.
     """
     from repro.experiments import ALL_EXPERIMENTS
-    from repro.experiments.base import (
-        call_experiment,
-        set_experiment_defaults,
-        set_inline_checking,
-    )
+    from repro.experiments.base import ExperimentDefaults, call_experiment
 
-    matches = [eid for eid in ALL_EXPERIMENTS if eid == experiment]
-    if not matches:
-        matches = [eid for eid in ALL_EXPERIMENTS if eid.startswith(experiment)]
-    if len(matches) != 1:
-        raise ConfigError(
-            f"experiment {experiment!r} matches {matches or 'nothing'}; "
-            f"ids: {list(ALL_EXPERIMENTS)}"
-        )
-    runner = ALL_EXPERIMENTS[matches[0]]
-    set_inline_checking(check)
-    set_experiment_defaults(jobs=jobs)
-    try:
+    runner = ALL_EXPERIMENTS[resolve_experiment(experiment)]
+    with ExperimentDefaults(check=check, jobs=jobs).active():
         return call_experiment(runner, quick=quick)
-    finally:
-        set_inline_checking(False)
-        set_experiment_defaults()
 
 
 def run_bench(

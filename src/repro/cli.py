@@ -44,7 +44,6 @@ import os
 import sys
 from typing import Optional
 
-from repro import CheckpointPolicy, ClusterConfig, DisomSystem
 from repro.analysis.report import Table
 from repro.analysis.runner import ANALYZERS
 from repro.analysis.timeline import render_timeline
@@ -317,9 +316,19 @@ def cmd_list() -> int:
 
 
 def cmd_demo(seed: int) -> int:
-    from repro import AcquireWrite, Compute, Program, Release
+    from repro import (
+        AcquireWrite,
+        CheckpointPolicy,
+        ClusterConfig,
+        Compute,
+        DisomSystem,
+        Program,
+        ProgramContext,
+        Release,
+    )
+    from repro.threads.program import ProgramGen
 
-    def body(ctx):
+    def body(ctx: ProgramContext) -> ProgramGen:
         for _ in range(8):
             value = yield AcquireWrite("counter")
             yield Compute(1.0)
@@ -344,44 +353,17 @@ def cmd_demo(seed: int) -> int:
 
 
 def cmd_workload(args: argparse.Namespace) -> int:
-    from repro.api import run_workload
+    from repro.api import build_workload, default_baseline
 
     workload = ALL_WORKLOADS[args.name]()
-    # Mirror the facade's default: disom on the entry backend, none on
-    # the others (the DiSOM checkpoint protocol is EC-only; naming it
-    # explicitly with a non-entry backend raises a precise ConfigError).
-    baseline = args.baseline
-    if baseline is None:
-        baseline = "disom" if args.consistency == "entry" else "none"
-    if args.timeline:
-        # The facade does not expose tracing (a CLI-only presentation
-        # concern); build the system directly for the timeline case.
-        factory = ALL_BASELINES[baseline]()
-        system = DisomSystem(
-            ClusterConfig(processes=args.processes, seed=args.seed,
-                          spare_nodes=max(2, len(args.crash) + 1),
-                          trace=True, store_dir=args.store_dir,
-                          check=args.check, consistency=args.consistency),
-            CheckpointPolicy(interval=args.interval),
-            protocol_factory=factory,
-        )
-        workload.setup(system)
-        for pid, when in args.crash:
-            system.inject_crash(pid, at_time=when)
-        result = system.run()
-    else:
-        from repro.errors import InvariantViolation
-
-        try:
-            system, result = run_workload(
-                workload, processes=args.processes, seed=args.seed,
-                interval=args.interval, crashes=args.crash,
-                check=args.check, store_dir=args.store_dir,
-                baseline=baseline, consistency=args.consistency,
-            )
-        except InvariantViolation as exc:
-            print(f"inline verification failed: {exc}")
-            return 1
+    baseline = args.baseline or default_baseline(args.consistency)
+    system = build_workload(
+        workload, processes=args.processes, seed=args.seed,
+        interval=args.interval, crashes=args.crash, check=args.check,
+        store_dir=args.store_dir, baseline=baseline,
+        consistency=args.consistency, trace=args.timeline,
+    )
+    result = system.run()
 
     if args.timeline:
         print(render_timeline(system.kernel.trace))
@@ -483,27 +465,14 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.lint_only:
         return 1 if failures else 0
 
-    workload = ALL_WORKLOADS[args.workload]()
-    spare = max(2, len(args.crash) + 1)
-    protocol_factory = None
-    if args.consistency != "entry":
-        # The DiSOM checkpoint protocol is EC-only; checked runs on the
-        # other backends go through the no-fault-tolerance baseline.
-        from repro.baselines.noft import NullProtocol
+    from repro.api import build_workload
 
-        protocol_factory = NullProtocol.factory()
-    system = DisomSystem(
-        ClusterConfig(processes=args.processes, seed=args.seed,
-                      spare_nodes=spare, check=True,
-                      store_dir=args.store_dir,
-                      consistency=args.consistency),
-        CheckpointPolicy(interval=args.interval),
-        protocol_factory=protocol_factory,
-    )
-    workload.setup(system)
-    for pid, when in args.crash:
-        system.inject_crash(pid, at_time=when)
-    result = system.run()
+    workload = ALL_WORKLOADS[args.workload]()
+    result = build_workload(
+        workload, processes=args.processes, seed=args.seed,
+        interval=args.interval, crashes=args.crash, check=True,
+        store_dir=args.store_dir, consistency=args.consistency,
+    ).run()
     report = result.check_report
     assert report is not None
     verified = workload.verify(result) if result.completed else None
@@ -625,7 +594,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     baseline_report = None
     if args.against:
         baseline_report = load_report(args.against)
-    profile_sink = {} if args.profile else None
+    profile_sink: Optional[dict[str, str]] = {} if args.profile else None
     report = run_bench(
         quick=args.quick,
         seed=args.seed,

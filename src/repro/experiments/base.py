@@ -2,110 +2,97 @@
 
 from __future__ import annotations
 
+import functools
 import inspect
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.analysis.report import Table
-from repro.checkpoint.policy import CheckpointPolicy
-from repro.cluster.config import ClusterConfig
+from repro.api import build_workload, raise_on_failed_check
 from repro.cluster.system import DisomSystem, RunResult
-from repro.errors import InvariantViolation
 from repro.workloads.base import Workload
 
-#: Module-wide default for inline verification (``repro experiments
-#: --check`` flips it so every run of every experiment is checked
-#: without threading a flag through each experiment function).
-CHECK_INLINE = False
 
-#: Module-wide overrides set by ``repro experiments --seed/--store-dir``
-#: (same pattern as :data:`CHECK_INLINE`): ``None`` leaves each
-#: experiment's own defaults in force.
-SEED_OVERRIDE: Optional[int] = None
-STORE_DIR_DEFAULT: Optional[str] = None
+@dataclass(frozen=True)
+class ExperimentDefaults:
+    """What ``repro experiments --check/--seed/--store-dir/--jobs`` asks
+    of every run an experiment makes, without threading a flag through
+    each experiment function.
 
-#: Default worker count for the sweeps an experiment runs internally
-#: (``Sweep.run(jobs=...)``); set by ``repro experiments --jobs`` when a
-#: single experiment is selected.  Worker processes always see ``1``:
-#: the fan-out already happened one level up.
-JOBS_DEFAULT: int = 1
-
-#: Check reports collected from every inline-checked run since the last
-#: :func:`drain_check_reports`.  Each worker process accumulates its own
-#: list; the parallel runner drains it per task and the parent merges
-#: all of them into one :class:`repro.verify.inline.CheckReport`.
-_CHECK_REPORTS: List[Any] = []
-
-
-def set_inline_checking(enabled: bool) -> None:
-    """Enable/disable inline verification for subsequent run_workload calls."""
-    global CHECK_INLINE
-    CHECK_INLINE = enabled
-
-
-def set_experiment_defaults(
-    seed: Optional[int] = None,
-    store_dir: Optional[str] = None,
-    jobs: Optional[int] = None,
-) -> None:
-    """Set module-wide seed/store-dir/jobs overrides for subsequent runs.
-
-    ``seed`` replaces every experiment's per-run seed (useful to probe
-    seed sensitivity from the CLI); ``store_dir`` routes all checkpoints
-    through a durable on-disk store; ``jobs`` sets the worker count for
-    experiment-internal sweeps.  ``None`` clears an override (``jobs``
-    back to serial).
+    Frozen and picklable: a spawn worker does not inherit the parent's
+    active defaults, so whoever fans experiment work out ships this
+    object along and re-enters :meth:`active` on the other side.
     """
-    global SEED_OVERRIDE, STORE_DIR_DEFAULT, JOBS_DEFAULT
-    SEED_OVERRIDE = seed
-    STORE_DIR_DEFAULT = store_dir
-    JOBS_DEFAULT = 1 if jobs is None else jobs
+
+    #: Attach the inline verifier to every run.
+    check: bool = False
+    #: Replace every experiment's per-run seed (``None``: keep them).
+    seed: Optional[int] = None
+    #: Route all checkpoints through a durable on-disk store.
+    store_dir: Optional[str] = None
+    #: Workers for the sweeps an experiment runs internally.
+    jobs: int = 1
+
+    @contextmanager
+    def active(self) -> Iterator[List[Any]]:
+        """Put these defaults in force for the block.
+
+        Yields the list that collects the
+        :class:`~repro.verify.inline.CheckReport` of every checked run
+        made inside it; a nested block reports to the enclosing block's
+        list.  Outside any block nothing is collected, so a long-lived
+        worker keeps no per-run residue.
+        """
+        enclosing = _ACTIVE.get()[1]
+        reports: List[Any] = [] if enclosing is None else enclosing
+        token = _ACTIVE.set((self, reports))
+        try:
+            yield reports
+        finally:
+            _ACTIVE.reset(token)
 
 
-def experiment_jobs() -> int:
-    """The ``Sweep.run(jobs=...)`` default experiments should honor."""
-    return JOBS_DEFAULT
+#: The defaults in force and the check-report collector of the
+#: enclosing :meth:`ExperimentDefaults.active` block (``None`` outside).
+_ACTIVE: ContextVar[Tuple[ExperimentDefaults, Optional[List[Any]]]] = \
+    ContextVar("experiment_defaults", default=(ExperimentDefaults(), None))
 
 
-def drain_check_reports() -> List[Any]:
-    """Return and clear the check reports accumulated in this process."""
-    global _CHECK_REPORTS
-    drained, _CHECK_REPORTS = _CHECK_REPORTS, []
-    return drained
+def current_defaults() -> ExperimentDefaults:
+    """The :class:`ExperimentDefaults` in force."""
+    return _ACTIVE.get()[0]
+
+
+def note_checked_run(result: RunResult) -> None:
+    """Fail on a failed inline check; otherwise hand the run's check
+    report (if it has one) to the enclosing block's collector."""
+    raise_on_failed_check(result)
+    reports = _ACTIVE.get()[1]
+    if reports is not None and result.check_report is not None:
+        reports.append(result.check_report)
 
 
 def bind_experiment_defaults(fn: Callable[..., Any],
                              **fixed: Any) -> Callable[..., Any]:
     """Bind ``fn`` (plus fixed kwargs) for use as a parallel sweep task.
 
-    Spawn workers do not inherit this process's module-wide experiment
-    overrides (inline checking, seed, store-dir), so a sweep point that
-    calls :func:`run_workload` inside a worker would silently run
-    unchecked.  This helper snapshots the overrides *now* and returns a
-    picklable callable that re-installs them in the worker before every
-    point -- which is also how inline-check observers get attached per
-    worker.  Serial sweeps are unaffected (re-installing the already
-    current defaults is a no-op).
+    A sweep point that calls :func:`run_workload` inside a spawn worker
+    would otherwise run under the worker's blank defaults -- silently
+    unchecked, on the experiment's own seed.  This snapshots the
+    defaults in force *now* and returns a picklable callable that
+    re-enters them around every point.  ``jobs`` is reset to serial:
+    the fan-out happens at the sweep that receives the callable.
     """
-    import functools
-
-    return functools.partial(_run_with_defaults, fn, CHECK_INLINE,
-                             SEED_OVERRIDE, STORE_DIR_DEFAULT, dict(fixed))
+    return functools.partial(_call_under, replace(current_defaults(), jobs=1),
+                             fn, fixed)
 
 
-def _run_with_defaults(fn: Callable[..., Any], check: bool,
-                       seed: Optional[int], store_dir: Optional[str],
-                       fixed: dict, **params: Any) -> Any:
-    previous = (CHECK_INLINE, SEED_OVERRIDE, STORE_DIR_DEFAULT)
-    set_inline_checking(check)
-    set_experiment_defaults(seed=seed, store_dir=store_dir,
-                            jobs=JOBS_DEFAULT)
-    try:
+def _call_under(defaults: ExperimentDefaults, fn: Callable[..., Any],
+                fixed: dict, **params: Any) -> Any:
+    with defaults.active():
         return fn(**fixed, **params)
-    finally:
-        set_inline_checking(previous[0])
-        set_experiment_defaults(seed=previous[1], store_dir=previous[2],
-                                jobs=JOBS_DEFAULT)
 
 
 def call_experiment(runner: Callable[..., "ExperimentResult"],
@@ -152,62 +139,32 @@ def run_workload(
     workload: Workload,
     processes: int = 4,
     seed: int = 7,
-    interval: Optional[float] = 50.0,
-    highwater: Optional[int] = None,
-    crashes: tuple = (),
-    protocol_factory=None,
+    *,
     spare_nodes: int = 4,
-    gc_transport: str = "piggyback",
-    dummy_transport: str = "piggyback",
     check: Optional[bool] = None,
     store_dir: Optional[str] = None,
-    observers=None,
-    latency=None,
-    consistency: str = "entry",
-) -> tuple[DisomSystem, RunResult]:
-    """Build, run and return one configured cluster execution.
+    **build_args: Any,
+) -> Tuple[DisomSystem, RunResult]:
+    """Build, run and return one cluster execution under the defaults
+    in force (:class:`ExperimentDefaults`).
 
-    ``check=None`` falls back to the module default (:data:`CHECK_INLINE`);
-    when effective, the inline verifier rides along and any race or
-    invariant violation it finds fails the experiment.  ``seed`` and
-    ``store_dir`` likewise yield to the module overrides installed by
-    :func:`set_experiment_defaults`.  ``observers`` is an optional
-    :class:`repro.observers.Observers` registry wired to every process.
-    ``latency`` overrides the wire model: a
-    :class:`~repro.net.channel.LatencyModel` instance or a mapping with
-    any of ``base`` / ``per_byte`` / ``jitter``.
+    Takes the keywords of :func:`repro.api.build_workload`.  ``check=None``
+    yields to the defaults' ``check``; when effective, the inline
+    verifier rides along, any race or invariant violation it finds
+    fails the experiment, and the report goes to the active collector.
+    ``seed`` yields to the defaults' seed override, and ``store_dir=None``
+    to their store directory.
     """
-    from repro.net.channel import LatencyModel
-
-    effective_check = CHECK_INLINE if check is None else check
-    effective_seed = SEED_OVERRIDE if SEED_OVERRIDE is not None else seed
-    effective_store = store_dir if store_dir is not None else STORE_DIR_DEFAULT
-    config_extra = {}
-    if latency is not None:
-        if not isinstance(latency, LatencyModel):
-            latency = LatencyModel(**dict(latency))
-        config_extra["latency"] = latency
-    system = DisomSystem(
-        ClusterConfig(processes=processes, seed=effective_seed,
-                      spare_nodes=spare_nodes, check=effective_check,
-                      store_dir=effective_store, observers=observers,
-                      consistency=consistency, **config_extra),
-        CheckpointPolicy(interval=interval, log_highwater=highwater,
-                         gc_transport=gc_transport,
-                         dummy_transport=dummy_transport),
-        protocol_factory=protocol_factory,
+    defaults = current_defaults()
+    system = build_workload(
+        workload,
+        processes=processes,
+        seed=seed if defaults.seed is None else defaults.seed,
+        spare_nodes=spare_nodes,
+        check=defaults.check if check is None else check,
+        store_dir=defaults.store_dir if store_dir is None else store_dir,
+        **build_args,
     )
-    workload.setup(system)
-    for pid, when in crashes:
-        system.inject_crash(pid, at_time=when)
     result = system.run()
-    if effective_check and result.check_report is not None:
-        report = result.check_report
-        _CHECK_REPORTS.append(report)
-        if not report.ok:
-            raise InvariantViolation(
-                "inline-check",
-                f"inline verification failed: {report.summary()}; "
-                + "; ".join(report.problem_strings()),
-            )
+    note_checked_run(result)
     return system, result

@@ -26,11 +26,10 @@ from typing import Any, Dict
 
 from repro.analysis.report import Table
 from repro.analysis.sweep import Sweep
-from repro.baselines import ALL_BASELINES
 from repro.experiments.base import (
     ExperimentResult,
     bind_experiment_defaults,
-    experiment_jobs,
+    current_defaults,
     run_workload,
 )
 from repro.workloads import SyntheticWorkload
@@ -58,12 +57,11 @@ def _run(profile: str, stack: str, rounds: int = 30) -> Dict[str, Any]:
     params = PROFILES[profile]
     workload = SyntheticWorkload(rounds=rounds, objects=4,
                                  locality=0.3, **params)
-    factory = ALL_BASELINES[baseline]()
     system, result = run_workload(
         workload,
         processes=4,
         interval=40.0 if baseline == "disom" else None,
-        protocol_factory=factory,
+        baseline=baseline,
         consistency=consistency,
     )
     assert result.completed and workload.verify(result).ok
@@ -91,7 +89,7 @@ def run_consistency_matrix(quick: bool = True) -> ExperimentResult:
         title="E14: protocol x consistency matrix",
     )
     outcome = sweep.run(bind_experiment_defaults(_run, rounds=rounds),
-                        extract=_identity, jobs=experiment_jobs())
+                        extract=_identity, jobs=current_defaults().jobs)
 
     by_point = {(row.params["profile"], row.params["stack"]): row.metrics
                 for row in outcome.rows}

@@ -19,7 +19,11 @@ from repro.analysis.report import Table
 from repro.checkpoint.policy import CheckpointPolicy
 from repro.cluster.config import ClusterConfig
 from repro.cluster.system import DisomSystem
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import (
+    ExperimentResult,
+    current_defaults,
+    note_checked_run,
+)
 from repro.threads.program import Program
 from repro.threads.syscalls import AcquireWrite, Compute, Release
 
@@ -44,8 +48,10 @@ def _progress_in_window(stamps: list[float], start: float, end: float) -> int:
 
 def run_interference(quick: bool = True) -> ExperimentResult:
     rounds = 30 if quick else 80
+    # A custom cluster (hand-placed objects and threads), so only the
+    # ``check`` default applies; the report goes to the collector below.
     system = DisomSystem(
-        ClusterConfig(processes=4, seed=5),
+        ClusterConfig(processes=4, seed=5, check=current_defaults().check),
         CheckpointPolicy(interval=30.0),
     )
     # P1 (the victim) owns and hammers "hot"; P2 contends for "hot";
@@ -62,6 +68,7 @@ def run_interference(quick: bool = True) -> ExperimentResult:
     system.spawn(3, bystander)
     system.inject_crash(1, at_time=40.0)
     result = system.run()
+    note_checked_run(result)
     assert result.completed and not result.aborted
 
     record = result.recoveries[0]

@@ -21,40 +21,21 @@ import sys
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.experiments import ALL_EXPERIMENTS
-from repro.experiments.base import (
-    call_experiment,
-    drain_check_reports,
-    set_experiment_defaults,
-    set_inline_checking,
-)
+from repro.experiments.base import ExperimentDefaults, call_experiment
 
 
-def _experiment_task(
-    exp_id: str,
-    quick: bool,
-    check: bool,
-    seed: Optional[int],
-    store_dir: Optional[str],
-    jobs: int = 1,
-) -> Tuple[Any, List[Any]]:
-    """Worker-side body: run one experiment under the given defaults.
+def _experiment_task(exp_id: str, quick: bool,
+                     defaults: ExperimentDefaults) -> Tuple[Any, List[Any]]:
+    """Worker-side body: run one experiment under ``defaults``.
 
-    Spawn workers start with fresh module state, so the flags the CLI
-    normally installs module-wide (inline checking, seed/store-dir
-    overrides) must be re-applied here, inside the worker, before the
-    experiment runs -- this is what makes ``--check`` attach the
-    verification observers per worker.  Returns the result together with
-    the check reports the runs accumulated, for parent-side merging.
+    Spawn workers start with blank defaults, so the ones the CLI asked
+    for travel with the task and are entered here, inside the worker --
+    this is what makes ``--check`` attach the verification observers per
+    worker.  Returns the result together with the check reports the
+    runs handed in, for parent-side merging.
     """
-    set_inline_checking(check)
-    set_experiment_defaults(seed=seed, store_dir=store_dir, jobs=jobs)
-    drain_check_reports()
-    try:
+    with defaults.active() as reports:
         result = call_experiment(ALL_EXPERIMENTS[exp_id], quick=quick)
-    finally:
-        reports = drain_check_reports()
-        set_inline_checking(False)
-        set_experiment_defaults()
     return result, reports
 
 
@@ -87,13 +68,12 @@ def run_experiments(
     selected = [eid for eid in ALL_EXPERIMENTS
                 if not ids or any(eid.startswith(w) for w in ids)]
     n_jobs = resolve_jobs(jobs)
-    inner_jobs = n_jobs if len(selected) == 1 else 1
+    defaults = ExperimentDefaults(
+        check=check, seed=seed, store_dir=store_dir,
+        jobs=n_jobs if len(selected) == 1 else 1)
     pool_jobs = 1 if len(selected) <= 1 else n_jobs
-    calls = [
-        Call(_experiment_task, (exp_id, quick, check, seed, store_dir,
-                                inner_jobs), key=exp_id)
-        for exp_id in selected
-    ]
+    calls = [Call(_experiment_task, (exp_id, quick, defaults), key=exp_id)
+             for exp_id in selected]
     with RunPool(jobs=pool_jobs, timeout=timeout, progress=progress) as pool:
         raw = pool.map(calls)
     outcomes: List[Tuple[str, Any]] = []

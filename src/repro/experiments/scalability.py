@@ -15,7 +15,7 @@ from repro.analysis.sweep import Sweep
 from repro.experiments.base import (
     ExperimentResult,
     bind_experiment_defaults,
-    experiment_jobs,
+    current_defaults,
     run_workload,
 )
 from repro.workloads import SyntheticWorkload
@@ -51,7 +51,7 @@ def run_scalability(quick: bool = True) -> ExperimentResult:
     sizes = [2, 4, 8] if quick else [2, 4, 8, 16, 24]
     sweep = Sweep(axes={"processes": sizes},
                   title="E11: cluster-size scaling")
-    jobs = experiment_jobs()
+    jobs = current_defaults().jobs
     failure_free = sweep.run(bind_experiment_defaults(_run, crash=False),
                              extract=_metrics, jobs=jobs)
     crashed = sweep.run(bind_experiment_defaults(_run, crash=True),

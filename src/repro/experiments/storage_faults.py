@@ -18,7 +18,11 @@ from repro.analysis.report import Table
 from repro.checkpoint.policy import CheckpointPolicy
 from repro.cluster.config import ClusterConfig
 from repro.cluster.system import DisomSystem
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import (
+    ExperimentResult,
+    current_defaults,
+    note_checked_run,
+)
 from repro.storage.faults import FAULTS_BY_NAME
 from repro.workloads import SyntheticWorkload
 
@@ -27,7 +31,8 @@ def _run_with_fault(fault_name: str, store_dir: str, quick: bool):
     workload = SyntheticWorkload(rounds=10 if quick else 25, seed=11)
     system = DisomSystem(
         ClusterConfig(processes=3, seed=11, spare_nodes=2,
-                      store_dir=store_dir, storage_fsync=False),
+                      store_dir=store_dir, storage_fsync=False,
+                      check=current_defaults().check),
         CheckpointPolicy(interval=12.0),
     )
     workload.setup(system)
@@ -37,7 +42,9 @@ def _run_with_fault(fault_name: str, store_dir: str, quick: bool):
     # Crash P1 after the faulted write would have committed: recovery must
     # read back whatever the store preserved.
     system.inject_crash(1, at_time=25.0)
-    return system, system.run()
+    result = system.run()
+    note_checked_run(result)
+    return system, result
 
 
 def run_storage_faults(quick: bool = True) -> ExperimentResult:

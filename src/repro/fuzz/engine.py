@@ -83,27 +83,17 @@ def run_trial(document: Dict[str, Any]) -> Dict[str, Any]:
     A pure function of the document -- safe to fan out.
     """
     from repro.api import run_workload
-    from repro.workloads import ALL_WORKLOADS
+    from repro.server.scenario import validate_scenario
 
     probe = CoverageProbe()
-    observers = Observers(probe)
-    workload = ALL_WORKLOADS[document["workload"]](
-        **dict(document.get("params") or {}))
     outcome: Dict[str, Any] = {"status": "ok"}
     result: Optional[Any] = None
     try:
-        _, result = run_workload(
-            workload,
-            processes=document["processes"],
-            seed=document["seed"],
-            interval=document.get("interval"),
-            crashes=[tuple(entry) for entry in document.get("crashes") or []],
-            check=bool(document.get("check", True)),
-            baseline=document.get("baseline", "disom"),
-            highwater=document.get("highwater"),
-            latency=document.get("latency"),
-            observers=observers,
-        )
+        # A schedule is a scenario document, checked unless it says
+        # otherwise; the spec -> builder mapping is the server's.
+        spec = validate_scenario({"check": True, **document})
+        _, result = run_workload(**spec.build_args(),
+                                 observers=Observers(probe))
         if result.aborted:
             outcome = {"status": "aborted"}
     except ApplicationAborted:

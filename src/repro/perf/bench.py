@@ -274,9 +274,7 @@ def _e11_scale_bench(processes: int) -> None:
     def bench(quick: bool, seed: int, repeats: int,
               store_dir: Optional[str] = None, check: bool = False,
               **_: object) -> BenchRecord:
-        from repro.checkpoint.policy import CheckpointPolicy
-        from repro.cluster.config import ClusterConfig
-        from repro.cluster.system import DisomSystem
+        from repro.api import build_workload
         from repro.sim.tracing import set_fast_mode
         from repro.workloads import SyntheticWorkload
 
@@ -286,16 +284,13 @@ def _e11_scale_bench(processes: int) -> None:
                              params={"processes": processes, "rounds": rounds,
                                      "interval": 40.0})
         watch = Stopwatch()
-        set_fast_mode(not check)
+        previous = set_fast_mode(not check)
         try:
             for _ in range(max(1, repeats)):
                 workload = SyntheticWorkload(rounds=rounds, objects=processes)
-                system = DisomSystem(
-                    ClusterConfig(processes=processes, seed=seed,
-                                  store_dir=store_dir, check=check),
-                    CheckpointPolicy(interval=40.0),
-                )
-                workload.setup(system)
+                system = build_workload(
+                    workload, processes=processes, seed=seed, interval=40.0,
+                    store_dir=store_dir, check=check)
                 with watch:
                     result = system.run()
                 assert result.completed and workload.verify(result).ok
@@ -303,7 +298,7 @@ def _e11_scale_bench(processes: int) -> None:
                 record.messages = result.net["total_messages"]
                 record.peak_log_bytes = result.peak_log_bytes
         finally:
-            set_fast_mode(False)
+            set_fast_mode(previous)
         assert watch.best is not None
         record.wall_seconds = watch.best
         return record
@@ -324,14 +319,11 @@ def _experiment_bench(name: str, exp_id: str) -> None:
 
     def bench(quick: bool, seed: int, repeats: int, check: bool = False,
               **_: object) -> BenchRecord:
-        from repro.experiments.base import set_inline_checking
+        from repro.experiments.base import ExperimentDefaults
 
         def body() -> None:
-            set_inline_checking(check)
-            try:
+            with ExperimentDefaults(check=check).active():
                 result = runner(quick=quick)
-            finally:
-                set_inline_checking(False)
             assert result.claim_holds is not False, exp_id
 
         return BenchRecord(
@@ -355,18 +347,12 @@ _experiment_bench("exp_e11_scalability", "E11-scalability")
 # ----------------------------------------------------------------------
 def _sweep_bench_point(seed: int, processes: int, rounds: int) -> dict:
     """One sweep point for ``sweep_parallel``: a full simulated run."""
-    from repro.checkpoint.policy import CheckpointPolicy
-    from repro.cluster.config import ClusterConfig
-    from repro.cluster.system import DisomSystem
+    from repro.api import run_workload
     from repro.workloads import SyntheticWorkload
 
     workload = SyntheticWorkload(rounds=rounds, objects=processes)
-    system = DisomSystem(
-        ClusterConfig(processes=processes, seed=seed),
-        CheckpointPolicy(interval=40.0),
-    )
-    workload.setup(system)
-    result = system.run()
+    system, result = run_workload(workload, processes=processes, seed=seed,
+                                  interval=40.0)
     assert result.completed and workload.verify(result).ok
     return {"events": system.kernel.dispatched,
             "messages": result.net["total_messages"]}

@@ -122,6 +122,30 @@ class ScenarioSpec:
             "highwater": self.highwater,
         }
 
+    def build_args(self) -> Dict[str, Any]:
+        """This workload scenario as :func:`repro.api.build_workload`
+        keywords -- the one mapping the server and the fuzzer both run
+        through, so a key the validator accepts cannot be dropped by a
+        runner (``kind`` is consumed here: experiments have no cluster).
+        """
+        from repro.workloads import ALL_WORKLOADS
+
+        if self.kind != "workload" or self.workload is None:
+            raise ConfigError(
+                f"a {self.kind!r} scenario does not describe a cluster")
+        return {
+            "workload": ALL_WORKLOADS[self.workload](**dict(self.params)),
+            "processes": self.processes,
+            "seed": self.seed,
+            "interval": self.interval,
+            "baseline": self.baseline,
+            "consistency": self.consistency,
+            "crashes": self.crashes,
+            "check": self.check,
+            "latency": None if self.latency is None else dict(self.latency),
+            "highwater": self.highwater,
+        }
+
     def fingerprint(self) -> str:
         """Content address of the configuration alone (seed included)."""
         return config_fingerprint(self.as_dict())
@@ -145,8 +169,8 @@ class ScenarioSpec:
 def validate_scenario(document: Mapping[str, Any]) -> ScenarioSpec:
     """Validate one request document; raise :class:`ConfigError` with a
     message that names the offending field and the valid choices."""
+    from repro.api import default_baseline, resolve_experiment
     from repro.baselines import ALL_BASELINES
-    from repro.experiments import ALL_EXPERIMENTS
     from repro.workloads import ALL_WORKLOADS
 
     if not isinstance(document, Mapping):
@@ -176,16 +200,7 @@ def validate_scenario(document: Mapping[str, Any]) -> ScenarioSpec:
     check = _require(document, "check", (bool,), False)
 
     if kind == "experiment":
-        experiment = document.get("experiment")
-        matches = [eid for eid in ALL_EXPERIMENTS if eid == experiment]
-        if not matches and isinstance(experiment, str):
-            matches = [eid for eid in ALL_EXPERIMENTS
-                       if eid.startswith(experiment)]
-        if len(matches) != 1:
-            raise ConfigError(
-                f"experiment {experiment!r} matches "
-                f"{matches or 'nothing'}; ids: {list(ALL_EXPERIMENTS)}"
-            )
+        experiment = resolve_experiment(document.get("experiment"))
         # Experiments curate their own per-run seeds; a seed here is an
         # explicit override (null = use the experiment's defaults).
         seed = _require(document, "seed", (int,), None)
@@ -193,7 +208,7 @@ def validate_scenario(document: Mapping[str, Any]) -> ScenarioSpec:
             kind="experiment", workload=None, params=(), processes=0,
             seed=seed, interval=None, baseline="disom",
             consistency=consistency, crashes=(), check=check,
-            experiment=matches[0],
+            experiment=experiment,
             quick=_require(document, "quick", (bool,), True),
         )
     seed = _require(document, "seed", (int,), 7)
@@ -203,13 +218,11 @@ def validate_scenario(document: Mapping[str, Any]) -> ScenarioSpec:
         raise ConfigError(
             f"unknown workload {workload!r}; one of {sorted(ALL_WORKLOADS)}"
         )
-    # The DiSOM default only makes sense on the entry backend (its
-    # checkpoint protocol is EC-only); the other backends default to
-    # running without fault tolerance.  An *explicit* "disom" with a
-    # non-entry model is rejected at process construction (ConfigError
-    # -> 400), keeping wrong combinations loud.
-    default_baseline = "disom" if consistency == "entry" else "none"
-    baseline = _require(document, "baseline", (str,), default_baseline)
+    # An *explicit* "disom" with a non-entry model is rejected at
+    # process construction (ConfigError -> 400), keeping wrong
+    # combinations loud.
+    baseline = _require(document, "baseline", (str,),
+                        default_baseline(consistency))
     if baseline not in ALL_BASELINES:
         raise ConfigError(
             f"unknown baseline {baseline!r}; one of {sorted(ALL_BASELINES)}"
@@ -313,37 +326,26 @@ def run_scenario(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
     id -- so recomputing the same spec on any machine yields the same
     payload, and :func:`encode_response` the same bytes.
     """
+    from repro.errors import InvariantViolation
+
     spec = validate_scenario(spec_dict)
-    if spec.kind == "experiment":
-        return _run_experiment_scenario(spec)
-    return _run_workload_scenario(spec)
+    run = (_run_experiment_scenario if spec.kind == "experiment"
+           else _run_workload_scenario)
+    try:
+        body = run(spec)
+    except InvariantViolation as exc:
+        # A deterministic outcome of this scenario, not a server fault:
+        # report (and cache) it as a failed-check result.
+        body = {"completed": False, "check_failed": str(exc)}
+    return {"schema": SCHEMA, "scenario": spec.as_dict(), "result": body}
 
 
 def _run_workload_scenario(spec: ScenarioSpec) -> Dict[str, Any]:
     from repro.api import run_workload
-    from repro.errors import InvariantViolation
-    from repro.workloads import ALL_WORKLOADS
 
-    workload = ALL_WORKLOADS[spec.workload](**dict(spec.params))
-    try:
-        _, result = run_workload(
-            workload, processes=spec.processes, seed=spec.seed,
-            interval=spec.interval, crashes=spec.crashes,
-            check=spec.check, baseline=spec.baseline,
-            consistency=spec.consistency,
-            highwater=spec.highwater,
-            latency=dict(spec.latency) if spec.latency else None,
-        )
-    except InvariantViolation as exc:
-        # A deterministic outcome of this scenario, not a server fault:
-        # report (and cache) it as a failed-check result.
-        return {
-            "schema": SCHEMA,
-            "scenario": spec.as_dict(),
-            "result": {"completed": False, "check_failed": str(exc)},
-        }
-
-    verdict = workload.verify(result) if result.completed else None
+    args = spec.build_args()
+    _, result = run_workload(**args)
+    verdict = args["workload"].verify(result) if result.completed else None
     body: Dict[str, Any] = {
         "completed": result.completed,
         "aborted": result.aborted,
@@ -375,40 +377,21 @@ def _run_workload_scenario(spec: ScenarioSpec) -> Dict[str, Any]:
             "violations": len(result.check_report.violations),
             "events_checked": result.check_report.events_checked,
         }
-    return {"schema": SCHEMA, "scenario": spec.as_dict(), "result": body}
+    return body
 
 
 def _run_experiment_scenario(spec: ScenarioSpec) -> Dict[str, Any]:
-    from repro.errors import InvariantViolation
     from repro.experiments import ALL_EXPERIMENTS
-    from repro.experiments.base import (
-        call_experiment,
-        set_experiment_defaults,
-        set_inline_checking,
-    )
+    from repro.experiments.base import ExperimentDefaults, call_experiment
 
-    set_inline_checking(spec.check)
-    set_experiment_defaults(seed=spec.seed)
-    try:
+    assert spec.experiment is not None
+    with ExperimentDefaults(check=spec.check, seed=spec.seed).active():
         outcome = call_experiment(ALL_EXPERIMENTS[spec.experiment],
                                   quick=spec.quick)
-    except InvariantViolation as exc:
-        return {
-            "schema": SCHEMA,
-            "scenario": spec.as_dict(),
-            "result": {"completed": False, "check_failed": str(exc)},
-        }
-    finally:
-        set_inline_checking(False)
-        set_experiment_defaults()
     return {
-        "schema": SCHEMA,
-        "scenario": spec.as_dict(),
-        "result": {
-            "title": outcome.title,
-            "claim_holds": outcome.claim_holds,
-            "findings": _jsonable(outcome.findings),
-        },
+        "title": outcome.title,
+        "claim_holds": outcome.claim_holds,
+        "findings": _jsonable(outcome.findings),
     }
 
 

@@ -72,8 +72,9 @@ def trace_active() -> bool:
     return TRACE_GATE.active
 
 
-def set_fast_mode(on: bool) -> None:
-    """Toggle the trace-free fast mode (on by default).
+def set_fast_mode(on: bool) -> bool:
+    """Toggle the trace-free fast mode (on by default); return the
+    previous setting, which is what a temporary toggle must restore.
 
     ``set_fast_mode(False)`` forces every gated call site back to the
     legacy behavior of unconditionally calling ``emit`` and letting the
@@ -82,8 +83,9 @@ def set_fast_mode(on: bool) -> None:
     same workload in both modes and compares result fingerprints.
     """
     global _fast_mode
-    _fast_mode = bool(on)
+    previous, _fast_mode = _fast_mode, bool(on)
     _refresh_gate()
+    return previous
 
 
 @dataclass(frozen=True, slots=True)

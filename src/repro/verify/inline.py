@@ -56,12 +56,17 @@ class CheckReport:
         return ([f"race: {race}" for race in self.races]
                 + [str(violation) for violation in self.violations])
 
-    def summary(self) -> str:
+    def verdict(self) -> str:
+        """The summary minus the host-clock overhead: a pure function of
+        the run, so it may appear in cached or compared output."""
         status = "clean" if self.ok else (
             f"{len(self.races)} race(s), {len(self.violations)} "
             f"invariant violation(s)"
         )
-        return (f"check: {status}; {self.events_checked} memory events, "
+        return f"check: {status}; {self.events_checked} memory events"
+
+    def summary(self) -> str:
+        return (f"{self.verdict()}, "
                 f"verifier overhead {self.overhead_seconds * 1000.0:.1f} ms")
 
     @classmethod

@@ -76,6 +76,17 @@ class TestBenchCli:
         assert code == 1
 
 
+def test_e11_bench_leaves_the_trace_gate_as_it_found_it():
+    # A stale reset here put every later row of a serial ``repro
+    # bench`` (and the rest of the pytest process) on the slow path.
+    from repro.perf.bench import ALL_BENCHMARKS
+    from repro.sim.tracing import trace_active
+
+    before = trace_active()
+    ALL_BENCHMARKS["e11_p16"](quick=True, seed=7, repeats=1)
+    assert trace_active() == before
+
+
 class TestBenchMatchesDirectRunner:
     def test_experiment_results_identical(self):
         # The bench harness must not perturb the simulation: running E2

@@ -6,13 +6,19 @@ gate, the ``Tid`` / ``ExecutionPoint`` / ``VersionId`` intern tables
 and the wire-size cache.  They exist for speed only.  This test proves
 it the blunt way: the same scenario fingerprints byte-identically
 before and after ~50 unrelated scenarios of every shape (sizes,
-workloads, backends, a crash, checking on and off), the gate is back
-down after each of them, and no table outgrows its declared cap.
+workloads, backends, a crash, checking on and off, through the facade,
+the fuzzer and the server's task body), the gate is back down after
+each of them, no table outgrows its declared cap, and the experiment
+harness -- whose check-report collector only exists inside an
+``ExperimentDefaults.active()`` block -- has kept nothing.
 """
 
+import repro.experiments.base as experiments_base
 import repro.net.sizing as sizing
 import repro.types as types
 from repro.api import run_workload
+from repro.fuzz import run_trial
+from repro.server.scenario import run_scenario
 from repro.sim.tracing import set_fast_mode, trace_active
 from tests.conftest import behavior_fingerprint
 
@@ -41,17 +47,36 @@ def _varied_scenarios():
                consistency="causal")
 
 
+def _module_containers(module) -> dict:
+    """Size of every module-level container: what a leak would grow."""
+    return {name: len(value) for name, value in vars(module).items()
+            if isinstance(value, (list, dict, set))
+            and not name.startswith("__")}
+
+
 def test_a_run_is_unchanged_by_the_runs_before_it():
-    set_fast_mode(True)
+    previous = set_fast_mode(True)
+    harness_state = _module_containers(experiments_base)
     try:
         first = _scenario_a()
         for scenario in _varied_scenarios():
             _, result = run_workload(scenario.pop("workload"), **scenario)
             assert result.completed or result.aborted
             assert trace_active() is False, scenario
+        for seed in range(3):
+            document = {"workload": "synthetic", "processes": 3,
+                        "seed": seed, "check": True}
+            assert run_trial(document)["status"] == "ok"
+            assert run_scenario(document)["result"]["completed"]
+            assert trace_active() is False, document
+        assert run_scenario({"kind": "experiment", "experiment": "E2",
+                             "check": True})["result"]["claim_holds"]
         assert _scenario_a() == first
     finally:
-        set_fast_mode(False)
+        set_fast_mode(previous)
+    assert _module_containers(experiments_base) == harness_state
+    assert experiments_base._ACTIVE.get() == (
+        experiments_base.ExperimentDefaults(), None)
     assert len(types._TID_INTERN) <= types._INTERN_MAX
     assert len(types._EP_INTERN) <= types._INTERN_MAX
     assert len(types._VERSION_INTERN) <= types._INTERN_MAX

@@ -26,15 +26,16 @@ from tests.conftest import behavior_fingerprint
 
 @pytest.fixture(autouse=True)
 def _restore_fast_mode():
+    previous = set_fast_mode(True)
     yield
-    set_fast_mode(False)
+    set_fast_mode(previous)
 
 
 def _behavior_fingerprint(processes: int, rounds: int, interval: float,
                           seed: int, fast: bool) -> str:
     """One full run; returns the content address of everything the
     simulation decided (not how it was observed)."""
-    set_fast_mode(fast)
+    previous = set_fast_mode(fast)
     try:
         system = DisomSystem(
             ClusterConfig(processes=processes, seed=seed),
@@ -44,7 +45,7 @@ def _behavior_fingerprint(processes: int, rounds: int, interval: float,
         workload.setup(system)
         result = system.run()
     finally:
-        set_fast_mode(False)
+        set_fast_mode(previous)
     assert result.completed and workload.verify(result).ok
     return behavior_fingerprint(system, result)
 

@@ -31,8 +31,8 @@ KNOWN_UNFIXED = (
     # baseline's restart loses the happens-before edge the barrier
     # relied on.
     "InvariantViolation:[inline-check] inline verification failed: "
-    "check: # race(s), # invariant violation(s); # memory events, "
-    "verifier overhead #.# ms; race: race on sor.barrier: wri",
+    "check: # race(s), # invariant violation(s); # memory events; "
+    "race: race on sor.barrier: read is concurrent with the l",
 )
 
 _ENTRIES = load_corpus(DEFAULT_CORPUS_DIR)

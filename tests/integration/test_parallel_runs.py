@@ -87,6 +87,14 @@ class TestExperimentRunner:
         assert serial_merged is not None
         assert merged.events_checked == serial_merged.events_checked
 
+    @pytest.mark.parametrize("exp_id", ["E12", "E13"])
+    def test_check_reaches_the_hand_built_clusters(self, exp_id):
+        # E12/E13 build custom clusters; --check used to print a false
+        # "clean; 0 memory events" for them.
+        _, merged = run_experiments([exp_id], quick=True, check=True)
+        assert merged is not None and merged.ok
+        assert merged.events_checked > 0
+
 
 class TestBenchParallel:
     def test_bench_counters_identical_serial_vs_parallel(self, tmp_path):

@@ -10,8 +10,14 @@ from __future__ import annotations
 
 import pytest
 
+import inspect
+import json
+
+import repro.api
 from repro.errors import ConfigError
+from repro.fuzz import DEFAULT_CORPUS_DIR, run_trial
 from repro.server.scenario import (
+    _WORKLOAD_KEYS,
     SCHEMA,
     encode_response,
     run_scenario,
@@ -169,6 +175,16 @@ def _small_scenario():
                               "seed": 3, "params": {"rounds": 4}})
 
 
+def test_failed_check_repeat_is_byte_identical():
+    # The corpus entry whose inline check fails (a sor.barrier race):
+    # the failure text must carry no host-clock verifier overhead.
+    with open(f"{DEFAULT_CORPUS_DIR}/606fc3ac34fab29f.json") as handle:
+        document = json.load(handle)["scenario"]
+    first = run_scenario(document)
+    assert "check_failed" in first["result"]
+    assert encode_response(first) == encode_response(run_scenario(document))
+
+
 def test_run_scenario_repeat_is_byte_identical():
     spec = _small_scenario()
     first = encode_response(run_scenario(spec.as_dict()))
@@ -210,3 +226,58 @@ def test_run_scenario_check_block_present_when_requested():
     assert check["violations"] == 0
     assert check["events_checked"] > 0
     assert "overhead_seconds" not in check
+
+
+# ----------------------------------------------------------------------
+# one spec -> builder mapping for the server and the fuzzer
+# ----------------------------------------------------------------------
+
+#: A non-default value for every workload-scenario key.  A key added to
+#: the validator needs a row here, and the mapping must react to it.
+_NON_DEFAULT = {
+    "workload": "sor",
+    "params": {"rounds": 4},
+    "processes": 3,
+    "seed": 11,
+    "interval": 20.0,
+    "baseline": "coordinated",
+    "consistency": "causal",
+    "crashes": [[1, 30.0]],
+    "check": True,
+    "latency": {"jitter": 0.5},
+    "highwater": 4000,
+}
+
+
+def _build_args(document):
+    args = validate_scenario(document).build_args()
+    assert set(args) <= set(
+        inspect.signature(repro.api.build_workload).parameters)
+    return {**args, "workload": args["workload"].describe()}
+
+
+@pytest.mark.parametrize("key", sorted(_WORKLOAD_KEYS))
+def test_every_workload_key_reaches_the_builder(key):
+    if key == "kind":
+        experiment = validate_scenario({"kind": "experiment",
+                                        "experiment": "E2"})
+        with pytest.raises(ConfigError, match="does not describe a cluster"):
+            experiment.build_args()
+        return
+    base = {"workload": "synthetic"}
+    assert _build_args({**base, key: _NON_DEFAULT[key]}) != _build_args(base)
+
+
+def test_run_trial_runs_on_the_backend_the_schedule_names(monkeypatch):
+    built = []
+    build = repro.api.build_workload
+
+    def recording(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(repro.api, "build_workload", recording)
+    outcome = run_trial({"workload": "synthetic", "processes": 3, "seed": 5,
+                         "consistency": "sequential", "baseline": "none"})
+    assert outcome["status"] == "ok"
+    assert [system.config.consistency for system in built] == ["sequential"]

@@ -1,5 +1,7 @@
 """Unit tests for the analysis tools (sweep, timeline) and the CLI."""
 
+import json
+
 import pytest
 
 from repro.analysis.sweep import Sweep
@@ -112,3 +114,66 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "on none" in out
+
+    # The four paths below used to be exercised by CI shell steps only.
+
+    def test_workload_timeline_prints_timeline_then_table(self, capsys):
+        code = main(["workload", "sor", "--crash", "1@40", "--timeline"])
+        assert code == 0
+        out = capsys.readouterr().out
+        timeline, _, table = out.partition("\n\n")
+        assert timeline.startswith("t=      0.00    P0  C P0 checkpoint #1")
+        assert "t=     40.00    P1  X P1 crashed" in timeline
+        assert "P1 recovery complete" in timeline
+        assert table.startswith("== sor(")
+        assert "on disom (entry consistency) ==" in table
+        assert "recovery P1  detected t=45.0, duration 18.3, replayed 13" \
+            in table
+
+    def test_workload_json_key_set(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        assert main(["workload", "synthetic", "--json", str(path)]) == 0
+        assert "== synthetic(" in capsys.readouterr().out
+        summary = json.loads(path.read_text())
+        assert list(summary) == [
+            "workload", "baseline", "consistency", "processes", "seed",
+            "completed", "aborted", "verified", "duration", "net",
+            "stable_writes", "peak_log_bytes", "recoveries",
+            "invariant_violations"]
+        assert (summary["baseline"], summary["verified"]) == ("disom", True)
+
+    def test_check_inline_json_key_set(self, tmp_path, capsys):
+        path = tmp_path / "check.json"
+        code = main(["check", "--inline", "--consistency", "sequential",
+                     "--json", str(path)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert ("workload synthetic (processes=3, seed=7, "
+                "consistency=sequential): completed=True, verified=True"
+                in out)
+        assert "check: clean; 201 memory events" in out
+        summary = json.loads(path.read_text())
+        assert list(summary) == [
+            "workload", "processes", "seed", "consistency",
+            "lint_findings", "completed", "verified", "races", "violations",
+            "events_checked", "ok"]
+        assert summary["ok"] is True and summary["events_checked"] == 201
+
+    def test_workload_check_failure_exits_one_without_traceback(
+            self, monkeypatch, capsys):
+        from repro.errors import InvariantViolation
+        from repro.verify.inline import InlineVerifier
+
+        finalize = InlineVerifier.finalize
+
+        def failing(verifier):
+            report = finalize(verifier)
+            report.violations.append(
+                InvariantViolation("planted", "a planted violation"))
+            return report
+
+        monkeypatch.setattr(InlineVerifier, "finalize", failing)
+        assert main(["workload", "synthetic", "--check"]) == 1
+        out = capsys.readouterr().out
+        assert "a planted violation" in out
+        assert "Traceback" not in out
