@@ -108,9 +108,8 @@ def _visit(statements: Sequence[ast.stmt], broad: bool, narrow: bool,
         trys: List[ast.Try] = []
         while stack:
             node = stack.pop()
-            if node is not stmt and isinstance(
-                    node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                           ast.Lambda)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
                 continue
             if isinstance(node, ast.Try):
                 trys.append(node)

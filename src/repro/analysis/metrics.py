@@ -8,8 +8,7 @@ material of every experiment row in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
 
 from repro.checkpoint.policy import CheckpointStats
 
@@ -47,46 +46,15 @@ class ProcessMetrics:
     replayed_acquires: int = 0
     replayed_releases: int = 0
     reissued_requests: int = 0
-    recovery_started_at: Optional[float] = None
-    recovery_finished_at: Optional[float] = None
     survivor_rollbacks: int = 0  # must stay 0: the protocol is pessimistic
 
-    @property
-    def recovery_duration(self) -> Optional[float]:
-        if self.recovery_started_at is None or self.recovery_finished_at is None:
-            return None
-        return self.recovery_finished_at - self.recovery_started_at
-
     def as_dict(self) -> dict:
-        return {
-            "local_acquires": self.local_acquires,
-            "remote_acquires": self.remote_acquires,
-            "request_forwards": self.request_forwards,
-            "grants": self.grants,
-            "queued_requests": self.queued_requests,
-            "ownership_transfers": self.ownership_transfers,
-            "invalidations_sent": self.invalidations_sent,
-            "invalidations_received": self.invalidations_received,
-            "release_writes": self.release_writes,
-            "release_reads": self.release_reads,
-            "duplicate_requests_discarded": self.duplicate_requests_discarded,
-            "log_entries_created": self.log_entries_created,
-            "log_bytes_created": self.log_bytes_created,
-            "dummies_created": self.dummies_created,
-            "dummies_shipped": self.dummies_shipped,
-            "dummies_stored": self.dummies_stored,
-            "gc_log_entries_dropped": self.gc_log_entries_dropped,
-            "gc_threadset_pairs_dropped": self.gc_threadset_pairs_dropped,
-            "gc_dummies_dropped": self.gc_dummies_dropped,
-            "gc_depset_entries_dropped": self.gc_depset_entries_dropped,
-            "checkpoints": self.checkpoints.count,
-            "checkpoint_bytes": self.checkpoints.bytes_total,
-            "replayed_acquires": self.replayed_acquires,
-            "replayed_releases": self.replayed_releases,
-            "reissued_requests": self.reissued_requests,
-            "recovery_duration": self.recovery_duration,
-            "survivor_rollbacks": self.survivor_rollbacks,
-        }
+        """Every counter by field name; the checkpoint stats flatten to
+        ``checkpoints`` (count) and ``checkpoint_bytes``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["checkpoints"] = self.checkpoints.count
+        out["checkpoint_bytes"] = self.checkpoints.bytes_total
+        return out
 
 
 @dataclass
@@ -128,12 +96,11 @@ class SystemMetrics:
         return self.total("survivor_rollbacks")
 
     def as_dict(self) -> dict:
-        keys = ProcessMetrics().as_dict().keys()
-        out = {}
-        for key in keys:
-            values = [m.as_dict()[key] for m in self.per_process.values()]
-            numeric = [v for v in values if isinstance(v, (int, float))]
-            out[key] = sum(numeric) if numeric else None
+        """Per-key sums over the processes (plus the storage counters)."""
+        out = dict.fromkeys(ProcessMetrics().as_dict(), 0)
+        for metrics in self.per_process.values():
+            for key, value in metrics.as_dict().items():
+                out[key] += value
         if self.storage:
             out["storage"] = dict(self.storage)
         return out

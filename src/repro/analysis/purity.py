@@ -84,9 +84,9 @@ PATH_TABLE: Tuple[Tuple[str, str, Optional[str], str], ...] = (
     ("repro/storage/", TRUSTED, FILESYSTEM,
      "owns durable checkpoint I/O, behind fault injection and the "
      "fsync policy"),
-    ("repro/verify/inline.py", HOST_SIDE, WALL_CLOCK,
-     "measures the verifier's own overhead for reports, never control "
-     "flow"),
+    ("repro/verify/inline.py", TRUSTED, WALL_CLOCK,
+     "a listener the core notifies through the observer registry; it "
+     "times its own overhead for reports, never control flow"),
     ("repro/perf/counters.py", HOST_SIDE, WALL_CLOCK,
      "host calibration and wall timers around completed runs"),
     ("repro/perf/bench.py", HOST_SIDE, WALL_CLOCK,

@@ -17,7 +17,7 @@ for every integration point:
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.memory.coherence import CoherenceHooks
 from repro.net.message import Message, MessageKind
@@ -38,18 +38,6 @@ class FaultToleranceProtocol(CoherenceHooks):
 
     def __init__(self, process: Any) -> None:
         self.process = process
-        #: Unified observer registry (see :mod:`repro.observers`),
-        #: bound by :meth:`bind_observers`; ``None`` when unobserved.
-        self.observers: Optional[Any] = None
-
-    def bind_observers(self, observers: Any) -> None:
-        """Attach the cluster-wide observer registry.
-
-        Subclasses extend this to wire their own stores (the DiSOM
-        protocol binds its :class:`~repro.checkpoint.log.ProcessLog`).
-        Idempotent: re-binding replaces the previous registry.
-        """
-        self.observers = observers
 
     @property
     def pid(self) -> ProcessId:
@@ -85,7 +73,7 @@ class FaultToleranceProtocol(CoherenceHooks):
         """Return False to drop an incoming message (e.g. stale epoch)."""
         return True
 
-    # -- observers -------------------------------------------------------------
+    # -- outgoing messages ------------------------------------------------------
     def on_message_sent(self, message: Message) -> None:
         """Called for every message this process puts on the wire."""
 

@@ -304,8 +304,6 @@ class CoordinatedProtocol(FaultToleranceProtocol):
             protocol.rollback_floor = now
             if survivor:
                 process.metrics.survivor_rollbacks += 1
-            process.metrics.recovery_started_at = now
-            process.metrics.recovery_finished_at = now
             for tid in sorted(process.threads):
                 process.scheduler.resume_restored(process.threads[tid])
             if protocol.is_coordinator:

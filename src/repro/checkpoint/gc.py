@@ -15,10 +15,11 @@ Three stores grow during the failure-free period and are trimmed when a
 All functions return the number of items removed, for the E9 experiment.
 
 The ``observers`` keyword arguments take the unified
-:class:`repro.observers.Observers` registry (the protocol passes its
-bound registry through); every GC drop is announced there together with
-the CkpSet justifying it, so GC safety can be audited online.  Register
-auditors via ``ClusterConfig(observers=...)``.
+:class:`repro.observers.Observers` registry (the protocol passes the
+run's registry through while anybody is listening, ``None`` otherwise);
+every GC drop is announced there together with the CkpSet justifying
+it, so GC safety can be audited online.  Register auditors on
+``system.observers`` or via ``ClusterConfig(observers=...)``.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
 from repro.errors import ProtocolError
+from repro.observers import Observers
 from repro.threads.thread import snapshot as _pristine
 from repro.net.sizing import payload_size
 from repro.types import ExecutionPoint, ObjectId, ProcessId, Tid
@@ -120,7 +121,14 @@ class ProcessLog:
     last version in the log" in O(1) (paper section 4.2 step 2).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, observers: Optional[Observers] = None,
+                 pid: ProcessId = -1) -> None:
+        #: The run's observer registry (see :mod:`repro.observers`);
+        #: append and remove notifications are dispatched there stamped
+        #: with ``pid``, the owning process.  A stand-alone log gets an
+        #: empty registry of its own.
+        self._observers = observers if observers is not None else Observers()
+        self._pid = pid
         self._entries: list[LogEntry] = []
         self._by_object: dict[ObjectId, list[LogEntry]] = {}
         #: Total entries ever appended (GC does not decrease this).
@@ -134,18 +142,6 @@ class ProcessLog:
         #: the quantity the perf reports track as "peak log bytes".
         self.live_bytes = 0
         self.peak_bytes = 0
-        #: Unified observer registry bound via :meth:`bind`; append and
-        #: remove notifications are dispatched there with the owning
-        #: process's pid attached.
-        self._observers: Optional[Any] = None
-        self._pid: ProcessId = -1
-
-    def bind(self, observers: Any, pid: ProcessId) -> None:
-        """Attach the cluster-wide observer registry (see
-        :mod:`repro.observers`); ``pid`` is the owning process, stamped
-        onto every append/remove notification."""
-        self._observers = observers
-        self._pid = pid
 
     def append(self, entry: LogEntry) -> None:
         per_obj = self._by_object.setdefault(entry.obj_id, [])
@@ -162,7 +158,7 @@ class ProcessLog:
         self.live_bytes += size
         if self.live_bytes > self.peak_bytes:
             self.peak_bytes = self.live_bytes
-        if self._observers is not None:
+        if self._observers.active:
             self._observers.on_log_append(self._pid, entry)
 
     def last_entry(self, obj_id: ObjectId) -> Optional[LogEntry]:
@@ -195,7 +191,7 @@ class ProcessLog:
         if entry in per_obj:
             per_obj.remove(entry)
         self.live_bytes -= getattr(entry, "_accounted_bytes", entry.size_bytes())
-        if self._observers is not None:
+        if self._observers.active:
             self._observers.on_log_remove(self._pid, entry)
 
     def drop_old_unreferenced(self) -> int:

@@ -90,10 +90,13 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
     def __init__(self, process: Any, policy: CheckpointPolicy) -> None:
         # ``process`` is the hosting DisomProcess; duck-typed to avoid a
         # circular import (it provides pid, kernel, threads, directory,
-        # metrics, stable_store, peer_pids() and send_raw()).
+        # metrics, observers, stable_store, peer_pids() and send_raw()).
         super().__init__(process)
         self.policy = policy
-        self.log = ProcessLog()
+        #: The run's observer registry (see :mod:`repro.observers`).
+        self.observers = process.observers
+        # Log append/remove notifications carry this process's pid.
+        self.log = ProcessLog(self.observers, process.pid)
         self.dummy_log = DummyLog(process.pid)
         #: Dummy entries created locally, not yet shipped off-node.
         self.pending_dummies: list[DummyEntry] = []
@@ -111,11 +114,6 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
         #: Fingerprint of the previous checkpoint's state, used by the
         #: incremental-checkpoint extension to size the delta.
         self._ckpt_fingerprint: Optional[dict] = None
-
-    def bind_observers(self, observers: Any) -> None:
-        super().bind_observers(observers)
-        # Log append/remove notifications carry this process's pid.
-        self.log.bind(observers, self.pid)
 
     # ------------------------------------------------------------------
     # shorthand
@@ -174,7 +172,7 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
         )
         self.pending_dummies.append(dummy)
         self.metrics.dummies_created += 1
-        if self.observers is not None:
+        if self.observers.active:
             self.observers.on_dummy_created(self.pid, dummy)
         thread.dep_set.append(
             Dependency(obj.obj_id, acq_type, ep_acq, dep_point, self.pid, local=True)
@@ -488,7 +486,7 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
                          for tid, lt in sorted(thread_lts.items())),
         )
         self.last_ckp_set = ckp_set
-        if self.observers is not None:
+        if self.observers.active:
             self.observers.on_ckp_set(ckp_set)
         if self.policy.gc_transport == "eager":
             for peer in self.process.peer_pids():
@@ -546,15 +544,15 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
 
     def apply_gc(self, ckp_set: CkpSet) -> None:
         """Receiver-side GC on a CkpSet announcement (section 4.4)."""
-        pairs, entries = gc_thread_sets(self.log, ckp_set,
-                                        observers=self.observers)
+        observers = self.observers if self.observers.active else None
+        pairs, entries = gc_thread_sets(self.log, ckp_set, observers=observers)
         self.metrics.gc_threadset_pairs_dropped += pairs
         self.metrics.gc_log_entries_dropped += entries
         self.metrics.gc_dummies_dropped += gc_dummy_log(
-            self.dummy_log, ckp_set, observers=self.observers
+            self.dummy_log, ckp_set, observers=observers
         )
         self.metrics.gc_depset_entries_dropped += gc_dep_sets(
-            self.process.threads.values(), ckp_set, observers=self.observers
+            self.process.threads.values(), ckp_set, observers=observers
         )
 
     # ==================================================================
@@ -565,7 +563,7 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
         for seq in sorted(self._inflight):
             staged, _ = self._inflight.pop(seq)
             self.process.stable_store.discard(staged.pid, staged.seq)
-        if self.observers is not None:
+        if self.observers.active:
             # log.restore() replays appends; the checker must forget this
             # process's pre-crash version history first.
             self.observers.on_restore(self.pid)

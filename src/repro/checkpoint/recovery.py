@@ -224,7 +224,6 @@ class RecoveryManager:
         process: Any,
         checkpoint: Checkpoint,
         timing: Any,
-        detected_at: float,
     ) -> None:
         self.process = process
         self.checkpoint = checkpoint
@@ -242,7 +241,6 @@ class RecoveryManager:
         self.replayer: Optional[LogReplayer] = None
         self._deferred_piggyback: list[tuple[ProcessId, list, list]] = []
         self._deferred_dones: list[Message] = []
-        process.metrics.recovery_started_at = detected_at
 
     def _set_phase(self, phase: str) -> None:
         """Advance the recovery phase and announce it to the observers.
@@ -255,8 +253,8 @@ class RecoveryManager:
         self._announce_phase(phase)
 
     def _announce_phase(self, phase: str) -> None:
-        observers = getattr(self.process.system, "observers", None)
-        if observers is not None:
+        observers = self.process.observers
+        if observers.active:
             observers.on_recovery_phase(self.process.pid, phase)
 
     def defer_piggyback(self, src: ProcessId, dummies: list, ckp_sets: list) -> None:
@@ -461,7 +459,6 @@ class RecoveryManager:
         process.replayer = None
         process.recovery_manager = None
         process.checkpoint_protocol.suppress_checkpoints = False
-        process.metrics.recovery_finished_at = process.kernel.now
 
         resume_lts = self.report.resume_lts() if self.report else {}
         process.system.purge_granted(process.pid, resume_lts)

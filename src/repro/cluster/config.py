@@ -85,10 +85,11 @@ class ClusterConfig:
     #: Attach the inline verification layer (race detector + protocol
     #: invariant checker, see :mod:`repro.verify`); implies tracing.
     check: bool = False
-    #: Unified observer registry (see :mod:`repro.observers`): every
-    #: process -- including recovery hosts created mid-run -- binds its
-    #: protocol to it via ``bind_observers``.  ``check=True`` registers
-    #: the invariant checker on the same registry, so both compose.
+    #: Unified observer registry (see :mod:`repro.observers`): becomes
+    #: ``system.observers``, the one registry every process -- including
+    #: recovery hosts created mid-run -- is constructed with.
+    #: ``check=True`` registers the verifier on the same registry, so
+    #: both compose.
     observers: Optional[Observers] = None
 
     def __post_init__(self) -> None:

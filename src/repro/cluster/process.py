@@ -23,6 +23,7 @@ from repro.memory.model import resolve_consistency
 from repro.memory.objects import ObjectDirectory, SharedObjectSpec
 from repro.net.message import Message, MessageKind, Piggyback
 from repro.net.network import Network
+from repro.observers import Observers
 from repro.sim.kernel import Kernel
 from repro.sim.tracing import TRACE_GATE
 from repro.threads.program import Program
@@ -52,6 +53,9 @@ class DisomProcess:
         self.network = network
         self.stable_store = stable_store
         self.system = system
+        #: The run's observer registry: the protocol, its log, the
+        #: engine and recovery all notify this one object.
+        self.observers: Observers = system.observers
         self.alive = True
         self.metrics = ProcessMetrics()
         self.directory = ObjectDirectory(pid)
@@ -84,6 +88,7 @@ class DisomProcess:
             send_message=self._send_coherence,
             hooks=self.checkpoint_protocol,
             strict_invalidation_acks=strict_invalidation_acks,
+            observers=self.observers,
         )
         self.engine.peer_lister = self.peer_pids
         #: Set while this process is being recovered; owns replay routing.

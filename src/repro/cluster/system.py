@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.analysis.metrics import ProcessMetrics, SystemMetrics
+from repro.analysis.metrics import SystemMetrics
 from repro.checkpoint.policy import CheckpointPolicy
 from repro.checkpoint.recovery import RecoveryManager, collect_recovery_data
 from repro.checkpoint.stable import StableStore
@@ -31,6 +31,7 @@ from repro.storage.faults import StorageFault, StorageFaultPlan
 from repro.memory.objects import SharedObjectSpec
 from repro.net.message import Message, MessageKind
 from repro.net.network import Network
+from repro.observers import Observers
 from repro.sim.kernel import Kernel
 from repro.sim.tracing import TraceLog
 from repro.threads.program import Program
@@ -141,28 +142,24 @@ class DisomSystem:
         self.abort_reason: Optional[str] = None
         self.shadows: dict[ProcessId, ShadowSnapshot] = {}
         self.recovery_records: list[RecoveryRecord] = []
-        self.metrics_history: list[tuple[ProcessId, ProcessMetrics]] = []
         #: Cluster-wide grant-once registry (see try_claim_grant).
         self._granted_eps: dict[Any, ProcessId] = {}
         #: Final-execution acquire history: tid -> {lt: (obj, version, type)}.
         self._acquire_history: dict[Tid, dict[int, tuple]] = {}
         #: Inline verifier (repro.verify.inline.InlineVerifier), attached
-        #: by verify.inline.attach() or the config's ``check`` flag.
+        #: by verify.inline.attach() or the config's ``check`` flag: one
+        #: more listener on the registry, kept here only so the run
+        #: result can ask it to ``finalize()``.
         self.verifier: Optional[Any] = None
-        #: Unified observer registry (repro.observers.Observers).  Uses
-        #: the config's instance when given so callers can pre-register
-        #: listeners; otherwise a fresh empty one that the verifier (or
-        #: anyone else, post-construction) can register on.
-        from repro.observers import Observers
-
-        self.observers = (self.config.observers
-                          if self.config.observers is not None
-                          else Observers())
-        #: Wire processes to the registry eagerly only when the caller
-        #: supplied it via config; an empty internal registry is wired
-        #: lazily by whoever registers on it (keeps the no-observer hot
-        #: path free of fan-out calls).
-        self._wire_observers = self.config.observers is not None
+        #: The run's one observer registry (repro.observers.Observers):
+        #: the config's instance when given, a fresh empty one otherwise.
+        #: Every process -- recovery hosts included -- is constructed
+        #: with it, so a listener registered here at any time before
+        #: ``run()`` sees exactly what one passed via the config sees;
+        #: while it is empty, call sites pay one attribute test.
+        self.observers: Observers = (self.config.observers
+                                     if self.config.observers is not None
+                                     else Observers())
 
         for pid in self.config.pids():
             self._create_process(pid)
@@ -190,11 +187,8 @@ class DisomSystem:
         process.engine.grant_gate = self.try_claim_grant
         process.engine.acquire_observer = self._note_acquire
         self.network.register(pid, process)
-        if self._wire_observers:
-            # Recovery hosts are created mid-run; they need wiring too.
-            self.observers.attach_to(process)
-        if self.verifier is not None:
-            self.verifier.attach_process(process)
+        if self.observers.active:
+            self.observers.on_process_created(process)
         return process
 
     def _note_acquire(self, tid: Tid, lt: int, obj_id: ObjectId,
@@ -398,7 +392,6 @@ class DisomSystem:
                 process=process,
                 checkpoint=checkpoint,
                 timing=self.config.recovery,
-                detected_at=0.0,
             )
             process.recovery_manager = manager
             managers.append(manager)
@@ -427,8 +420,8 @@ class DisomSystem:
             if record.pid == pid and record.finished_at is None:
                 record.finished_at = self.kernel.now
                 record.replayed_acquires = self.processes[pid].metrics.replayed_acquires
-        if self.verifier is not None:
-            self.verifier.note_recovery_complete(pid)
+        if self.observers.active:
+            self.observers.on_recovery_complete(pid)
         self._check_completion()
 
     def _check_completion(self) -> None:
@@ -575,7 +568,6 @@ class DisomSystem:
             return
         self._crash_plans[plan.pid] = plan
         self.shadows[plan.pid] = ShadowSnapshot.capture(process, self.kernel.now)
-        self.metrics_history.append((plan.pid, process.metrics))
         self.kernel.trace.emit(self.kernel.now, "failure", f"P{plan.pid} crashed")
         process.crash()
         self.detector.report_crash(plan.pid)
@@ -630,7 +622,6 @@ class DisomSystem:
             process=process,
             checkpoint=checkpoint,
             timing=self.config.recovery,
-            detected_at=self.kernel.now,
         )
         process.recovery_manager = manager
         manager.start()

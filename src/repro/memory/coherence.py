@@ -34,19 +34,16 @@ DESIGN.md):
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
-from repro.analysis.metrics import ProcessMetrics
 from repro.errors import ProtocolError
 from repro.memory.model import (
     CoherenceHooks,
     ConsistencyModel,
     PendingRequest,
 )
-from repro.memory.objects import ObjectDirectory, SharedObject
+from repro.memory.objects import SharedObject
 from repro.net.message import Message, MessageKind
-from repro.sim.kernel import Kernel
-from repro.threads.scheduler import ThreadScheduler
 from repro.threads.syscalls import Release
 from repro.threads.thread import Thread, snapshot
 from repro.types import (
@@ -83,27 +80,8 @@ class EntryConsistencyEngine(ConsistencyModel):
         MessageKind.INVALIDATE_ACK,
     })
 
-    def __init__(
-        self,
-        pid: ProcessId,
-        kernel: Kernel,
-        directory: ObjectDirectory,
-        scheduler: ThreadScheduler,
-        metrics: ProcessMetrics,
-        send_message: Callable[[MessageKind, ProcessId, dict, Optional[dict]], None],
-        hooks: Optional[CoherenceHooks] = None,
-        strict_invalidation_acks: bool = True,
-    ) -> None:
-        super().__init__(
-            pid=pid,
-            kernel=kernel,
-            directory=directory,
-            scheduler=scheduler,
-            metrics=metrics,
-            send_message=send_message,
-            hooks=hooks,
-            strict_invalidation_acks=strict_invalidation_acks,
-        )
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
         #: FIFO queues of conflicting requests, per object (owner side).
         self._queues: dict[ObjectId, deque[PendingRequest]] = {}
         #: Dedup bookkeeping: for each object, eps we have queued/granted.

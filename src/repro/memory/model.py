@@ -29,9 +29,10 @@ A backend owns four things:
    :attr:`ConsistencyModel.handled_kinds` and the process routes them to
    :meth:`ConsistencyModel.on_message`;
 3. **mem-event emission** -- :meth:`ConsistencyModel.emit_mem_event`,
-   the trace stream the race detector and the consistency-history
-   bridge consume; every backend must report completed acquires through
-   :attr:`ConsistencyModel.acquire_observer`;
+   the typed event stream the race detector and the dummy-coverage rule
+   subscribe to; every backend must also report completed acquires
+   through :attr:`ConsistencyModel.acquire_observer` (the
+   consistency-history bridge);
 4. **recovery surface** -- the hooks the DiSOM recovery machinery calls
    on survivors.  Only the entry-consistency backend implements real
    recovery; the base class provides inert defaults so non-EC backends
@@ -54,6 +55,7 @@ from repro.analysis.metrics import ProcessMetrics
 from repro.errors import ConfigError
 from repro.memory.objects import ObjectDirectory, SharedObject, SharedObjectSpec
 from repro.net.message import Message, MessageKind
+from repro.observers import Observers
 from repro.sim.kernel import Kernel
 from repro.sim.tracing import TRACE_GATE
 from repro.threads.scheduler import ThreadScheduler
@@ -65,6 +67,7 @@ from repro.types import (
     ProcessId,
     Tid,
 )
+from repro.verify.events import MemEvent, publish_mem_event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.threads.syscalls import Release
@@ -192,9 +195,13 @@ class ConsistencyModel:
         send_message: Callable[[MessageKind, ProcessId, dict, Optional[dict]], None],
         hooks: Optional[CoherenceHooks] = None,
         strict_invalidation_acks: bool = True,
+        *,
+        observers: Observers,
     ) -> None:
         self.pid = pid
         self.kernel = kernel
+        #: The run's observer registry (see :mod:`repro.observers`).
+        self.observers = observers
         self.directory = directory
         self.scheduler = scheduler
         self.metrics = metrics
@@ -254,7 +261,7 @@ class ConsistencyModel:
             self.on_message(message)
 
     # ==================================================================
-    # memory-event tracing (verification layer input)
+    # memory events (verification layer input)
     # ==================================================================
     def emit_mem_event(
         self,
@@ -267,24 +274,23 @@ class ConsistencyModel:
         local: bool = False,
         replayed: bool = False,
     ) -> None:
-        """Emit one "mem" trace record: the event stream consumed by the
-        entry-consistency race detector (:mod:`repro.verify.races`).
+        """Publish one memory event: a typed
+        :class:`~repro.verify.events.MemEvent` for the registry's
+        listeners (race detector, dummy-coverage rule) and, when the
+        trace is being fed, its human-readable ``"mem"`` row.
 
-        Every record carries the accessed object id *and* the guarding
+        Every event carries the accessed object id *and* the guarding
         sync object id so the detector never has to re-derive the
         object-to-guard association from context.
         """
-        if not TRACE_GATE.active:
+        tracing = TRACE_GATE.active and self.kernel.trace.enabled
+        if not (tracing or self.observers.active):
             return
-        trace = self.kernel.trace
-        if not trace.enabled:
-            return
-        trace.emit(
-            self.kernel.now, "mem",
-            f"{kind} {obj.obj_id} {mode} t{tid.pid}.{tid.local}@{lt}",
-            kind=kind, pid=self.pid, tid=tid, lt=lt, obj=obj.obj_id,
-            sync=obj.guard_id, mode=mode.value, version=obj.version,
-            local=local, replayed=replayed,
+        publish_mem_event(
+            MemEvent(kind, self.kernel.now, self.pid, tid, lt, obj.obj_id,
+                     obj.guard_id, mode.value, local, replayed, obj.version),
+            self.observers,
+            self.kernel.trace if tracing else None,
         )
 
     # ==================================================================

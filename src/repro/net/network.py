@@ -46,9 +46,6 @@ class Network:
         self._endpoints: dict[ProcessId, Endpoint] = {}
         self._channels: dict[tuple[ProcessId, ProcessId], Channel] = {}
         self._crashed: set[ProcessId] = set()
-        #: Observers called on every send (metrics, baselines such as
-        #: Stumm-Zhou read-replication hook extra payloads here).
-        self.send_hooks: list[Callable[[Message], None]] = []
         #: Messages sent but not yet delivered (or dropped).  The system
         #: refuses to declare the run complete while this is non-zero: a
         #: quiescent state with messages on the wire is not quiescent
@@ -127,9 +124,6 @@ class Network:
         kernel = self.kernel
         message.send_time = now = kernel.clock.now
         self.stats.record_send(message)
-        if self.send_hooks:
-            for hook in self.send_hooks:
-                hook(message)
         channel = self._channels.get((src, dst))
         if channel is None:
             channel = self._channel(src, dst)

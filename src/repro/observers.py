@@ -1,16 +1,20 @@
 """Unified protocol observation: one registration object, many listeners.
 
-:class:`Observers` is the single hookup point for protocol observation:
-build one, register any number of listeners on it, and hand it to the
-cluster via ``ClusterConfig(observers=...)``.  The system wires every
-process -- including recovery hosts created mid-run -- to the same
-instance through
-:meth:`~repro.baselines.base.FaultToleranceProtocol.bind_observers`,
-which each scheme extends to connect its own stores (the DiSOM protocol
-binds its :class:`~repro.checkpoint.log.ProcessLog` so append/remove
-notifications arrive pid-stamped).  The registry fans each notification
-out to every listener that implements the corresponding method
-(listeners are duck-typed; unimplemented callbacks are simply skipped).
+:class:`Observers` is the only road an observation takes from a protocol
+layer to anything that *consumes* it.  Every cluster owns exactly one
+registry (``system.observers`` -- the ``ClusterConfig(observers=...)``
+instance when one is given, a fresh empty one otherwise) and hands that
+same object to every process it creates, recovery hosts included; the
+process passes it on to its coherence engine, its fault-tolerance
+protocol and the protocol's :class:`~repro.checkpoint.log.ProcessLog` at
+construction.  There is no later wiring step, so a listener registered
+at any time before ``run()`` sees the same events as one passed through
+the config.  Call sites guard each notification with one attribute test
+(``if observers.active:``), which is all an unobserved run pays.
+
+The registry fans each notification out to every listener that
+implements the corresponding method (listeners are duck-typed;
+unimplemented callbacks are simply skipped).
 
 Listener surface (all optional)::
 
@@ -25,11 +29,16 @@ Listener surface (all optional)::
     on_recovery_phase(pid, phase)        # recovery entered "loading" /
                                          # "collecting" / "replaying" /
                                          # "aborted" / "done"
+    on_mem_event(event)                  # one acquire/read/write/release
+                                         # (repro.verify.events.MemEvent)
+    on_process_created(process)          # a process joined the cluster
+                                         # (initial, or a recovery host)
+    on_recovery_complete(pid)            # a recovery finished (any scheme)
 """
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import TYPE_CHECKING, Any, Callable, List
 
 #: Every callback a listener may implement, in one place so registration
 #: and dispatch cannot drift apart.
@@ -43,18 +52,26 @@ CALLBACK_NAMES = (
     "on_gc_dummy_drop",
     "on_gc_dep_drop",
     "on_recovery_phase",
+    "on_mem_event",
+    "on_process_created",
+    "on_recovery_complete",
 )
 
 
 class Observers:
     """Registry and fan-out dispatcher for protocol observation callbacks.
 
+    The dispatch surface mirrors the listener surface: one ``on_*``
+    method per entry of :data:`CALLBACK_NAMES`, generated below.
     Dispatch cost is one list scan per event over only the listeners
     that implement that event's callback, so a registry with, say, a
     single GC auditor adds nothing to the log-append hot path.
     """
 
     def __init__(self, *listeners: Any) -> None:
+        #: True while at least one listener is registered: the one test
+        #: a call site makes before building a notification.
+        self.active = False
         self._listeners: List[Any] = []
         self._targets: dict[str, List[Any]] = {
             name: [] for name in CALLBACK_NAMES
@@ -62,14 +79,12 @@ class Observers:
         for listener in listeners:
             self.register(listener)
 
-    # ------------------------------------------------------------------
-    # registration
-    # ------------------------------------------------------------------
     def register(self, listener: Any) -> Any:
         """Add ``listener``; returns it for chaining.  Idempotent."""
         if any(existing is listener for existing in self._listeners):
             return listener
         self._listeners.append(listener)
+        self.active = True
         for name in CALLBACK_NAMES:
             method = getattr(listener, name, None)
             if callable(method):
@@ -78,6 +93,7 @@ class Observers:
 
     def unregister(self, listener: Any) -> None:
         self._listeners = [l for l in self._listeners if l is not listener]
+        self.active = bool(self._listeners)
         for name in CALLBACK_NAMES:
             self._targets[name] = [
                 m for m in self._targets[name]
@@ -91,58 +107,18 @@ class Observers:
     def __len__(self) -> int:
         return len(self._listeners)
 
-    # ------------------------------------------------------------------
-    # wiring
-    # ------------------------------------------------------------------
-    def attach_to(self, process: Any) -> None:
-        """Bind ``process``'s protocol to this registry.
+    if TYPE_CHECKING:  # the generated on_* dispatchers, for type checkers
+        def __getattr__(self, name: str) -> Callable[..., None]: ...
 
-        Safe on any process-like object: every
-        :class:`~repro.baselines.base.FaultToleranceProtocol` accepts
-        the registry via ``bind_observers``, and schemes wire whatever
-        stores they own (baselines have none).  Idempotent --
-        re-attaching replaces the previous binding.
-        """
-        protocol = getattr(process, "checkpoint_protocol", None)
-        if protocol is None:
-            return
-        protocol.bind_observers(self)
 
-    # ------------------------------------------------------------------
-    # dispatch surface (mirrors the listener surface, pid-aware)
-    # ------------------------------------------------------------------
-    def on_log_append(self, pid: int, entry: Any) -> None:
-        for method in self._targets["on_log_append"]:
-            method(pid, entry)
+def _dispatcher(name: str) -> Callable[..., None]:
+    def dispatch(self: Observers, *args: Any) -> None:
+        # Fail-loud by design: a listener that raises stops the run.
+        for method in self._targets[name]:
+            method(*args)
 
-    def on_log_remove(self, pid: int, entry: Any) -> None:
-        for method in self._targets["on_log_remove"]:
-            method(pid, entry)
+    return dispatch
 
-    def on_restore(self, pid: int) -> None:
-        for method in self._targets["on_restore"]:
-            method(pid)
 
-    def on_dummy_created(self, pid: int, dummy: Any) -> None:
-        for method in self._targets["on_dummy_created"]:
-            method(pid, dummy)
-
-    def on_ckp_set(self, ckp_set: Any) -> None:
-        for method in self._targets["on_ckp_set"]:
-            method(ckp_set)
-
-    def on_gc_pair_drop(self, entry: Any, pair: Any, ckp_set: Any) -> None:
-        for method in self._targets["on_gc_pair_drop"]:
-            method(entry, pair, ckp_set)
-
-    def on_gc_dummy_drop(self, dummy: Any, ckp_set: Any) -> None:
-        for method in self._targets["on_gc_dummy_drop"]:
-            method(dummy, ckp_set)
-
-    def on_gc_dep_drop(self, tid: Any, dep: Any, ckp_set: Any) -> None:
-        for method in self._targets["on_gc_dep_drop"]:
-            method(tid, dep, ckp_set)
-
-    def on_recovery_phase(self, pid: int, phase: str) -> None:
-        for method in self._targets["on_recovery_phase"]:
-            method(pid, phase)
+for _name in CALLBACK_NAMES:
+    setattr(Observers, _name, _dispatcher(_name))

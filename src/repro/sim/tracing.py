@@ -1,10 +1,12 @@
 """Structured trace log.
 
-Traces are the simulator's observability surface: every protocol layer
-appends :class:`TraceRecord` rows and tests/experiments filter them.  The
-log can be bounded for very long runs; the bound is a true ring
-(drop-oldest, one record at a time) so the retained window is always the
-most recent ``max_records`` rows.
+Traces are for people: every protocol layer appends :class:`TraceRecord`
+rows, and timelines, violation slices and tests filter them.  Nothing in
+the program consumes a row's ``fields`` -- code that needs an event
+subscribes to :mod:`repro.observers` instead -- which is why the log may
+be bounded for very long runs; the bound is a true ring (drop-oldest,
+one record at a time) so the retained window is always the most recent
+``max_records`` rows.
 
 **Trace-free fast mode.**  Most production-sized runs trace nothing: the
 log is disabled and every ``emit`` early-outs.  The early-out itself is
@@ -34,7 +36,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 
 class _TraceGate:
@@ -118,9 +120,6 @@ class TraceLog:
         self._categories = categories
         self._records: deque[TraceRecord] = deque(maxlen=max_records)
         self._dropped = 0
-        #: Optional sink invoked on every accepted record (e.g. print, or
-        #: the inline verifier's event feed).
-        self.sink: Optional[Callable[[TraceRecord], None]] = None
 
     @contextmanager
     def feeding(self) -> Iterator[None]:
@@ -152,8 +151,6 @@ class TraceLog:
             # deque(maxlen=...) evicts the oldest on append; count it.
             self._dropped += 1
         self._records.append(record)
-        if self.sink is not None:
-            self.sink(record)
 
     @property
     def records(self) -> list[TraceRecord]:

@@ -4,8 +4,8 @@ Two independent passes over a run, surfaced by the ``repro check`` CLI
 command and attachable inline to any simulation:
 
 * :mod:`repro.verify.races` -- entry-consistency race detector over the
-  "mem" trace stream (vector-clock happens-before with an Eraser-style
-  lockset fast path);
+  typed memory-event stream (vector-clock happens-before with an
+  Eraser-style lockset fast path);
 * :mod:`repro.verify.invariants` -- online protocol invariant checker
   hooked into the log, GC and recovery layers.
 
@@ -18,7 +18,7 @@ two passes into an
 
 from __future__ import annotations
 
-from repro.verify.events import MemEvent, events_from_trace
+from repro.verify.events import MemEvent, publish_mem_event
 from repro.verify.inline import CheckReport, InlineVerifier, attach
 from repro.verify.invariants import InvariantChecker
 from repro.verify.races import RaceDetector, RaceFinding
@@ -31,5 +31,5 @@ __all__ = [
     "RaceDetector",
     "RaceFinding",
     "attach",
-    "events_from_trace",
+    "publish_mem_event",
 ]

@@ -1,19 +1,20 @@
-"""Memory-event model: the race detector's input alphabet.
+"""Memory-event model: the checkers' input alphabet.
 
-The coherence engine emits one ``"mem"`` trace record per memory /
-synchronization event (see ``CoherenceEngine.emit_mem_event``).  Each
-record carries both the accessed object id and the id of the guarding
-sync object, so consumers never re-derive the object-to-guard
-association.  This module converts those records into typed
-:class:`MemEvent` values.
+The coherence engine builds one typed :class:`MemEvent` per memory /
+synchronization event (see ``ConsistencyModel.emit_mem_event``) and
+hands it to :func:`publish_mem_event`, the one place that knows both
+where an event goes -- the run's :class:`~repro.observers.Observers`
+registry, as ``on_mem_event`` -- and what its human-readable ``"mem"``
+trace row looks like.  Each event carries both the accessed object id
+and the id of the guarding sync object, so consumers never re-derive
+the object-to-guard association.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Any, Optional
 
-from repro.sim.tracing import TraceRecord
 from repro.types import ObjectId, Tid
 
 #: The event kinds the coherence engine emits.
@@ -66,30 +67,21 @@ class MemEvent:
         return (f"t={self.time:.3f} {self.kind} {self.obj_id}(v{self.version}) "
                 f"{self.mode} by {self.tid}@{self.lt}{suffix}")
 
-    @classmethod
-    def from_record(cls, record: TraceRecord) -> Optional["MemEvent"]:
-        """Build an event from a trace record; None for non-"mem" rows."""
-        if record.category != "mem":
-            return None
-        fields = record.fields
-        return cls(
-            kind=str(fields["kind"]),
-            time=record.time,
-            pid=int(fields["pid"]),
-            tid=fields["tid"],
-            lt=int(fields["lt"]),
-            obj_id=fields["obj"],
-            sync_id=fields["sync"],
-            mode=str(fields["mode"]),
-            local=bool(fields.get("local", False)),
-            replayed=bool(fields.get("replayed", False)),
-            version=int(fields.get("version", 0)),
+
+def publish_mem_event(event: MemEvent, observers: Any,
+                      trace: Optional[Any] = None) -> None:
+    """Render ``event``'s ``"mem"`` row into ``trace`` (a
+    :class:`~repro.sim.tracing.TraceLog`; ``None`` skips the row) and
+    deliver the event to the registry's listeners.  The row is for
+    people; checkers subscribe."""
+    if trace is not None:
+        trace.emit(
+            event.time, "mem",
+            f"{event.kind} {event.obj_id} {event.mode} {event.tid}@{event.lt}",
+            kind=event.kind, pid=event.pid, tid=event.tid, lt=event.lt,
+            obj=event.obj_id, sync=event.sync_id, mode=event.mode,
+            version=event.version, local=event.local,
+            replayed=event.replayed,
         )
-
-
-def events_from_trace(records: Iterable[TraceRecord]) -> Iterator[MemEvent]:
-    """Yield the memory events embedded in a trace record stream."""
-    for record in records:
-        event = MemEvent.from_record(record)
-        if event is not None:
-            yield event
+    if observers.active:
+        observers.on_mem_event(event)

@@ -1,21 +1,26 @@
 """Inline verification: attach the checkers to a live simulation.
 
-``attach(system)`` (or ``ClusterConfig(check=True)``) wires an
-:class:`InlineVerifier` into a :class:`~repro.cluster.system.DisomSystem`
-before it runs:
+``attach(system)`` (or ``ClusterConfig(check=True)``) registers an
+:class:`InlineVerifier` and its
+:class:`~repro.verify.invariants.InvariantChecker` on the system's
+:class:`~repro.observers.Observers` registry before it runs.  The
+verifier is an ordinary listener -- everything it learns arrives as an
+event:
 
-* the trace log is enabled and its sink feeds every ``"mem"`` record to
-  the :class:`~repro.verify.races.RaceDetector` as it is emitted;
-* every process's log and checkpoint protocol get the
-  :class:`~repro.verify.invariants.InvariantChecker` as observer
-  (including processes created later to host recoveries);
-* recovery completions trigger the shadow-equivalence check, and the
-  first network-drain afterwards triggers the read-copy coherence
+* ``on_mem_event`` feeds every memory event to the
+  :class:`~repro.verify.races.RaceDetector` as it happens (the checker
+  takes the same events for its dummy-coverage rule); the trace log is
+  enabled too, but only so violations carry a readable slice;
+* log, GC, dummy and CkpSet notifications go to the checker, from every
+  process including those created later to host recoveries
+  (``on_process_created``);
+* ``on_recovery_complete`` triggers the shadow-equivalence check, and
+  the first network-drain afterwards triggers the read-copy coherence
   sweep;
-* at result-building time :meth:`InlineVerifier.finalize` runs the
-  dummy-coverage pass and produces a :class:`CheckReport`, which lands
-  in ``RunResult.check_report`` (with its violations merged into
-  ``RunResult.invariant_violations``).
+* at result-building time :meth:`InlineVerifier.finalize` reports the
+  local acquires no dummy ever covered and produces a
+  :class:`CheckReport`, which lands in ``RunResult.check_report`` (with
+  its violations merged into ``RunResult.invariant_violations``).
 
 The wall-clock overhead of the verifier is measured with
 ``time.perf_counter`` and reported -- it feeds the report only, never
@@ -29,8 +34,8 @@ from dataclasses import dataclass, field
 from typing import Any, List, Optional, Set
 
 from repro.errors import InvariantViolation
-from repro.sim.tracing import TraceRecord
 from repro.types import ProcessId
+from repro.verify.events import MemEvent
 from repro.verify.invariants import InvariantChecker
 from repro.verify.races import RaceDetector, RaceFinding
 
@@ -44,9 +49,6 @@ class CheckReport:
     events_checked: int = 0
     #: Host-clock seconds spent inside the verifier (reporting only).
     overhead_seconds: float = 0.0
-    #: Trace records evicted by the ring bound (coverage caveat: the
-    #: dummy-coverage pass only sees the retained window).
-    trace_dropped: int = 0
 
     @property
     def ok(self) -> bool:
@@ -85,7 +87,6 @@ class CheckReport:
             merged.violations.extend(report.violations)
             merged.events_checked += report.events_checked
             merged.overhead_seconds += report.overhead_seconds
-            merged.trace_dropped += report.trace_dropped
         return merged
 
 
@@ -104,49 +105,37 @@ class InlineVerifier:
         #: baselines create no dummies, so only these are subject to
         #: the dummy-coverage pass.
         self._dummy_pids: Set[ProcessId] = set()
-        self._prior_sink = trace.sink
-        trace.sink = self._on_record
         system.verifier = self
-        # The checker rides the system's unified observer registry (see
-        # repro.observers), which attach_process binds to each protocol.
-        self._observers = system.observers
-        self._observers.register(self.checker)
         for pid in sorted(system.processes):
-            self.attach_process(system.processes[pid])
+            self.on_process_created(system.processes[pid])
+        system.observers.register(self.checker)
+        system.observers.register(self)
         system.network.drained_hooks.append(self._on_drained)
 
     # ------------------------------------------------------------------
-    # wiring
+    # event feed (Observers listener surface)
     # ------------------------------------------------------------------
-    def attach_process(self, process: Any) -> None:
-        """Hook one process's protocol; called again for recovery hosts."""
+    def on_process_created(self, process: Any) -> None:
+        """A process joined the cluster; again for each recovery host."""
         # A fresh incarnation starts its log from scratch (object
         # declaration re-appends V0 entries before the checkpoint is
         # restored), so the monotonicity history of the dead one no
         # longer applies.
         self.checker.on_restore(process.pid)
-        protocol = process.checkpoint_protocol
-        self._observers.attach_to(process)
-        if protocol.emits_dummies:
+        if process.checkpoint_protocol.emits_dummies:
             self._dummy_pids.add(process.pid)
 
-    # ------------------------------------------------------------------
-    # event feed
-    # ------------------------------------------------------------------
-    def _on_record(self, record: TraceRecord) -> None:
+    def on_mem_event(self, event: MemEvent) -> None:
         started = time.perf_counter()
         try:
-            if record.category == "mem":
-                self.races.feed_record(record)
+            self.races.feed(event)
         finally:
             self.overhead_seconds += time.perf_counter() - started
-        if self._prior_sink is not None:
-            self._prior_sink(record)
 
     # ------------------------------------------------------------------
     # recovery checks
     # ------------------------------------------------------------------
-    def note_recovery_complete(self, pid: ProcessId) -> None:
+    def on_recovery_complete(self, pid: ProcessId) -> None:
         started = time.perf_counter()
         try:
             self.checker.check_recovery_shadow(self.system, pid)
@@ -179,8 +168,7 @@ class InlineVerifier:
     def finalize(self) -> CheckReport:
         started = time.perf_counter()
         try:
-            self.checker.check_dummy_coverage(self.system.kernel.trace,
-                                              pids=self._dummy_pids)
+            self.checker.check_dummy_coverage(pids=self._dummy_pids)
         finally:
             self.overhead_seconds += time.perf_counter() - started
         return CheckReport(
@@ -188,7 +176,6 @@ class InlineVerifier:
             violations=list(self.checker.violations),
             events_checked=self.races.events_seen,
             overhead_seconds=self.overhead_seconds,
-            trace_dropped=self.system.kernel.trace.dropped,
         )
 
 

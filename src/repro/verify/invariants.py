@@ -2,8 +2,8 @@
 
 An :class:`InvariantChecker` instance registers on the cluster's
 unified :class:`~repro.observers.Observers` registry (which every
-protocol binds via ``bind_observers``) and validates, while the
-simulation runs:
+process, protocol and log is constructed with) and validates, while
+the simulation runs:
 
 * **log-version-monotonic** -- versions appended to a process's log for
   one object strictly increase (reset per process on checkpoint
@@ -13,9 +13,11 @@ simulation runs:
   justified the drop (acquire strictly before the checkpointing
   process's floor), and the CkpSet itself never claims floors beyond
   what its process announced (**gc-forged-ckpset**);
-* **dummy-coverage** -- every local acquire observed in the trace has a
-  matching dummy entry recorded by the protocol (local acquires leave
-  no other trace off-node, so a missing dummy is unrecoverable);
+* **dummy-coverage** -- every local acquire published as a memory
+  event has a matching dummy entry recorded by the protocol (local
+  acquires leave no other trace off-node, so a missing dummy is
+  unrecoverable); the rule sees every event as it happens, so it does
+  not depend on how much of the trace ring survives;
 * **recovery-equivalence** -- at the instant a recovery completes, the
   recovered process's owned objects are at versions no newer than the
   crashed incarnation's (the shadow oracle), and once the network
@@ -40,6 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.checkpoint.log import LogEntry, ThreadSetPair
     from repro.checkpoint.policy import CkpSet
     from repro.types import Dependency
+    from repro.verify.events import MemEvent
 
 #: Trace rows attached to a violation for post-mortem diagnosis.
 SLICE_LEN = 16
@@ -61,8 +64,9 @@ class InvariantChecker:
         self._validated_ckp_sets: Set[Tuple[ProcessId, int, Any]] = set()
         #: Execution points of every dummy entry ever created.
         self._dummy_eps: Set[ExecutionPoint] = set()
-        #: Dummy-coverage gaps already reported (finalize may run twice).
-        self._reported_gaps: Set[ExecutionPoint] = set()
+        #: Non-replayed local acquires no dummy entry has covered yet,
+        #: in first-seen order.
+        self._uncovered: Dict[ExecutionPoint, "MemEvent"] = {}
 
     # ------------------------------------------------------------------
     # reporting
@@ -77,7 +81,7 @@ class InvariantChecker:
         self.violations.append(violation)
 
     # ------------------------------------------------------------------
-    # ProcessLog notifications (pid-stamped by ProcessLog.bind)
+    # ProcessLog notifications (stamped with the owning process's pid)
     # ------------------------------------------------------------------
     def on_log_append(self, pid: ProcessId, entry: "LogEntry") -> None:
         key = (pid, entry.obj_id)
@@ -107,6 +111,20 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     def on_dummy_created(self, pid: ProcessId, dummy: "DummyEntry") -> None:
         self._dummy_eps.add(dummy.ep_acq)
+        self._uncovered.pop(dummy.ep_acq, None)
+
+    def on_mem_event(self, event: "MemEvent") -> None:
+        """Note a local acquire that still needs its dummy entry.
+
+        Replayed local acquires are exempt: their dummies were recorded
+        by the pre-crash execution, or -- on a cold restart -- come from
+        the checkpoint image itself.
+        """
+        if event.kind != "acquire" or not event.local or event.replayed:
+            return
+        point = ExecutionPoint(event.tid, event.lt)
+        if point not in self._dummy_eps:
+            self._uncovered.setdefault(point, event)
 
     def on_ckp_set(self, ckp_set: "CkpSet") -> None:
         """Record an announced CkpSet; floors only ever grow."""
@@ -248,30 +266,20 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     # finalization
     # ------------------------------------------------------------------
-    def check_dummy_coverage(self, trace: TraceLog,
+    def check_dummy_coverage(self,
                              pids: Optional[Set[ProcessId]] = None) -> None:
         """Every (non-replayed) local acquire must have a dummy entry.
 
-        Replayed local acquires are exempt: their dummies were recorded
-        by the pre-crash execution, or -- on a cold restart -- come from
-        the checkpoint image itself.  ``pids`` restricts the pass to
-        processes actually running the DiSOM protocol (baselines create
-        no dummies by design).
+        ``pids`` restricts the pass to processes actually running the
+        DiSOM protocol (baselines create no dummies by design).  Each
+        gap is reported once, however often the pass runs.
         """
-        for record in trace.filter("mem"):
-            fields = record.fields
-            if fields.get("kind") != "acquire" or not fields.get("local"):
+        for point, event in list(self._uncovered.items()):
+            if pids is not None and event.pid not in pids:
                 continue
-            if fields.get("replayed"):
-                continue
-            if pids is not None and fields.get("pid") not in pids:
-                continue
-            point = ExecutionPoint(fields["tid"], fields["lt"])
-            if point in self._dummy_eps or point in self._reported_gaps:
-                continue
-            self._reported_gaps.add(point)
+            del self._uncovered[point]
             self._report(
                 "dummy-coverage",
-                f"local acquire {point} of {fields['obj']} has no dummy "
+                f"local acquire {point} of {event.obj_id} has no dummy "
                 f"entry: it would be unrecoverable after a crash",
             )

@@ -3,9 +3,9 @@
 Entry consistency is a contract (paper section 3.1): every access to a
 shared object must be bracketed by acquire/release on the object's
 guarding synchronization object -- reads under read or write mode,
-writes under write mode (CREW).  The detector consumes the ``"mem"``
-event stream and flags pairs of conflicting accesses that the contract
-does not order:
+writes under write mode (CREW).  The detector consumes the typed
+:class:`~repro.verify.events.MemEvent` stream and flags pairs of
+conflicting accesses that the contract does not order:
 
 * a *lockset fast path* (Eraser-style pre-filter): two accesses both
   made while properly holding the guard are serialized by the guard's
@@ -25,9 +25,8 @@ replays the same accesses deterministically and must not self-race.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.sim.tracing import TraceRecord
 from repro.types import ObjectId, Tid
 from repro.verify.events import MemEvent
 
@@ -120,16 +119,9 @@ class RaceDetector:
         elif event.kind == "write":
             self._on_write(event)
 
-    def feed_record(self, record: TraceRecord) -> None:
-        event = MemEvent.from_record(record)
-        if event is not None:
-            self.feed(event)
-
-    def scan(self, records: Iterable[TraceRecord]) -> List[RaceFinding]:
-        """Feed a whole record stream and return the accumulated races."""
-        for record in records:
-            self.feed_record(record)
-        return self.races
+    #: As a listener on an :class:`~repro.observers.Observers` registry
+    #: the detector consumes each event as it is published.
+    on_mem_event = feed
 
     # ------------------------------------------------------------------
     # synchronization events
@@ -209,7 +201,3 @@ class RaceDetector:
             reason=reason,
         ))
 
-
-def detect_races(records: Iterable[TraceRecord]) -> List[RaceFinding]:
-    """One-shot scan of a trace record stream."""
-    return RaceDetector().scan(records)

@@ -3,7 +3,7 @@
 One registry, :data:`SEEDED_FAULTS`, maps each kind to a callable that
 builds a small, self-contained input containing exactly one planted
 defect, runs the relevant pass over it and returns the detections --
-trace-level scenarios for the runtime checkers (race detector,
+event-level scenarios for the runtime checkers (race detector,
 invariant checker, the fuzzer's oracle), in-memory source snippets for
 the static analyzers.  They serve two masters: the test suite asserts
 each fault is detected, and ``repro check --seed-fault <kind>``
@@ -22,21 +22,21 @@ from typing import Any, Callable, Dict, List, Sequence
 from repro.analysis.findings import Finding, load_source_table
 from repro.analysis.runner import ANALYZERS
 from repro.errors import InvariantViolation
+from repro.observers import Observers
 from repro.sim.tracing import TraceLog
 from repro.types import ExecutionPoint, Tid
+from repro.verify.events import MemEvent, publish_mem_event
 from repro.verify.invariants import InvariantChecker
 from repro.verify.races import RaceDetector, RaceFinding
 
 
-def _mem(trace: TraceLog, when: float, kind: str, tid: Tid, lt: int,
-         obj: str, mode: str, **extra: object) -> None:
-    fields: Dict[str, object] = {
-        "kind": kind, "pid": tid.pid, "tid": tid, "lt": lt,
-        "obj": obj, "sync": obj, "mode": mode, "version": 1,
-        "local": False, "replayed": False,
-    }
-    fields.update(extra)
-    trace.emit(when, "mem", f"{kind} {obj} {mode} {tid}@{lt}", **fields)
+def _mem(observers: Observers, trace: TraceLog, when: float, kind: str,
+         tid: Tid, lt: int, obj: str, mode: str, **extra: Any) -> None:
+    """One hand-made memory event, through the engine's own publisher."""
+    fields: Dict[str, Any] = {"sync_id": obj, "version": 1, **extra}
+    publish_mem_event(
+        MemEvent(kind, when, tid.pid, tid, lt, obj, mode=mode, **fields),
+        observers, trace)
 
 
 def seeded_race() -> List[RaceFinding]:
@@ -46,16 +46,16 @@ def seeded_race() -> List[RaceFinding]:
     writes ``x`` without ever acquiring its guard, so no happens-before
     edge orders the two writes.
     """
-    trace = TraceLog(enabled=True)
-    writer, rogue = Tid(0, 0), Tid(1, 0)
-    _mem(trace, 1.0, "acquire", writer, 1, "x", "W")
-    _mem(trace, 2.0, "write", writer, 1, "x", "W")
-    _mem(trace, 3.0, "release", writer, 1, "x", "W")
-    # The rogue thread skips the acquire entirely (a broken program
-    # would look exactly like this in the trace).
-    _mem(trace, 4.0, "write", rogue, 1, "x", "W")
     detector = RaceDetector()
-    return detector.scan(trace.iter_records())
+    observers, trace = Observers(detector), TraceLog(enabled=True)
+    writer, rogue = Tid(0, 0), Tid(1, 0)
+    _mem(observers, trace, 1.0, "acquire", writer, 1, "x", "W")
+    _mem(observers, trace, 2.0, "write", writer, 1, "x", "W")
+    _mem(observers, trace, 3.0, "release", writer, 1, "x", "W")
+    # The rogue thread skips the acquire entirely (a broken program
+    # would produce exactly this event stream).
+    _mem(observers, trace, 4.0, "write", rogue, 1, "x", "W")
+    return detector.races
 
 
 def seeded_gc_unsafe() -> List[InvariantViolation]:
@@ -70,6 +70,9 @@ def seeded_gc_unsafe() -> List[InvariantViolation]:
     from repro.checkpoint.log import LogEntry, ProcessLog
     from repro.checkpoint.policy import CkpSet
 
+    trace = TraceLog(enabled=True)
+    checker = InvariantChecker(trace=trace, strict=False)
+    observers = Observers(checker)
     log = ProcessLog()
     producer = Tid(0, 0)
     entry = LogEntry(obj_id="x", version=1, obj_data=0, tid_prd=producer,
@@ -78,41 +81,38 @@ def seeded_gc_unsafe() -> List[InvariantViolation]:
                      ExecutionPoint(producer, 3))
     log.append(entry)
 
-    trace = TraceLog(enabled=True)
-    _mem(trace, 1.0, "release", producer, 3, "x", "W")
-    _mem(trace, 2.0, "acquire", Tid(1, 0), 9, "x", "R")
+    _mem(observers, trace, 1.0, "release", producer, 3, "x", "W")
+    _mem(observers, trace, 2.0, "acquire", Tid(1, 0), 9, "x", "R")
     trace.emit(3.0, "gc", "P1 announces CkpSet floor <t1.0@5>")
     trace.emit(4.0, "gc", "GC driven by forged CkpSet floor <t1.0@100>")
-    checker = InvariantChecker(trace=trace, strict=False)
-    checker.on_ckp_set(CkpSet(pid=1, seq=1,
-                              points=(ExecutionPoint(Tid(1, 0), 5),)))
+    observers.on_ckp_set(CkpSet(pid=1, seq=1,
+                                points=(ExecutionPoint(Tid(1, 0), 5),)))
     forged = CkpSet(pid=1, seq=2, points=(ExecutionPoint(Tid(1, 0), 100),))
-    from repro.observers import Observers
-
-    gc_thread_sets(log, forged, observers=Observers(checker))
+    gc_thread_sets(log, forged, observers=observers)
     return checker.violations
 
 
 def seeded_dummy_chain() -> List[InvariantViolation]:
     """A local acquire whose dummy entry was never created.
 
-    The trace shows two local acquires; the protocol observer only ever
-    reported a dummy for the first, so the second would be
-    unrecoverable after a crash.
+    Two local acquires are published; the protocol only ever reported
+    a dummy for the first, so the second would be unrecoverable after
+    a crash.
     """
     from repro.checkpoint.dummy import DummyEntry
     from repro.types import AcquireType
 
     trace = TraceLog(enabled=True)
-    thread = Tid(2, 0)
-    _mem(trace, 1.0, "acquire", thread, 4, "y", "R", local=True)
-    _mem(trace, 2.0, "acquire", thread, 5, "y", "R", local=True)
     checker = InvariantChecker(trace=trace, strict=False)
-    checker.on_dummy_created(2, DummyEntry(
+    observers = Observers(checker)
+    thread = Tid(2, 0)
+    _mem(observers, trace, 1.0, "acquire", thread, 4, "y", "R", local=True)
+    _mem(observers, trace, 2.0, "acquire", thread, 5, "y", "R", local=True)
+    observers.on_dummy_created(2, DummyEntry(
         obj_id="y", ep_acq=ExecutionPoint(thread, 4),
         local_dep=None, type=AcquireType.READ,
     ))
-    checker.check_dummy_coverage(trace)
+    checker.check_dummy_coverage()
     return checker.violations
 
 

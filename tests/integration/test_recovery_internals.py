@@ -144,10 +144,10 @@ class TestRecoveredState:
 
     def test_recovery_metrics_recorded(self):
         system, result = self._crashed_run()
-        metrics = system.processes[1].metrics
-        assert metrics.recovery_started_at is not None
-        assert metrics.recovery_finished_at is not None
-        assert metrics.recovery_duration > 0
+        (record,) = result.recoveries
+        assert record.pid == 1
+        assert record.crashed_at <= record.detected_at < record.finished_at
+        assert record.duration > 0
 
 
 class TestHomeProcessRecovery:

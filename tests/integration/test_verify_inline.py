@@ -9,6 +9,7 @@ false positive -- both reportable), and the planted faults from
 import pytest
 
 from tests.conftest import make_system
+from repro import CheckpointPolicy, ClusterConfig, DisomSystem
 from repro.verify import attach
 from repro.verify.seeded import FAULT_KINDS, run_seeded_fault
 from repro.workloads import ALL_WORKLOADS
@@ -83,6 +84,34 @@ class TestReportPlumbing:
         result = system.run()
         assert result.check_report is not None
         assert result.check_report.ok
+
+
+class TestCoverageDoesNotDependOnTheTraceRing:
+    @pytest.mark.parametrize("ring", (200_000, 256))
+    def test_swallowed_dummy_is_reported_whatever_the_ring_holds(self, ring):
+        """The first dummy entry never reaches the checker.  With a
+        256-row ring the acquire's own "mem" row is long evicted by the
+        end of the run; the rule must flag the gap all the same."""
+        system = DisomSystem(
+            ClusterConfig(processes=4, seed=7, check=True,
+                          trace_max_records=ring),
+            CheckpointPolicy(interval=50.0))
+        ALL_WORKLOADS["synthetic"]().setup(system)
+        deliver, swallowed = system.observers.on_dummy_created, []
+
+        def swallow_first(pid, dummy):
+            if swallowed:
+                deliver(pid, dummy)
+            else:
+                swallowed.append(dummy)
+
+        system.observers.on_dummy_created = swallow_first
+        result = system.run()
+        assert (ring == 256) == bool(system.kernel.trace.dropped)
+        assert [v.rule for v in result.check_report.violations] == [
+            "dummy-coverage"]
+        assert str(swallowed[0].ep_acq) in str(
+            result.check_report.violations[0])
 
 
 class TestSeededFaultsAreFlagged:

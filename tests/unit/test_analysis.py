@@ -1,22 +1,29 @@
 """Unit tests for metrics aggregation and table rendering."""
 
+from dataclasses import fields
+
 from repro.analysis.metrics import ProcessMetrics, SystemMetrics
 from repro.analysis.report import Table, format_table
+from repro.cluster.system import RecoveryRecord
 
 
 class TestProcessMetrics:
     def test_recovery_duration(self):
-        metrics = ProcessMetrics()
-        assert metrics.recovery_duration is None
-        metrics.recovery_started_at = 10.0
-        metrics.recovery_finished_at = 35.0
-        assert metrics.recovery_duration == 25.0
+        # Recovery timing is recorded once, on RunResult.recoveries.
+        record = RecoveryRecord(pid=1, crashed_at=8.0, detected_at=10.0)
+        assert record.duration is None
+        record.finished_at = 35.0
+        assert record.duration == 25.0
 
     def test_as_dict_contains_all_counters(self):
-        data = ProcessMetrics().as_dict()
-        for key in ("local_acquires", "log_bytes_created", "checkpoints",
-                    "survivor_rollbacks", "replayed_acquires"):
-            assert key in data
+        metrics = ProcessMetrics(local_acquires=3)
+        metrics.checkpoints.record(1.0, 10, "timer")
+        data = metrics.as_dict()
+        assert set(data) == ({f.name for f in fields(ProcessMetrics)}
+                             | {"checkpoint_bytes"})
+        assert data["local_acquires"] == 3
+        assert (data["checkpoints"], data["checkpoint_bytes"]) == (1, 10)
+        assert all(isinstance(value, int) for value in data.values())
 
 
 class TestSystemMetrics:

@@ -105,6 +105,18 @@ class TestScopeAndNesting:
         assert len(findings) == 1
         assert "fan-out loop" in findings[0].message
 
+    def test_nested_def_in_statement_position_is_reported_once(self):
+        # A closure factory (the observers registry's dispatcher): the
+        # finding belongs to the inner function, not to both.
+        findings = _findings(
+            "def factory(name):\n"
+            "    def dispatch(self):\n"
+            "        for method in self.targets[name]:\n"
+            "            method()\n"
+            "    return dispatch\n")
+        assert [f.message.split(":")[0] for f in findings] == [
+            "factory.dispatch"]
+
     def test_handler_body_is_not_protected_by_its_own_try(self):
         findings = _findings(
             "class Pool:\n"

@@ -1,17 +1,23 @@
 """Unit tests for the public facade (:mod:`repro.api`) and the unified
 :class:`repro.observers.Observers` registry."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 import repro
 from repro import CheckpointPolicy, ClusterConfig, DisomSystem, Observers
 from repro.api import (
     attach_checkers,
+    build_workload,
     open_store,
     run_experiment,
     run_workload,
 )
 from repro.errors import ConfigError
+from repro.fuzz.coverage import CoverageProbe
+from repro.observers import CALLBACK_NAMES
 from repro.workloads import SyntheticWorkload
 
 
@@ -118,7 +124,7 @@ class TestAttachCheckers:
 
 
 class _Recorder:
-    """Partial listener: implements only two of the eight callbacks."""
+    """Partial listener: implements only two of the callbacks."""
 
     def __init__(self):
         self.appends = []
@@ -154,21 +160,45 @@ class TestObservers:
         observers.on_restore(0)
         observers.on_gc_dummy_drop("dummy", "ckp")
 
-    def test_attach_to_binds_protocol_and_log(self):
-        system = DisomSystem(
-            ClusterConfig(processes=2, seed=1),
-            CheckpointPolicy(interval=30.0),
-        )
-        system.add_object("x", initial=0, home=0)
-        recorder = _Recorder()
-        observers = Observers(recorder)
-        process = system.processes[0]
-        observers.attach_to(process)
-        protocol = process.checkpoint_protocol
-        assert protocol.observers is observers
-        # The protocol's ProcessLog now reports pid-stamped appends.
-        system.add_object("y", initial=0, home=0)
-        assert recorder.appends and recorder.appends[-1][0] == 0
+    def test_recovery_host_is_observed_without_reattachment(self):
+        """The host created mid-run to recover P1 is built with the
+        registry like every other process: nobody re-attaches anything."""
+
+        class _Hosts(_Recorder):
+            def __init__(self):
+                super().__init__()
+                self.created = []
+
+            def on_process_created(self, process):
+                self.created.append(process)
+
+        recorder = _Hosts()
+        system = build_workload("synthetic", processes=4, seed=7,
+                                crashes=[(1, 40.0)])
+        system.observers.register(recorder)
+        before = system.processes[1]
+        assert system.run().completed
+        host = system.processes[1]
+        assert recorder.created == [host] and host is not before
+        assert host.checkpoint_protocol.observers is system.observers
+        assert any(entry in list(host.checkpoint_protocol.log)
+                   for pid, entry in recorder.appends if pid == 1)
+
+    def test_late_registration_sees_what_config_registration_sees(self):
+        """One wiring path: a probe registered on ``system.observers``
+        after the cluster is built receives the same events as one
+        passed through the config (everything from ``run()`` on; only
+        the V0 appends of workload setup predate it)."""
+        via_config, late = CoverageProbe(), CoverageProbe()
+        keywords = dict(processes=4, seed=7, crashes=[(1, 40.0)])
+        build_workload("synthetic", observers=Observers(via_config),
+                       **keywords).run()
+        system = build_workload("synthetic", **keywords)
+        system.observers.register(late)
+        system.run()
+        assert late.features() == via_config.features()
+        assert {"restores:1", "recoveries:1"} <= set(late.features())
+        assert not {"log-appends:0", "ckp-sets:0"} & set(late.features())
 
     def test_wired_through_cluster_config(self):
         recorder = _Recorder()
@@ -185,3 +215,34 @@ class TestObservers:
                                  check=True, observers=Observers(recorder))
         assert result.check_report is not None and result.check_report.ok
         assert recorder.appends
+
+    def test_active_follows_registration(self):
+        observers = Observers()
+        assert not observers.active
+        recorder = observers.register(_Recorder())
+        assert observers.active
+        observers.unregister(recorder)
+        assert not observers.active
+
+
+_SRC = Path(repro.__file__).resolve().parent
+
+
+def _shipped_listeners():
+    from repro.verify.inline import InlineVerifier
+    from repro.verify.invariants import InvariantChecker
+
+    return (InlineVerifier, InvariantChecker, CoverageProbe)
+
+
+@pytest.mark.parametrize("name", CALLBACK_NAMES)
+def test_every_callback_has_a_call_site_and_a_listener(name):
+    """A callback nobody dispatches is dead surface; one nobody
+    implements is an event without a consumer."""
+    dispatch = re.compile(rf"observers\.{name}\(")
+    sites = [path for path in sorted(_SRC.rglob("*.py"))
+             if dispatch.search(path.read_text())]
+    assert sites, f"no call site under src/repro dispatches {name}"
+    assert any(callable(getattr(cls, name, None))
+               for cls in _shipped_listeners()), (
+        f"no shipped listener implements {name}")

@@ -69,13 +69,6 @@ class TestTraceLog:
         # Newest record always retained.
         assert log.records[-1].message == "m24"
 
-    def test_sink_called(self):
-        seen = []
-        log = TraceLog()
-        log.sink = seen.append
-        log.emit(1.0, "c", "m")
-        assert len(seen) == 1
-
     def test_fields_rendered(self):
         log = TraceLog()
         log.emit(1.5, "cat", "msg", n=3)

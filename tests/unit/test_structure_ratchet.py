@@ -48,6 +48,10 @@ MEASURES = {
     "cluster-build-sites": lambda: (
         _matches(SRC, r"DisomSystem\(") - _matches(SRC / "cluster",
                                                    r"DisomSystem\(")),
+    "observation-side-doors": lambda: _matches(
+        SRC, r"\.sink\b|send_hooks|metrics_history|bind_observers"
+             r"|attach_to\(|_wire_observers|from_record|events_from_trace"
+             r"|feed_record|\.bind\(observers"),
 }
 
 

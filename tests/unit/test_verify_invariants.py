@@ -12,6 +12,7 @@ from repro.sim.tracing import TraceLog
 from repro.types import AcquireType, ExecutionPoint, Tid
 from repro.verify.invariants import InvariantChecker
 from repro.verify.seeded import (
+    _mem,
     seeded_dummy_chain,
     seeded_gc_unsafe,
     seeded_race,
@@ -64,8 +65,7 @@ class TestLogMonotonicity:
 
     def test_bound_log_stamps_pid_on_notifications(self):
         checker = InvariantChecker(strict=False)
-        log = ProcessLog()
-        log.bind(Observers(checker), 3)
+        log = ProcessLog(Observers(checker), pid=3)
         log.append(make_entry(version=1))
         log.append(make_entry(version=2, lt=4))
         assert checker._log_heads[(3, "x")] == 2
@@ -121,28 +121,46 @@ class TestDummyCoverage:
         assert [v.rule for v in violations] == ["dummy-coverage"]
         assert violations[0].trace_slice  # pointed trace slice attached
 
-    def test_covered_acquires_pass(self):
-        trace = TraceLog(enabled=True)
-        thread = Tid(2, 0)
-        trace.emit(1.0, "mem", "acquire", kind="acquire", pid=2, tid=thread,
-                   lt=4, obj="y", sync="y", mode="R", local=True,
-                   replayed=False)
-        checker = InvariantChecker(trace=trace, strict=False)
-        checker.on_dummy_created(2, DummyEntry(
-            obj_id="y", ep_acq=ExecutionPoint(thread, 4),
-            local_dep=None, type=AcquireType.READ,
-        ))
-        checker.check_dummy_coverage(trace)
+    @staticmethod
+    def local_acquire(checker, lt, trace=None, **extra):
+        _mem(Observers(checker), trace or TraceLog(enabled=True), float(lt),
+             "acquire", Tid(2, 0), lt, "y", "R", local=True, **extra)
+
+    @pytest.mark.parametrize("dummy_first", [False, True])
+    def test_covered_acquires_pass(self, dummy_first):
+        checker = InvariantChecker(strict=False)
+        dummy = DummyEntry(obj_id="y", ep_acq=ExecutionPoint(Tid(2, 0), 4),
+                           local_dep=None, type=AcquireType.READ)
+        if dummy_first:
+            checker.on_dummy_created(2, dummy)
+        self.local_acquire(checker, 4)
+        if not dummy_first:
+            checker.on_dummy_created(2, dummy)
+        checker.check_dummy_coverage()
+        assert checker.violations == []
+
+    def test_replayed_acquires_are_exempt(self):
+        checker = InvariantChecker(strict=False)
+        self.local_acquire(checker, 4, replayed=True)
+        checker.check_dummy_coverage()
         assert checker.violations == []
 
     def test_pid_filter_skips_baseline_processes(self):
-        trace = TraceLog(enabled=True)
-        trace.emit(1.0, "mem", "acquire", kind="acquire", pid=2, tid=Tid(2, 0),
-                   lt=4, obj="y", sync="y", mode="R", local=True,
-                   replayed=False)
-        checker = InvariantChecker(trace=trace, strict=False)
-        checker.check_dummy_coverage(trace, pids={0, 1})
+        checker = InvariantChecker(strict=False)
+        self.local_acquire(checker, 4)
+        checker.check_dummy_coverage(pids={0, 1})
         assert checker.violations == []
+
+    def test_gap_is_reported_once_and_outlives_the_trace_ring(self):
+        trace = TraceLog(enabled=True, max_records=2)
+        checker = InvariantChecker(trace=trace, strict=False)
+        self.local_acquire(checker, 4, trace=trace)
+        for lt in range(5, 9):  # push the acquire's own row out of the ring
+            trace.emit(float(lt), "proto", "filler")
+        assert trace.dropped
+        checker.check_dummy_coverage()
+        checker.check_dummy_coverage()
+        assert [v.rule for v in checker.violations] == ["dummy-coverage"]
 
 
 class TestStrictMode:
