@@ -36,7 +36,6 @@ from repro.api import (
     build_workload,
     fuzz,
     open_store,
-    run_bench,
     run_experiment,
     run_workload,
     serve,
@@ -131,7 +130,6 @@ __all__ = [
     "make_backend",
     "open_store",
     "program",
-    "run_bench",
     "run_experiment",
     "run_workload",
     "serve",

@@ -30,7 +30,7 @@ from repro.errors import ConfigError
 BASELINE_SCHEMA = "repro-analyze-baseline/v1"
 
 #: Default baseline filename, checked in at the repository root (next to
-#: ``BENCH_perf.json``).
+#: ``BENCHMARK.json``).
 BASELINE_NAME = "ANALYSIS_baseline.json"
 
 _ALLOW_RE = re.compile(r"#\s*analyze:\s*allow\(([a-z0-9_,\s-]+)\)")

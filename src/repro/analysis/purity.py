@@ -87,12 +87,6 @@ PATH_TABLE: Tuple[Tuple[str, str, Optional[str], str], ...] = (
     ("repro/verify/inline.py", TRUSTED, WALL_CLOCK,
      "a listener the core notifies through the observer registry; it "
      "times its own overhead for reports, never control flow"),
-    ("repro/perf/counters.py", HOST_SIDE, WALL_CLOCK,
-     "host calibration and wall timers around completed runs"),
-    ("repro/perf/bench.py", HOST_SIDE, WALL_CLOCK,
-     "times completed simulations; that is its whole job"),
-    ("repro/perf/report.py", HOST_SIDE, WALL_CLOCK,
-     "stamps bench reports with their creation time"),
     ("repro/parallel/engine.py", HOST_SIDE, WALL_CLOCK,
      "task deadlines, liveness sweeps and join timeouts; workers stay a "
      "pure function of their payload"),

@@ -4,27 +4,26 @@ Everything here is re-exported from :mod:`repro`, so user code (and the
 CLI, and the examples) can stay on a handful of verbs without knowing
 the package layout::
 
-    from repro import run_workload, run_experiment, run_bench
+    from repro import run_workload, run_experiment
     from repro import attach_checkers, open_store
     from repro import serve, ScenarioClient
 
     system, result = run_workload("synthetic", processes=8, seed=3)
     system = build_workload("sor", crashes=[(1, 40.0)])   # un-run
     report = run_experiment("E2")
-    bench = run_bench(quick=True)
 
     server = serve(port=0, jobs=2, block=False)    # scenario service
     reply = ScenarioClient(server.base_url).run_workload("sor", seed=3)
 
 Each function is a thin composition over the underlying subsystems --
-:mod:`repro.cluster`, :mod:`repro.experiments`, :mod:`repro.perf`,
-:mod:`repro.verify` and :mod:`repro.storage` -- with uniform spellings
+:mod:`repro.cluster`, :mod:`repro.experiments`, :mod:`repro.verify`
+and :mod:`repro.storage` -- with uniform spellings
 for the knobs the CLI exposes (``seed``, ``check``, ``store_dir``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.checkpoint.policy import CheckpointPolicy
 from repro.cluster.config import ClusterConfig
@@ -85,8 +84,8 @@ def build_workload(
 
     The one place outside :mod:`repro.cluster` where run parameters
     become a :class:`ClusterConfig`, a :class:`CheckpointPolicy` and a
-    protocol factory: the CLI, the scenario server, the fuzzer, the
-    experiment harness and the bench suite all come through here, so
+    protocol factory: the CLI, the scenario server, the fuzzer and the
+    experiment harness all come through here, so
     "the same execution under another scheme" is assembled identically
     whichever door it came in by.  Callers that time or inspect the run
     call ``system.run()`` themselves; :func:`run_workload` does it for
@@ -203,39 +202,6 @@ def run_experiment(
     runner = ALL_EXPERIMENTS[resolve_experiment(experiment)]
     with ExperimentDefaults(check=check, jobs=jobs).active():
         return call_experiment(runner, quick=quick)
-
-
-def run_bench(
-    *,
-    quick: bool = True,
-    seed: int = 7,
-    only: Optional[Sequence[str]] = None,
-    repeats: Optional[int] = None,
-    check: bool = False,
-    store_dir: Optional[str] = None,
-    baseline: Optional[Any] = None,
-    progress: Optional[Any] = None,
-    jobs: int = 1,
-    profile_sink: Optional[Dict[str, str]] = None,
-) -> Any:
-    """Run the perf suite and return a :class:`~repro.perf.BenchReport`.
-
-    ``only`` filters benchmarks by name prefix; ``baseline`` embeds a
-    prior report (a :class:`~repro.perf.BenchReport` or its dict form)
-    so the result carries speedup-vs-baseline columns.  ``jobs`` fans
-    the (benchmark, repeat) cells out over worker processes, with
-    per-worker calibration keeping the normalized numbers comparable.
-    ``profile_sink`` (a dict) runs every benchmark under cProfile and
-    collects per-benchmark hotspot text (see
-    :func:`repro.perf.bench.run_suite`); it forces a serial run.
-    """
-    from repro.perf import make_report, run_suite
-
-    records = run_suite(quick=quick, seed=seed, repeats=repeats, only=only,
-                        store_dir=store_dir, check=check, progress=progress,
-                        jobs=jobs, profile_sink=profile_sink)
-    return make_report(records, mode="quick" if quick else "full", seed=seed,
-                       baseline=baseline)
 
 
 def fuzz(

@@ -75,13 +75,26 @@ class DummyLog:
     def __init__(self, local_pid: ProcessId) -> None:
         self.local_pid = local_pid
         self._entries: list[DummyEntry] = []
+        #: ``(obj_id, ep_acq)`` of every entry in ``_entries``.
+        self._keys: set[tuple[ObjectId, ExecutionPoint]] = set()
         self.stored_total = 0
 
     def store(self, entry: DummyEntry) -> DummyEntry:
-        """Store a shipped entry, stamping our pid into ``Plog``."""
+        """Store a shipped entry, stamping our pid into ``Plog``.
+
+        Idempotent on ``(obj_id, ep_acq)``.  An entry piggybacked to a
+        process that is already recovering reaches it twice: once when
+        the deferred piggyback drains, once when replay re-creates the
+        failed process's dummies from the merged DummySet.  A second
+        copy would later read as two LogList elements at one logical
+        time when this process itself fails.
+        """
         stamped = entry.stored_at(self.local_pid)
-        self._entries.append(stamped)
-        self.stored_total += 1
+        key = (entry.obj_id, entry.ep_acq)
+        if key not in self._keys:
+            self._keys.add(key)
+            self._entries.append(stamped)
+            self.stored_total += 1
         return stamped
 
     def __iter__(self) -> Iterator[DummyEntry]:
@@ -109,6 +122,7 @@ class DummyLog:
             ckpt_lt = ckpt_lts.get(entry.ep_acq.tid)
             if entry.creator_pid == pid and ckpt_lt is not None and entry.ep_acq.lt < ckpt_lt:
                 removed += 1
+                self._keys.discard((entry.obj_id, entry.ep_acq))
             else:
                 survivors.append(entry)
         self._entries = survivors
@@ -122,3 +136,4 @@ class DummyLog:
 
     def restore(self, entries: list[DummyEntry]) -> None:
         self._entries = list(entries)
+        self._keys = {(entry.obj_id, entry.ep_acq) for entry in entries}

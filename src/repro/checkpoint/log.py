@@ -139,7 +139,7 @@ class ProcessLog:
         #: entry's size when it entered/left the log -- threadSet pairs
         #: added later are not re-counted, so this slightly under-reads
         #: a long-lived entry.  ``peak_bytes`` is its high-water mark,
-        #: the quantity the perf reports track as "peak log bytes".
+        #: the benchmark's ``checkpoint.peak_log_bytes``.
         self.live_bytes = 0
         self.peak_bytes = 0
 

@@ -18,9 +18,6 @@
     python -m repro experiments E1 --check        # experiments under checking
     python -m repro experiments E2 --json out.json --seed 11
     python -m repro experiments --jobs 4          # fan out over 4 workers
-    python -m repro bench --quick                 # perf suite -> BENCH_perf.json
-    python -m repro bench --against BENCH_perf.json --tolerance 0.2
-    python -m repro bench --jobs 0                # repeats on every CPU
     python -m repro storage inspect --store-dir /tmp/ckpts
     python -m repro storage verify --store-dir /tmp/ckpts
     python -m repro storage gc --store-dir /tmp/ckpts
@@ -188,46 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "experiment runs (0 = one per CPU; "
                                   "default 1 = serial; results are "
                                   "identical either way)")
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the perf suite and write a machine-readable report")
-    mode = bench.add_mutually_exclusive_group()
-    mode.add_argument("--quick", action="store_true", default=True,
-                      help="small benchmark sizes (the default)")
-    mode.add_argument("--full", dest="quick", action="store_false",
-                      help="full benchmark sizes")
-    bench.add_argument("--seed", type=int, default=7)
-    bench.add_argument("--json", default="BENCH_perf.json", metavar="PATH",
-                       help="report output path (default: BENCH_perf.json)")
-    bench.add_argument("--only", action="append", default=[],
-                       metavar="PREFIX",
-                       help="run only benchmarks whose name starts with "
-                            "PREFIX (repeatable)")
-    bench.add_argument("--repeats", type=int, default=None,
-                       help="runs per benchmark, best-of reported "
-                            "(default: 3 quick / 5 full)")
-    bench.add_argument("--against", default=None, metavar="REPORT",
-                       help="baseline report to embed and gate against")
-    bench.add_argument("--tolerance", type=float, default=0.20,
-                       help="allowed normalized slowdown vs --against "
-                            "before exiting nonzero (default 0.20)")
-    bench.add_argument("--check", action="store_true",
-                       help="run workload benchmarks with inline "
-                            "verification attached (slower; not comparable "
-                            "to unchecked baselines)")
-    bench.add_argument("--store-dir", default=None, metavar="DIR",
-                       help="durable checkpoint store for workload "
-                            "benchmarks (measures the on-disk write path)")
-    bench.add_argument("--profile", action="store_true",
-                       help="run each benchmark under cProfile and write "
-                            "the top cumulative hotspots next to the JSON "
-                            "report (forces a serial run; wall numbers "
-                            "include profiler overhead)")
-    bench.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes for benchmark repeats "
-                            "(0 = one per CPU; wall-clock is normalized "
-                            "by per-worker calibration)")
 
     fuzz = sub.add_parser(
         "fuzz",
@@ -587,67 +544,6 @@ def cmd_experiments(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.api import run_bench
-    from repro.perf import compare_reports, load_report, write_report
-
-    baseline_report = None
-    if args.against:
-        baseline_report = load_report(args.against)
-    profile_sink: Optional[dict[str, str]] = {} if args.profile else None
-    report = run_bench(
-        quick=args.quick,
-        seed=args.seed,
-        only=args.only or None,
-        repeats=args.repeats,
-        check=args.check,
-        store_dir=args.store_dir,
-        baseline=baseline_report.as_dict() if baseline_report else None,
-        progress=lambda name: print(f"  bench {name} ..."),
-        jobs=args.jobs,
-        profile_sink=profile_sink,
-    )
-    write_report(report, args.json)
-    if profile_sink is not None:
-        profile_path = os.path.splitext(args.json)[0] + ".profile.txt"
-        with open(profile_path, "w") as handle:
-            for name, text in profile_sink.items():
-                handle.write(f"==== {name} ====\n{text}\n")
-        print(f"profiles written to {profile_path}")
-
-    table = Table(f"bench ({report.mode}, seed={report.seed}, "
-                  f"rev={report.git_rev})",
-                  ["benchmark", "kind", "wall ms", "events/s", "msgs/s",
-                   "peak log B", "vs baseline"])
-    speedups = report.speedups_vs_baseline()
-    for bench in report.benchmarks:
-        speedup = speedups.get(bench.name)
-        table.add_row(
-            bench.name, bench.kind,
-            round(bench.wall_seconds * 1000.0, 2),
-            int(bench.events_per_sec) if bench.events else "-",
-            int(bench.messages_per_sec) if bench.messages else "-",
-            bench.peak_log_bytes or "-",
-            f"{speedup:.2f}x" if speedup else "-",
-        )
-    print(table.render())
-    print(f"report written to {args.json} "
-          f"(calibration {report.calibration_seconds:.4f}s)")
-
-    if baseline_report is not None:
-        regressions = compare_reports(report, baseline_report,
-                                      tolerance=args.tolerance)
-        if regressions:
-            print()
-            print(f"{len(regressions)} regression(s) beyond "
-                  f"{args.tolerance:.0%} vs {args.against}:")
-            for regression in regressions:
-                print(f"  {regression}")
-            return 1
-        print(f"no regression beyond {args.tolerance:.0%} vs {args.against}")
-    return 0
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -788,8 +684,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return cmd_analyze(args)
     if args.command == "experiments":
         return cmd_experiments(args)
-    if args.command == "bench":
-        return cmd_bench(args)
     if args.command == "fuzz":
         return cmd_fuzz(args)
     if args.command == "serve":

@@ -81,7 +81,7 @@ class RunResult:
     #: ``invariant_violations`` so ``ok`` reflects them.
     check_report: Optional[Any] = None
     #: Sum over processes of each volatile log's high-water byte mark
-    #: (see ProcessLog.peak_bytes); the perf reports' "peak log bytes".
+    #: (see ProcessLog.peak_bytes); the benchmark's ``checkpoint.peak_log_bytes``.
     peak_log_bytes: int = 0
 
     @property

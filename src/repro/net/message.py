@@ -67,7 +67,7 @@ class MessageKind(enum.Enum):
     CAUSAL_UPDATE = "causal-update"
 
     # -- generic application / test traffic; delivered to raw network
-    #    sinks (perf benches, tests), never through Process.deliver ------
+    #    sinks (tests), never through Process.deliver ------
     APP = "app"  # analyze: allow(handler-coverage)
 
     def __str__(self) -> str:  # pragma: no cover - trivial

@@ -2,15 +2,15 @@
 
 A single simulated run is inherently serial (one discrete-event kernel),
 but everything *above* a run is embarrassingly parallel: sweep points,
-experiments, benchmark repeats, seeded verification runs.  This package
+experiments, seeded verification runs.  This package
 provides the one engine all of those layers share:
 
 * :class:`~repro.parallel.engine.WorkerEngine` -- the single owner of
   worker processes: warm spawn-context workers, tickets, the collector
   thread, liveness/deadline sweeps, typed :class:`WorkerFailure` rows;
 * :class:`~repro.parallel.pool.RunPool` -- its batch face:
-  submission-index-ordered merging, serial fallback, progress callbacks
-  and optional per-worker host calibration;
+  submission-index-ordered merging, serial fallback and progress
+  callbacks;
 * :func:`~repro.parallel.seeds.derive_seed` -- hash-based, process- and
   platform-stable child-seed derivation;
 * :func:`~repro.parallel.seeds.resolve_jobs` -- the uniform ``--jobs``
@@ -20,7 +20,7 @@ provides the one engine all of those layers share:
   per-task deadlines) used by the scenario server.
 
 Consumers: ``Sweep.run(jobs=N)``, ``repro experiments --jobs N``,
-``repro bench --jobs N``, ``repro serve`` and the corresponding
+``repro fuzz --jobs N``, ``repro serve`` and the corresponding
 :mod:`repro.api` knobs.
 The determinism guarantee is that any of those with ``jobs=N`` produces
 byte-identical tables and metrics to ``jobs=1``; only wall-clock

@@ -113,7 +113,6 @@ class Ticket:
     #: Host-monotonic time the task *started on a worker* (None while
     #: queued); used by the deadline sweep, never by task results.
     started_at: Optional[float] = field(default=None, repr=False)
-    worker_id: Optional[int] = None
     #: Where the engine announces completion besides ``done`` (a batch
     #: caller waiting on many tickets reads them here as they finish).
     completed: Optional[queue_module.Queue[Ticket]] = field(
@@ -155,16 +154,11 @@ class WorkerEngine:
 
     Nothing is started until the first :meth:`admit` or :meth:`prewarm`,
     so an engine that only ever sees serial work costs no process, no
-    thread and no queue.  ``calibrate_workers`` makes each worker
-    measure the host calibration factor once at startup
-    (:attr:`calibrations`).
+    thread and no queue.
     """
 
-    def __init__(self, jobs: int, calibrate_workers: bool = False) -> None:
+    def __init__(self, jobs: int) -> None:
         self.jobs = resolve_jobs(jobs)
-        self.calibrate_workers = calibrate_workers
-        #: worker id -> calibration seconds, from the ``hello`` messages.
-        self.calibrations: Dict[int, float] = {}
         self.worker_restarts = 0
         self.workers_spawned = 0
         self.tasks_submitted = 0
@@ -312,8 +306,7 @@ class WorkerEngine:
             self._next_worker_id += 1
             process = self._ctx.Process(
                 target=worker_main,
-                args=(worker_id, self._task_queue, self._result_queue,
-                      self.calibrate_workers),
+                args=(worker_id, self._task_queue, self._result_queue),
                 daemon=True,
                 name=f"repro-pool-worker-{worker_id}",
             )
@@ -356,15 +349,12 @@ class WorkerEngine:
     def _handle_locked(self, message: Any) -> None:
         kind = message[0]
         if kind == "hello":
-            _, worker_id, calibration = message
-            if calibration is not None:
-                self.calibrations[worker_id] = calibration
+            pass
         elif kind == "start":
             _, worker_id, index = message
             ticket = self._tickets.get(index)
             if ticket is not None:
                 ticket.started_at = time.monotonic()
-                ticket.worker_id = worker_id
                 self._running[worker_id] = ticket
         elif kind == "done":
             _, worker_id, index, body = message

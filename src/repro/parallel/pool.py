@@ -65,27 +65,18 @@ class RunPool:
     the task's return value or a :class:`WorkerFailure`.  ``jobs=0``
     means one worker per CPU; ``progress(done, total, key)`` is invoked
     in the parent as results arrive (in completion order -- only the
-    *merge* is submission-ordered).  ``calibrate_workers=True`` makes
-    each worker measure the host calibration factor once at startup
-    (:attr:`worker_calibrations`), which the bench harness uses to keep
-    normalized comparisons valid under fan-out.
+    *merge* is submission-ordered).
 
     A pool is not reentrant: call :meth:`map` from one thread at a time.
     """
 
     def __init__(self, jobs: int = 0, timeout: Optional[float] = None,
                  progress: Optional[Callable[[int, int, str], None]] = None,
-                 calibrate_workers: bool = False) -> None:
-        self._engine = WorkerEngine(jobs, calibrate_workers)
+                 ) -> None:
+        self._engine = WorkerEngine(jobs)
         self.jobs = self._engine.jobs
         self.timeout = timeout
         self.progress = progress
-        #: worker id -> calibration seconds (populated when
-        #: ``calibrate_workers`` and the worker has said hello).
-        self.worker_calibrations: Dict[int, float] = self._engine.calibrations
-        #: worker id that produced each slot of the last ``map`` (None
-        #: for serial execution or failed slots).
-        self.last_workers: List[Optional[int]] = []
         #: progress callbacks that raised (swallowed: a broken progress
         #: printer must not abort the wait mid-fan-out).
         self.progress_errors = 0
@@ -115,7 +106,6 @@ class RunPool:
         if self._closed:
             raise RuntimeError("RunPool is closed")
         normalized = [self._normalize(call) for call in calls]
-        self.last_workers = [None] * len(normalized)
         self.ran_parallel = False
         if self.jobs <= 1 or len(normalized) <= 1:
             return self._map_serial(normalized)
@@ -199,8 +189,6 @@ class RunPool:
             outcome = ticket.outcome
             if isinstance(outcome, WorkerFailure):
                 outcome.index = index   # the slot, not the engine's id
-            else:
-                self.last_workers[index] = ticket.worker_id
             outcomes.append(outcome)
         return outcomes
 

@@ -6,20 +6,12 @@ the ``src/`` layout) is forwarded by multiprocessing's spawn preparation
 step, and none of the parent's mutable module state leaks in.  Anything a
 task needs beyond the package source (inline-check flags, experiment
 defaults, seeds) therefore has to travel *inside the task payload*; the
-helpers in :mod:`repro.experiments.runner` and :mod:`repro.perf.bench`
-are written that way.
-
-Per-worker one-time setup happens here, before the first task:
-
-* optional host calibration (:func:`repro.perf.counters.calibrate`), so
-  benchmark repeats executed on this worker can be normalized by *this
-  worker's* measured speed rather than the parent's;
-* a ``hello`` message announcing the worker and its calibration factor.
+helpers in :mod:`repro.experiments.runner` are written that way.
 
 The message protocol on the result queue (all tuples, first element is
 the message kind):
 
-``("hello", worker_id, calibration_or_none)``
+``("hello", worker_id)``
     sent once at startup;
 ``("start", worker_id, task_index)``
     sent immediately before a task body runs (the parent uses it to
@@ -74,15 +66,9 @@ def _error_body(exc: BaseException, note: str = "") -> bytes:
     )
 
 
-def worker_main(worker_id: int, task_queue: Any, result_queue: Any,
-                calibrate_worker: bool) -> None:
+def worker_main(worker_id: int, task_queue: Any, result_queue: Any) -> None:
     """Announce, then serve tasks until the ``None`` sentinel arrives."""
-    calibration = None
-    if calibrate_worker:
-        from repro.perf.counters import calibrate
-
-        calibration = calibrate()
-    result_queue.put(("hello", worker_id, calibration))
+    result_queue.put(("hello", worker_id))
     while True:
         item = task_queue.get()
         if item is None:

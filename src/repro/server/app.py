@@ -30,6 +30,7 @@ invalid scenario            400 naming the field and the valid choices
 
 from __future__ import annotations
 
+import subprocess
 import threading
 from http.server import ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
@@ -57,10 +58,21 @@ from repro.server.scenario import (
 _WAIT_GRACE_SECONDS = 10.0
 
 
+def git_revision(default: str = "unknown") -> str:
+    """Current git commit hash, or ``default`` outside a checkout."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True, text=True, timeout=10, check=False,
+        )
+    except OSError:
+        return default
+    rev = out.stdout.strip()
+    return rev if out.returncode == 0 and rev else default
+
+
 def default_code_version() -> str:
     """The code identity cache keys are bound to: package ⊕ git rev."""
-    from repro.perf.report import git_revision
-
     return f"{__version__}+{git_revision()}"
 
 

@@ -119,29 +119,30 @@ def seeded_dummy_chain() -> List[InvariantViolation]:
 def seeded_bad_schedule() -> Dict[str, Any]:
     """A known-bad failure schedule, padded with inert decoy elements.
 
-    The core is the double-grant repro (see
-    ``tests/integration/test_multi_failure.py``): the synthetic
-    workload on 4 processes, seed 2, interval 30, with crashes at
-    P0@30 and P2@65 -- recovery replays one acquire the survivor log
-    already granted, tripping the ``duplicate LogList element``
-    :class:`~repro.errors.ProtocolError`.
+    The core is corpus entry ``606fc3ac34fab29f.json``: the sor
+    workload on 5 processes, seed 10911, under the coordinated baseline
+    with wire jitter, crashing P4@46.9 -- the post-recovery
+    ``sor.barrier`` race the inline checker reports.  This rides on that
+    open bug class; when it is fixed, re-base the schedule on whatever
+    known-bad run is left, or the seeded fault stops being detected.
 
-    The padding -- two decoy crashes injected *after* the error moment
-    (they never execute) and a log high-water trigger far above any
-    reachable log size -- does not change behavior; it exists so the
-    fuzzer's shrinker has something real to remove.  Delta debugging
-    must strip all three decoys and return a 2-element schedule.
+    The padding -- two decoy crashes far past the end of the run (they
+    never execute) and a log high-water trigger far above any reachable
+    log size -- does not change behavior; it exists so the fuzzer's
+    shrinker has something real to remove.  Delta debugging must strip
+    all three decoys and return a 2-element schedule.
     """
     from repro.fuzz.schedule import canonical_schedule
 
     return canonical_schedule({
         "kind": "workload",
-        "workload": "synthetic",
-        "params": {"rounds": 12, "objects": 5},
-        "processes": 4,
-        "seed": 2,
-        "interval": 30.0,
-        "crashes": [[0, 30.0], [2, 65.0], [1, 200.0], [3, 300.0]],
+        "workload": "sor",
+        "baseline": "coordinated",
+        "processes": 5,
+        "seed": 10911,
+        "interval": 50.0,
+        "latency": {"base": 0.68, "jitter": 1.51},
+        "crashes": [[4, 46.9], [0, 5000.0], [1, 6000.0]],
         "highwater": 10_000_000,
         "check": True,
     })
@@ -211,7 +212,7 @@ _LOCKS_BAD: Dict[str, str] = {
 }
 
 _PURITY_BAD: Dict[str, str] = {
-    "repro/perfx/clockutil.py": textwrap.dedent(
+    "repro/clockx/clockutil.py": textwrap.dedent(
         """
         import time
 
@@ -220,7 +221,7 @@ _PURITY_BAD: Dict[str, str] = {
         """),
     "repro/sim/seeded_kernel.py": textwrap.dedent(
         """
-        from repro.perfx import clockutil
+        from repro.clockx import clockutil
 
         def step():
             return clockutil.elapsed()

@@ -21,11 +21,6 @@ from repro.fuzz import DEFAULT_CORPUS_DIR, load_corpus, run_trial
 #: Bug-class signatures documented in the corpus but not yet fixed.
 #: Keyed by the stable failure signature (digits folded to ``#``).
 KNOWN_UNFIXED = (
-    # The double-grant bug: recovery replays an acquire the survivor's
-    # log already granted (see TestKnownDoubleGrant in
-    # test_multi_failure.py for the protocol-level analysis).
-    "ProtocolError:duplicate LogList element at logical time # "
-    "(double grant of one acquire)",
     # Post-recovery write/write race on the sor barrier object under
     # the coordinated-checkpointing baseline with wire jitter: the
     # baseline's restart loses the happens-before edge the barrier
@@ -74,8 +69,9 @@ def test_corpus_entry_replays_clean(entry):
 class TestSeededScheduleShrink:
     """The end-to-end shrink acceptance: the padded known-bad schedule
     from :func:`repro.verify.seeded.seeded_bad_schedule` (5 elements:
-    2 real crashes, 2 inert decoy crashes, 1 inert highwater) must
-    reduce to at most 3 elements that still trip the same checker."""
+    1 real crash, the wire jitter, 2 inert decoy crashes, 1 inert
+    highwater) must reduce to at most 3 elements that still trip the
+    same checker."""
 
     def test_shrinks_to_core_elements(self):
         from repro.fuzz import schedule_elements, shrink_schedule

@@ -5,7 +5,6 @@ aborted." (paper section 4.5)"""
 import pytest
 
 from tests.conftest import counter_system, make_system
-from repro.errors import ProtocolError
 from repro.workloads import SyntheticWorkload
 
 
@@ -117,22 +116,17 @@ class TestRepeatedFailure:
 
 
 class TestKnownDoubleGrant:
-    """Pinned-seed reproduction of the ROADMAP open item: at some
-    seed/spacing combinations ``examples/multi_failure_detection.py``
-    dies with ``ProtocolError: duplicate LogList element ... (double
-    grant of one acquire)`` during multi-failure recovery, instead of
-    recovering or conservatively aborting.
-
-    Marked xfail (not skip) so the suite notices the day the underlying
-    double grant is fixed -- the test then XPASSes and should be
-    promoted to a plain Theorem-2 assertion.
+    """Pinned-seed regression for the doubly stored dummy entry (seed
+    2, P0@30 P2@65).  A survivor piggybacked a dummy entry to P0 while
+    P0 was recovering; P0 stored it when its deferred piggyback drained
+    and again when replay re-created the failed process's dummies from
+    the merged DummySet.  When P2 later crashed, its LogList had two
+    identical elements at one logical time and recovery raised
+    ``ProtocolError: duplicate LogList element ... (double grant of one
+    acquire)``.  ``DummyLog.store`` is idempotent on ``(obj_id,
+    ep_acq)`` now, and Theorem 2 holds here.
     """
 
-    @pytest.mark.xfail(
-        raises=ProtocolError, strict=True,
-        reason="ROADMAP open item: double grant of one acquire during "
-               "widely-spaced multi-failure recovery (seed 2, P0@30 P2@65)",
-    )
     def test_pinned_seed_widely_spaced_crashes_recover_or_abort(self):
         from repro import run_workload
 
@@ -149,3 +143,30 @@ class TestKnownDoubleGrant:
             assert result.completed
             assert workload.verify(result).ok
             assert not result.invariant_violations
+
+
+#: Eight crashes of distinct processes, 250 time units apart, on a
+#: 16-process cluster: the failure storm of the ``crash_storm`` benchmark.
+STORM = tuple(((3 + 5 * i) % 16, 150.0 + 250.0 * i) for i in range(8))
+
+
+@pytest.mark.parametrize("seed", [3, 19, 28, 41, 61, 78])
+def test_crash_storm_recovers_every_failure(seed):
+    """The cluster seeds at which the failure storm used to hit the
+    doubly stored dummy entry and raise ``duplicate LogList element``;
+    each of the eight recoveries now finishes and the result verifies."""
+    from repro import CheckpointPolicy, ClusterConfig, DisomSystem
+
+    system = DisomSystem(
+        ClusterConfig(processes=16, seed=seed, spare_nodes=9),
+        CheckpointPolicy(interval=300.0))
+    workload = SyntheticWorkload(rounds=300, objects=16, object_size=64)
+    workload.setup(system)
+    for pid, at_time in STORM:
+        system.inject_crash(pid, at_time)
+    result = system.run()
+    assert result.completed
+    assert workload.verify(result).ok
+    assert not result.invariant_violations
+    assert sum(1 for recovery in result.recoveries
+               if recovery.finished_at is not None) == len(STORM)

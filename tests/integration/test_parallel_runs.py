@@ -3,8 +3,8 @@
 The parallel engine's contract is *invisibility*: every table, metric
 and counter must come out byte-identical whether a study ran serially or
 fanned out over workers.  These tests exercise that contract end to end
--- real ``DisomSystem`` runs through ``Sweep``, the experiment runner
-and the bench suite -- plus the check-report aggregation path.
+-- real ``DisomSystem`` runs through ``Sweep`` and the experiment
+runner -- plus the check-report aggregation path.
 """
 
 from __future__ import annotations
@@ -96,30 +96,6 @@ class TestExperimentRunner:
         assert merged.events_checked > 0
 
 
-class TestBenchParallel:
-    def test_bench_counters_identical_serial_vs_parallel(self, tmp_path):
-        from repro.perf.bench import run_suite
-
-        kwargs = dict(quick=True, seed=7, repeats=1,
-                      only=["micro_kernel", "exp_e2"])
-        serial = run_suite(jobs=1, **kwargs)
-        fanned = run_suite(jobs=2, **kwargs)
-        assert [r.name for r in serial] == [r.name for r in fanned]
-        for a, b in zip(serial, fanned):
-            assert (a.events, a.messages, a.peak_log_bytes) == \
-                   (b.events, b.messages, b.peak_log_bytes), a.name
-
-    def test_sweep_parallel_bench_records_speedup(self):
-        from repro.perf.bench import ALL_BENCHMARKS
-
-        record = ALL_BENCHMARKS["sweep_parallel"](
-            quick=True, seed=7, repeats=1, jobs=2)
-        assert record.name == "sweep_parallel"
-        assert record.params["jobs"] == 2
-        assert record.params["speedup_vs_serial"] > 0
-        assert record.events > 0 and record.messages > 0
-
-
 @pytest.mark.skipif((os.cpu_count() or 1) < 4,
                     reason="speedup needs 4+ physical cores")
 class TestSpeedup:
@@ -134,6 +110,5 @@ class TestSpeedup:
         sweep.run(_run_point, extract=_identity, jobs=4)
         parallel_wall = time.perf_counter() - start
         # Loose bound: worker startup is amortized over only 8 points, so
-        # demand better-than-serial, not the full suite-level >=3x (that
-        # is measured by ``repro bench`` and recorded in BENCH_perf.json).
+        # demand better-than-serial, not a suite-level speed-up.
         assert parallel_wall < serial_wall

@@ -62,7 +62,7 @@ class TestDirectEffects:
     def test_zone_rules_stop_at_the_core(self):
         # Filesystem and threading are normal on the host side.
         findings = _findings({
-            "repro/perf/mod.py": (
+            "repro/tools/mod.py": (
                 "import os\n"
                 "import threading\n"
                 "def scan():\n"
@@ -77,8 +77,8 @@ class TestDirectEffects:
         source = ("import time\n"
                   "def now():\n"
                   "    return time.monotonic()\n")
-        assert _findings({"repro/perf/counters.py": source}) == []
-        findings = _findings({"repro/perf/mod.py": source})
+        assert _findings({"repro/server/metrics.py": source}) == []
+        findings = _findings({"repro/tools/mod.py": source})
         assert [(f.line, "wall-clock" in f.message) for f in findings] == [
             (3, True)]
 
@@ -95,12 +95,12 @@ class TestDirectEffects:
 class TestInterprocedural:
     def test_one_hop_boundary_finding_carries_chain(self):
         findings = _findings({
-            "repro/perfx/clock.py": (
+            "repro/clockx/clock.py": (
                 "import time\n"
                 "def read():\n"
                 "    return time.monotonic()\n"),
             "repro/sim/mod.py": (
-                "from repro.perfx import clock\n"
+                "from repro.clockx import clock\n"
                 "def tick():\n"
                 "    return clock.read()\n"),
         })
@@ -113,16 +113,16 @@ class TestInterprocedural:
 
     def test_two_hop_chain(self):
         findings = _findings({
-            "repro/perfx/clock.py": (
+            "repro/clockx/clock.py": (
                 "import time\n"
                 "def read():\n"
                 "    return time.monotonic()\n"),
-            "repro/perfx/wrap.py": (
-                "from repro.perfx import clock\n"
+            "repro/clockx/wrap.py": (
+                "from repro.clockx import clock\n"
                 "def stamp():\n"
                 "    return clock.read()\n"),
             "repro/sim/mod.py": (
-                "from repro.perfx import wrap\n"
+                "from repro.clockx import wrap\n"
                 "def tick():\n"
                 "    return wrap.stamp()\n"),
         })

@@ -16,6 +16,7 @@ from repro.api import (
     run_workload,
 )
 from repro.errors import ConfigError
+from repro.experiments import ALL_EXPERIMENTS
 from repro.fuzz.coverage import CoverageProbe
 from repro.observers import CALLBACK_NAMES
 from repro.workloads import SyntheticWorkload
@@ -95,6 +96,17 @@ class TestRunExperiment:
     def test_unknown_id_rejected(self):
         with pytest.raises(ConfigError, match="matches"):
             run_experiment("E99")
+
+
+class TestBenchMatchesDirectRunner:
+    def test_experiment_results_identical(self):
+        # The facade must not perturb the simulation: running E2 through
+        # it and through the raw registry must observe identical findings.
+        direct = ALL_EXPERIMENTS["E2-no-extra-messages"](quick=True)
+        via_facade = run_experiment("E2", quick=True)
+        assert via_facade.experiment_id == direct.experiment_id
+        assert via_facade.claim_holds == direct.claim_holds
+        assert via_facade.findings == direct.findings
 
 
 class TestOpenStore:

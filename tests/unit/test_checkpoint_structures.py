@@ -131,6 +131,42 @@ class TestDummyLog:
         assert log.remove_before(1, {Tid(1, 0): 10}) == 1
         assert len(log) == 1
 
+    def test_store_is_idempotent_on_object_and_acquire_point(self):
+        # A recovering process can receive one entry twice (deferred
+        # piggyback and DummySet replay); it must keep a single copy.
+        log = DummyLog(0)
+        first = log.store(self._dummy(pid=1, lt=3))
+        again = log.store(self._dummy(pid=1, lt=3))
+        assert again == first
+        assert len(log) == 1
+        assert log.stored_total == 1
+
+    def test_store_keeps_distinct_acquires(self):
+        log = DummyLog(0)
+        log.store(self._dummy(pid=1, lt=3))
+        log.store(self._dummy(pid=1, lt=4))
+        log.store(DummyEntry("y", ep(1, 0, 3), ep(1, 0, 2)))
+        assert len(log) == 3
+        assert log.stored_total == 3
+
+    def test_gc_forgets_removed_keys(self):
+        log = DummyLog(0)
+        log.store(self._dummy(pid=1, lt=3))
+        assert log.remove_before(1, {Tid(1, 0): 5}) == 1
+        log.store(self._dummy(pid=1, lt=3))
+        assert [e.ep_acq.lt for e in log] == [3]
+
+    def test_restore_rebuilds_keys(self):
+        log = DummyLog(0)
+        log.store(self._dummy(pid=1, lt=3))
+        restored = DummyLog(0)
+        restored.restore(log.snapshot())
+        restored.store(self._dummy(pid=1, lt=3))
+        assert len(restored) == 1
+        restored.restore([])
+        restored.store(self._dummy(pid=1, lt=3))
+        assert len(restored) == 1
+
 
 class TestCkpSet:
     def test_lookup(self):

@@ -148,6 +148,47 @@ def test_cache_key_depends_on_seed_and_code_version():
     assert base.cache_key("v1") != base.cache_key("v2")
 
 
+def test_git_revision_reads_rev_parse(monkeypatch):
+    import subprocess
+
+    from repro.server import app
+
+    def rev_parse(cmd, **kwargs):
+        assert cmd == ["git", "rev-parse", "--short", "HEAD"]
+        return subprocess.CompletedProcess(cmd, 0, "abc1234\n", "")
+
+    monkeypatch.setattr(app.subprocess, "run", rev_parse)
+    assert app.git_revision() == "abc1234"
+
+
+def test_git_revision_falls_back_outside_a_checkout(tmp_path, monkeypatch):
+    from repro.server.app import git_revision
+
+    monkeypatch.delenv("GIT_DIR", raising=False)
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    monkeypatch.chdir(tmp_path)
+    assert git_revision() == "unknown"
+    assert git_revision(default="none") == "none"
+
+
+def test_git_revision_falls_back_without_git(monkeypatch):
+    from repro.server import app
+
+    def missing(cmd, **kwargs):
+        raise FileNotFoundError(cmd[0])
+
+    monkeypatch.setattr(app.subprocess, "run", missing)
+    assert app.git_revision() == "unknown"
+
+
+def test_code_version_binds_package_and_revision(monkeypatch):
+    from repro import __version__
+    from repro.server import app
+
+    monkeypatch.setattr(app, "git_revision", lambda: "abc1234")
+    assert app.default_code_version() == f"{__version__}+abc1234"
+
+
 def test_param_order_is_invisible():
     a = validate_scenario({"workload": "synthetic",
                            "params": {"rounds": 3, "objects": 2}})

@@ -33,9 +33,14 @@ def _known_unfixed() -> int:
     return len(KNOWN_UNFIXED)
 
 
+def _lines(*roots: Path) -> int:
+    return sum(len(path.read_text().splitlines())
+               for root in roots for path in root.rglob("*.py"))
+
+
 MEASURES = {
-    "src-lines": lambda: sum(
-        len(path.read_text().splitlines()) for path in SRC.rglob("*.py")),
+    "src-lines": lambda: _lines(SRC),
+    "benchmark-lines": lambda: _lines(REPO / "benchmarks", SRC / "perf"),
     "strict-xfail-sites": lambda: _matches(
         REPO / "tests", r"mark\.xfail\(", skip=Path(__file__).name),
     "known-unfixed-signatures": _known_unfixed,

@@ -91,6 +91,13 @@ class TestCli:
             ["workload", "sor", "--crash", "1@40.5"])
         assert args.crash == [(1, 40.5)]
 
+    def test_bench_verb_is_gone(self, capsys):
+        # Performance is measured by ``python -m benchmarks.e2e`` alone.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out

@@ -1,13 +1,20 @@
-"""Unit tests for identifier and execution-point types."""
+"""Unit tests for identifier and execution-point types, and the
+hot-path pickle fast paths the wire-size model relies on."""
+
+import dataclasses
+import pickle
 
 import pytest
 
+from repro.checkpoint.dummy import DummyEntry
+from repro.checkpoint.log import ThreadSetPair
 from repro.types import (
     AcquireType,
     Dependency,
     ExecutionPoint,
     ObjectStatus,
     Tid,
+    VersionId,
     WaitObj,
     ep,
     pid_of,
@@ -112,3 +119,44 @@ class TestObjectStatus:
         assert str(ObjectStatus.NO_ACCESS) == "no-access"
         assert str(ObjectStatus.OWNED) == "owned"
         assert str(ObjectStatus.READ) == "read"
+
+
+# ----------------------------------------------------------------------
+# hot-path pickle fast paths
+# ----------------------------------------------------------------------
+PICKLED_HOT_TYPES = [
+    Tid(3, 7),
+    ExecutionPoint(Tid(1, 2), 9),
+    WaitObj("x", AcquireType.WRITE, ep(0, 0, 1)),
+    Dependency("x", AcquireType.READ, ep(0, 0, 1), ep(1, 0, 2), 1, True),
+    VersionId("x", 4),
+    ThreadSetPair(ep(0, 0, 1), ep(1, 0, 2)),
+    DummyEntry("x", ep(0, 0, 3), ep(0, 0, 1), 2, AcquireType.WRITE),
+]
+
+
+@pytest.mark.parametrize("obj", PICKLED_HOT_TYPES,
+                         ids=[type(o).__name__ for o in PICKLED_HOT_TYPES])
+def test_pickle_state_matches_dataclass(obj):
+    """The hand-written ``__getstate__`` fast paths must produce exactly
+    the state CPython's dataclass machinery would (a list of field
+    values in field order) -- that is what keeps the wire bytes, and
+    therefore every experiment's byte counts, identical."""
+    generated = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    assert obj.__getstate__() == generated
+
+
+@pytest.mark.parametrize("obj", PICKLED_HOT_TYPES,
+                         ids=[type(o).__name__ for o in PICKLED_HOT_TYPES])
+def test_pickle_roundtrip(obj):
+    clone = pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+    assert clone == obj
+    assert type(clone) is type(obj)
+
+
+def test_empty_container_sizing_matches_pickle():
+    from repro.net.sizing import payload_size
+
+    for value in ({}, [], (), set(), frozenset()):
+        expected = len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+        assert payload_size(value) == expected, type(value)
