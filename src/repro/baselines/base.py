@@ -77,6 +77,11 @@ class FaultToleranceProtocol(CoherenceHooks):
     def on_message_sent(self, message: Message) -> None:
         """Called for every message this process puts on the wire."""
 
+    def record_checkpoint(self, size: int, trigger: str) -> None:
+        """Account a checkpoint the scheme keeps outside the store's backend."""
+        self.process.stable_store.note_write(self.pid, size)
+        self.metrics.checkpoints.record(self.process.kernel.now, size, trigger)
+
     # -- restore ---------------------------------------------------------------
     def restore_from_checkpoint(self, checkpoint: Any) -> None:
         """Restore protocol-private state from a checkpoint image."""

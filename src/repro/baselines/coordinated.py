@@ -211,31 +211,14 @@ class CoordinatedProtocol(FaultToleranceProtocol):
     # snapshots / rollback
     # ------------------------------------------------------------------
     def _snapshot(self) -> None:
-        checkpoint = Checkpoint(
-            pid=self.pid,
-            taken_at=self.process.kernel.now,
-            seq=self.epoch,
-            threads={tid: t.checkpoint_state()
-                     for tid, t in sorted(self.process.threads.items())},
-            objects=self.process.directory.snapshot(),
-            log_entries=[],
-            dummy_entries=[],
-            thread_lts={tid: t.completed_lt()
-                        for tid, t in sorted(self.process.threads.items())},
-        )
-        checkpoint.compute_size()
+        checkpoint = Checkpoint.capture(self.process, self.epoch, [], [])
         # A crash can strike mid-round, leaving some processes one epoch
         # ahead; recovery rolls back to the highest epoch available at
         # *every* process, so the previous epoch must be retained too.
         store = self._epoch_store()
         store[(self.pid, self.epoch)] = checkpoint
         store.pop((self.pid, self.epoch - 2), None)
-        slot = self.process.stable_store._slot(self.pid)
-        slot.writes += 1
-        slot.bytes_written += checkpoint.size
-        self.metrics.checkpoints.record(
-            self.process.kernel.now, checkpoint.size, f"coordinated-e{self.epoch}"
-        )
+        self.record_checkpoint(checkpoint.size, f"coordinated-e{self.epoch}")
 
     def _epoch_store(self) -> dict:
         system = self.process.system

@@ -50,12 +50,7 @@ class JanssensFuchsProtocol(FaultToleranceProtocol):
             {tid: t.checkpoint_state() for tid, t in self.process.threads.items()}
         )
         self.induced_checkpoints += 1
-        self.metrics.checkpoints.record(
-            self.process.kernel.now, size, "communication-induced"
-        )
-        slot = self.process.stable_store._slot(self.pid)
-        slot.writes += 1
-        slot.bytes_written += size
+        self.record_checkpoint(size, "communication-induced")
         self._dirty_since_checkpoint = False
 
     def overhead_summary(self) -> dict[str, Any]:

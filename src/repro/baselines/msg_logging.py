@@ -50,9 +50,7 @@ class ReceiverMessageLogging(FaultToleranceProtocol):
         self.logged_messages += 1
         self.logged_bytes += size
         self.stable_writes += 1
-        slot = self.process.stable_store._slot(self.pid)
-        slot.writes += 1
-        slot.bytes_written += size
+        self.process.stable_store.note_write(self.pid, size)
         self.metrics.log_bytes_created += size
         self.metrics.log_entries_created += 1
         return True

@@ -86,9 +86,7 @@ class RichardSinghalProtocol(FaultToleranceProtocol):
             return
         self.stable_flushes += 1
         self.stable_bytes += self.volatile_log_bytes
-        slot = self.process.stable_store._slot(self.pid)
-        slot.writes += 1
-        slot.bytes_written += self.volatile_log_bytes
+        self.process.stable_store.note_write(self.pid, self.volatile_log_bytes)
         self.volatile_log_bytes = 0
         self.volatile_log_entries = 0
 
@@ -111,10 +109,7 @@ class RichardSinghalProtocol(FaultToleranceProtocol):
         size = blob_size(self.process.directory.snapshot()) + blob_size(
             {tid: t.checkpoint_state() for tid, t in self.process.threads.items()}
         )
-        self.metrics.checkpoints.record(self.process.kernel.now, size, "periodic")
-        slot = self.process.stable_store._slot(self.pid)
-        slot.writes += 1
-        slot.bytes_written += size
+        self.record_checkpoint(size, "periodic")
         self._arm_timer()
 
     def stop_timer(self) -> None:

@@ -31,6 +31,7 @@ from repro.errors import ProtocolError
 from repro.memory.coherence import PendingRequest
 from repro.memory.objects import SharedObject, SharedObjectSpec
 from repro.net.message import MessageKind
+from repro.net.sizing import payload_size
 from repro.sim.tracing import TRACE_GATE
 from repro.threads.thread import Thread, snapshot
 from repro.types import (
@@ -107,7 +108,7 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
         self._timer_event = None
         #: Checkpoint writes staged on stable storage whose simulated
         #: write duration has not elapsed yet, keyed by sequence number.
-        self._inflight: dict[int, tuple[Checkpoint, dict[Tid, int]]] = {}
+        self._inflight: dict[int, Checkpoint] = {}
         #: True while the hosting process is being recovered: replayed
         #: release-writes must not trigger high-water checkpoints.
         self.suppress_checkpoints = False
@@ -384,19 +385,8 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
         """
         kernel = self.process.kernel
         self.ckpt_seq += 1
-        # completed_lt() excludes in-flight acquires (see Thread docs).
-        thread_lts = {tid: t.completed_lt() for tid, t in sorted(self.process.threads.items())}
-        checkpoint = Checkpoint(
-            pid=self.pid,
-            taken_at=kernel.now,
-            seq=self.ckpt_seq,
-            threads={tid: t.checkpoint_state() for tid, t in sorted(self.process.threads.items())},
-            objects=self.process.directory.snapshot(),
-            log_entries=self.log.snapshot(),
-            dummy_entries=self.dummy_log.snapshot(),
-            thread_lts=thread_lts,
-        )
-        checkpoint.compute_size()
+        checkpoint = Checkpoint.capture(self.process, self.ckpt_seq,
+                                        self.log.snapshot(), self.dummy_log.snapshot())
         if self.policy.incremental:
             # Re-size with the delta: ``size`` (bytes written) shrinks to
             # the changed state, ``full_size`` stays the materialized image.
@@ -409,17 +399,16 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
                               f"({trigger})",
                               bytes=checkpoint.size)
         if synchronous:
-            self._commit_checkpoint(checkpoint, thread_lts)
+            self._commit_checkpoint(checkpoint)
         else:
-            self._inflight[checkpoint.seq] = (checkpoint, thread_lts)
+            self._inflight[checkpoint.seq] = checkpoint
             kernel.schedule(
-                duration, self._finish_checkpoint_write, checkpoint, thread_lts,
+                duration, self._finish_checkpoint_write, checkpoint,
                 label=f"ckpt-commit P{self.pid}#{self.ckpt_seq}",
             )
         return checkpoint
 
-    def _finish_checkpoint_write(self, checkpoint: Checkpoint,
-                                 thread_lts: dict[Tid, int]) -> None:
+    def _finish_checkpoint_write(self, checkpoint: Checkpoint) -> None:
         """The simulated disk write completed (or the node died first)."""
         if self._inflight.pop(checkpoint.seq, None) is None:
             return  # already flushed at end of run
@@ -428,7 +417,7 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
             # become loadable; the previous committed slot stays intact.
             self.process.stable_store.discard(checkpoint.pid, checkpoint.seq)
             return
-        self._commit_checkpoint(checkpoint, thread_lts)
+        self._commit_checkpoint(checkpoint)
 
     def flush_pending_writes(self) -> None:
         """Drain writes still in flight when the simulation horizon ends.
@@ -440,14 +429,14 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
         Dead processes instead discard their torn staged images.
         """
         for seq in sorted(self._inflight):
-            checkpoint, thread_lts = self._inflight.pop(seq)
+            checkpoint = self._inflight.pop(seq)
             if self.process.alive:
-                self._commit_checkpoint(checkpoint, thread_lts)
+                self._commit_checkpoint(checkpoint)
             else:
                 self.process.stable_store.discard(checkpoint.pid, checkpoint.seq)
 
-    def _commit_checkpoint(self, checkpoint: Checkpoint,
-                           thread_lts: dict[Tid, int]) -> None:
+    def _commit_checkpoint(self, checkpoint: Checkpoint) -> None:
+        thread_lts = checkpoint.thread_lts
         committed = self.process.stable_store.commit(
             checkpoint.pid, checkpoint.seq
         )
@@ -506,8 +495,6 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
         objects whose version/status changed, thread replay records
         appended since the last checkpoint, and new log/dummy entries.
         """
-        from repro.net.sizing import payload_size
-
         objects_fp = {
             oid: (snap["version"], snap["status"], snap["ep_dep"])
             for oid, snap in checkpoint.objects.items()
@@ -561,7 +548,7 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
     def restore_from_checkpoint(self, checkpoint: Checkpoint) -> None:
         # Writes the crashed incarnation left in flight are torn.
         for seq in sorted(self._inflight):
-            staged, _ = self._inflight.pop(seq)
+            staged = self._inflight.pop(seq)
             self.process.stable_store.discard(staged.pid, staged.seq)
         if self.observers.active:
             # log.restore() replays appends; the checker must forget this

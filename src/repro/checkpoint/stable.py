@@ -19,11 +19,12 @@ that model the write delay themselves (baselines, tests).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.errors import CheckpointCorruptError, RecoveryError
-from repro.net.sizing import blob_size, payload_size
+from repro.net.sizing import ITEM_BYTES, blob_size, payload_size
 from repro.types import ProcessId
 
 
@@ -51,6 +52,25 @@ class Checkpoint:
     size: int = 0
     #: Bytes of the complete materialized image (what recovery must load).
     full_size: int = 0
+    #: ``Thread.records_bytes`` per thread, read only by sizing (no storage
+    #: section); None for an image built by hand.
+    record_bytes: Optional[dict[Any, int]] = None
+
+    @classmethod
+    def capture(cls, process: Any, seq: int, log_entries: list[Any],
+                dummy_entries: list[Any]) -> "Checkpoint":
+        """The sized image of ``process`` now: every protocol's builder."""
+        threads = sorted(process.threads.items())
+        checkpoint = cls(
+            pid=process.pid, taken_at=process.kernel.now, seq=seq,
+            threads={tid: t.checkpoint_state() for tid, t in threads},
+            objects=process.directory.snapshot(),
+            log_entries=log_entries, dummy_entries=dummy_entries,
+            # completed_lt() excludes in-flight acquires (see Thread docs).
+            thread_lts={tid: t.completed_lt() for tid, t in threads},
+            record_bytes={tid: t.records_bytes() for tid, t in threads})
+        checkpoint.compute_size()
+        return checkpoint
 
     def compute_size(self, delta_bytes: Optional[int] = None) -> int:
         """Size the image: ``full_size`` is always the materialized image;
@@ -59,22 +79,28 @@ class Checkpoint:
 
         Each section is sized the cheapest correct way.  Thread and dummy
         sections go through the compositional wire-size model
-        (:func:`payload_size`): their elements -- replay records,
-        dependencies, execution points -- are immutable and
-        identity-cached, so re-sizing a grown image only pays for what is
-        new.  The log section sums each entry's own ``size_bytes`` (log
-        entries mutate their threadSet, so per-entry accounting is the
-        one that stays correct).  The object section is costed as a
-        serialized blob (:func:`blob_size`): object snapshots are fresh
-        deep copies every time, so nothing caches and one C-speed
-        serialization beats the Python walk.
+        (:func:`payload_size`), except that with ``record_bytes`` a
+        thread's replay records, which grow with the run, are not walked:
+        the list costs an empty list + ``ITEM_BYTES`` per record + the
+        running total, byte-identical to the walk.  The log section sums
+        each entry's own ``size_bytes`` (entries mutate their threadSet).
+        The object section is one C-speed serialization
+        (:func:`blob_size`): object snapshots are fresh deep copies, so
+        nothing would cache.
         """
         log_bytes = 8
         for entry in self.log_entries:
             size_of = getattr(entry, "size_bytes", None)
             log_bytes += size_of() if size_of is not None else payload_size(entry)
+        if self.record_bytes is None:
+            thread_bytes = payload_size(self.threads)
+        else:
+            thread_bytes = payload_size(
+                {tid: {**state, "records": []} for tid, state in self.threads.items()}
+            ) + sum(ITEM_BYTES * len(state["records"]) + self.record_bytes[tid]
+                    for tid, state in self.threads.items())
         self.full_size = (
-            payload_size(self.threads)
+            thread_bytes
             + blob_size(self.objects)
             + log_bytes
             + payload_size(self.dummy_entries)
@@ -84,15 +110,6 @@ class Checkpoint:
         else:
             self.size = min(delta_bytes, self.full_size)
         return self.size
-
-
-@dataclass
-class _StableSlot:
-    """Per-process write accounting (name kept for backward compat: the
-    baseline protocols reach in via ``StableStore._slot``)."""
-
-    writes: int = 0
-    bytes_written: int = 0
 
 
 class StableStore:
@@ -115,10 +132,9 @@ class StableStore:
         self.write_base_time = write_base_time
         self.write_per_byte = write_per_byte
         self.backend = backend if backend is not None else MemoryBackend()
-        self._slots: dict[ProcessId, _StableSlot] = {}
-
-    def _slot(self, pid: ProcessId) -> _StableSlot:
-        return self._slots.setdefault(pid, _StableSlot())
+        #: Per-process write count and bytes written.
+        self._writes: Counter = Counter()
+        self._bytes: Counter = Counter()
 
     # ------------------------------------------------------------------
     # write path
@@ -126,12 +142,16 @@ class StableStore:
     def write_duration(self, size: int) -> float:
         return self.write_base_time + self.write_per_byte * size
 
+    def note_write(self, pid: ProcessId, size: int) -> None:
+        """Account one write of ``size`` bytes by ``pid``, including the
+        writes of baselines that bypass the backend."""
+        self._writes[pid] += 1
+        self._bytes[pid] += size
+
     def begin_save(self, checkpoint: Checkpoint) -> float:
         """Stage ``checkpoint`` on the backend; returns the simulated
         write duration after which :meth:`commit` makes it loadable."""
-        slot = self._slot(checkpoint.pid)
-        slot.writes += 1
-        slot.bytes_written += checkpoint.size
+        self.note_write(checkpoint.pid, checkpoint.size)
         self.backend.begin_write(checkpoint)
         return self.write_duration(checkpoint.size)
 
@@ -175,14 +195,10 @@ class StableStore:
     # accounting
     # ------------------------------------------------------------------
     def writes(self, pid: Optional[ProcessId] = None) -> int:
-        if pid is not None:
-            return self._slot(pid).writes
-        return sum(slot.writes for slot in self._slots.values())
+        return self._writes[pid] if pid is not None else sum(self._writes.values())
 
     def bytes_written(self, pid: Optional[ProcessId] = None) -> int:
-        if pid is not None:
-            return self._slot(pid).bytes_written
-        return sum(slot.bytes_written for slot in self._slots.values())
+        return self._bytes[pid] if pid is not None else sum(self._bytes.values())
 
     def storage_counters(self) -> dict[str, Any]:
         """Backend-level read/write/verify counters, for the run metrics."""

@@ -31,6 +31,7 @@ from repro.storage.faults import StorageFault, StorageFaultPlan
 from repro.memory.objects import SharedObjectSpec
 from repro.net.message import Message, MessageKind
 from repro.net.network import Network
+from repro.net.sizing import reset_size_cache
 from repro.observers import Observers
 from repro.sim.kernel import Kernel
 from repro.sim.tracing import TraceLog
@@ -106,6 +107,7 @@ class DisomSystem:
         config (``ClusterConfig.store_dir`` selects the durable
         :class:`~repro.storage.backend.FileBackend`)."""
         self.config = config or ClusterConfig()
+        reset_size_cache()
         self.checkpoint_policy = checkpoint or CheckpointPolicy()
         self.protocol_factory = protocol_factory
         trace = TraceLog(

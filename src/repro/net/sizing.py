@@ -66,19 +66,22 @@ _STATE_TYPES = {Tid, ExecutionPoint, WaitObj, Dependency, VersionId}
 #: Identity cache of sizes for *immutable* objects: registered wire
 #: types, enum members (singletons) and the constants None/True/False.
 #: Keyed by ``id``; the value keeps a strong reference to the object so
-#: the id cannot be recycled while the entry lives.  Bounded: cleared
-#: wholesale (and re-seeded) when full -- sizes are cheap to recompute.
+#: the id cannot be recycled while the entry lives.  Cleared when full and
+#: when a cluster is built: sizes are cheap to recompute, and an earlier
+#: run's entries would keep that run's objects alive.
 _OBJ_SIZES: dict[int, tuple[Any, int]] = {}
 _OBJ_SIZES_MAX = 65536
 
 
-def _seed_sizes() -> None:
+def reset_size_cache() -> None:
+    """Empty the identity cache, keeping the constants' entries."""
+    _OBJ_SIZES.clear()
     _OBJ_SIZES[id(None)] = (None, 0)
     _OBJ_SIZES[id(True)] = (True, 1)
     _OBJ_SIZES[id(False)] = (False, 1)
 
 
-_seed_sizes()
+reset_size_cache()
 
 
 def register_sized_type(cls: type) -> type:
@@ -154,18 +157,22 @@ def _sized(value: Any) -> int:
             else:
                 total += _sized(state)
         if len(_OBJ_SIZES) >= _OBJ_SIZES_MAX:
-            _OBJ_SIZES.clear()
-            _seed_sizes()
+            reset_size_cache()
         _OBJ_SIZES[ident] = (value, total)
         return total
     if isinstance(value, enum.Enum):
         # Members are singletons; cache so container walks hit inline.
         if len(_OBJ_SIZES) >= _OBJ_SIZES_MAX:
-            _OBJ_SIZES.clear()
-            _seed_sizes()
+            reset_size_cache()
         _OBJ_SIZES[id(value)] = (value, ENUM_BYTES)
         return ENUM_BYTES
     return UNKNOWN_BYTES
+
+
+def state_size(value: Any) -> int:
+    """:func:`payload_size` of a registered type with a list state, kept
+    out of the identity cache (for callers that keep a running total)."""
+    return STATE_BYTES + sum(map(_sized, value.__getstate__()))
 
 
 def blob_size(value: Any) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.errors import MemoryModelError, RecoveryError
-from repro.net.sizing import register_sized_type
+from repro.net.sizing import register_sized_type, state_size
 from repro.threads.program import Program, ProgramContext, ProgramGen
 from repro.threads.syscalls import (
     AcquireRead,
@@ -111,8 +111,8 @@ class RecordedResult:
 
     ``kind`` is the syscall class name; ``value`` is the (pristine) result
     the syscall returned.  Only acquires have non-None values.  Registered
-    with the size model: the value is a snapshot that is never mutated, so
-    checkpoint images can size replay prefixes by identity.
+    with the size model; the value is a never-mutated snapshot, so a
+    record's size is fixed and :meth:`Thread.records_bytes` sizes it once.
     """
 
     kind: str
@@ -154,6 +154,8 @@ class Thread:
         self.acquired_values: dict[ObjectId, Any] = {}
         #: Replay prefix: results of all completed syscalls since start.
         self.records: list[RecordedResult] = []
+        #: Size-model bytes of the first ``_records_sized`` records (records_bytes).
+        self._records_bytes = self._records_sized = 0
         #: True between an acquire's logical-time tick (issue) and its
         #: completion; distinguishes a truly in-flight acquire from a
         #: thread merely parked at an admission gate (not yet ticked).
@@ -295,6 +297,14 @@ class Thread:
             "result": snapshot(self.result),
         }
 
+    def records_bytes(self) -> int:
+        """Sum of ``payload_size`` over ``records``: a running total that
+        sizes each record once, so a checkpoint costs O(new records)."""
+        if self._records_sized < len(self.records):
+            self._records_bytes += sum(map(state_size, self.records[self._records_sized:]))
+            self._records_sized = len(self.records)
+        return self._records_bytes
+
     def completed_lt(self) -> int:
         """Logical time counting only *completed* acquires.
 
@@ -323,6 +333,7 @@ class Thread:
         self.wait_obj = state["wait_obj"]
         self.dep_set = list(state["dep_set"])
         self.records = list(state["records"])
+        self._records_bytes = self._records_sized = 0
         self.held = dict(state["held"])
         self.acquired_values = snapshot(state["acquired_values"])
         self.result = snapshot(state["result"])

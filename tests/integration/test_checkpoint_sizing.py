@@ -1,0 +1,168 @@
+"""Replay prefixes are sized by running totals, never by walking history.
+
+``Checkpoint.capture`` hands ``compute_size`` each thread's running
+``Thread.records_bytes`` instead of letting it walk every replay record
+of every thread in every image.  The generic walk,
+``payload_size(checkpoint.threads)``, is the oracle: on every image of
+every shape below (failure-free, a DiSOM crash whose restore resets the
+totals, the coordinated baseline's global rollback, incremental
+checkpoints) both must give the same bytes, and the byte totals of the
+three synthetic shapes must be those the walking implementation
+measured.  A count-based guard proves each record is sized exactly once
+and never enters the size model's identity cache, which building a
+cluster empties.
+"""
+
+import dataclasses
+import random
+
+import pytest
+
+import repro.net.sizing as sizing
+import repro.threads.thread as thread_module
+from repro.api import build_workload, run_workload
+from repro.checkpoint.policy import CheckpointPolicy
+from repro.checkpoint.stable import Checkpoint
+from repro.cluster.config import ClusterConfig
+from repro.cluster.system import DisomSystem
+from repro.net.sizing import payload_size
+from repro.threads.program import Program
+from repro.threads.syscalls import AcquireRead, AcquireWrite, Compute, Release
+from repro.threads.thread import RecordedResult, Thread
+from repro.types import Tid
+from repro.workloads import SyntheticWorkload
+
+SHAPES = {
+    "failure-free": dict(processes=8),
+    "disom-crash": dict(processes=4, crashes=[(1, 300.0)]),
+    "coordinated-crash": dict(processes=4, crashes=[(1, 300.0)],
+                              baseline="coordinated"),
+}
+
+#: (checkpoint bytes, stable bytes) of ``SyntheticWorkload(rounds=120,
+#: objects=8)`` at seed 7, interval 40, as the walking sizer measured them.
+PINNED_BYTES = {
+    "failure-free": (2_659_631, 2_659_631),
+    "disom-crash": (807_566, 882_464),
+    "coordinated-crash": (82_631, 130_812),
+}
+
+
+def _run(shape: str):
+    return run_workload(SyntheticWorkload(rounds=120, objects=8), seed=7,
+                        interval=40, **SHAPES[shape])
+
+
+@pytest.fixture
+def oracle(monkeypatch):
+    """Check every production image against the generic walk; returns
+    the ``(pid, taken_at)`` of each image checked."""
+    checked = []
+    original = Checkpoint.compute_size
+
+    def compute_size(self, delta_bytes=None):
+        size = original(self, delta_bytes)
+        if self.record_bytes is not None:
+            walked = dataclasses.replace(self, record_bytes=None)
+            original(walked, delta_bytes)
+            assert self.full_size == walked.full_size
+            for tid, state in self.threads.items():
+                assert self.record_bytes[tid] == sum(
+                    payload_size(record) for record in state["records"])
+            checked.append((self.pid, self.taken_at))
+        return size
+
+    monkeypatch.setattr(Checkpoint, "compute_size", compute_size)
+    return checked
+
+
+def test_running_totals_equal_the_walk(oracle):
+    for shape in sorted(SHAPES):
+        oracle.clear()
+        system, result = _run(shape)
+        assert result.completed and not result.aborted, shape
+        assert len(oracle) == system.stable_store.writes(), shape
+        assert (result.metrics.total_checkpoint_bytes,
+                result.stable_bytes) == PINNED_BYTES[shape], shape
+        if SHAPES[shape].get("crashes"):
+            # The victim's totals were reset by its restore and grew again.
+            assert any(pid == 1 and at > 300.0 for pid, at in oracle), shape
+
+    oracle.clear()
+    workload = SyntheticWorkload(rounds=120, objects=8)
+    system = DisomSystem(ClusterConfig(processes=4, seed=7),
+                         CheckpointPolicy(interval=40.0, incremental=True))
+    workload.setup(system)
+    system.inject_crash(1, at_time=300.0)
+    result = system.run()
+    assert result.completed and workload.verify(result).ok
+    # Each incremental image is sized twice: in full, then with its delta.
+    assert len(oracle) == 2 * system.stable_store.writes()
+    assert any(pid == 1 and at > 300.0 for pid, at in oracle)
+
+
+def test_each_record_is_sized_once_and_not_cached(monkeypatch):
+    monkeypatch.setattr(sizing, "_OBJ_SIZES", {})  # building the cluster seeds it
+    sized = []
+
+    def counting_state_size(record):
+        sized.append(id(record))
+        return sizing.state_size(record)
+
+    monkeypatch.setattr(thread_module, "state_size", counting_state_size)
+    system, result = run_workload("synthetic")
+    assert result.completed and system.stable_store.writes() > 4
+    threads = [thread for process in system.processes.values()
+               for thread in process.threads.values()]
+    for thread in threads:
+        thread.records_bytes()  # size what the last image did not cover
+    appended = sum(len(thread.records) for thread in threads)
+    assert appended > 0
+    assert len(sized) == len(set(sized)) == appended
+    assert not any(isinstance(value, RecordedResult)
+                   for value, _ in sizing._OBJ_SIZES.values())
+    # Building the next cluster empties the cache: its entries would keep
+    # this run's wire objects alive.
+    assert len(sizing._OBJ_SIZES) > 3
+    build_workload("synthetic")
+    assert {value for value, _ in sizing._OBJ_SIZES.values()} == {
+        None, True, False}
+
+
+def _body(ctx):
+    for step in range(6):
+        yield AcquireWrite("x")
+        yield Compute(1.0)
+        yield Release.of("x", [step])
+        yield AcquireRead("y")
+        yield Release("y")
+
+
+def _walked(records) -> int:
+    return sum(payload_size(record) for record in records)
+
+
+def test_thread_total_survives_append_restore_append():
+    def thread():
+        return Thread(Tid(0, 0), Program("sized", _body, {}),
+                      lambda fresh: random.Random(1))
+
+    original = thread()
+    original.start()
+    for _ in range(7):
+        original.resume(list(range(len(original.records))))
+        assert original.records_bytes() == _walked(original.records)
+    state = original.checkpoint_state()
+    for _ in range(4):
+        original.resume({"grown": len(original.records)})
+    assert original.records_bytes() == _walked(original.records)
+
+    clone = thread()
+    clone.restore_from(state)
+    assert clone.records_bytes() == _walked(state["records"])
+    for _ in range(5):
+        clone.resume(["after", "restore"])
+    assert clone.records_bytes() == _walked(clone.records)
+    # Restoring a thread that has a total starts the total afresh.
+    original.restore_from(state)
+    assert original.records_bytes() == _walked(state["records"])
