@@ -62,9 +62,9 @@ class ClusterConfig:
     strict_invalidation_acks: bool = True
     #: Memory consistency backend: one of
     #: :data:`repro.memory.model.CONSISTENCY_MODELS` ("entry" is the
-    #: paper's protocol; "sequential" and "causal" are the comparison
-    #: backends of experiment E14).  The DiSOM checkpoint protocol
-    #: requires "entry"; pair the others with a baseline.
+    #: paper's protocol; "sequential" is the comparison backend of
+    #: experiment E14).  The DiSOM checkpoint protocol requires
+    #: "entry"; pair "sequential" with a baseline.
     consistency: str = "entry"
     #: Hard horizon for a run; exceeding it raises SimulationError.
     max_time: float = 1_000_000.0

@@ -729,10 +729,7 @@ class EntryConsistencyEngine(ConsistencyModel):
         return reissued
 
     # ==================================================================
-    # introspection for tests
+    # introspection (system quiescence checks)
     # ==================================================================
-    def queue_length(self, obj_id: ObjectId) -> int:
-        return len(self._queues.get(obj_id, ()))
-
     def has_pending_acks(self) -> bool:
         return bool(self._pending_acks)

@@ -1,10 +1,10 @@
 """The ``ConsistencyModel`` contract: pluggable coherence backends.
 
-The repository originally hard-wired one coherence protocol -- the
-paper's entry-consistency engine.  This module extracts its
-protocol-facing surface into an abstract backend contract so a cluster
-can run the *same* workloads, fault-tolerance baselines, verification
-layer and experiment harness on different memory consistency models:
+This module is the protocol-facing surface of a coherence engine as an
+abstract backend contract, so a cluster can run the *same* workloads,
+fault-tolerance baselines, verification layer and experiment harness on
+the paper's memory model and on the sequentially consistent model it is
+compared against:
 
 * ``"entry"`` -- :class:`repro.memory.coherence.EntryConsistencyEngine`,
   the paper's modified Li-Hudak dynamic-distributed-manager protocol
@@ -13,10 +13,7 @@ layer and experiment harness on different memory consistency models:
   an SC-ABD style write-through design (Ekström & Haridi, arXiv
   1608.02442): a home-process lock manager serializes CREW admission
   and every release-write is propagated to all replicas and
-  acknowledged before the release completes;
-* ``"causal"`` -- :class:`repro.memory.causal.CausalConsistencyEngine`,
-  lock-serialized admission with vector-clock-ordered (dependency-
-  gated) asynchronous update propagation to the replicas.
+  acknowledged before the release completes.
 
 A backend owns four things:
 
@@ -35,14 +32,15 @@ A backend owns four things:
    consistency-history bridge);
 4. **recovery surface** -- the hooks the DiSOM recovery machinery calls
    on survivors.  Only the entry-consistency backend implements real
-   recovery; the base class provides inert defaults so non-EC backends
-   degrade cleanly (failure-free runs and abort-on-crash baselines).
+   recovery; the base class provides inert defaults so the sequential
+   backend degrades cleanly (failure-free runs and abort-on-crash
+   baselines).
 
 Checkpoint hooks (:class:`CoherenceHooks`) remain part of the contract:
 baselines account their overhead at the same integration points on
 every backend.  The DiSOM checkpoint protocol itself is EC-only --
 its logs record entry-consistency version/dependency structure -- and
-selecting it together with a non-EC backend raises ``ConfigError`` at
+selecting it together with the sequential backend raises ``ConfigError`` at
 process construction (see :mod:`repro.cluster.process`).
 """
 
@@ -78,7 +76,7 @@ class PendingRequest:
     """An acquire request queued at (or travelling towards) its server.
 
     Under entry consistency the server is the current owner at the end
-    of the probOwner chain; under the home-based backends it is the
+    of the probOwner chain; under sequential consistency it is the
     object's home process.  Slotted: one is allocated per remote acquire,
     and slot access keeps the grant path's attribute reads cheap.
     """
@@ -223,8 +221,8 @@ class ConsistencyModel:
         #: ancestor -- the recorded history is the *final* execution,
         #: checkable against the paper's section-3.1 definition.
         self.acquire_observer: Callable[..., None] = lambda *args: None
-        #: All cluster pids (set by the process); home-based backends use
-        #: it as the replica set for write propagation.
+        #: All cluster pids (set by the process); the sequential backend
+        #: uses it as the replica set for write propagation.
         self.peer_lister: Callable[[], List[ProcessId]] = list
         #: Crashed processes we must not grant to (failure detector input).
         self._known_crashed: set = set()
@@ -295,8 +293,8 @@ class ConsistencyModel:
 
     # ==================================================================
     # recovery surface (used by repro.checkpoint.recovery/replay; real
-    # implementations are EC-only, the defaults keep non-EC backends
-    # degrading cleanly on the failure-free / abort-on-crash paths)
+    # implementations are EC-only, the defaults keep the sequential
+    # backend degrading cleanly on the failure-free / abort-on-crash paths)
     # ==================================================================
     def enter_recovery_mode(self) -> None:
         self.accepting = False
@@ -340,11 +338,8 @@ class ConsistencyModel:
         return 0
 
     # ==================================================================
-    # introspection (tests, system quiescence checks)
+    # introspection (system quiescence checks)
     # ==================================================================
-    def queue_length(self, obj_id: ObjectId) -> int:
-        return 0
-
     def has_pending_acks(self) -> bool:
         return False
 
@@ -353,7 +348,7 @@ class ConsistencyModel:
 #: ``server.scenario.CONSISTENCY_MODELS`` and the CLI ``--consistency``
 #: choices derive from this tuple; keep it in sync with
 #: :func:`consistency_backends`.
-CONSISTENCY_MODELS: Tuple[str, ...] = ("entry", "sequential", "causal")
+CONSISTENCY_MODELS: Tuple[str, ...] = ("entry", "sequential")
 
 
 def consistency_backends() -> Dict[str, type]:
@@ -362,14 +357,12 @@ def consistency_backends() -> Dict[str, type]:
     Built lazily to avoid import cycles (the backends import this
     module for the base class).
     """
-    from repro.memory.causal import CausalConsistencyEngine
     from repro.memory.coherence import EntryConsistencyEngine
     from repro.memory.sequential import SequentialConsistencyEngine
 
     return {
         "entry": EntryConsistencyEngine,
         "sequential": SequentialConsistencyEngine,
-        "causal": CausalConsistencyEngine,
     }
 
 

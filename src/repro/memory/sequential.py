@@ -1,14 +1,22 @@
 """Sequential-consistency backend (SC-ABD style write-through).
 
 Follows the shape of Ekström & Haridi's fault-tolerant sequentially
-consistent DSM (arXiv 1608.02442), adapted to this repository's
-home-lock machinery (:mod:`repro.memory.homelock`): the object's home
-serializes CREW admission, reads are served from the replicated copy
-shipped with the grant, and every release-write is **write-through** --
-the home broadcasts the new version to every replica and the writer's
-release does not complete until every replica has acknowledged it
-(the two-phase write of ABD, collapsed onto the simulator's reliable
-but asynchronous links).
+consistent DSM (arXiv 1608.02442).  Every shared object has a fixed
+*home* process (its :class:`~repro.memory.objects.SharedObjectSpec`
+``home``) that serializes CREW admission through a lock table; reads are
+served from the replicated copy shipped with the grant, and every
+release-write is **write-through** -- the home broadcasts the new
+version to every live peer and the writer's release does not complete
+until each of them has acknowledged it (the two-phase write of ABD,
+collapsed onto the simulator's reliable but asynchronous links).
+
+Ownership never moves: the home stays ``OWNED`` for the whole run and
+every other process holds at most a ``READ`` replica, which keeps the
+system-level quiescence invariants
+(:meth:`repro.cluster.system.DisomSystem.check_invariants`) meaningful
+across backends.  The backend has no DiSOM recovery machinery; it
+inherits the inert recovery surface of :class:`ConsistencyModel` and
+serves failure-free runs and abort-on-crash baselines.
 
 This is deliberately the expensive end of the consistency spectrum the
 paper positions entry consistency against: each write costs a broadcast
@@ -20,19 +28,29 @@ exactly this gap.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from collections import deque
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ProtocolError
-from repro.memory.homelock import HomeLockEngine
+from repro.memory.model import ConsistencyModel, PendingRequest
 from repro.memory.objects import SharedObject
 from repro.net.message import Message, MessageKind
+from repro.threads.syscalls import Release
 from repro.threads.thread import Thread, snapshot
-from repro.types import AcquireType, ObjectId, ObjectStatus, ProcessId, Tid
+from repro.types import (
+    AcquireType,
+    ExecutionPoint,
+    ObjectId,
+    ObjectStatus,
+    ProcessId,
+    Tid,
+    WaitObj,
+)
 
 __all__ = ["SequentialConsistencyEngine"]
 
 
-class SequentialConsistencyEngine(HomeLockEngine):
+class SequentialConsistencyEngine(ConsistencyModel):
     """Home-lock CREW admission + acknowledged write-through replication."""
 
     name = "sequential"
@@ -44,18 +62,102 @@ class SequentialConsistencyEngine(HomeLockEngine):
         MessageKind.SC_UPDATE,
         MessageKind.SC_UPDATE_ACK,
     })
-    K_ACQUIRE = MessageKind.SC_ACQUIRE
-    K_GRANT = MessageKind.SC_GRANT
-    K_RELEASE = MessageKind.SC_RELEASE
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
+        #: Home-side lock table: current writer per object (exclusive).
+        self._lock_writer: Dict[ObjectId, ProcessId] = {}
+        #: Home-side lock table: read-hold counts per object per process.
+        self._lock_readers: Dict[ObjectId, Dict[ProcessId, int]] = {}
+        #: Home-side FIFO of requests the lock cannot admit yet.
+        self._lock_queue: Dict[ObjectId, "deque[PendingRequest]"] = {}
         #: Home side: one in-flight write-through round per object (the
         #: write lock stays held until it completes, so never more).
         #: obj -> {"waiting": pids, "writer": pid, "done_to", "completion"}.
         self._pending_updates: Dict[ObjectId, Dict[str, Any]] = {}
         #: Writer side: releases blocked on the home's SC_RELEASE_DONE.
         self._await_done: Dict[Tuple[ObjectId, Tid], Thread] = {}
+
+    # ==================================================================
+    # syscall entry points
+    # ==================================================================
+    def handle_acquire(self, thread: Thread, syscall: Any) -> None:
+        if not self.scheduler.alive:
+            return
+        obj_id = syscall.obj_id
+        acq_type = syscall.type
+        if obj_id in self.blocked_objects:
+            self._barrier_waiters.setdefault(obj_id, []).append((thread, syscall))
+            return
+        if self.hold_normal_acquires:
+            self._held_acquires.append((thread, syscall))
+            return
+        obj = self.directory.get(obj_id)
+        thread.check_can_acquire(obj_id)
+        thread.tick()
+        thread.acquire_pending = True
+        ep_acq = thread.current_ep()
+        thread.wait_obj = WaitObj(obj_id, acq_type, ep_acq)
+
+        req = PendingRequest(obj_id, acq_type, self.pid, ep_acq, thread=thread)
+        home = obj.prob_owner
+        if home == self.pid:
+            self._home_admit(obj, req)
+        else:
+            self.metrics.remote_acquires += 1
+            self.send_message(
+                MessageKind.SC_ACQUIRE, home, req.wire_payload(), req.wire_control()
+            )
+
+    def handle_release(self, thread: Thread, syscall: Release) -> None:
+        obj_id = syscall.obj_id
+        mode = thread.check_can_release(obj_id)
+        obj = self.directory.get(obj_id)
+        value = syscall.value if syscall.has_value else thread.acquired_values.get(obj_id)
+        thread.note_released(obj_id)
+        obj.note_released(thread.tid)
+
+        if mode.is_write:
+            obj.data = snapshot(value)
+            obj.version += 1
+            obj.ep_dep = thread.current_ep()
+            self.metrics.release_writes += 1
+            self.hooks.on_release_write(thread, obj)
+            self.emit_mem_event("write", thread.tid, thread.lt, obj, mode)
+            # Write-through: the release completes once the home's
+            # replication round has been acknowledged by every replica.
+            home = obj.prob_owner
+            if home == self.pid:
+                self._finish_home_write(obj, writer_pid=self.pid, completion=thread)
+            else:
+                self._await_done[(obj_id, thread.tid)] = thread
+                self.send_message(
+                    MessageKind.SC_RELEASE,
+                    home,
+                    {
+                        "obj_id": obj_id,
+                        "write": True,
+                        "p_rel": self.pid,
+                        "tid": thread.tid,
+                        "version": obj.version,
+                        "obj_data": snapshot(obj.data),
+                    },
+                    None,
+                )
+        else:
+            self.metrics.release_reads += 1
+            self.emit_mem_event("release", thread.tid, thread.lt, obj, mode)
+            home = obj.prob_owner
+            if home == self.pid:
+                self._lock_release_read(obj, self.pid)
+            else:
+                self.send_message(
+                    MessageKind.SC_RELEASE,
+                    home,
+                    {"obj_id": obj_id, "write": False, "p_rel": self.pid},
+                    None,
+                )
+            self.scheduler.complete(thread, None)
 
     # ==================================================================
     # message dispatch
@@ -80,30 +182,59 @@ class SequentialConsistencyEngine(HomeLockEngine):
         else:
             raise ProtocolError(f"{self.pid}: unexpected SC message {message}")
 
-    # ==================================================================
-    # write-release propagation (writer side)
-    # ==================================================================
-    def _propagate_write_release(
-        self, thread: Thread, obj: SharedObject, mode: AcquireType
-    ) -> None:
-        home = obj.prob_owner
-        if home == self.pid:
-            self._finish_home_write(obj, writer_pid=self.pid, completion=thread)
-        else:
-            self._await_done[(obj.obj_id, thread.tid)] = thread
-            self.send_message(
-                MessageKind.SC_RELEASE,
-                home,
-                {
-                    "obj_id": obj.obj_id,
-                    "write": True,
-                    "p_rel": self.pid,
-                    "tid": thread.tid,
-                    "version": obj.version,
-                    "obj_data": snapshot(obj.data),
-                },
-                None,
+    def _on_acquire_msg(self, message: Message) -> None:
+        payload = message.payload
+        control = message.piggyback.control if message.piggyback else {}
+        req = PendingRequest(
+            obj_id=payload["obj_id"],
+            type=payload["type"],
+            p_acq=payload["p_acq"],
+            ep_acq=control["ep_acq"],
+            hops=payload["hops"],
+        )
+        if req.p_acq in self._known_crashed:
+            return
+        obj = self.directory.get(req.obj_id)
+        self._home_admit(obj, req)
+
+    def _on_grant(self, message: Message) -> None:
+        payload = message.payload
+        control = message.piggyback.control if message.piggyback else {}
+        ep_acq: ExecutionPoint = control["ep_acq"]
+        acq_type: AcquireType = payload["type"]
+        thread = self.scheduler.threads.get(ep_acq.tid)
+        if (
+            thread is None
+            or thread.wait_obj is None
+            or thread.wait_obj.ep_acq != ep_acq
+        ):
+            self.metrics.duplicate_requests_discarded += 1
+            return
+        obj = self.directory.get(payload["obj_id"])
+        version: int = control["version"]
+        if version >= obj.version:
+            obj.data = snapshot(payload["obj_data"])
+            obj.version = version
+            if obj.status is not ObjectStatus.OWNED:
+                obj.status = ObjectStatus.READ
+        self.hooks.on_reply_received(
+            thread, obj, acq_type, ep_acq, payload["p_prd"], control
+        )
+        self._complete_acquire(thread, obj, acq_type, ep_acq, local=False)
+
+    def _on_release_msg(self, message: Message) -> None:
+        payload = message.payload
+        obj = self.directory.get(payload["obj_id"])
+        if payload["write"]:
+            obj.data = snapshot(payload["obj_data"])
+            obj.version = payload["version"]
+            self._finish_home_write(
+                obj,
+                writer_pid=payload["p_rel"],
+                done_to=(payload["p_rel"], payload["tid"]),
             )
+        else:
+            self._lock_release_read(obj, payload["p_rel"])
 
     def _on_release_done(self, message: Message) -> None:
         payload = message.payload
@@ -116,17 +247,117 @@ class SequentialConsistencyEngine(HomeLockEngine):
         self.scheduler.complete(thread, None)
 
     # ==================================================================
+    # home-side lock manager
+    # ==================================================================
+    def _home_admit(self, obj: SharedObject, req: PendingRequest) -> None:
+        if obj.status is not ObjectStatus.OWNED or obj.prob_owner != self.pid:
+            raise ProtocolError(
+                f"{self.pid}: home-lock request for {req.obj_id} at non-home "
+                f"(status={obj.status})"
+            )
+        queue = self._lock_queue.get(req.obj_id)
+        if queue or not self._lock_compatible(req):
+            self._lock_queue.setdefault(req.obj_id, deque()).append(req)
+            self.metrics.queued_requests += 1
+        else:
+            self._lock_grant(obj, req)
+
+    def _lock_compatible(self, req: PendingRequest) -> bool:
+        if req.obj_id in self._lock_writer:
+            return False
+        if req.type.is_write:
+            return not self._lock_readers.get(req.obj_id)
+        return True
+
+    def _lock_grant(self, obj: SharedObject, req: PendingRequest) -> None:
+        if not self.grant_gate(req.ep_acq, self.pid):
+            self.metrics.duplicate_requests_discarded += 1
+            return
+        if req.type.is_write:
+            self._lock_writer[req.obj_id] = req.p_acq
+        else:
+            readers = self._lock_readers.setdefault(req.obj_id, {})
+            readers[req.p_acq] = readers.get(req.p_acq, 0) + 1
+        if req.is_local:
+            assert req.thread is not None
+            self.hooks.on_local_acquire(req.thread, obj, req.type, req.ep_acq,
+                                        obj.ep_dep)
+            self.metrics.local_acquires += 1
+            self._complete_acquire(req.thread, obj, req.type, req.ep_acq,
+                                   local=True)
+        else:
+            self._grant_remote(obj, req)
+
+    def _lock_release_read(self, obj: SharedObject, pid: ProcessId) -> None:
+        readers = self._lock_readers.get(obj.obj_id)
+        if readers:
+            count = readers.get(pid, 0) - 1
+            if count > 0:
+                readers[pid] = count
+            else:
+                readers.pop(pid, None)
+            if not readers:
+                self._lock_readers.pop(obj.obj_id, None)
+        self._pump_lock_queue(obj)
+
+    def _pump_lock_queue(self, obj: SharedObject) -> None:
+        """Grant whatever the lock now admits, in FIFO order."""
+        queue = self._lock_queue.get(obj.obj_id)
+        while queue:
+            head = queue[0]
+            if not self._lock_compatible(head):
+                break
+            queue.popleft()
+            self._lock_grant(obj, head)
+            if head.type.is_write:
+                break  # an exclusive grant ends the batch
+        if queue is not None and not queue:
+            self._lock_queue.pop(obj.obj_id, None)
+
+    # ==================================================================
+    # grant paths
+    # ==================================================================
+    def _grant_remote(self, obj: SharedObject, req: PendingRequest) -> None:
+        self.hooks.on_before_grant_data(obj, req)
+        control = dict(self.hooks.on_remote_grant(obj, req))
+        control["version"] = obj.version
+        control["ep_acq"] = req.ep_acq
+        self.metrics.grants += 1
+        obj.copy_set.add(req.p_acq)
+        payload: Dict[str, Any] = {
+            "obj_id": obj.obj_id,
+            "type": req.type,
+            "obj_data": snapshot(obj.data),
+            "p_prd": self.pid,
+        }
+        self.send_message(MessageKind.SC_GRANT, req.p_acq, payload, control)
+
+    def _complete_acquire(
+        self,
+        thread: Thread,
+        obj: SharedObject,
+        acq_type: AcquireType,
+        ep_acq: ExecutionPoint,
+        *,
+        local: bool,
+    ) -> None:
+        obj.ep_dep = ep_acq
+        obj.note_held(thread.tid, acq_type)
+        value = snapshot(obj.data)
+        thread.note_acquired(obj.obj_id, acq_type, value)
+        thread.wait_obj = None
+        self.acquire_observer(thread.tid, ep_acq.lt, obj.obj_id, obj.version,
+                              acq_type)
+        self.emit_mem_event("acquire", thread.tid, ep_acq.lt, obj, acq_type,
+                            local=local)
+        if acq_type.is_read:
+            self.emit_mem_event("read", thread.tid, ep_acq.lt, obj, acq_type,
+                                local=local)
+        self.scheduler.complete(thread, value)
+
+    # ==================================================================
     # write-through round (home side)
     # ==================================================================
-    def _home_apply_write(self, obj: SharedObject, payload: Dict[str, Any]) -> None:
-        obj.data = snapshot(payload["obj_data"])
-        obj.version = payload["version"]
-        self._finish_home_write(
-            obj,
-            writer_pid=payload["p_rel"],
-            done_to=(payload["p_rel"], payload["tid"]),
-        )
-
     def _finish_home_write(
         self,
         obj: SharedObject,
@@ -134,7 +365,7 @@ class SequentialConsistencyEngine(HomeLockEngine):
         done_to: Optional[Tuple[ProcessId, Tid]] = None,
         completion: Optional[Thread] = None,
     ) -> None:
-        targets = self._replica_targets(exclude=(writer_pid,))
+        targets = self._replica_targets(exclude=writer_pid)
         obj.copy_set.update(targets)
         if writer_pid != self.pid:
             # The writer keeps its (freshly written) replica.
@@ -159,6 +390,12 @@ class SequentialConsistencyEngine(HomeLockEngine):
                 },
                 None,
             )
+
+    def _replica_targets(self, exclude: ProcessId) -> List[ProcessId]:
+        """Every live peer except this process and ``exclude``."""
+        skip = set(self._known_crashed)
+        skip.update((self.pid, exclude))
+        return [p for p in self.peer_lister() if p not in skip]
 
     def _on_update(self, message: Message) -> None:
         payload = message.payload
@@ -210,7 +447,8 @@ class SequentialConsistencyEngine(HomeLockEngine):
             self.emit_mem_event("release", completion.tid, completion.lt, obj,
                                 AcquireType.WRITE)
             self.scheduler.complete(completion, None)
-        self._lock_release_write(obj, writer_pid)
+        self._lock_writer.pop(obj.obj_id, None)
+        self._pump_lock_queue(obj)
 
     # ==================================================================
     # introspection

@@ -59,13 +59,6 @@ class MessageKind(enum.Enum):
     SC_UPDATE = "sc-update"
     SC_UPDATE_ACK = "sc-update-ack"
 
-    # -- causal-consistency backend (vector-clock gated update
-    #    propagation; see memory/causal.py) ------------------------------
-    CAUSAL_ACQUIRE = "causal-acquire"
-    CAUSAL_GRANT = "causal-grant"
-    CAUSAL_RELEASE = "causal-release"
-    CAUSAL_UPDATE = "causal-update"
-
     # -- generic application / test traffic; delivered to raw network
     #    sinks (tests), never through Process.deliver ------
     APP = "app"  # analyze: allow(handler-coverage)
@@ -103,10 +96,6 @@ _KIND_LAYER = {
     MessageKind.SC_RELEASE_DONE: LAYER_COHERENCE,
     MessageKind.SC_UPDATE: LAYER_COHERENCE,
     MessageKind.SC_UPDATE_ACK: LAYER_COHERENCE,
-    MessageKind.CAUSAL_ACQUIRE: LAYER_COHERENCE,
-    MessageKind.CAUSAL_GRANT: LAYER_COHERENCE,
-    MessageKind.CAUSAL_RELEASE: LAYER_COHERENCE,
-    MessageKind.CAUSAL_UPDATE: LAYER_COHERENCE,
     MessageKind.APP: LAYER_APP,
 }
 

@@ -37,8 +37,8 @@ from repro.memory.model import CONSISTENCY_MODELS
 SCHEMA = "repro-scenario/v1"
 
 # CONSISTENCY_MODELS (re-exported above) is the live coherence-backend
-# registry (:mod:`repro.memory.model`): "entry" (the paper's model),
-# "sequential" and "causal".  Requests declare what they assume and get
+# registry (:mod:`repro.memory.model`): "entry" (the paper's model) and
+# "sequential".  Requests declare what they assume and get
 # a 400 -- not silently wrong semantics -- for an unimplemented model.
 
 _KINDS = ("workload", "experiment")

@@ -1,18 +1,26 @@
-"""Paper claims that no experiment verdict already checks.
+"""Paper claims: the verdict ledger, and what no verdict already checks.
+
+EXPERIMENTS.md's verdict summary is a build product: one test runs the
+quick experiment suite and fails when a row's ✔ / ✘ disagrees with the
+``claim_holds`` its experiment computes, or when a registered
+experiment has no row.
 
 The four ablations (A1-A4) quantify design decisions of the protocol;
 they have no ``claim holds`` line of their own.  The E-series extras
 are the two findings that ``repro experiments`` computes but does not
 fold into its verdict: the figure 1 cut census and E8's strictly
-growing replay count.  Every other experiment finding is already part
-of its ``claim_holds`` expression, which CI's experiments job gates.
+growing replay count.
 """
+
+import re
+from pathlib import Path
 
 from repro.checkpoint.policy import CheckpointPolicy
 from repro.cluster.config import ClusterConfig
 from repro.cluster.system import DisomSystem
 from repro.experiments import run_figure1, run_recovery_time
 from repro.experiments.base import run_workload
+from repro.experiments.runner import run_experiments
 from repro.workloads import SyntheticWorkload
 
 
@@ -93,3 +101,20 @@ def test_figure1_census_classifies_twelve_cuts():
 def test_e8_replay_grows_with_the_interval():
     replays = run_recovery_time(quick=True).findings["replays"]
     assert replays[-1] > replays[0]
+
+
+def _verdict_summary() -> dict:
+    """``{"E1": "✔", ...}`` from EXPERIMENTS.md's verdict summary table."""
+    text = (Path(__file__).resolve().parents[2] / "EXPERIMENTS.md").read_text(
+        encoding="utf-8")
+    summary = text.split("## Verdict summary", 1)[1]
+    return {match[1]: match[2] for match in
+            re.finditer(r"^\| (E\d+) \|[^|]*\| ([✔✘])", summary, re.M)}
+
+
+def test_verdict_summary_matches_every_experiment():
+    verdicts = _verdict_summary()
+    outcomes, _ = run_experiments(quick=True)
+    computed = {exp_id.split("-")[0]: "✔" if result.claim_holds else "✘"
+                for exp_id, result in outcomes}
+    assert computed == verdicts

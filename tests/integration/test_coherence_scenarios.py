@@ -1,8 +1,9 @@
-"""Scripted coherence-protocol scenarios (Li-Hudak engine under EC).
+"""Scripted coherence-protocol scenarios.
 
-These tests steer specific protocol paths -- probOwner chains, queue
-fairness, ownership migration, invalidation deferral, the stale-floor
-race guard -- and inspect the engine's state directly.
+These tests steer specific protocol paths of the Li-Hudak engine under
+EC -- probOwner chains, queue fairness, ownership migration,
+invalidation deferral, the stale-floor race guard -- and of the
+sequential backend's home lock, and inspect the engine's state directly.
 """
 
 from repro import (
@@ -12,7 +13,9 @@ from repro import (
     Program,
     Release,
 )
-from repro.types import ObjectStatus
+from repro.baselines.noft import NullProtocol
+from repro.experiments.consistency_matrix import _run as e14_run
+from repro.types import ObjectStatus, Tid
 
 from tests.conftest import incrementer, make_system, reader
 
@@ -228,3 +231,49 @@ class TestLocalAcquireRules:
         first, later = result.thread_results[Tid(1, 0)]
         assert first == 0
         assert later == 1  # the stale copy was invalidated, not re-read
+
+
+class TestSequentialBackend:
+    def test_home_lock_queues_writer_and_write_through_is_pinned(self):
+        # A write at the home queues behind two remote readers and is
+        # granted only after both have released.
+        system = make_system(processes=3, interval=None,
+                             protocol_factory=NullProtocol.factory(),
+                             consistency="sequential")
+        system.add_object("x", initial=0, home=0)
+        clock = system.kernel.clock
+
+        def now():
+            return clock.now
+
+        def holding_reader(ctx):
+            yield AcquireRead("x")
+            yield Compute(ctx.param("hold"))
+            released_at = ctx.param("clock")()
+            yield Release("x")
+            return released_at
+
+        def home_writer(ctx):
+            yield Compute(3.0)           # both readers hold the lock by now
+            value = yield AcquireWrite("x")
+            granted_at = ctx.param("clock")()
+            yield Release.of("x", value + 1)
+            return granted_at
+
+        system.spawn(1, program_of(holding_reader, hold=10.0, clock=now))
+        system.spawn(2, program_of(holding_reader, hold=20.0, clock=now))
+        system.spawn(0, program_of(home_writer, clock=now))
+        result = system.run()
+        assert result.completed and result.final_objects["x"] == 1
+        released = [result.thread_results[Tid(pid, 0)] for pid in (1, 2)]
+        assert result.thread_results[Tid(0, 0)] > max(released) >= 20.0
+        assert result.metrics.per_process[0].queued_requests == 1
+        assert not any(process.engine.has_pending_acks()
+                       for process in system.processes.values())
+
+        # E14's quick sequential+none rows: one update+ack round to every
+        # live peer per release-write.
+        for profile, messages, total_bytes in (("write-heavy", 937, 236_342),
+                                               ("read-heavy", 447, 105_429)):
+            row = e14_run(profile, "sequential+none")
+            assert (row["messages"], row["bytes"]) == (messages, total_bytes)

@@ -43,8 +43,6 @@ def _varied_scenarios():
                crashes=[(1, 40.0)])
     yield dict(workload="synthetic", processes=3, seed=5,
                consistency="sequential")
-    yield dict(workload="synthetic", processes=3, seed=5,
-               consistency="causal")
 
 
 def _module_containers(module) -> dict:

@@ -176,7 +176,7 @@ def test_version_and_registry_documents(server, client):
     assert "synthetic" in registry["workloads"]
     assert "disom" in registry["baselines"]
     assert "E1-figure1" in registry["experiments"]
-    assert registry["consistency_models"] == ["entry", "sequential", "causal"]
+    assert registry["consistency_models"] == ["entry", "sequential"]
 
 
 def test_metrics_document_shape(client):

@@ -165,6 +165,11 @@ class TestCli:
             "lint_findings", "completed", "verified", "races", "violations",
             "events_checked", "ok"]
         assert summary["ok"] is True and summary["events_checked"] == 201
+        # A model outside the backend registry is a usage error, not a run.
+        with pytest.raises(SystemExit) as caught:
+            main(["workload", "synthetic", "--consistency", "causal"])
+        assert caught.value.code == 2
+        assert "invalid choice: 'causal'" in capsys.readouterr().err
 
     def test_workload_check_failure_exits_one_without_traceback(
             self, monkeypatch, capsys):
