@@ -44,7 +44,6 @@ class ProcessMetrics:
 
     # -- recovery ------------------------------------------------------------
     replayed_acquires: int = 0
-    replayed_releases: int = 0
     reissued_requests: int = 0
     survivor_rollbacks: int = 0  # must stay 0: the protocol is pessimistic
 

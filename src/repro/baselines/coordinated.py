@@ -35,7 +35,6 @@ from typing import Any, Callable, Optional
 
 from repro.baselines.base import FaultToleranceProtocol
 from repro.checkpoint.stable import Checkpoint
-from repro.errors import RecoveryError
 from repro.net.message import Message, MessageKind
 from repro.types import ProcessId
 
@@ -249,12 +248,7 @@ class CoordinatedProtocol(FaultToleranceProtocol):
         from repro.checkpoint.recovery import restore_process_state
 
         now = system.kernel.now
-        system._granted_eps.clear()  # the whole execution rewinds
-        if system._spares_left <= 0:
-            raise RecoveryError(
-                f"no free processor available to restart P{crashed_pid}"
-            )
-        system._spares_left -= 1
+        system.claim_spare(crashed_pid)
         snapshots: dict = getattr(system, "_coord_snapshots", {})
         # Roll back to the last *globally complete* round: the highest
         # epoch for which every process has a snapshot.
@@ -269,19 +263,13 @@ class CoordinatedProtocol(FaultToleranceProtocol):
                 old.alive = False
                 old.scheduler.kill()
                 old.checkpoint_protocol.stop_timer()
-            process = system._create_process(pid)
-            for spec in system.object_specs:
-                process.declare_object(spec)
-            for program in system._spawn_records.get(pid, []):
-                process.spawn_thread(program)
-            system.network.mark_recovered(pid, process)
+            process = system.rebuild_process(pid)
             checkpoint = snapshots[(pid, target_epoch)]
             restore_process_state(process, checkpoint)
-            for tid, ckpt_lt in checkpoint.thread_lts.items():
-                by_lt = system._acquire_history.get(tid)
-                if by_lt:
-                    for lt in [lt for lt in by_lt if lt > ckpt_lt]:
-                        del by_lt[lt]
+            # The cut was taken at quiescence and pre-rollback messages are
+            # dropped (rollback_floor), so no acquire at or before it is
+            # ever requested again: only grants past it are void.
+            system.note_rollback(checkpoint.thread_lts)
             protocol = process.checkpoint_protocol
             protocol.epoch = checkpoint.seq
             protocol.rollback_floor = now
@@ -291,9 +279,6 @@ class CoordinatedProtocol(FaultToleranceProtocol):
                 process.scheduler.resume_restored(process.threads[tid])
             if protocol.is_coordinator:
                 protocol._arm_timer()
-        for record in system.recovery_records:
-            if record.pid == crashed_pid and record.finished_at is None:
-                record.finished_at = now
         system.kernel.trace.emit(
             now, "recovery",
             f"coordinated global rollback to epoch "

@@ -419,6 +419,9 @@ class RecoveryManager:
                     f"prefix ending at lt {prefix.resume_lt}"
                 )
         self.report = DetectionReport(prefixes=prefixes, abort_reason=abort_reason)
+        for record in process.system.recovery_records:
+            if record.pid == process.pid and record.finished_at is None:
+                record.truncated = self.report.any_truncated
 
         if abort_reason is not None:
             process.system.abort(abort_reason, from_pid=process.pid, broadcast=True)
@@ -461,7 +464,7 @@ class RecoveryManager:
         process.checkpoint_protocol.suppress_checkpoints = False
 
         resume_lts = self.report.resume_lts() if self.report else {}
-        process.system.purge_granted(process.pid, resume_lts)
+        process.system.note_rollback(resume_lts)
         for peer in process.peer_pids():
             if peer != process.pid:
                 process.send_raw(

@@ -319,14 +319,10 @@ class LogReplayer:
         value = snapshot(obj.data)
         thread.note_acquired(item.obj_id, acq_type, value)
         thread.wait_obj = None
-        process.engine.acquire_observer(thread.tid, ep_acq.lt, item.obj_id,
-                                        obj.version, acq_type)
         process.engine.emit_mem_event("acquire", thread.tid, ep_acq.lt, obj,
                                       acq_type, local=(item.kind == "dummy"),
                                       replayed=True)
         process.metrics.replayed_acquires += 1
-        if item.kind == "regular":
-            process.metrics.replayed_releases += 0  # (releases counted by engine)
         process.scheduler.complete(thread, value)
         self.process.kernel.call_soon(self.after_event, label="replay-poke")
 

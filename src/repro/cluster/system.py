@@ -48,6 +48,7 @@ class RecoveryRecord:
     detected_at: float
     finished_at: Optional[float] = None
     replayed_acquires: int = 0
+    #: Multiple-failure detection cut some thread's LogList short (4.5).
     truncated: bool = False
 
     @property
@@ -146,8 +147,6 @@ class DisomSystem:
         self.recovery_records: list[RecoveryRecord] = []
         #: Cluster-wide grant-once registry (see try_claim_grant).
         self._granted_eps: dict[Any, ProcessId] = {}
-        #: Final-execution acquire history: tid -> {lt: (obj, version, type)}.
-        self._acquire_history: dict[Tid, dict[int, tuple]] = {}
         #: Inline verifier (repro.verify.inline.InlineVerifier), attached
         #: by verify.inline.attach() or the config's ``check`` flag: one
         #: more listener on the registry, kept here only so the run
@@ -187,42 +186,31 @@ class DisomSystem:
         )
         self.processes[pid] = process
         process.engine.grant_gate = self.try_claim_grant
-        process.engine.acquire_observer = self._note_acquire
         self.network.register(pid, process)
         if self.observers.active:
             self.observers.on_process_created(process)
         return process
 
-    def _note_acquire(self, tid: Tid, lt: int, obj_id: ObjectId,
-                      version: int, acq_type: Any) -> None:
-        """Record a completed acquire, keyed by execution point.
+    def rebuild_process(self, pid: ProcessId) -> DisomProcess:
+        """A fresh process in place of ``pid``, with its objects declared,
+        its programs spawned from the start and the network routing to
+        it: ready for a checkpoint restore."""
+        process = self._create_process(pid)
+        for spec in self.object_specs:
+            process.declare_object(spec)
+        for program in self._spawn_records.get(pid, []):
+            process.spawn_thread(program)
+        self.network.mark_recovered(pid, process)
+        return process
 
-        A re-executed acquire (recovery) overwrites its rolled-back
-        ancestor, so at quiescence this is the acquire history of the
-        *final* execution -- directly checkable against the paper's
-        section-3.1 consistency definition (see consistency_history()).
-        """
-        self._acquire_history.setdefault(tid, {})[lt] = (obj_id, version,
-                                                         acq_type)
-
-    def consistency_history(self):
-        """The final execution as an abstract history plus its full cut.
-
-        Returns ``(history, cut)`` for
-        :func:`repro.memory.consistency.check_consistency` -- the direct
-        bridge between the simulator and the paper's figure-1 definition.
-        """
-        from repro.memory.consistency import AbstractAcquire, Cut, History
-
-        history = History()
-        positions = {}
-        for tid in sorted(self._acquire_history):
-            name = str(tid)
-            for lt in sorted(self._acquire_history[tid]):
-                obj_id, version, acq_type = self._acquire_history[tid][lt]
-                history.add(name, AbstractAcquire(obj_id, version, acq_type))
-            positions[name] = len(self._acquire_history[tid])
-        return history, Cut(positions)
+    def claim_spare(self, pid: ProcessId) -> None:
+        """Take one spare processor to restart ``pid`` on, or raise."""
+        if self._spares_left <= 0:
+            raise RecoveryError(
+                f"no free processor available to recover P{pid} "
+                f"(spare_nodes={self.config.spare_nodes})"
+            )
+        self._spares_left -= 1
 
     def try_claim_grant(self, ep: "ExecutionPoint", granting_pid: ProcessId) -> bool:
         """Cluster-wide at-most-one-grant guard per acquire execution point.
@@ -231,34 +219,26 @@ class DisomSystem:
         assumes ("duplicate requests are detected and discarded by the
         memory coherence protocol"): a re-issued request that roams to a
         *different* owner after the original was already granted must not
-        be granted a second time.  Purged for rolled-back executions by
-        :meth:`purge_granted`.
+        be granted a second time.  Reopened for rolled-back executions by
+        :meth:`note_rollback`.
         """
         if ep in self._granted_eps:
             return False
         self._granted_eps[ep] = granting_pid
         return True
 
-    def purge_granted(self, pid: ProcessId, resume_lts: dict) -> None:
-        """Forget grants for acquires a recovery rolled back: the
-        re-executed thread will acquire at the same logical times afresh."""
+    def note_rollback(self, resume_lts: dict[Tid, int]) -> None:
+        """Each thread in ``resume_lts`` resumes at that logical time:
+        what it executed beyond is void.  Forget those grants -- the
+        re-execution acquires at the same logical times afresh -- and
+        announce ``on_rollback`` so listeners drop that suffix too (the
+        re-execution may take a different, shorter path)."""
         for ep in list(self._granted_eps):
-            if ep.tid.pid != pid:
-                continue
             resume = resume_lts.get(ep.tid)
             if resume is not None and ep.lt > resume:
                 del self._granted_eps[ep]
-        # The acquire history of the discarded suffix is equally void; the
-        # re-execution may take a different (shorter) path and would leave
-        # ghosts behind otherwise.
-        for tid, by_lt in self._acquire_history.items():
-            if tid.pid != pid:
-                continue
-            resume = resume_lts.get(tid)
-            if resume is None:
-                continue
-            for lt in [lt for lt in by_lt if lt > resume]:
-                del by_lt[lt]
+        if self.observers.active:
+            self.observers.on_rollback(resume_lts)
 
     def all_pids(self) -> list[ProcessId]:
         return self.config.pids()
@@ -603,22 +583,12 @@ class DisomSystem:
             self._start_recovery(pid)
 
     def _start_recovery(self, pid: ProcessId) -> None:
-        if self._spares_left <= 0:
-            raise RecoveryError(
-                f"no free processor available to recover P{pid} "
-                f"(spare_nodes={self.config.spare_nodes})"
-            )
+        self.claim_spare(pid)
         if not self.stable_store.has_checkpoint(pid):
             raise RecoveryError(f"no checkpoint in stable storage for P{pid}")
-        self._spares_left -= 1
         # "The first step to recover a process is to get its most recent
         # checkpoint and reload it in a free processor."
-        process = self._create_process(pid)
-        for spec in self.object_specs:
-            process.declare_object(spec)
-        for program in self._spawn_records.get(pid, []):
-            process.spawn_thread(program)
-        self.network.mark_recovered(pid, process)
+        process = self.rebuild_process(pid)
         checkpoint = self.stable_store.load(pid)
         manager = RecoveryManager(
             process=process,

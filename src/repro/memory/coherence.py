@@ -221,8 +221,6 @@ class EntryConsistencyEngine(ConsistencyModel):
         thread.note_acquired(obj.obj_id, acq_type, value)
         thread.wait_obj = None
         self.metrics.local_acquires += 1
-        self.acquire_observer(thread.tid, ep_acq.lt, obj.obj_id, obj.version,
-                              acq_type)
         self.emit_mem_event("acquire", thread.tid, ep_acq.lt, obj, acq_type,
                             local=True)
         if acq_type.is_read:
@@ -511,18 +509,18 @@ class EntryConsistencyEngine(ConsistencyModel):
         else:
             obj.note_held(thread.tid, acq_type)
             thread.note_acquired(obj_id, acq_type, value)
-            self.acquire_observer(thread.tid, ep_acq.lt, obj_id, version,
-                                  acq_type)
-            self.emit_mem_event("acquire", thread.tid, ep_acq.lt, obj, acq_type)
-            self.emit_mem_event("read", thread.tid, ep_acq.lt, obj, acq_type)
+            # The granted version, not the copy's: a stale-floor reply
+            # leaves no copy cached and obj.version behind.
+            self.emit_mem_event("acquire", thread.tid, ep_acq.lt, obj, acq_type,
+                                version=version)
+            self.emit_mem_event("read", thread.tid, ep_acq.lt, obj, acq_type,
+                                version=version)
             self.scheduler.complete(thread, value)
 
     def _finish_remote_write(self, thread: Thread, obj: SharedObject, value: Any) -> None:
         obj_id = obj.obj_id
         obj.note_held(thread.tid, AcquireType.WRITE)
         thread.note_acquired(obj_id, AcquireType.WRITE, value)
-        self.acquire_observer(thread.tid, thread.lt, obj_id, obj.version,
-                              AcquireType.WRITE)
         self.emit_mem_event("acquire", thread.tid, thread.lt, obj,
                             AcquireType.WRITE)
         invalidatees = set(obj.copy_set)

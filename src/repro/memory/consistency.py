@@ -12,17 +12,21 @@ exactly the dashed "system state" lines S1/S2/S3 of figure 1 -- and
 :func:`check_consistency` decides whether that cut is a consistent state.
 
 The same checker doubles as the post-recovery assertion for Theorems 1/2:
-the recovery integration tests lower the concrete simulator state into this
-abstract form and check it.
+an :class:`AcquireHistory` listener lowers a concrete run's final
+execution into this abstract form, and the recovery integration tests
+check it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.errors import ConfigError
-from repro.types import AcquireType, ObjectId
+from repro.types import AcquireType, ObjectId, Tid
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.verify.events import MemEvent
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,6 +77,40 @@ class Cut:
 
     def included(self, history: History, thread: str) -> list[AbstractAcquire]:
         return history.threads.get(thread, [])[: self.positions.get(thread, 0)]
+
+
+class AcquireHistory:
+    """Observers listener: a run's completed acquires as a :class:`History`.
+
+    Register it on ``system.observers`` before ``run()``.  Keyed by
+    ``(tid, lt)``, a re-executed acquire overwrites its rolled-back
+    ancestor, and ``on_rollback`` drops the suffix a shorter
+    re-execution would leave behind, so at quiescence :meth:`history`
+    is the *final* execution.
+    """
+
+    def __init__(self) -> None:
+        self._acquires: dict[Tid, dict[int, AbstractAcquire]] = {}
+
+    def on_mem_event(self, event: "MemEvent") -> None:
+        if event.kind == "acquire":
+            self._acquires.setdefault(event.tid, {})[event.lt] = AbstractAcquire(
+                event.obj_id, event.version, AcquireType(event.mode))
+
+    def on_rollback(self, resume_lts: dict[Tid, int]) -> None:
+        for tid, resume in resume_lts.items():
+            by_lt = self._acquires.get(tid, {})
+            for lt in [lt for lt in by_lt if lt > resume]:
+                del by_lt[lt]
+
+    def history(self) -> tuple[History, Cut]:
+        """``(history, cut)`` for :func:`check_consistency`: every thread's
+        acquires in logical-time order, and the cut including all of them."""
+        history = History()
+        for tid in sorted(self._acquires):
+            by_lt = self._acquires[tid]
+            history.add(str(tid), *(by_lt[lt] for lt in sorted(by_lt)))
+        return history, history.full_cut()
 
 
 @dataclass(frozen=True)

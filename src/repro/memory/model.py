@@ -26,10 +26,10 @@ A backend owns four things:
    :attr:`ConsistencyModel.handled_kinds` and the process routes them to
    :meth:`ConsistencyModel.on_message`;
 3. **mem-event emission** -- :meth:`ConsistencyModel.emit_mem_event`,
-   the typed event stream the race detector and the dummy-coverage rule
-   subscribe to; every backend must also report completed acquires
-   through :attr:`ConsistencyModel.acquire_observer` (the
-   consistency-history bridge);
+   the typed event stream the race detector, the dummy-coverage rule
+   and the consistency-history listener subscribe to; every completed
+   acquire must be reported as an ``"acquire"`` event carrying the
+   version the thread acquired;
 4. **recovery surface** -- the hooks the DiSOM recovery machinery calls
    on survivors.  Only the entry-consistency backend implements real
    recovery; the base class provides inert defaults so the sequential
@@ -170,9 +170,9 @@ class ConsistencyModel:
     Subclasses implement :meth:`handle_acquire`, :meth:`handle_release`
     and :meth:`on_message`, declare :attr:`name` and
     :attr:`handled_kinds`, and drive completion through the shared
-    helpers (``acquire_observer``, :meth:`emit_mem_event`,
-    ``scheduler.complete``).  The recovery surface defaults to inert
-    no-ops; only the entry-consistency backend overrides it.
+    helpers (:meth:`emit_mem_event`, ``scheduler.complete``).  The
+    recovery surface defaults to inert no-ops; only the
+    entry-consistency backend overrides it.
     """
 
     #: Registry name of the backend (``ClusterConfig(consistency=...)``).
@@ -215,12 +215,6 @@ class ConsistencyModel:
         self.grant_gate: Callable[[ExecutionPoint, ProcessId], bool] = (
             lambda ep, pid: True
         )
-        #: Observer of completed acquires (set by the system): called with
-        #: (tid, lt, obj_id, version, type).  Keyed by (tid, lt), so a
-        #: re-executed acquire after recovery overwrites its rolled-back
-        #: ancestor -- the recorded history is the *final* execution,
-        #: checkable against the paper's section-3.1 definition.
-        self.acquire_observer: Callable[..., None] = lambda *args: None
         #: All cluster pids (set by the process); the sequential backend
         #: uses it as the replica set for write propagation.
         self.peer_lister: Callable[[], List[ProcessId]] = list
@@ -271,22 +265,27 @@ class ConsistencyModel:
         *,
         local: bool = False,
         replayed: bool = False,
+        version: Optional[int] = None,
     ) -> None:
         """Publish one memory event: a typed
         :class:`~repro.verify.events.MemEvent` for the registry's
-        listeners (race detector, dummy-coverage rule) and, when the
-        trace is being fed, its human-readable ``"mem"`` row.
+        listeners (race detector, dummy-coverage rule, acquire history)
+        and, when the trace is being fed, its human-readable ``"mem"``
+        row.
 
         Every event carries the accessed object id *and* the guarding
         sync object id so the detector never has to re-derive the
-        object-to-guard association from context.
+        object-to-guard association from context.  ``version`` defaults
+        to the local copy's; pass it when the thread acquired a version
+        the copy does not hold.
         """
         tracing = TRACE_GATE.active and self.kernel.trace.enabled
         if not (tracing or self.observers.active):
             return
         publish_mem_event(
             MemEvent(kind, self.kernel.now, self.pid, tid, lt, obj.obj_id,
-                     obj.guard_id, mode.value, local, replayed, obj.version),
+                     obj.guard_id, mode.value, local, replayed,
+                     obj.version if version is None else version),
             self.observers,
             self.kernel.trace if tracing else None,
         )

@@ -346,8 +346,6 @@ class SequentialConsistencyEngine(ConsistencyModel):
         value = snapshot(obj.data)
         thread.note_acquired(obj.obj_id, acq_type, value)
         thread.wait_obj = None
-        self.acquire_observer(thread.tid, ep_acq.lt, obj.obj_id, obj.version,
-                              acq_type)
         self.emit_mem_event("acquire", thread.tid, ep_acq.lt, obj, acq_type,
                             local=local)
         if acq_type.is_read:

@@ -16,7 +16,7 @@ The registry fans each notification out to every listener that
 implements the corresponding method (listeners are duck-typed;
 unimplemented callbacks are simply skipped).
 
-Listener surface (all optional)::
+Listener surface (thirteen callbacks, all optional)::
 
     on_log_append(pid, entry)            # regular log entry appended
     on_log_remove(pid, entry)            # regular log entry GC'd/removed
@@ -34,6 +34,12 @@ Listener surface (all optional)::
     on_process_created(process)          # a process joined the cluster
                                          # (initial, or a recovery host)
     on_recovery_complete(pid)            # a recovery finished (any scheme)
+    on_rollback(resume_lts)              # execution past {tid: lt} is void
+                                         # (recovery or global rollback)
+
+A completed acquire reaches a consumer only as an ``"acquire"``
+``on_mem_event``; :class:`repro.memory.consistency.AcquireHistory`
+folds those and ``on_rollback`` into the final execution's history.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ CALLBACK_NAMES = (
     "on_mem_event",
     "on_process_created",
     "on_recovery_complete",
+    "on_rollback",
 )
 
 

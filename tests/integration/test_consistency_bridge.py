@@ -1,6 +1,6 @@
 """The section-3.1 consistency definition applied to *concrete* runs.
 
-`DisomSystem.consistency_history()` lowers the final execution into the
+An `AcquireHistory` listener lowers the final execution into the
 abstract acquire history of the paper's figure 1; `check_consistency`
 then evaluates the definition directly.  This is the third, most literal
 form of the Theorem-1/2 assertions.
@@ -8,9 +8,11 @@ form of the Theorem-1/2 assertions.
 
 import pytest
 
+from repro.baselines.coordinated import CoordinatedProtocol
 from repro.baselines.noft import NullProtocol
 from repro.memory.consistency import (
     AbstractAcquire,
+    AcquireHistory,
     Cut,
     History,
     check_consistency,
@@ -21,8 +23,26 @@ from repro.workloads import SyntheticWorkload
 from tests.conftest import counter_system, make_system
 
 
-def assert_final_state_consistent(system):
-    history, cut = system.consistency_history()
+class _RollbackLog(AcquireHistory):
+    """The history listener, also keeping every announced rollback."""
+
+    def __init__(self):
+        super().__init__()
+        self.rollbacks = []
+
+    def on_rollback(self, resume_lts):
+        self.rollbacks.append(dict(resume_lts))
+        super().on_rollback(resume_lts)
+
+
+def run_recorded(system):
+    """Run ``system`` with a history listener; returns (result, history)."""
+    recorder = system.observers.register(_RollbackLog())
+    return system.run(), recorder
+
+
+def assert_final_state_consistent(recorder):
+    history, cut = recorder.history()
     verdict = check_consistency(history, cut)
     assert verdict.consistent, verdict.reason
     return history
@@ -30,10 +50,9 @@ def assert_final_state_consistent(system):
 
 class TestFailureFree:
     def test_counter_history_consistent(self):
-        system = counter_system(processes=3, rounds=6)
-        result = system.run()
+        result, recorder = run_recorded(counter_system(processes=3, rounds=6))
         assert result.completed
-        history = assert_final_state_consistent(system)
+        history = assert_final_state_consistent(recorder)
         # One acquire per increment, across three threads.
         total = sum(len(seq) for seq in history.threads.values())
         assert total == 18
@@ -42,8 +61,9 @@ class TestFailureFree:
         workload = SyntheticWorkload(rounds=12, objects=4, locality=0.4)
         system = make_system(processes=4, seed=9)
         workload.setup(system)
-        assert system.run().completed
-        assert_final_state_consistent(system)
+        result, recorder = run_recorded(system)
+        assert result.completed
+        assert_final_state_consistent(recorder)
 
 
 class TestAlternateBackends:
@@ -62,17 +82,18 @@ class TestAlternateBackends:
                              protocol_factory=NullProtocol.factory(),
                              consistency=consistency)
         workload.setup(system)
-        assert system.run().completed
-        assert_final_state_consistent(system)
+        result, recorder = run_recorded(system)
+        assert result.completed
+        assert_final_state_consistent(recorder)
 
     @pytest.mark.parametrize("consistency", ["sequential"])
     def test_counter_history_counts_every_acquire(self, consistency):
         system = counter_system(processes=3, rounds=6, interval=None,
                                 protocol_factory=NullProtocol.factory(),
                                 consistency=consistency)
-        result = system.run()
+        result, recorder = run_recorded(system)
         assert result.completed
-        history = assert_final_state_consistent(system)
+        history = assert_final_state_consistent(recorder)
         total = sum(len(seq) for seq in history.threads.values())
         assert total == 18
 
@@ -99,19 +120,30 @@ class TestWithRecovery:
     def test_single_failure_final_history_consistent(self, crash_time):
         system = counter_system(processes=3, rounds=8, seed=7, interval=25.0)
         system.inject_crash(1, at_time=crash_time)
-        result = system.run()
+        result, recorder = run_recorded(system)
         assert result.completed
-        assert_final_state_consistent(system)
+        assert_final_state_consistent(recorder)
 
     def test_multithreaded_crash_history_consistent(self):
-        workload = SyntheticWorkload(rounds=8, objects=4,
-                                     threads_per_process=3, locality=0.5)
-        system = make_system(processes=3, seed=4, interval=25.0)
-        workload.setup(system)
-        system.inject_crash(1, at_time=20.0)
-        result = system.run()
-        assert result.completed
-        assert_final_state_consistent(system)
+        # Seed 16 delivers read replies whose copy a newer writer had
+        # already invalidated (the stale-floor branch of
+        # EntryConsistencyEngine._on_reply): no copy is cached, and the
+        # acquire must still report the version the thread was granted.
+        for seed in (4, 16):
+            workload = SyntheticWorkload(rounds=8, objects=4,
+                                         threads_per_process=3, locality=0.5)
+            system = make_system(processes=3, seed=seed, interval=25.0)
+            workload.setup(system)
+            system.inject_crash(1, at_time=20.0)
+            result, recorder = run_recorded(system)
+            assert result.completed
+            history = assert_final_state_consistent(recorder)
+            # A synthetic object's count is its version, so each thread's
+            # read acquires add up to the checksum it computed.
+            for tid, outcome in result.thread_results.items():
+                reads = [acquire.version for acquire in history.threads[str(tid)]
+                         if acquire.type is AcquireType.READ]
+                assert sum(reads) == outcome["checksum"], (seed, tid)
 
     def test_multi_failure_when_recovered_history_consistent(self):
         workload = SyntheticWorkload(rounds=10, objects=4)
@@ -120,19 +152,29 @@ class TestWithRecovery:
         workload.setup(system)
         system.inject_crash(0, at_time=15.0)
         system.inject_crash(2, at_time=90.0)
-        result = system.run()
+        result, recorder = run_recorded(system)
         if result.completed and not result.aborted:
-            assert_final_state_consistent(system)
+            assert_final_state_consistent(recorder)
 
     def test_history_has_no_rolled_back_ghosts(self):
-        system = counter_system(processes=3, rounds=8, seed=7, interval=25.0)
-        system.inject_crash(1, at_time=22.0)
-        result = system.run()
-        assert result.completed
-        history, cut = system.consistency_history()
-        # Each thread's logical times are contiguous 1..N in the final
-        # history (ghost entries from a discarded suffix would show up as
-        # out-of-sequence versions and break consistency).
-        for tid, by_lt in system._acquire_history.items():
-            lts = sorted(by_lt)
-            assert lts == list(range(1, len(lts) + 1)), tid
+        # Both rollback sources announce on_rollback: a DiSOM recovery
+        # (the victim's threads resume at their prefix ends) and the
+        # coordinated baseline's global rollback (every thread resumes at
+        # the committed cut).
+        for factory, rolled_back in ((None, {1}),
+                                     (CoordinatedProtocol.factory(interval=10.0),
+                                      {0, 1, 2})):
+            system = counter_system(processes=3, rounds=8, seed=7,
+                                    interval=25.0, protocol_factory=factory)
+            system.inject_crash(1, at_time=22.0)
+            result, recorder = run_recorded(system)
+            assert result.completed
+            assert {tid.pid for resume_lts in recorder.rollbacks
+                    for tid in resume_lts} == rolled_back
+            history = assert_final_state_consistent(recorder)
+            # Exactly the final execution: eight write acquires per thread,
+            # each of the 24 versions acquired once (an acquire from a
+            # discarded suffix would repeat a version or add a ninth).
+            assert [len(seq) for seq in history.threads.values()] == [8] * 3
+            assert sorted(acquire.version for seq in history.threads.values()
+                          for acquire in seq) == list(range(24))

@@ -67,6 +67,9 @@ class TestMultiFailureSweep:
         base = base_sys.run()
         workload, system = build(5, schedule)
         result = system.run()
+        # Every schedule here loses a LogList suffix to detection (4.5),
+        # and the recovery record says so.
+        assert any(record.truncated for record in result.recoveries)
         if result.aborted:
             assert result.abort_reason
         else:

@@ -241,10 +241,11 @@ _SRC = Path(repro.__file__).resolve().parent
 
 
 def _shipped_listeners():
+    from repro.memory.consistency import AcquireHistory
     from repro.verify.inline import InlineVerifier
     from repro.verify.invariants import InvariantChecker
 
-    return (InlineVerifier, InvariantChecker, CoverageProbe)
+    return (InlineVerifier, InvariantChecker, CoverageProbe, AcquireHistory)
 
 
 @pytest.mark.parametrize("name", CALLBACK_NAMES)

@@ -5,7 +5,8 @@ import pytest
 from repro import CheckpointPolicy, ClusterConfig, DisomSystem
 from repro.cluster.config import CrashPlan, RecoveryTiming
 from repro.errors import ConfigError
-from repro.types import AcquireType
+from repro.memory.consistency import AcquireHistory
+from repro.types import AcquireType, Tid
 
 from tests.conftest import counter_system, incrementer, make_system
 
@@ -127,9 +128,14 @@ class TestShadowOracle:
 class TestAcquireHistory:
     def test_history_records_types_and_versions(self):
         system = counter_system(processes=2, rounds=3)
+        recorder = system.observers.register(AcquireHistory())
         system.run()
-        history, cut = system.consistency_history()
+        history, cut = recorder.history()
         acquires = [a for seq in history.threads.values() for a in seq]
         assert all(a.type is AcquireType.WRITE for a in acquires)
         versions = sorted(a.version for a in acquires)
         assert versions == list(range(6))  # each write acquired one version
+        # A rollback announced by the system voids the suffix past it.
+        system.note_rollback({Tid(1, 0): 1})
+        history, cut = recorder.history()
+        assert cut.positions == {str(Tid(0, 0)): 3, str(Tid(1, 0)): 1}

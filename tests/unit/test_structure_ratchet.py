@@ -56,7 +56,8 @@ MEASURES = {
     "observation-side-doors": lambda: _matches(
         SRC, r"\.sink\b|send_hooks|metrics_history|bind_observers"
              r"|attach_to\(|_wire_observers|from_record|events_from_trace"
-             r"|feed_record|\.bind\(observers"),
+             r"|feed_record|\.bind\(observers"
+             r"|acquire_observer|_acquire_history|purge_granted"),
 }
 
 
