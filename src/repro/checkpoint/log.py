@@ -19,6 +19,24 @@ from repro.net.sizing import payload_size
 from repro.types import ExecutionPoint, ObjectId, ProcessId, Tid
 
 
+def pseudo_tid(pid: ProcessId) -> Tid:
+    """The pseudo-thread standing for "object creation" at a home process.
+
+    Version V0 exists from creation (section 3.1); its producer is not a
+    real thread, so grants of V0 use this sentinel with logical time 0.
+    """
+    return Tid.of(pid, -1)
+
+
+def pseudo_ep(pid: ProcessId) -> ExecutionPoint:
+    return ExecutionPoint.of(pseudo_tid(pid), 0)
+
+
+def is_pseudo(tid: Tid) -> bool:
+    """Is ``tid`` a pseudo producer (object creation or an ownership entry)?"""
+    return tid.local == -1
+
+
 @dataclass(frozen=True, slots=True)
 class ThreadSetPair:
     """One ``threadSet`` element: ``<ep_acq, ep_prd>``.
@@ -77,6 +95,16 @@ class LogEntry:
 
     def add_access(self, ep_acq: ExecutionPoint, ep_prd: ExecutionPoint) -> None:
         self.thread_set.append(ThreadSetPair(ep_acq, ep_prd))
+
+    def copy_holders(self, pid: ProcessId) -> set[ProcessId]:
+        """Processes other than ``pid`` that may hold a read copy of this
+        version: its threadSet acquirers plus, since the threadSet
+        under-approximates once GC removed pairs of checkpointed readers,
+        the granter's copySet recorded when ownership moved."""
+        holders = {pair.ep_acq.tid.pid for pair in self.thread_set} - {pid}
+        if self.copy_set_at_grant is not None:
+            holders |= set(self.copy_set_at_grant) - {pid}
+        return holders
 
     def data_copy(self) -> Any:
         return _pristine(self.obj_data)
@@ -164,6 +192,31 @@ class ProcessLog:
     def last_entry(self, obj_id: ObjectId) -> Optional[LogEntry]:
         per_obj = self._by_object.get(obj_id)
         return per_obj[-1] if per_obj else None
+
+    def owner_entry(self, obj: Any) -> LogEntry:
+        """The last entry for ``obj``, which this process owns.
+
+        The owner must hold the last version's entry to serve grants ("the
+        object's last version in the log", section 4.2 step 2).  When the
+        object is newer than the log -- ownership installed by a remote
+        write grant, by recovery replay, or restored from a checkpoint
+        taken while the ownership reply was mid-flight -- a bare ownership
+        entry is appended first.  The producer keeps the original entry
+        with its threadSet; this copy's pseudo producer point is
+        ``(pid,-1)@version`` so dependency attachment during a later
+        recovery resolves to it.
+        """
+        last = self.last_entry(obj.obj_id)
+        if last is None or last.version < obj.version:
+            last = LogEntry(
+                obj_id=obj.obj_id,
+                version=obj.version,
+                obj_data=_pristine(obj.data),
+                tid_prd=pseudo_tid(self._pid),
+                ep_release=ExecutionPoint.of(pseudo_tid(self._pid), obj.version),
+            )
+            self.append(last)
+        return last
 
     def entries_for(self, obj_id: ObjectId) -> list[LogEntry]:
         return list(self._by_object.get(obj_id, []))

@@ -23,7 +23,13 @@ from repro.checkpoint.gc import (
     gc_own_local_deps,
     gc_thread_sets,
 )
-from repro.checkpoint.log import LogEntry, ProcessLog
+from repro.checkpoint.log import (
+    LogEntry,
+    ProcessLog,
+    is_pseudo,
+    pseudo_ep,
+    pseudo_tid,
+)
 from repro.checkpoint.policy import CheckpointPolicy, CkpSet
 from repro.checkpoint.stable import Checkpoint
 from repro.baselines.base import FaultToleranceProtocol
@@ -41,44 +47,6 @@ from repro.types import (
     ProcessId,
     Tid,
 )
-
-
-def pseudo_tid(pid: ProcessId) -> Tid:
-    """The pseudo-thread standing for "object creation" at a home process.
-
-    Version V0 exists from creation (section 3.1); its producer is not a
-    real thread, so grants of V0 use this sentinel with logical time 0.
-    """
-    return Tid.of(pid, -1)
-
-
-def pseudo_ep(pid: ProcessId) -> ExecutionPoint:
-    return ExecutionPoint.of(pseudo_tid(pid), 0)
-
-
-def is_pseudo(point: ExecutionPoint) -> bool:
-    return point.tid.local == -1
-
-
-def make_ownership_entry(pid: ProcessId, obj_id: str, version: int,
-                         data: Any) -> LogEntry:
-    """A bare log entry standing for ownership of a version produced
-    elsewhere (installed by recovery replay, or restored from a
-    checkpoint taken while the ownership reply was mid-flight).
-
-    The producer keeps the original entry with its threadSet; this copy
-    only lets the new owner serve grants ("the object's last version in
-    the log", section 4.2 step 2).  The pseudo producer's execution point
-    is ``(pid,-1)@version`` so dependency attachment during a later
-    recovery resolves to the right entry.
-    """
-    return LogEntry(
-        obj_id=obj_id,
-        version=version,
-        obj_data=data,
-        tid_prd=pseudo_tid(pid),
-        ep_release=ExecutionPoint.of(pseudo_tid(pid), version),
-    )
 
 
 class DisomCheckpointProtocol(FaultToleranceProtocol):
@@ -217,7 +185,7 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
     def _producer_ep(self, entry: LogEntry) -> ExecutionPoint:
         """Current execution point of the producer thread (paper 4.2)."""
         tid_prd = entry.tid_prd
-        if tid_prd.local == -1:
+        if is_pseudo(tid_prd):
             # Pseudo producer (V0 creation, or an ownership entry): its
             # "current" point is the entry's own release point.
             if entry.ep_release is not None:
@@ -252,14 +220,7 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
                                ep_acq: ExecutionPoint) -> None:
         # We own a version produced elsewhere and may serve (read) grants
         # before any local release: materialize the owner's entry.
-        last = self.log.last_entry(obj.obj_id)
-        if last is None or last.version < obj.version:
-            from repro.threads.thread import snapshot as _snap
-
-            last = make_ownership_entry(
-                self.pid, obj.obj_id, obj.version, _snap(obj.data)
-            )
-            self.log.append(last)
+        last = self.log.owner_entry(obj)
         if last.version == obj.version and last.next_owner is None:
             # This hook only fires for a local write acquire deferred
             # behind sibling readers: our own write supersedes the
@@ -610,11 +571,7 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
         obj.prob_owner = self.pid
         obj.version = entry.version
         obj.data = entry.data_copy()
-        obj.copy_set = {
-            pair.ep_acq.tid.pid for pair in entry.thread_set
-        } - {self.pid}
-        if entry.copy_set_at_grant is not None:
-            obj.copy_set |= set(entry.copy_set_at_grant) - {self.pid}
+        obj.copy_set = entry.copy_holders(self.pid)
         if TRACE_GATE.active:
             self.process.kernel.trace.emit(
                 self.process.kernel.now, "recovery",

@@ -14,7 +14,6 @@ the object directory metadata and announce RECOVERY_DONE.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -24,18 +23,16 @@ from repro.checkpoint.detection import (
     find_unrecoverable,
 )
 from repro.checkpoint.dummy import DummyEntry
-from repro.checkpoint.log import LogEntry
+from repro.checkpoint.log import LogEntry, is_pseudo
 from repro.checkpoint.policy import CkpSet
 from repro.checkpoint.replay import LogReplayer, ReplayItem, ReplayPlan
 from repro.checkpoint.stable import Checkpoint
 from repro.errors import ProtocolError, RecoveryError
 from repro.net.message import Message, MessageKind
 from repro.types import (
-    AcquireType,
     Dependency,
     ExecutionPoint,
     HoldState,
-    ObjectId,
     ObjectStatus,
     ProcessId,
     Tid,
@@ -107,7 +104,7 @@ def collect_recovery_data(
         """ep_ckp preceq point; pseudo-producers (lt 0) always qualify."""
         if point.tid.pid != failed_pid:
             return False
-        if point.tid.local == -1:
+        if is_pseudo(point.tid):
             return True
         ckpt_lt = lts.get(point.tid)
         return ckpt_lt is not None and point.lt >= ckpt_lt
@@ -146,6 +143,25 @@ def collect_recovery_data(
                 reply.dummy_set.append(dep)
 
     return reply
+
+
+def answer_recovery_request(process: Any, message: Message, view: tuple) -> None:
+    """Send ``process``'s RECOVERY_REPLY to ``message``'s sender.
+
+    ``view`` is ``(log entries, dummy entries, depSets by thread)``: the
+    live structures at a survivor, or the frozen checkpoint-state
+    snapshot at a process that is itself recovering.
+    """
+    log_entries, dummy_entries, dep_sets = view
+    data = collect_recovery_data(
+        from_pid=process.pid,
+        log_entries=log_entries,
+        dummy_entries=dummy_entries,
+        dep_sets=dep_sets,
+        failed_pid=message.payload["failed_pid"],
+        ckp_set=message.payload["ckp_set"],
+    )
+    process.send_raw(MessageKind.RECOVERY_REPLY, message.src, {"data": data})
 
 
 def restore_process_state(process: Any, checkpoint: Checkpoint) -> None:
@@ -203,17 +219,9 @@ def restore_process_state(process: Any, checkpoint: Checkpoint) -> None:
     # on invalidation acks): synthesize the owner's entry so grants work.
     protocol = process.checkpoint_protocol
     if hasattr(protocol, "log"):
-        from repro.checkpoint.protocol import make_ownership_entry
-
         for obj in process.directory:
-            if obj.status is not ObjectStatus.OWNED:
-                continue
-            last = protocol.log.last_entry(obj.obj_id)
-            if last is None or last.version < obj.version:
-                protocol.log.append(make_ownership_entry(
-                    process.pid, obj.obj_id, obj.version,
-                    copy.deepcopy(obj.data),
-                ))
+            if obj.status is ObjectStatus.OWNED:
+                protocol.log.owner_entry(obj)
 
 
 class RecoveryManager:
@@ -307,7 +315,7 @@ class RecoveryManager:
         # Answer recovery requests that arrived while loading.
         pending, self._pending_requests = self._pending_requests, []
         for message in pending:
-            self.answer_peer_request(message)
+            answer_recovery_request(process, message, self._collection_view)
         # Broadcast the recovery request (section 4.3.1).
         for peer in process.peer_pids():
             if peer != process.pid:
@@ -328,22 +336,7 @@ class RecoveryManager:
         if self._collection_view is None:
             self._pending_requests.append(message)
         else:
-            self.answer_peer_request(message)
-
-    def answer_peer_request(self, message: Message) -> None:
-        assert self._collection_view is not None
-        log_view, dummy_view, dep_view = self._collection_view
-        data = collect_recovery_data(
-            from_pid=self.process.pid,
-            log_entries=log_view,
-            dummy_entries=dummy_view,
-            dep_sets=dep_view,
-            failed_pid=message.payload["failed_pid"],
-            ckp_set=message.payload["ckp_set"],
-        )
-        self.process.send_raw(
-            MessageKind.RECOVERY_REPLY, message.src, {"data": data}
-        )
+            answer_recovery_request(self.process, message, self._collection_view)
 
     # ------------------------------------------------------------------
     # phase 2: collect replies, run detection, build the replay plan
@@ -392,7 +385,7 @@ class RecoveryManager:
                 log_lists[tid].append(ReplayItem.from_dummy(dummy))
             for dep in reply.depend_set:
                 tid = dep.ep_prd.tid
-                if tid.local == -1:
+                if is_pseudo(tid):
                     # Dependency on a creation-time (V0) version: attach
                     # directly to the checkpointed entry in the final pass.
                     depend_lists.setdefault(tid, []).append(dep)
@@ -436,7 +429,6 @@ class RecoveryManager:
             log_lists={tid: items for tid, items in log_lists.items()},
             depend_lists=depend_lists,
             dummy_set=dummy_set,
-            resume_lts=self.report.resume_lts(),
             ckpt_lts=dict(ckpt_lts),
             concurrent_recoveries=concurrent,
         )

@@ -28,13 +28,12 @@ at the crash.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.checkpoint.dummy import DummyEntry
-from repro.checkpoint.log import LogEntry
+from repro.checkpoint.log import LogEntry, is_pseudo
 from repro.errors import ProtocolError
-from repro.threads.syscalls import AcquireRead, AcquireWrite
 from repro.threads.thread import Thread, ThreadState, snapshot
 from repro.types import (
     AcquireType,
@@ -45,10 +44,6 @@ from repro.types import (
     ProcessId,
     Tid,
 )
-
-
-def _is_pseudo(point: Optional[ExecutionPoint]) -> bool:
-    return point is not None and point.tid.local == -1
 
 
 @dataclass
@@ -70,7 +65,7 @@ class ReplayItem:
     @staticmethod
     def regular(lt: int, entry: LogEntry, ep_prd: ExecutionPoint,
                 produced_in: ProcessId,
-                ep_acq: Optional[ExecutionPoint] = None) -> "ReplayItem":
+                ep_acq: ExecutionPoint) -> "ReplayItem":
         is_write = (entry.next_owner_ep is not None
                     and entry.next_owner_ep == ep_acq)
         return ReplayItem(lt=lt, kind="regular", entry=entry, ep_prd=ep_prd,
@@ -96,19 +91,15 @@ class ReplayPlan:
     log_lists: dict[Tid, list[ReplayItem]]
     depend_lists: dict[Tid, list[Dependency]]
     dummy_set: list[Dependency]
-    resume_lts: dict[Tid, int]
     #: Logical time of each thread at the checkpoint: events at or before
     #: these are considered already reproduced (they are inside the
     #: restored state).
-    ckpt_lts: dict[Tid, int] = None  # type: ignore[assignment]
+    ckpt_lts: dict[Tid, int]
     #: True when other processes were recovering concurrently: replay
     #: knowledge derived from their *checkpoint-state* logs (nextOwner,
     #: copySets) may miss post-checkpoint events, so cached read copies
     #: cannot be trusted at all.
-    concurrent_recoveries: bool = False
-
-    def total_items(self) -> int:
-        return sum(len(items) for items in self.log_lists.values())
+    concurrent_recoveries: bool
 
 
 class LogReplayer:
@@ -169,9 +160,9 @@ class LogReplayer:
         True for pseudo events (object creation), events covered by the
         restored checkpoint, and events reproduced during this replay.
         """
-        if dep is None or _is_pseudo(dep):
+        if dep is None or is_pseudo(dep.tid):
             return True
-        ckpt_lt = self.plan.ckpt_lts.get(dep.tid) if self.plan.ckpt_lts else None
+        ckpt_lt = self.plan.ckpt_lts.get(dep.tid)
         if ckpt_lt is not None and dep.lt <= ckpt_lt:
             return True
         return dep in self._events.get(obj_id, ())
@@ -257,29 +248,10 @@ class LogReplayer:
             if acq_type.is_write:
                 obj.status = ObjectStatus.OWNED
                 obj.prob_owner = process.pid
-                inherited = {
-                    pair.ep_acq.tid.pid for pair in entry.thread_set
-                } - {process.pid}
-                if entry.copy_set_at_grant is not None:
-                    # The threadSet under-approximates once GC removed
-                    # pairs of checkpointed readers; the granter recorded
-                    # the exact set.
-                    inherited |= set(entry.copy_set_at_grant) - {process.pid}
-                obj.copy_set = set(inherited)
-                # The owner must hold the last version's log entry to be
-                # able to serve grants ("the object's last version in the
-                # log"); the producer keeps the original -- ours is a
-                # bare ownership copy (no threadSet: acquire records stay
-                # where the acquires were granted).
-                from repro.checkpoint.protocol import make_ownership_entry
-
-                log = process.checkpoint_protocol.log
-                last = log.last_entry(item.obj_id)
-                if last is None or last.version < entry.version:
-                    log.append(make_ownership_entry(
-                        process.pid, entry.obj_id, entry.version,
-                        entry.data_copy(),
-                    ))
+                obj.copy_set = entry.copy_holders(process.pid)
+                # Acquire records stay where the acquires were granted:
+                # ours is a bare ownership entry without a threadSet.
+                process.checkpoint_protocol.log.owner_entry(obj)
             else:
                 obj.status = ObjectStatus.READ
                 obj.prob_owner = item.produced_in
@@ -385,11 +357,17 @@ class LogReplayer:
     # finalization (section 4.3.2, closing paragraphs)
     # ------------------------------------------------------------------
     def finalize(self) -> None:
-        process = self.process
-        protocol = process.checkpoint_protocol
+        self._attach_dependencies()
+        self._apply_invalid_set()
+        self._drop_unvalidated_read_copies()
+        self._reconcile_copy_sets()
+        self._recreate_dummies()
 
-        # 1. Recover threadSets / nextOwner of (re-)created log entries
-        #    from the DependList elements.
+    def _attach_dependencies(self) -> None:
+        """Recover threadSets / nextOwner of (re-)created log entries from
+        the DependList elements."""
+        process = self.process
+        log = process.checkpoint_protocol.log
         for tid in sorted(self.plan.depend_lists):
             for dep in self.plan.depend_lists[tid]:
                 entry = self._entry_for_dependency(dep)
@@ -405,18 +383,14 @@ class LogReplayer:
                         f"P{process.pid}: skipping stale dependency {dep}",
                     )
                     continue
-                already = any(
-                    pair.ep_acq == dep.ep_acq for pair in entry.thread_set
-                )
-                if not already:
+                if not any(pair.ep_acq == dep.ep_acq for pair in entry.thread_set):
                     entry.add_access(dep.ep_acq, dep.ep_prd)
                 if dep.type.is_write:
                     entry.next_owner = dep.ep_acq.tid.pid
                     entry.next_owner_ep = dep.ep_acq
                     obj = process.directory.get(dep.obj_id)
-                    last = protocol.log.last_entry(dep.obj_id)
                     if (
-                        last is entry
+                        log.last_entry(dep.obj_id) is entry
                         and obj.status is ObjectStatus.OWNED
                         and obj.version <= entry.version
                     ):
@@ -424,11 +398,11 @@ class LogReplayer:
                         # not newer: the object must be invalidated.
                         self.invalid_set[dep.obj_id] = entry.next_owner
 
-        # 2. Apply the InvalidSet: invalidate local copies whose version
-        #    was superseded elsewhere.
+    def _apply_invalid_set(self) -> None:
+        """Invalidate local copies whose version was superseded elsewhere."""
         for obj_id in sorted(self.invalid_set):
             next_owner = self.invalid_set[obj_id]
-            obj = process.directory.get(obj_id)
+            obj = self.process.directory.get(obj_id)
             if obj.local_readers:
                 # A recovering thread still holds the version it read; the
                 # pre-crash invalidation was lost with the process.  Defer
@@ -441,12 +415,13 @@ class LogReplayer:
             obj.prob_owner = next_owner
             obj.copy_set = set()
 
-        # 2b. Conservatively drop restored read copies that replay did not
-        #     re-validate: an invalidation received between the checkpoint
-        #     and the crash died with the process, so a pre-checkpoint read
-        #     copy may be arbitrarily stale.  Dropping it is always safe --
-        #     the next local acquire simply fetches a fresh copy.
-        for obj in process.directory:
+    def _drop_unvalidated_read_copies(self) -> None:
+        """Conservatively drop restored read copies that replay did not
+        re-validate: an invalidation received between the checkpoint and
+        the crash died with the process, so a pre-checkpoint read copy may
+        be arbitrarily stale.  Dropping it is always safe -- the next
+        local acquire simply fetches a fresh copy."""
+        for obj in self.process.directory:
             if obj.status is not ObjectStatus.READ:
                 continue
             if (
@@ -467,16 +442,20 @@ class LogReplayer:
                 obj.status = ObjectStatus.NO_ACCESS
                 obj.data = None
 
-        # 3+4. Reconcile copySets of objects we own (section 4.3.2:
-        #    "the object's copySet is recovered using the threadSet").
-        #    Readers named by the *last* version's threadSet are provably
-        #    current and are kept.  Every other candidate -- a reader
-        #    inherited by a replayed write acquire whose invalidations
-        #    died with the crash, or a checkpointed reader whose pair was
-        #    GC'd -- may hold a stale copy, so it is (re-)invalidated:
-        #    invalidation is idempotent and at worst costs a current
-        #    reader one refetch, while a missed stale reader would read
-        #    old data forever.
+    def _reconcile_copy_sets(self) -> None:
+        """Reconcile copySets of objects we own (section 4.3.2: "the
+        object's copySet is recovered using the threadSet").
+
+        Readers named by the *last* version's threadSet are provably
+        current and are kept.  Every other candidate -- a reader inherited
+        by a replayed write acquire whose invalidations died with the
+        crash, or a checkpointed reader whose pair was GC'd -- may hold a
+        stale copy, so it is (re-)invalidated: invalidation is idempotent
+        and at worst costs a current reader one refetch, while a missed
+        stale reader would read old data forever.
+        """
+        process = self.process
+        log = process.checkpoint_protocol.log
         for obj in process.directory:
             if obj.status is not ObjectStatus.OWNED:
                 continue
@@ -484,16 +463,12 @@ class LogReplayer:
             # Readers recorded on *older* entries are candidates too: a
             # survivor that read a version we produced after our last
             # remote write grant appears in no inherited copySet -- only
-            # as a threadSet pair (re-attached in step 1 from its
-            # DependList) on a non-last entry.  Its copy is stale and
-            # without this it would never see an invalidation.
-            for old in protocol.log.entries_for(obj.obj_id):
-                candidates |= {
-                    pair.ep_acq.tid.pid for pair in old.thread_set
-                } - {process.pid}
-                if old.copy_set_at_grant is not None:
-                    candidates |= set(old.copy_set_at_grant) - {process.pid}
-            entry = protocol.log.last_entry(obj.obj_id)
+            # as a threadSet pair (re-attached from its DependList) on a
+            # non-last entry.  Its copy is stale and without this it
+            # would never see an invalidation.
+            for old in log.entries_for(obj.obj_id):
+                candidates |= old.copy_holders(process.pid)
+            entry = log.last_entry(obj.obj_id)
             current: set[ProcessId] = set()
             if (
                 obj.local_writer is None
@@ -508,10 +483,12 @@ class LogReplayer:
             if targets:
                 process.engine._send_invalidations(obj, targets)
 
-        # 5. Re-create the dummy log entries that were stored in the
-        #    failed process (from the merged DummySet).
+    def _recreate_dummies(self) -> None:
+        """Re-create the dummy log entries that were stored in the failed
+        process (from the merged DummySet)."""
+        dummy_log = self.process.checkpoint_protocol.dummy_log
         for dep in self.plan.dummy_set:
-            protocol.dummy_log.store(
+            dummy_log.store(
                 DummyEntry(
                     obj_id=dep.obj_id,
                     ep_acq=dep.ep_acq,
@@ -520,10 +497,6 @@ class LogReplayer:
                     type=dep.type,
                 )
             )
-
-        # Safety: every barrier must have drained.
-        for obj_id in list(process.engine.blocked_objects):
-            process.engine.release_barrier(obj_id)
 
     def _entry_for_dependency(self, dep: Dependency) -> Optional[LogEntry]:
         """The log entry for the version ``dep`` refers to: the entry by

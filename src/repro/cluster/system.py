@@ -13,7 +13,7 @@ from typing import Any, Optional
 
 from repro.analysis.metrics import SystemMetrics
 from repro.checkpoint.policy import CheckpointPolicy
-from repro.checkpoint.recovery import RecoveryManager, collect_recovery_data
+from repro.checkpoint.recovery import RecoveryManager, answer_recovery_request
 from repro.checkpoint.stable import StableStore
 from repro.cluster.config import ClusterConfig, CrashPlan
 from repro.cluster.process import DisomProcess
@@ -611,15 +611,12 @@ class DisomSystem:
         if process.recovery_manager is not None:
             process.recovery_manager.on_peer_request(message)
             return
-        data = collect_recovery_data(
-            from_pid=process.pid,
-            log_entries=list(process.checkpoint_protocol.log),
-            dummy_entries=list(process.checkpoint_protocol.dummy_log),
-            dep_sets={tid: t.dep_set for tid, t in process.threads.items()},
-            failed_pid=message.payload["failed_pid"],
-            ckp_set=message.payload["ckp_set"],
-        )
-        process.send_raw(MessageKind.RECOVERY_REPLY, message.src, {"data": data})
+        protocol = process.checkpoint_protocol
+        answer_recovery_request(process, message, (
+            list(protocol.log),
+            list(protocol.dummy_log),
+            {tid: t.dep_set for tid, t in process.threads.items()},
+        ))
 
     def on_recovery_done(self, process: DisomProcess, message: Message) -> None:
         if process.recovery_manager is not None:
