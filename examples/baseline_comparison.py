@@ -10,6 +10,8 @@ E3/E4 in EXPERIMENTS.md).
 Run:  python examples/baseline_comparison.py
 """
 
+from functools import partial
+
 from repro import run_workload
 from repro.analysis.report import Table
 from repro.baselines import (
@@ -23,15 +25,17 @@ from repro.baselines import (
 )
 from repro.workloads import SyntheticWorkload
 
+#: scheme -> (protocol factory, what it recovers from)
 SCHEMES = {
-    "disom (paper)": None,
-    "none": NullProtocol.factory(),
-    "richard-singhal": RichardSinghalProtocol.factory(page_size=4096),
-    "stumm-zhou": StummZhouProtocol.factory(page_size=4096),
-    "receiver-msg-log": ReceiverMessageLogging.factory(),
-    "sender-msg-log": SenderMessageLogging.factory(),
-    "janssens-fuchs": JanssensFuchsProtocol.factory(),
-    "coordinated": CoordinatedProtocol.factory(interval=40.0),
+    "disom (paper)": (None, "single+some multi"),
+    "none": (NullProtocol, "no"),
+    "richard-singhal": (RichardSinghalProtocol, "no"),
+    "stumm-zhou": (StummZhouProtocol, "no"),
+    "receiver-msg-log": (ReceiverMessageLogging, "no"),
+    "sender-msg-log": (SenderMessageLogging, "no"),
+    "janssens-fuchs": (JanssensFuchsProtocol, "no"),
+    "coordinated": (partial(CoordinatedProtocol, interval=40.0),
+                    "multi (rollback all)"),
 }
 
 
@@ -42,19 +46,18 @@ def main() -> None:
          "checkpoints", "blocked time", "recovers?"],
     )
     # The facade's ``baseline=`` names resolve default-configured schemes
-    # (repro.baselines.ALL_BASELINES); here we pass explicit factories to
-    # pin page_size / interval, the knobs the paper's comparison fixes.
-    for name, factory in SCHEMES.items():
+    # (repro.baselines.ALL_BASELINES); here we pass the factories
+    # themselves, pinning the coordinated round interval.
+    for name, (factory, recovers) in SCHEMES.items():
         workload = SyntheticWorkload(rounds=20, object_size=256)
         system, result = run_workload(workload, processes=4, seed=9,
                                       interval=40.0, spare_nodes=2,
                                       protocol_factory=factory)
         assert result.completed and workload.verify(result).ok, name
         blocked = sum(
-            getattr(p.checkpoint_protocol, "blocked_time", 0.0)
+            p.checkpoint_protocol.overhead_summary().get("blocked_time", 0.0)
             for p in system.processes.values()
         )
-        a_protocol = system.processes[0].checkpoint_protocol
         table.add_row(
             name,
             result.metrics.total_log_bytes,
@@ -62,8 +65,7 @@ def main() -> None:
             result.net["checkpoint_messages"],
             result.metrics.total_checkpoints,
             round(blocked, 1),
-            "single+some multi" if factory is None else (
-                "multi (rollback all)" if a_protocol.supports_recovery else "no"),
+            recovers,
         )
     table.add_note("the paper's design point: volatile logging of released "
                    "versions only, zero extra messages, no blocking, "

@@ -71,13 +71,6 @@ class CallGraph:
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     calls: Dict[str, List[CallSite]] = field(default_factory=dict)
 
-    def callers_of(self) -> Dict[str, List[str]]:
-        reverse: Dict[str, List[str]] = {}
-        for caller, sites in self.calls.items():
-            for site in sites:
-                reverse.setdefault(site.callee, []).append(caller)
-        return reverse
-
 
 class _ModuleScope:
     """Import aliases and local definitions of one module."""

@@ -73,11 +73,8 @@ class Sweep:
         ``timeout``/``progress`` are then the pool's own).
         """
         points = self.points()
-        from repro.parallel import Call, RunPool, WorkerFailure, resolve_jobs
+        from repro.parallel import Call, RunPool, WorkerFailure
 
-        if pool is None and (resolve_jobs(jobs) <= 1 or len(points) <= 1):
-            return self._run_serial(run_fn, extract, keep_errors, points,
-                                    progress)
         calls = [
             Call(_sweep_point, (run_fn, extract, params),
                  key=",".join(f"{k}={params[k]}" for k in sorted(params)))
@@ -99,28 +96,6 @@ class Sweep:
                     error=f"{outcome.error_type}: {outcome.message}"))
             else:
                 rows.append(SweepRow(params, dict(outcome)))
-        return SweepResult(title=self.title, rows=rows)
-
-    def _run_serial(
-        self,
-        run_fn: Callable[..., Any],
-        extract: Callable[[Any], dict[str, Any]],
-        keep_errors: bool,
-        points: list[dict[str, Any]],
-        progress: Optional[Callable[[int, int, str], None]] = None,
-    ) -> "SweepResult":
-        rows: list[SweepRow] = []
-        for index, params in enumerate(points):
-            try:
-                outcome = run_fn(**params)
-                rows.append(SweepRow(params, dict(extract(outcome))))
-            except Exception as exc:
-                if not keep_errors:
-                    raise
-                rows.append(SweepRow(params, {}, error=f"{type(exc).__name__}: {exc}"))
-            if progress is not None:
-                progress(index + 1, len(points),
-                         ",".join(f"{k}={params[k]}" for k in sorted(params)))
         return SweepResult(title=self.title, rows=rows)
 
 

@@ -95,7 +95,9 @@ def build_workload(
     :class:`~repro.workloads.base.Workload` instance.  ``baseline``
     selects a fault-tolerance scheme by name (``"coordinated"``,
     ``"sender-msg-log"``, ...; default :func:`default_baseline`) --
-    mutually exclusive with passing a ``protocol_factory`` directly.
+    mutually exclusive with passing a ``protocol_factory`` directly (a
+    ``protocol(process)`` constructor such as
+    ``functools.partial(CoordinatedProtocol, interval=40.0)``).
     ``crashes`` is a sequence of ``(pid, at_time)`` fail-stop
     injections; ``spare_nodes`` defaults to one more than their number
     (at least 2).  ``latency`` overrides the wire model: a
@@ -124,7 +126,7 @@ def build_workload(
         name = (default_baseline(consistency) if baseline is None
                 else baseline)
         try:
-            protocol_factory = ALL_BASELINES[name]()
+            protocol_factory = ALL_BASELINES[name]
         except KeyError:
             raise ConfigError(
                 f"unknown baseline {name!r}; one of {sorted(ALL_BASELINES)}"

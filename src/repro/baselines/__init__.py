@@ -17,32 +17,39 @@ time on *identical executions*.
 | ``JanssensFuchsProtocol`` | Janssens & Fuchs [13] | communication-induced checkpoint before updates become visible |
 | ``CoordinatedProtocol`` | Koo & Toueg [15] family | blocking two-phase coordinated checkpointing; recovery = global rollback |
 
-Page-based baselines take a ``page_size``: sequential-consistency DSMs of
-the era shipped and logged whole VM pages, so their per-transfer cost is
-``max(object_bytes, page_size)`` (see DESIGN.md substitution notes).
+The first six are failure-free cost models in
+:mod:`repro.baselines.cost_models`; the coordinated scheme recovers
+(:mod:`repro.baselines.coordinated`).
 """
 
-from repro.baselines.base import FaultToleranceProtocol
-from repro.baselines.noft import NullProtocol
-from repro.baselines.rs_logging import RichardSinghalProtocol
-from repro.baselines.sz_replication import StummZhouProtocol
-from repro.baselines.msg_logging import ReceiverMessageLogging, SenderMessageLogging
-from repro.baselines.jf_cic import JanssensFuchsProtocol
-from repro.baselines.coordinated import CoordinatedProtocol
+from typing import Any, Callable, Optional
 
-#: Baseline registry: name -> zero-arg callable returning the protocol
-#: factory for DisomSystem(protocol_factory=...).  ``"disom"`` is the
-#: paper's own protocol (factory ``None``).  The CLI's ``--baseline``
-#: flag and the api facade's ``baseline=`` keyword both resolve here.
-ALL_BASELINES = {
-    "disom": lambda: None,
-    "none": NullProtocol.factory,
-    "richard-singhal": RichardSinghalProtocol.factory,
-    "stumm-zhou": StummZhouProtocol.factory,
-    "receiver-msg-log": ReceiverMessageLogging.factory,
-    "sender-msg-log": SenderMessageLogging.factory,
-    "janssens-fuchs": JanssensFuchsProtocol.factory,
-    "coordinated": CoordinatedProtocol.factory,
+from repro.baselines.base import FaultToleranceProtocol
+from repro.baselines.coordinated import CoordinatedProtocol
+from repro.baselines.cost_models import (
+    JanssensFuchsProtocol,
+    NullProtocol,
+    ReceiverMessageLogging,
+    RichardSinghalProtocol,
+    SenderMessageLogging,
+    StummZhouProtocol,
+)
+
+#: Baseline registry: name -> protocol factory for
+#: ``DisomSystem(protocol_factory=...)``, i.e. a ``protocol(process)``
+#: constructor.  ``"disom"`` is the paper's own protocol (factory
+#: ``None``).  The CLI's ``--baseline`` flag and the api facade's
+#: ``baseline=`` keyword both resolve here; other parameters are passed
+#: with ``functools.partial(Cls, interval=...)``.
+ALL_BASELINES: dict[str, Optional[Callable[[Any], FaultToleranceProtocol]]] = {
+    "disom": None,
+    "none": NullProtocol,
+    "richard-singhal": RichardSinghalProtocol,
+    "stumm-zhou": StummZhouProtocol,
+    "receiver-msg-log": ReceiverMessageLogging,
+    "sender-msg-log": SenderMessageLogging,
+    "janssens-fuchs": JanssensFuchsProtocol,
+    "coordinated": CoordinatedProtocol,
 }
 
 __all__ = [

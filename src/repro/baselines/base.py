@@ -9,10 +9,18 @@ for every integration point:
 * the :class:`~repro.memory.coherence.CoherenceHooks` methods (grant,
   release, local acquire...);
 * piggyback collection/application on coherence messages;
-* lifecycle (``start_timer``/``stop_timer`` on process start/crash);
+* lifecycle (``on_start``/``stop_timer`` on process start/crash,
+  ``flush_pending_writes`` at the end of a run, ``take_checkpoint`` on a
+  cluster-wide cut);
 * protocol-private message kinds (``handles_kind``/``on_protocol_message``)
   and incoming-message filtering (used by the coordinated baseline's
-  epoch mechanism).
+  epoch mechanism);
+* crash handling (``recover_crashed``, ``restore_from_checkpoint``) and
+  the figures the run result reports (``peak_log_bytes``,
+  ``overhead_summary``).
+
+The cluster talks to a scheme through these methods only; it never asks
+which scheme it holds.
 """
 
 from __future__ import annotations
@@ -29,8 +37,6 @@ class FaultToleranceProtocol(CoherenceHooks):
 
     #: Human-readable scheme name used in reports.
     name = "base"
-    #: Whether the scheme can recover a crashed process.
-    supports_recovery = False
     #: Whether the scheme records dummy entries for local acquires.
     #: The inline verifier's dummy-coverage pass only applies to
     #: processes whose protocol does.
@@ -53,6 +59,14 @@ class FaultToleranceProtocol(CoherenceHooks):
 
     def stop_timer(self) -> None:
         """Called on crash: cancel any timers."""
+
+    def flush_pending_writes(self) -> None:
+        """The run ended: commit checkpoint writes still in flight."""
+
+    def take_checkpoint(self, trigger: str, synchronous: bool = False) -> Any:
+        """Checkpoint now, as part of a cluster-wide cut
+        (``DisomSystem.checkpoint_all``); schemes without independent
+        checkpoints ignore it."""
 
     # -- piggyback transport -------------------------------------------------
     def collect_piggyback(self, dst: ProcessId) -> tuple[list, list]:
@@ -82,11 +96,26 @@ class FaultToleranceProtocol(CoherenceHooks):
         self.process.stable_store.note_write(self.pid, size)
         self.metrics.checkpoints.record(self.process.kernel.now, size, trigger)
 
-    # -- restore ---------------------------------------------------------------
+    # -- crash / restore -------------------------------------------------------
+    def recover_crashed(self, system: Any, pid: ProcessId) -> None:
+        """The crash of ``pid`` (this protocol's process) was detected:
+        recover it, or -- the default, for schemes that cannot -- abort
+        the run."""
+        system.abort(
+            f"process {pid} crashed and scheme '{self.name}' "
+            "cannot recover it",
+            from_pid=pid,
+        )
+
     def restore_from_checkpoint(self, checkpoint: Any) -> None:
-        """Restore protocol-private state from a checkpoint image."""
+        """Restore protocol-private state from a checkpoint image, after
+        the process's objects and threads were restored from it."""
 
     # -- stats ------------------------------------------------------------------
+    def peak_log_bytes(self) -> int:
+        """High-water byte mark of the scheme's volatile log (0: none)."""
+        return 0
+
     def overhead_summary(self) -> dict[str, Any]:
         """Scheme-specific counters for the experiment reports."""
         return {}

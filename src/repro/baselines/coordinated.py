@@ -31,7 +31,7 @@ workload.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.baselines.base import FaultToleranceProtocol
 from repro.checkpoint.stable import Checkpoint
@@ -50,7 +50,6 @@ class CoordinatedProtocol(FaultToleranceProtocol):
     """See module docstring."""
 
     name = "coordinated"
-    supports_recovery = True
 
     def __init__(self, process: Any, interval: float = 200.0,
                  poll_interval: float = 2.0) -> None:
@@ -69,10 +68,6 @@ class CoordinatedProtocol(FaultToleranceProtocol):
         self._ready: set[ProcessId] = set()
         self._acked: set[ProcessId] = set()
         self._timer = None
-
-    @classmethod
-    def factory(cls, interval: float = 200.0, poll_interval: float = 2.0) -> Callable:
-        return lambda process: cls(process, interval, poll_interval)
 
     @property
     def is_coordinator(self) -> bool:
@@ -243,8 +238,7 @@ class CoordinatedProtocol(FaultToleranceProtocol):
     # ------------------------------------------------------------------
     # recovery: global rollback (invoked by the system on crash detection)
     # ------------------------------------------------------------------
-    @staticmethod
-    def recover_crashed(system: Any, crashed_pid: ProcessId) -> None:
+    def recover_crashed(self, system: Any, crashed_pid: ProcessId) -> None:
         from repro.checkpoint.recovery import restore_process_state
 
         now = system.kernel.now

@@ -27,13 +27,12 @@ class CheckpointPolicy:
 
     ``interval``: periodic timer in simulated time units (None disables).
     ``log_highwater``: take a checkpoint whenever the volatile log exceeds
-    this many bytes (None disables).  ``initial_checkpoint`` forces a
-    checkpoint at process start so recovery always has a base image.
+    this many bytes (None disables).  A checkpoint is always taken at
+    process start so recovery has a base image.
     """
 
     interval: Optional[float] = 200.0
     log_highwater: Optional[int] = None
-    initial_checkpoint: bool = True
     #: Transport for checkpoint control info: "piggyback" rides on
     #: coherence messages (the paper's design, zero extra messages);
     #: "eager" sends dedicated messages immediately (ablation A1).

@@ -44,6 +44,7 @@ from repro.types import (
     AcquireType,
     Dependency,
     ExecutionPoint,
+    ObjectStatus,
     ProcessId,
     Tid,
 )
@@ -53,7 +54,6 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
     """The paper's checkpoint protocol, failure-free side."""
 
     name = "disom"
-    supports_recovery = True
     emits_dummies = True
 
     def __init__(self, process: Any, policy: CheckpointPolicy) -> None:
@@ -88,10 +88,9 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
     # shorthand
     # ------------------------------------------------------------------
     def on_start(self) -> None:
-        if self.policy.initial_checkpoint:
-            # The base image must be durable before the process joins the
-            # cluster -- a crash at any later time must find a checkpoint.
-            self.take_checkpoint("initial", synchronous=True)
+        # The base image must be durable before the process joins the
+        # cluster -- a crash at any later time must find a checkpoint.
+        self.take_checkpoint("initial", synchronous=True)
         self.start_timer()
 
     def overhead_summary(self) -> dict[str, Any]:
@@ -102,6 +101,9 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
             "checkpoints": self.metrics.checkpoints.count,
             "checkpoint_bytes": self.metrics.checkpoints.bytes_total,
         }
+
+    def peak_log_bytes(self) -> int:
+        return self.log.peak_bytes
 
     # ==================================================================
     # CoherenceHooks implementation
@@ -504,8 +506,11 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
         )
 
     # ==================================================================
-    # restore support (used by recovery)
+    # recovery (section 4.3) and restore support
     # ==================================================================
+    def recover_crashed(self, system: Any, pid: ProcessId) -> None:
+        system.start_recovery(pid)
+
     def restore_from_checkpoint(self, checkpoint: Checkpoint) -> None:
         # Writes the crashed incarnation left in flight are torn.
         for seq in sorted(self._inflight):
@@ -520,6 +525,13 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
         self.pending_dummies.clear()
         self.pending_gc.clear()
         self.ckpt_seq = checkpoint.seq
+        # Ownership restored from the checkpoint without a matching log
+        # entry (the reply installed it while the acquiring thread was
+        # still blocked on invalidation acks): synthesize the owner's
+        # entry so grants work.
+        for obj in self.process.directory:
+            if obj.status is ObjectStatus.OWNED:
+                self.log.owner_entry(obj)
 
     def purge_stale(self, pid: ProcessId, resume_lts: dict[Tid, int]) -> None:
         """RECOVERY_DONE from ``pid``: drop records of executions the
@@ -559,8 +571,6 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
     def _reclaim_ownership(self, entry: LogEntry) -> None:
         """Become the owner of ``entry``'s object again after the granted
         writer's recovery rolled back past its acquire."""
-        from repro.types import ObjectStatus
-
         obj = self.process.directory.get(entry.obj_id)
         last = self.log.last_entry(entry.obj_id)
         if last is not entry:

@@ -169,7 +169,6 @@ def restore_process_state(process: Any, checkpoint: Checkpoint) -> None:
     checkpoint image.  Shared by the paper's recovery and the coordinated
     baseline's global rollback."""
     process.directory.restore(checkpoint.objects)
-    process.checkpoint_protocol.restore_from_checkpoint(checkpoint)
     for tid, state in checkpoint.threads.items():
         thread = process.threads.get(tid)
         if thread is None:
@@ -214,14 +213,7 @@ def restore_process_state(process: Any, checkpoint: Checkpoint) -> None:
                 peers = [p for p in process.peer_pids() if p != process.pid]
                 hint = peers[0] if peers else process.pid
             obj.prob_owner = hint
-    # Ownership restored from the checkpoint without a matching log entry
-    # (the reply installed it while the acquiring thread was still blocked
-    # on invalidation acks): synthesize the owner's entry so grants work.
-    protocol = process.checkpoint_protocol
-    if hasattr(protocol, "log"):
-        for obj in process.directory:
-            if obj.status is ObjectStatus.OWNED:
-                protocol.log.owner_entry(obj)
+    process.checkpoint_protocol.restore_from_checkpoint(checkpoint)
 
 
 class RecoveryManager:

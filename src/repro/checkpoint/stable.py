@@ -121,16 +121,13 @@ class StableStore:
     so a torn or corrupt latest slot never loses the process.
     """
 
-    def __init__(
-        self,
-        write_base_time: float = 5.0,
-        write_per_byte: float = 0.00005,
-        backend: Optional[Any] = None,
-    ) -> None:
+    #: Simulated write cost: a fixed latency plus a per-byte transfer.
+    WRITE_BASE_TIME = 5.0
+    WRITE_PER_BYTE = 0.00005
+
+    def __init__(self, backend: Optional[Any] = None) -> None:
         from repro.storage.backend import MemoryBackend
 
-        self.write_base_time = write_base_time
-        self.write_per_byte = write_per_byte
         self.backend = backend if backend is not None else MemoryBackend()
         #: Per-process write count and bytes written.
         self._writes: Counter = Counter()
@@ -140,7 +137,7 @@ class StableStore:
     # write path
     # ------------------------------------------------------------------
     def write_duration(self, size: int) -> float:
-        return self.write_base_time + self.write_per_byte * size
+        return self.WRITE_BASE_TIME + self.WRITE_PER_BYTE * size
 
     def note_write(self, pid: ProcessId, size: int) -> None:
         """Account one write of ``size`` bytes by ``pid``, including the

@@ -16,15 +16,11 @@ class RecoveryTiming:
     """Simulated costs of the recovery procedure.
 
     ``load_base``/``load_per_byte``: reading the checkpoint from stable
-    storage into the free processor.  ``reissue_delay``: how long after
-    RECOVERY_DONE survivors wait before re-issuing possibly-lost acquire
-    requests (must exceed the maximum in-flight reply latency; see the
-    coherence engine's module docstring).
+    storage into the free processor.
     """
 
     load_base: float = 10.0
     load_per_byte: float = 0.00005
-    reissue_delay: float = 50.0
 
     def load_time(self, checkpoint_bytes: int) -> float:
         return self.load_base + self.load_per_byte * checkpoint_bytes
@@ -68,15 +64,10 @@ class ClusterConfig:
     consistency: str = "entry"
     #: Hard horizon for a run; exceeding it raises SimulationError.
     max_time: float = 1_000_000.0
-    #: Stable-storage write cost model.
-    stable_write_base: float = 5.0
-    stable_write_per_byte: float = 0.00005
     #: Durable checkpoint store: a directory selects the on-disk
-    #: FileBackend (checkpoints survive the Python process); None keeps
-    #: the volatile in-memory backend.
+    #: FileBackend (checkpoints survive the Python process, sections
+    #: zlib-compressed); None keeps the volatile in-memory backend.
     store_dir: Optional[str] = None
-    #: zlib-compress on-disk checkpoint sections (FileBackend only).
-    storage_compress: bool = True
     #: fsync on-disk writes (disable only to speed up tests).
     storage_fsync: bool = True
     #: Enable the structured trace log (tests use it; experiments mostly not).

@@ -264,11 +264,6 @@ class DisomProcess:
     def all_threads_done(self) -> bool:
         return all(t.done for t in self.threads.values())
 
-    def owned_objects(self) -> list[str]:
-        from repro.types import ObjectStatus
-
-        return [obj.obj_id for obj in self.directory if obj.status is ObjectStatus.OWNED]
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "alive" if self.alive else "crashed"
         return f"DisomProcess(P{self.pid}, {state}, threads={len(self.threads)})"

@@ -22,11 +22,7 @@ class ShadowSnapshot:
     pid: ProcessId
     crashed_at: float
     thread_lts: dict[Tid, int]
-    thread_done: dict[Tid, bool]
-    thread_dep_counts: dict[Tid, int]
     objects: dict[str, dict[str, Any]]
-    log_versions: dict[str, list[int]]
-    dummy_count: int
 
     @staticmethod
     def capture(process: Any, now: float) -> "ShadowSnapshot":
@@ -39,22 +35,9 @@ class ShadowSnapshot:
                 "data": copy.deepcopy(obj.data),
                 "ep_dep": obj.ep_dep,
             }
-        log_versions: dict[str, list[int]] = {}
-        protocol = getattr(process, "checkpoint_protocol", None)
-        dummy_count = 0
-        if protocol is None or not hasattr(protocol, "log"):
-            protocol = None
-        if protocol is not None:
-            for entry in protocol.log:
-                log_versions.setdefault(entry.obj_id, []).append(entry.version)
-            dummy_count = len(protocol.dummy_log)
         return ShadowSnapshot(
             pid=process.pid,
             crashed_at=now,
             thread_lts={tid: t.lt for tid, t in process.threads.items()},
-            thread_done={tid: t.done for tid, t in process.threads.items()},
-            thread_dep_counts={tid: len(t.dep_set) for tid, t in process.threads.items()},
             objects=objects,
-            log_versions=log_versions,
-            dummy_count=dummy_count,
         )

@@ -39,6 +39,12 @@ from repro.threads.program import Program
 from repro.types import ObjectId, ObjectStatus, ProcessId, Tid
 
 
+#: How long after RECOVERY_DONE a process waits before re-issuing
+#: possibly-lost acquire requests.  It must exceed the maximum in-flight
+#: reply latency (see the coherence engine's module docstring).
+REISSUE_DELAY = 50.0
+
+
 @dataclass
 class RecoveryRecord:
     """One completed (or aborted) recovery, for the experiment reports."""
@@ -102,8 +108,9 @@ class DisomSystem:
         storage_backend: Optional[Any] = None,
     ) -> None:
         """``protocol_factory`` selects the fault-tolerance scheme: None
-        runs the paper's DiSOM checkpoint protocol; baselines pass e.g.
-        ``NullProtocol.factory()`` (see :mod:`repro.baselines`).
+        runs the paper's DiSOM checkpoint protocol; a baseline passes its
+        ``protocol(process)`` constructor, e.g. ``NullProtocol`` (see
+        :mod:`repro.baselines`).
         ``storage_backend`` overrides the checkpoint store built from the
         config (``ClusterConfig.store_dir`` selects the durable
         :class:`~repro.storage.backend.FileBackend`)."""
@@ -121,16 +128,11 @@ class DisomSystem:
         if storage_backend is None:
             storage_backend = make_backend(
                 self.config.store_dir,
-                compress=self.config.storage_compress,
                 incremental=self.checkpoint_policy.incremental,
                 fsync=self.config.storage_fsync,
             )
         self.storage_backend = storage_backend
-        self.stable_store = StableStore(
-            write_base_time=self.config.stable_write_base,
-            write_per_byte=self.config.stable_write_per_byte,
-            backend=storage_backend,
-        )
+        self.stable_store = StableStore(backend=storage_backend)
         self.detector = FailureDetector(self.kernel, self.config.detection_delay)
         self.detector.subscribe(self._on_crash_detected)
         self.injector = CrashInjector(self.kernel, self._execute_crash)
@@ -316,10 +318,7 @@ class DisomSystem:
                 # commit checkpoints whose simulated write was still in flight
                 # so the store is left in its durable end-of-run state.
                 for pid in sorted(self.processes):
-                    protocol = self.processes[pid].checkpoint_protocol
-                    flush = getattr(protocol, "flush_pending_writes", None)
-                    if flush is not None:
-                        flush()
+                    self.processes[pid].checkpoint_protocol.flush_pending_writes()
             if until is None and not completed and not self.aborted:
                 blocked = self._describe_blocked()
                 raise SimulationError(
@@ -342,9 +341,9 @@ class DisomSystem:
         with self.kernel.trace.feeding():
             for pid in sorted(self.processes):
                 process = self.processes[pid]
-                protocol = process.checkpoint_protocol
-                if process.alive and hasattr(protocol, "take_checkpoint"):
-                    protocol.take_checkpoint(trigger, synchronous=True)
+                if process.alive:
+                    process.checkpoint_protocol.take_checkpoint(
+                        trigger, synchronous=True)
 
     def recover_all_from_storage(self) -> None:
         """Cold restart: bring up a whole cluster from durable checkpoints.
@@ -457,10 +456,8 @@ class DisomSystem:
         if self.verifier is not None:
             check_report = self.verifier.finalize()
             violations.extend(check_report.problem_strings())
-        peak_log_bytes = 0
-        for process in self.processes.values():
-            log = getattr(process.checkpoint_protocol, "log", None)
-            peak_log_bytes += getattr(log, "peak_bytes", 0)
+        peak_log_bytes = sum(p.checkpoint_protocol.peak_log_bytes()
+                             for p in self.processes.values())
         return RunResult(
             completed=completed,
             aborted=self.aborted,
@@ -568,21 +565,11 @@ class DisomSystem:
         plan = self._crash_plans.get(pid)
         if plan is not None and not plan.recover:
             return
-        protocol = self.processes[pid].checkpoint_protocol
-        if not protocol.supports_recovery:
-            self.abort(
-                f"process {pid} crashed and scheme '{protocol.name}' "
-                "cannot recover it",
-                from_pid=pid,
-            )
-            return
-        recover = getattr(type(protocol), "recover_crashed", None)
-        if recover is not None:
-            recover(self, pid)
-        else:
-            self._start_recovery(pid)
+        self.processes[pid].checkpoint_protocol.recover_crashed(self, pid)
 
-    def _start_recovery(self, pid: ProcessId) -> None:
+    def start_recovery(self, pid: ProcessId) -> None:
+        """Recover ``pid`` from its last checkpoint (section 4.3): the
+        DiSOM protocol's ``recover_crashed``."""
         self.claim_spare(pid)
         if not self.stable_store.has_checkpoint(pid):
             raise RecoveryError(f"no checkpoint in stable storage for P{pid}")
@@ -636,13 +623,12 @@ class DisomSystem:
         """Periodically re-issue possibly-lost acquire requests until no
         thread of ``process`` is blocked (duplicates are deduplicated at
         the owner, so retrying is safe)."""
-        delay = self.config.recovery.reissue_delay
-
         def _tick() -> None:
             if not process.alive or self.aborted:
                 return
             process.engine.reissue_pending()
             if any(t.wait_obj is not None for t in process.threads.values()):
-                self.kernel.schedule(delay, _tick, label=f"reissue P{process.pid}")
+                self.kernel.schedule(REISSUE_DELAY, _tick,
+                                     label=f"reissue P{process.pid}")
 
-        self.kernel.schedule(delay, _tick, label=f"reissue P{process.pid}")
+        self.kernel.schedule(REISSUE_DELAY, _tick, label=f"reissue P{process.pid}")

@@ -117,10 +117,6 @@ class RecoveryError(ReproError):
     """
 
 
-class CrashedProcessError(ReproError):
-    """Raised when an operation targets a process that has crashed."""
-
-
 class StorageError(ReproError):
     """Raised when a stable-storage backend fails an operation.
 

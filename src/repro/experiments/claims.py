@@ -8,18 +8,11 @@ uses smaller sweeps; ``quick=False`` widens them.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from repro.analysis.report import Table
-from repro.baselines import (
-    CoordinatedProtocol,
-    JanssensFuchsProtocol,
-    NullProtocol,
-    ReceiverMessageLogging,
-    RichardSinghalProtocol,
-    SenderMessageLogging,
-    StummZhouProtocol,
-)
+from repro.baselines import CoordinatedProtocol
 from repro.experiments.base import ExperimentResult, run_workload
 from repro.workloads import (
     PipelineWorkload,
@@ -75,14 +68,15 @@ def run_no_extra_messages(quick: bool = True) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 def run_log_overhead(quick: bool = True) -> ExperimentResult:
     rounds = 18 if quick else 50
+    # table label -> registry name (every scheme at its default parameters)
     schemes = {
-        "disom (paper)": None,
-        "richard-singhal": RichardSinghalProtocol.factory(page_size=4096),
-        "stumm-zhou": StummZhouProtocol.factory(page_size=4096),
-        "receiver-msg-log": ReceiverMessageLogging.factory(),
-        "sender-msg-log": SenderMessageLogging.factory(),
-        "janssens-fuchs": JanssensFuchsProtocol.factory(),
-        "none": NullProtocol.factory(),
+        "disom (paper)": "disom",
+        "richard-singhal": "richard-singhal",
+        "stumm-zhou": "stumm-zhou",
+        "receiver-msg-log": "receiver-msg-log",
+        "sender-msg-log": "sender-msg-log",
+        "janssens-fuchs": "janssens-fuchs",
+        "none": "none",
     }
     table = Table(
         "E3: fault-tolerance data volume on identical executions",
@@ -90,10 +84,10 @@ def run_log_overhead(quick: bool = True) -> ExperimentResult:
          "stable bytes", "checkpoints", "extra msg bytes"],
     )
     rows = {}
-    for name, factory in schemes.items():
+    for name, baseline in schemes.items():
         system, result = run_workload(
             SyntheticWorkload(rounds=rounds, object_size=256),
-            protocol_factory=factory, interval=60.0,
+            baseline=baseline, interval=60.0,
         )
         assert result.completed
         extra = sum(
@@ -148,7 +142,7 @@ def run_coordination_overhead(quick: bool = True) -> ExperimentResult:
         rounds = 16 if quick else 30
         for name, factory in (
             ("disom", None),
-            ("coordinated", CoordinatedProtocol.factory(interval=40.0)),
+            ("coordinated", partial(CoordinatedProtocol, interval=40.0)),
         ):
             system, result = run_workload(
                 SyntheticWorkload(rounds=rounds), processes=procs,
@@ -156,7 +150,7 @@ def run_coordination_overhead(quick: bool = True) -> ExperimentResult:
             )
             assert result.completed
             blocked = sum(
-                getattr(p.checkpoint_protocol, "blocked_time", 0.0)
+                p.checkpoint_protocol.overhead_summary().get("blocked_time", 0.0)
                 for p in system.processes.values()
             )
             if name == "coordinated":
@@ -193,7 +187,7 @@ def run_no_rollback(quick: bool = True) -> ExperimentResult:
     claim = True
     for name, factory in (
         ("disom", None),
-        ("coordinated", CoordinatedProtocol.factory(interval=30.0)),
+        ("coordinated", partial(CoordinatedProtocol, interval=30.0)),
     ):
         for victim, when in crashes:
             workload = SyntheticWorkload(rounds=18)

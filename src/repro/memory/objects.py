@@ -95,9 +95,6 @@ class SharedObject:
             return HoldState.HELD_READ
         return HoldState.FREE
 
-    def held_locally(self) -> bool:
-        return self.hold_state is not HoldState.FREE
-
     def can_grant_locally(self, acquire_type: AcquireType) -> bool:
         """CREW admission at the owner: read excludes writer; write excludes all."""
         if acquire_type.is_write:
@@ -127,10 +124,6 @@ class SharedObject:
     # ------------------------------------------------------------------
     # access validity
     # ------------------------------------------------------------------
-    @property
-    def is_owner_copy(self) -> bool:
-        return self.status is ObjectStatus.OWNED
-
     @property
     def has_valid_copy(self) -> bool:
         """True when a local acquire can be satisfied without messages.

@@ -83,9 +83,6 @@ class Network:
     def pids(self) -> list[ProcessId]:
         return sorted(self._endpoints)
 
-    def live_pids(self) -> list[ProcessId]:
-        return sorted(p for p in self._endpoints if p not in self._crashed)
-
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.net.message import Message, MessageKind, layer_of
+from repro.net.message import Message, layer_of
 
 
 @dataclass
@@ -80,9 +80,6 @@ class NetworkStats:
     @property
     def recovery_messages(self) -> int:
         return self.messages_by_layer["recovery"]
-
-    def messages_of(self, kind: MessageKind) -> int:
-        return self.messages_by_kind[kind]
 
     def as_dict(self) -> dict:
         """Flat summary used by reports and EXPERIMENTS.md rows."""

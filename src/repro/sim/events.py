@@ -64,12 +64,11 @@ class Event:
 class EventQueue:
     """Min-heap of events ordered by (time, insertion sequence)."""
 
-    __slots__ = ("_heap", "_counter", "_live")
+    __slots__ = ("_heap", "_counter")
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
-        self._live = 0
 
     def push(
         self,
@@ -83,7 +82,6 @@ class EventQueue:
         seq = next(self._counter)
         event = Event(time, seq, callback, args, label)
         heapq.heappush(self._heap, (time, seq, event))
-        self._live += 1
         return event
 
     def pop(self) -> Optional[Event]:
@@ -96,7 +94,6 @@ class EventQueue:
             event = heapq.heappop(heap)[2]
             if event.cancelled:
                 continue
-            self._live -= 1
             return event
         return None
 
@@ -119,7 +116,6 @@ class EventQueue:
             if until is not None and head[0] > until:
                 return None
             heappop(heap)
-            self._live -= 1
             return event
         return None
 
@@ -144,7 +140,6 @@ class EventQueue:
             if head[0] != time:
                 return None
             heappop(heap)
-            self._live -= 1
             return event
         return None
 
@@ -154,13 +149,3 @@ class EventQueue:
         while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
         return heap[0][0] if heap else None
-
-    def notify_cancelled(self) -> None:
-        """Bookkeeping hook: a pushed event was cancelled externally."""
-        self._live -= 1
-
-    def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0

@@ -32,7 +32,6 @@ prove the fast mode changes no simulated behavior.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -105,19 +104,17 @@ class TraceRecord:
 
 
 class TraceLog:
-    """Append-only trace with optional ring bound and category filter."""
+    """Append-only trace with an optional ring bound."""
 
     def __init__(
         self,
         enabled: bool = True,
         max_records: Optional[int] = None,
-        categories: Optional[set[str]] = None,
     ) -> None:
         #: Whether :meth:`emit` records anything.  The inline verifier
         #: flips this on when it attaches mid-setup.
         self.enabled = enabled
         self._max = max_records
-        self._categories = categories
         self._records: deque[TraceRecord] = deque(maxlen=max_records)
         self._dropped = 0
 
@@ -143,8 +140,6 @@ class TraceLog:
 
     def emit(self, time: float, category: str, message: str, **fields: Any) -> None:
         if not self.enabled:
-            return
-        if self._categories is not None and category not in self._categories:
             return
         record = TraceRecord(time, category, message, fields)
         if self._max is not None and len(self._records) == self._max:
@@ -196,18 +191,6 @@ class TraceLog:
             if contains is not None and contains not in record.message:
                 continue
             yield record
-
-    def iter_range(self, t0: float, t1: float) -> Iterator[TraceRecord]:
-        """Iterate records with ``t0 <= time <= t1`` in emission order.
-
-        Records are appended in non-decreasing time order (the kernel's
-        clock is monotone), so the window is located by bisection.
-        """
-        times = [record.time for record in self._records]
-        lo = bisect_left(times, t0)
-        hi = bisect_right(times, t1)
-        for index in range(lo, hi):
-            yield self._records[index]
 
     def count(self, category: Optional[str] = None, contains: Optional[str] = None) -> int:
         return sum(1 for _ in self.filter(category, contains))

@@ -151,9 +151,6 @@ class ThreadScheduler:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def all_done(self) -> bool:
-        return all(t.done for t in self.threads.values())
-
     def unfinished(self) -> list[Thread]:
         return [self.threads[tid] for tid in sorted(self.threads)
                 if not self.threads[tid].done]

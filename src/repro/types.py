@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 #: Identifier of a DiSOM process (one per simulated workstation).
 ProcessId = int
@@ -361,8 +360,3 @@ class HoldState(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
-
-
-def format_optional_ep(point: Optional[ExecutionPoint]) -> str:
-    """Render an optional execution point for traces ('-' when absent)."""
-    return str(point) if point is not None else "-"

@@ -55,10 +55,6 @@ class MemEvent:
         """
         return (self.tid, self.lt, self.kind, self.obj_id)
 
-    @property
-    def is_write_mode(self) -> bool:
-        return self.mode == "W"
-
     def __str__(self) -> str:
         flags = "".join(
             flag for flag, on in (("L", self.local), ("P", self.replayed)) if on

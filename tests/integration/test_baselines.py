@@ -1,6 +1,8 @@
 """Integration tests for the baseline fault-tolerance schemes and their
 comparison against the paper's protocol on identical executions."""
 
+from functools import partial
+
 import pytest
 
 from tests.conftest import counter_system, make_system
@@ -30,7 +32,7 @@ def run_synthetic(protocol_factory, seed=5, processes=4, rounds=18,
 
 class TestNullProtocol:
     def test_no_overhead_at_all(self):
-        _, _, result = run_synthetic(NullProtocol.factory())
+        _, _, result = run_synthetic(NullProtocol)
         assert result.completed
         assert result.metrics.total_log_bytes == 0
         assert result.metrics.total_checkpoints == 0
@@ -39,7 +41,7 @@ class TestNullProtocol:
         assert result.net["piggyback_dummy_entries"] == 0
 
     def test_crash_is_fatal(self):
-        _, _, result = run_synthetic(NullProtocol.factory(),
+        _, _, result = run_synthetic(NullProtocol,
                                      crashes=[(1, 20.0)])
         assert result.aborted
         assert "cannot recover" in result.abort_reason
@@ -47,7 +49,7 @@ class TestNullProtocol:
 
 class TestRichardSinghal:
     def test_logs_every_transfer_at_page_granularity(self):
-        _, system, result = run_synthetic(RichardSinghalProtocol.factory(page_size=4096))
+        _, system, result = run_synthetic(RichardSinghalProtocol)
         assert result.completed
         summary = system.processes[0].checkpoint_protocol.overhead_summary()
         transfers = sum(
@@ -59,7 +61,7 @@ class TestRichardSinghal:
         assert result.metrics.total_log_bytes >= logged * 4096
 
     def test_stable_flush_on_modified_transfer(self):
-        _, system, result = run_synthetic(RichardSinghalProtocol.factory())
+        _, system, result = run_synthetic(RichardSinghalProtocol)
         flushes = sum(
             p.checkpoint_protocol.stable_flushes
             for p in system.processes.values()
@@ -70,7 +72,7 @@ class TestRichardSinghal:
 
 class TestStummZhou:
     def test_dirty_replicas_ride_messages(self):
-        _, system, result = run_synthetic(StummZhouProtocol.factory())
+        _, system, result = run_synthetic(StummZhouProtocol)
         replication = sum(
             p.checkpoint_protocol.replication_bytes
             for p in system.processes.values()
@@ -81,7 +83,7 @@ class TestStummZhou:
 
 class TestMessageLogging:
     def test_receiver_logging_writes_stable_per_message(self):
-        _, system, result = run_synthetic(ReceiverMessageLogging.factory())
+        _, system, result = run_synthetic(ReceiverMessageLogging)
         logged = sum(
             p.checkpoint_protocol.logged_messages
             for p in system.processes.values()
@@ -90,7 +92,7 @@ class TestMessageLogging:
         assert result.stable_writes == logged
 
     def test_sender_logging_volatile_only(self):
-        _, system, result = run_synthetic(SenderMessageLogging.factory())
+        _, system, result = run_synthetic(SenderMessageLogging)
         logged = sum(
             p.checkpoint_protocol.logged_messages
             for p in system.processes.values()
@@ -101,7 +103,7 @@ class TestMessageLogging:
 
 class TestJanssensFuchs:
     def test_checkpoints_induced_by_communication(self):
-        _, system, result = run_synthetic(JanssensFuchsProtocol.factory())
+        _, system, result = run_synthetic(JanssensFuchsProtocol)
         induced = sum(
             p.checkpoint_protocol.induced_checkpoints
             for p in system.processes.values()
@@ -115,7 +117,7 @@ class TestJanssensFuchs:
 class TestCoordinated:
     def test_rounds_cost_messages_and_blocking(self):
         _, system, result = run_synthetic(
-            CoordinatedProtocol.factory(interval=25.0))
+            partial(CoordinatedProtocol, interval=25.0))
         assert result.completed
         protocol = system.processes[0].checkpoint_protocol
         summary = protocol.overhead_summary()
@@ -129,14 +131,14 @@ class TestCoordinated:
 
     def test_global_rollback_rolls_survivors_back(self):
         workload, system, result = run_synthetic(
-            CoordinatedProtocol.factory(interval=25.0), crashes=[(2, 60.0)])
+            partial(CoordinatedProtocol, interval=25.0), crashes=[(2, 60.0)])
         assert result.completed
         assert workload.verify(result).ok
         assert result.metrics.total_survivor_rollbacks == 3
 
     def test_rollback_discards_stale_messages(self):
         _, system, result = run_synthetic(
-            CoordinatedProtocol.factory(interval=25.0), crashes=[(1, 45.0)])
+            partial(CoordinatedProtocol, interval=25.0), crashes=[(1, 45.0)])
         assert result.completed
         assert not result.invariant_violations
 
@@ -147,16 +149,16 @@ class TestComparisonShape:
 
     def test_disom_logs_less_than_richard_singhal(self):
         _, _, disom = run_synthetic(None)
-        _, _, rs = run_synthetic(RichardSinghalProtocol.factory())
+        _, _, rs = run_synthetic(RichardSinghalProtocol)
         assert disom.metrics.total_log_bytes < rs.metrics.total_log_bytes
 
     def test_disom_stable_traffic_less_than_receiver_logging(self):
         _, _, disom = run_synthetic(None)
-        _, _, rmsg = run_synthetic(ReceiverMessageLogging.factory())
+        _, _, rmsg = run_synthetic(ReceiverMessageLogging)
         assert disom.stable_writes < rmsg.stable_writes
 
     def test_disom_sends_no_extra_messages_unlike_coordinated(self):
         _, _, disom = run_synthetic(None)
-        _, _, coord = run_synthetic(CoordinatedProtocol.factory(interval=25.0))
+        _, _, coord = run_synthetic(partial(CoordinatedProtocol, interval=25.0))
         assert disom.net["checkpoint_messages"] == 0
         assert coord.net["checkpoint_messages"] > 0

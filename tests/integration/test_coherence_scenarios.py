@@ -13,7 +13,7 @@ from repro import (
     Program,
     Release,
 )
-from repro.baselines.noft import NullProtocol
+from repro.baselines import NullProtocol
 from repro.experiments.consistency_matrix import _run as e14_run
 from repro.types import ObjectStatus, Tid
 
@@ -238,7 +238,7 @@ class TestSequentialBackend:
         # A write at the home queues behind two remote readers and is
         # granted only after both have released.
         system = make_system(processes=3, interval=None,
-                             protocol_factory=NullProtocol.factory(),
+                             protocol_factory=NullProtocol,
                              consistency="sequential")
         system.add_object("x", initial=0, home=0)
         clock = system.kernel.clock

@@ -6,10 +6,12 @@ then evaluates the definition directly.  This is the third, most literal
 form of the Theorem-1/2 assertions.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.baselines.coordinated import CoordinatedProtocol
-from repro.baselines.noft import NullProtocol
+from repro.baselines import NullProtocol
 from repro.memory.consistency import (
     AbstractAcquire,
     AcquireHistory,
@@ -79,7 +81,7 @@ class TestAlternateBackends:
     def test_synthetic_history_consistent(self, consistency):
         workload = SyntheticWorkload(rounds=12, objects=4, locality=0.4)
         system = make_system(processes=4, seed=9, interval=None,
-                             protocol_factory=NullProtocol.factory(),
+                             protocol_factory=NullProtocol,
                              consistency=consistency)
         workload.setup(system)
         result, recorder = run_recorded(system)
@@ -89,7 +91,7 @@ class TestAlternateBackends:
     @pytest.mark.parametrize("consistency", ["sequential"])
     def test_counter_history_counts_every_acquire(self, consistency):
         system = counter_system(processes=3, rounds=6, interval=None,
-                                protocol_factory=NullProtocol.factory(),
+                                protocol_factory=NullProtocol,
                                 consistency=consistency)
         result, recorder = run_recorded(system)
         assert result.completed
@@ -162,7 +164,7 @@ class TestWithRecovery:
         # coordinated baseline's global rollback (every thread resumes at
         # the committed cut).
         for factory, rolled_back in ((None, {1}),
-                                     (CoordinatedProtocol.factory(interval=10.0),
+                                     (partial(CoordinatedProtocol, interval=10.0),
                                       {0, 1, 2})):
             system = counter_system(processes=3, rounds=8, seed=7,
                                     interval=25.0, protocol_factory=factory)

@@ -90,7 +90,7 @@ class TestReplayDeterminism:
         program = build_program(instructions)
         streams = {}
 
-        def factory(fresh):
+        def rng_stream(fresh):
             if fresh or "s" not in streams:
                 streams["s"] = random.Random(seed)
             return streams["s"]
@@ -102,14 +102,14 @@ class TestReplayDeterminism:
                 i += 1
 
         # Reference execution.
-        reference = Thread(Tid(0, 0), program, factory)
+        reference = Thread(Tid(0, 0), program, rng_stream)
         streams.clear()
         reference.start()
         ref_observed = drive(reference, values())
         ref_result = reference.result
 
         # Execution checkpointed mid-way and restored into a new thread.
-        original = Thread(Tid(0, 0), program, factory)
+        original = Thread(Tid(0, 0), program, rng_stream)
         streams.clear()
         original.start()
         feed = values()
@@ -123,7 +123,7 @@ class TestReplayDeterminism:
             steps += 1
         state = original.checkpoint_state()
 
-        clone = Thread(Tid(0, 0), program, factory)
+        clone = Thread(Tid(0, 0), program, rng_stream)
         clone.restore_from(state)
         remaining = drive(clone, feed) if not clone.done else []
         assert clone.result == ref_result

@@ -109,13 +109,13 @@ class TestScopeAndNesting:
         # A closure factory (the observers registry's dispatcher): the
         # finding belongs to the inner function, not to both.
         findings = _findings(
-            "def factory(name):\n"
+            "def make_dispatch(name):\n"
             "    def dispatch(self):\n"
             "        for method in self.targets[name]:\n"
             "            method()\n"
             "    return dispatch\n")
         assert [f.message.split(":")[0] for f in findings] == [
-            "factory.dispatch"]
+            "make_dispatch.dispatch"]
 
     def test_handler_body_is_not_protected_by_its_own_try(self):
         findings = _findings(

@@ -1,5 +1,7 @@
 """Unit-level tests of the baseline protocol mechanics."""
 
+from functools import partial
+
 import pytest
 
 from repro.baselines import (
@@ -34,19 +36,33 @@ class TestInterfaceDefaults:
 
     def test_names_and_recovery_flags(self):
         assert NullProtocol.name == "none"
-        assert not NullProtocol.supports_recovery
-        assert CoordinatedProtocol.supports_recovery
-        for cls in (RichardSinghalProtocol, StummZhouProtocol,
+        # Only the coordinated scheme recovers; the cost models keep the
+        # base class's abort.
+        base = FaultToleranceProtocol.recover_crashed
+        assert CoordinatedProtocol.recover_crashed is not base
+        for cls in (NullProtocol, RichardSinghalProtocol, StummZhouProtocol,
                     ReceiverMessageLogging, SenderMessageLogging,
                     JanssensFuchsProtocol):
-            assert not cls.supports_recovery
+            assert cls.recover_crashed is base
+
+    def test_base_recovery_aborts(self):
+        aborts = []
+
+        class System:
+            def abort(self, reason, from_pid):
+                aborts.append((reason, from_pid))
+
+        protocol = NullProtocol(object())
+        protocol.recover_crashed(System(), 2)
+        assert aborts == [
+            ("process 2 crashed and scheme 'none' cannot recover it", 2)]
 
 
 class TestRichardSinghalMechanics:
     def test_page_floor_dominates_small_objects(self):
         system = make_system(
             processes=2, interval=None,
-            protocol_factory=RichardSinghalProtocol.factory(page_size=8192))
+            protocol_factory=partial(RichardSinghalProtocol, page_size=8192))
         system.add_object("tiny", initial=1, home=0)
         system.spawn(1, reader("tiny", rounds=1))
         result = system.run()
@@ -57,8 +73,7 @@ class TestRichardSinghalMechanics:
     def test_no_flush_without_modified_transfer(self):
         system = make_system(
             processes=2, interval=None,
-            protocol_factory=RichardSinghalProtocol.factory(
-                checkpoint_interval=None))
+            protocol_factory=partial(RichardSinghalProtocol, checkpoint_interval=None))
         system.add_object("x", initial=1, home=0)
         system.spawn(1, reader("x", rounds=2))
         result = system.run()
@@ -71,7 +86,7 @@ class TestStummZhouMechanics:
     def test_dirty_set_cleared_after_ship(self):
         system = make_system(
             processes=2, interval=None,
-            protocol_factory=StummZhouProtocol.factory(page_size=1024))
+            protocol_factory=partial(StummZhouProtocol, page_size=1024))
         system.add_object("x", initial=0, home=0)
         system.spawn(0, incrementer("x", rounds=3, gap=4.0))
         system.spawn(1, reader("x", rounds=3, gap=4.0))
@@ -86,7 +101,7 @@ class TestCoordinatedMechanics:
     def test_round_completes_and_epoch_advances(self):
         system = counter_system(
             processes=3, rounds=10, interval=None,
-            protocol_factory=CoordinatedProtocol.factory(interval=15.0))
+            protocol_factory=partial(CoordinatedProtocol, interval=15.0))
         result = system.run()
         assert result.completed
         epochs = {p.checkpoint_protocol.epoch
@@ -99,7 +114,7 @@ class TestCoordinatedMechanics:
     def test_snapshots_keep_last_two_epochs(self):
         system = counter_system(
             processes=2, rounds=12, interval=None,
-            protocol_factory=CoordinatedProtocol.factory(interval=10.0))
+            protocol_factory=partial(CoordinatedProtocol, interval=10.0))
         system.run()
         store = system._coord_snapshots
         per_pid = {}
@@ -124,7 +139,7 @@ class TestMessageLoggingMechanics:
     def test_receiver_counts_equal_deliveries(self):
         system = counter_system(
             processes=2, rounds=4, interval=None,
-            protocol_factory=ReceiverMessageLogging.factory())
+            protocol_factory=ReceiverMessageLogging)
         result = system.run()
         logged = sum(p.checkpoint_protocol.logged_messages
                      for p in system.processes.values())
@@ -134,7 +149,7 @@ class TestMessageLoggingMechanics:
     def test_sender_never_touches_stable_storage(self):
         system = counter_system(
             processes=2, rounds=4, interval=None,
-            protocol_factory=SenderMessageLogging.factory())
+            protocol_factory=SenderMessageLogging)
         result = system.run()
         assert result.stable_writes == 0
         assert result.metrics.total_log_bytes > 0

@@ -180,7 +180,6 @@ class TestCheckpointPolicy:
     def test_defaults(self):
         policy = CheckpointPolicy()
         assert policy.interval is not None
-        assert policy.initial_checkpoint
 
     def test_highwater(self):
         policy = CheckpointPolicy(log_highwater=1000)
@@ -229,10 +228,10 @@ class TestStableStore:
             StableStore().load(7)
 
     def test_write_duration_model(self):
-        store = StableStore(write_base_time=5.0, write_per_byte=0.01)
+        store = StableStore()
         ckpt = self._checkpoint()
-        ckpt.size = 100
-        assert store.save(ckpt) == pytest.approx(6.0)
+        ckpt.size = 100_000
+        assert store.save(ckpt) == pytest.approx(5.0 + 0.00005 * 100_000)
 
     def test_cluster_wide_accounting(self):
         store = StableStore()

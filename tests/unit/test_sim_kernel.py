@@ -34,8 +34,8 @@ class TestEventQueue:
         order = []
         for i in range(5):
             queue.push(1.0, order.append, (i,))
-        while queue:
-            queue.pop().fire()
+        while (event := queue.pop()) is not None:
+            event.fire()
         assert order == [0, 1, 2, 3, 4]
 
     def test_time_ordering(self):
@@ -44,8 +44,8 @@ class TestEventQueue:
         queue.push(3.0, order.append, ("late",))
         queue.push(1.0, order.append, ("early",))
         queue.push(2.0, order.append, ("mid",))
-        while queue:
-            queue.pop().fire()
+        while (event := queue.pop()) is not None:
+            event.fire()
         assert order == ["early", "mid", "late"]
 
     def test_cancellation(self):
@@ -62,6 +62,8 @@ class TestEventQueue:
             event.fire()
             results.append(event.time)
         assert fired == [2]
+        # Drained: nothing live is reported once the last event popped.
+        assert queue.peek_time() is None
 
     def test_peek_skips_cancelled(self):
         queue = EventQueue()
@@ -96,7 +98,7 @@ class TestKernel:
         assert end == 10.0
         assert kernel.now == 10.0
         # The far event is still pending.
-        assert len(kernel.queue) == 1
+        assert kernel.queue.peek_time() == 100.0
 
     def test_stop_terminates_run(self, kernel):
         fired = []

@@ -54,12 +54,6 @@ class TestTraceLog:
         assert log.count(contains="ckpt") == 1
         assert [r.time for r in log.filter("net")] == [1.0, 3.0]
 
-    def test_category_allowlist(self):
-        log = TraceLog(categories={"net"})
-        log.emit(1.0, "net", "kept")
-        log.emit(1.0, "other", "dropped")
-        assert log.count() == 1
-
     def test_bounded_log_drops_oldest(self):
         log = TraceLog(max_records=10)
         for i in range(25):

@@ -58,6 +58,9 @@ MEASURES = {
              r"|attach_to\(|_wire_observers|from_record|events_from_trace"
              r"|feed_record|\.bind\(observers"
              r"|acquire_observer|_acquire_history|purge_granted"),
+    # One match per line: the anchored prefix swallows the rest of it.
+    "cluster-protocol-probes": lambda: _matches(
+        SRC / "cluster", r"(?m)^.*\b(?:getattr|hasattr)\("),
 }
 
 

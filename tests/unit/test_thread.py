@@ -189,18 +189,18 @@ class TestRecordingAndRestore:
 
         streams = {"draws": random.Random(99)}
 
-        def factory(fresh: bool):
+        def rng_stream(fresh: bool):
             if fresh:
                 streams["draws"] = random.Random(99)
             return streams["draws"]
 
-        thread = Thread(Tid(0, 0), Program("rng", rng_body, {}), factory)
+        thread = Thread(Tid(0, 0), Program("rng", rng_body, {}), rng_stream)
         thread.start()
         state = thread.checkpoint_state()
         thread.resume(None)
         original = thread.result
 
-        clone = Thread(Tid(0, 0), Program("rng", rng_body, {}), factory)
+        clone = Thread(Tid(0, 0), Program("rng", rng_body, {}), rng_stream)
         clone.restore_from(state)
         clone.resume(None)
         assert clone.result == original
