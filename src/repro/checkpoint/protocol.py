@@ -69,8 +69,8 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
         self.dummy_log = DummyLog(process.pid)
         #: Dummy entries created locally, not yet shipped off-node.
         self.pending_dummies: list[DummyEntry] = []
-        #: GC CkpSets awaiting piggyback, per destination.
-        self.pending_gc: dict[ProcessId, list[CkpSet]] = {}
+        #: Newest unsent CkpSet per destination; it supersedes older ones.
+        self.pending_gc: dict[ProcessId, CkpSet] = {}
         self.ckpt_seq = 0
         self.last_ckp_set: Optional[CkpSet] = None
         self._timer_event = None
@@ -272,8 +272,8 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
         if self.pending_dummies and self.policy.dummy_transport == "piggyback":
             dummies, self.pending_dummies = self.pending_dummies, []
             self._note_dummies_shipped(dummies, dst)
-        ckp_sets = self.pending_gc.pop(dst, [])
-        return dummies, ckp_sets
+        ckp_set = self.pending_gc.pop(dst, None)
+        return dummies, [] if ckp_set is None else [ckp_set]
 
     def _note_dummies_shipped(self, dummies: list[DummyEntry], dst: ProcessId) -> None:
         """Update the P field of the matching local dependencies (the dummy
@@ -447,7 +447,7 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
         else:
             for peer in self.process.peer_pids():
                 if peer != self.pid:
-                    self.pending_gc.setdefault(peer, []).append(ckp_set)
+                    self.pending_gc[peer] = ckp_set
 
     def _incremental_delta(self, checkpoint: Checkpoint) -> int:
         """Bytes that changed since the previous checkpoint (extension A4).

@@ -113,9 +113,9 @@ class Piggyback:
     ``([alpha],[beta])`` notation (``ep_acq`` on requests, ``ep_prd`` and
     ``version`` on replies); ``dummies`` carries dummy log entries being
     shipped off-node (section 4.2, local acquire step 3); ``ckp_sets``
-    carries garbage-collection CkpSet announcements (section 4.4).  The
-    latter two are lists because several may accumulate between coherence
-    messages to a given destination.
+    carries garbage-collection CkpSet announcements (section 4.4): at most
+    one, the sender's newest, which supersedes any older one.  Dummies may
+    accumulate between coherence messages to a given destination.
     """
 
     control: dict[str, Any] = field(default_factory=dict)

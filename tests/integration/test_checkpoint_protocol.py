@@ -4,7 +4,9 @@ garbage collection (paper sections 4.2 and 4.4)."""
 
 from repro import AcquireRead, AcquireWrite, CheckpointPolicy, ClusterConfig, \
     Compute, DisomSystem, Program, Release
+from repro.checkpoint.policy import CkpSet
 from repro.checkpoint.protocol import pseudo_tid
+from repro.types import ExecutionPoint, Tid
 
 from tests.conftest import counter_system, incrementer, make_system, reader
 
@@ -139,13 +141,13 @@ class TestCheckpointTriggers:
 
 
 class TestGarbageCollection:
-    def _gc_system(self):
+    def _gc_system(self, interval=15.0):
         # GC announcements travel by piggyback, so collection needs
         # all-to-all traffic; the synthetic workload provides it.
         from repro.workloads import SyntheticWorkload
 
         workload = SyntheticWorkload(rounds=25, objects=8)
-        system = make_system(processes=4, seed=3, interval=15.0)
+        system = make_system(processes=4, seed=3, interval=interval)
         workload.setup(system)
         return system
 
@@ -167,16 +169,45 @@ class TestGarbageCollection:
 
     def test_piggyback_gc_starves_on_quiet_channels(self):
         # A documented property of the piggyback-only design: a process
-        # that never sends coherence messages to some peer accumulates
-        # pending CkpSet announcements for it.
+        # that never sends coherence messages to some peer keeps a CkpSet
+        # announcement waiting for it -- but only one, its newest.
         system = counter_system(processes=3, rounds=12, interval=10.0)
         system.run()
-        backlog = sum(
-            len(pending)
-            for process in system.processes.values()
-            for pending in process.checkpoint_protocol.pending_gc.values()
-        )
-        assert backlog > 0
+        protocols = [p.checkpoint_protocol for p in system.processes.values()]
+        assert sum(len(protocol.pending_gc) for protocol in protocols) > 0
+        for protocol in protocols:
+            for pending in protocol.pending_gc.values():
+                assert pending is protocol.last_ckp_set
+
+    def test_newer_ckp_set_subsumes_an_older_one(self):
+        # The safety argument for keeping one pending CkpSet per
+        # destination: a process's CkpSets only grow, so applying an
+        # older one before the newer one collects nothing extra.
+        def receiver_after(*ckp_sets):
+            system = self._gc_system(interval=None)
+            system.run()
+            protocol = system.processes[0].checkpoint_protocol
+            for ckp_set in ckp_sets:
+                protocol.apply_gc(ckp_set)
+            return (
+                [(e.obj_id, e.version, list(e.thread_set)) for e in protocol.log],
+                [(d.obj_id, d.ep_acq) for d in protocol.dummy_log],
+                [list(t.dep_set) for t in protocol.process.threads.values()],
+            )
+
+        def sender_ckp_set(seq, lt):
+            return CkpSet(pid=1, seq=seq,
+                          points=(ExecutionPoint.of(Tid(1, 0), lt),))
+
+        untouched = receiver_after()
+        older, newer = sender_ckp_set(1, 13), sender_ckp_set(2, 26)
+        only_older, only_newer = receiver_after(older), receiver_after(newer)
+        # Both collect something from every store, the newer one more.
+        for before, after_older, after_newer in zip(untouched, only_older,
+                                                    only_newer):
+            assert after_older != before
+            assert after_newer != after_older
+        assert receiver_after(older, newer) == only_newer
 
     def test_own_pending_dummies_discarded_at_checkpoint(self):
         def local_only(ctx):

@@ -7,10 +7,9 @@ of every thread in every image.  The generic walk,
 every shape below (failure-free, a DiSOM crash whose restore resets the
 totals, the coordinated baseline's global rollback, incremental
 checkpoints) both must give the same bytes, and the byte totals of the
-three synthetic shapes must be those the walking implementation
-measured.  A count-based guard proves each record is sized exactly once
-and never enters the size model's identity cache, which building a
-cluster empties.
+three synthetic shapes stay pinned.  A count-based guard proves each
+record is sized exactly once and never enters the size model's identity
+cache, which building a cluster empties.
 """
 
 import dataclasses
@@ -40,10 +39,11 @@ SHAPES = {
 }
 
 #: (checkpoint bytes, stable bytes) of ``SyntheticWorkload(rounds=120,
-#: objects=8)`` at seed 7, interval 40, as the walking sizer measured them.
+#: objects=8)`` at seed 7, interval 40, with every image checked against
+#: the walk.
 PINNED_BYTES = {
-    "failure-free": (2_659_631, 2_659_631),
-    "disom-crash": (807_566, 882_464),
+    "failure-free": (2_458_419, 2_458_419),
+    "disom-crash": (807_561, 882_459),
     "coordinated-crash": (82_631, 130_812),
 }
 

@@ -30,6 +30,11 @@ KNOWN_UNFIXED = (
     "InvariantViolation:[inline-check] inline verification failed: "
     "check: # race(s), # invariant violation(s); # memory events; "
     "race: race on sor.barrier: read is concurrent with the l",
+    # The same baseline and document crashed later: the first race the
+    # detector reports is a write after a read rather than a read.
+    "InvariantViolation:[inline-check] inline verification failed: "
+    "check: # race(s), # invariant violation(s); # memory events; "
+    "race: race on sor.barrier: write is concurrent with a pr",
     # Class (d), a single-crash Theorem 1 violation under DiSOM in the
     # recovery finalisation steps: a survivor keeps a read copy that the
     # recovered owner never invalidates (synthetic) ...
