@@ -28,7 +28,10 @@ DESIGN.md):
 * re-issue of possibly-lost acquire requests happens shortly after
   recovery completes rather than during data collection, and recovery
   completion broadcasts per-thread resume points so survivors can purge
-  stale bookkeeping (prevents duplicate grants).
+  stale bookkeeping (prevents duplicate grants);
+* Li-Hudak path compression lives in engine-local forward hints, not in
+  ``prob_owner``, and stops for good at the first crash a process learns
+  of: recovery and re-issued duplicates see only the probOwner graph.
 """
 
 from __future__ import annotations
@@ -101,6 +104,11 @@ class EntryConsistencyEngine(ConsistencyModel):
         #: Object ids with a pending local *write* request (awaiting
         #: ownership); incoming requests for them are queued, not forwarded.
         self._awaiting_ownership: set[ObjectId] = set()
+        #: Li-Hudak path compression, kept apart from ``prob_owner``: the
+        #: writer whose request we last forwarded (see _send_request).
+        self._forward_hints: dict[ObjectId, ProcessId] = {}
+        #: Off for good once this process learns of a crash or recovers.
+        self._hinting = True
 
     # ==================================================================
     # syscall entry points (called by the process / scheduler handler)
@@ -137,10 +145,9 @@ class EntryConsistencyEngine(ConsistencyModel):
                 req = PendingRequest(obj_id, acq_type, self.pid, ep_acq, thread=thread)
                 self._enqueue(obj, req)
         else:
+            self.metrics.remote_acquires += 1
             self._send_request(
-                PendingRequest(obj_id, acq_type, self.pid, ep_acq, thread=thread),
-                obj.prob_owner,
-            )
+                PendingRequest(obj_id, acq_type, self.pid, ep_acq, thread=thread))
 
     def handle_release(self, thread: Thread, syscall: Release) -> None:
         obj_id = syscall.obj_id
@@ -231,19 +238,35 @@ class EntryConsistencyEngine(ConsistencyModel):
     # ==================================================================
     # remote acquires: request path
     # ==================================================================
-    def _send_request(self, req: PendingRequest, dst: ProcessId) -> None:
-        if req.is_local:
-            self.metrics.remote_acquires += 1
-            if req.type.is_write:
-                self._awaiting_ownership.add(req.obj_id)
-        if dst == self.pid:
+    def _send_request(self, req: PendingRequest, dst: Optional[ProcessId] = None,
+                      forward: bool = False) -> None:
+        """The one ACQUIRE_REQUEST send site.  ``dst`` defaults to the
+        route: the forward hint (never back to the requester), else
+        ``prob_owner``.  Forwarding another process's write request points
+        the hint at that writer until this process learns of a crash."""
+        obj_id = req.obj_id
+        if dst is None:
+            dst = self._forward_hints.get(obj_id)
+            if dst is None or dst == req.p_acq:
+                dst = self.directory.get(obj_id).prob_owner
+        if forward:
+            if req.hops + 1 > MAX_FORWARD_HOPS:
+                raise ProtocolError(
+                    f"{self.pid}: forwarding budget exceeded for {obj_id}")
+            req.hops += 1
+            self.metrics.request_forwards += 1
+            if self._hinting and req.type.is_write and req.p_acq != self.pid:
+                self._forward_hints[obj_id] = req.p_acq
+        elif dst == self.pid:
             # probOwner points at ourselves but the local copy is not
             # valid -- can only be a transient recovery state; treat as a
             # protocol bug to surface loudly.
             raise ProtocolError(
-                f"{self.pid}: request for {req.obj_id} routed to self "
-                f"(status={self.directory.get(req.obj_id).status})"
+                f"{self.pid}: request for {obj_id} routed to self "
+                f"(status={self.directory.get(obj_id).status})"
             )
+        elif req.type.is_write:
+            self._awaiting_ownership.add(obj_id)
         self.send_message(
             MessageKind.ACQUIRE_REQUEST, dst, req.wire_payload(), req.wire_control()
         )
@@ -323,18 +346,7 @@ class EntryConsistencyEngine(ConsistencyModel):
             # copy is invalid.  Drop; the post-recovery re-issue retries.
             self.metrics.duplicate_requests_discarded += 1
         else:
-            if req.hops + 1 > MAX_FORWARD_HOPS:
-                raise ProtocolError(
-                    f"{self.pid}: forwarding budget exceeded for {req.obj_id}"
-                )
-            req.hops += 1
-            self.metrics.request_forwards += 1
-            self.send_message(
-                MessageKind.ACQUIRE_REQUEST,
-                obj.prob_owner,
-                req.wire_payload(),
-                req.wire_control(),
-            )
+            self._send_request(req, forward=True)
 
     def _owner_admit(self, obj: SharedObject, req: PendingRequest) -> None:
         queue = self._queues.get(obj.obj_id)
@@ -383,6 +395,7 @@ class EntryConsistencyEngine(ConsistencyModel):
 
     def _transfer_ownership(self, obj: SharedObject, new_owner: ProcessId) -> None:
         obj.prob_owner = new_owner
+        self._forward_hints.pop(obj.obj_id, None)
         obj.status = ObjectStatus.NO_ACCESS
         obj.copy_set = set()
         obj.data = None
@@ -393,18 +406,9 @@ class EntryConsistencyEngine(ConsistencyModel):
             seen = self._seen.get(obj.obj_id, {})
             for queued in queue:
                 seen.pop(queued.ep_acq, None)
-                if queued.is_local:
-                    # Our own thread's request now needs the remote path.
-                    self._send_request(queued, new_owner)
-                else:
-                    queued.hops += 1
-                    self.metrics.request_forwards += 1
-                    self.send_message(
-                        MessageKind.ACQUIRE_REQUEST,
-                        new_owner,
-                        queued.wire_payload(),
-                        queued.wire_control(),
-                    )
+                # Our own thread's request now needs the remote path.
+                self.metrics.remote_acquires += queued.is_local
+                self._send_request(queued, new_owner, forward=not queued.is_local)
 
     def _process_queue(self, obj: SharedObject) -> None:
         """Grant whatever the CREW rules now allow, in FIFO order."""
@@ -417,31 +421,24 @@ class EntryConsistencyEngine(ConsistencyModel):
             return
         while queue:
             head = queue[0]
-            if head.type.is_write:
-                if not obj.can_grant_locally(AcquireType.WRITE):
-                    break
-                queue.popleft()
-                self._seen.get(obj.obj_id, {}).pop(head.ep_acq, None)
-                if not self.grant_gate(head.ep_acq, self.pid):
-                    self.metrics.duplicate_requests_discarded += 1
-                    continue
-                if head.is_local:
-                    self._admit_local(head.thread, obj, head.type, head.ep_acq)
-                else:
-                    self._grant_remote(obj, head)
-                break  # a write grant ends the batch either way
+            is_write = head.type.is_write
+            if is_write and not obj.can_grant_locally(AcquireType.WRITE):
+                break
+            if not is_write and obj.local_writer is not None:
+                break
+            queue.popleft()
+            self._seen.get(obj.obj_id, {}).pop(head.ep_acq, None)
+            if not self.grant_gate(head.ep_acq, self.pid):
+                self.metrics.duplicate_requests_discarded += 1
+                continue
+            if not head.is_local:
+                self._grant_remote(obj, head)
+            elif is_write:
+                self._admit_local(head.thread, obj, head.type, head.ep_acq)
             else:
-                if obj.local_writer is not None:
-                    break
-                queue.popleft()
-                self._seen.get(obj.obj_id, {}).pop(head.ep_acq, None)
-                if not self.grant_gate(head.ep_acq, self.pid):
-                    self.metrics.duplicate_requests_discarded += 1
-                    continue
-                if head.is_local:
-                    self._grant_local(head.thread, obj, head.type, head.ep_acq)
-                else:
-                    self._grant_remote(obj, head)
+                self._grant_local(head.thread, obj, head.type, head.ep_acq)
+            if is_write:
+                break  # a write grant ends the batch either way
         if not queue:
             self._queues.pop(obj.obj_id, None)
 
@@ -467,6 +464,7 @@ class EntryConsistencyEngine(ConsistencyModel):
         obj = self.directory.get(obj_id)
         version = control["version"]
         p_prd: ProcessId = payload["p_prd"]
+        self._forward_hints.pop(obj_id, None)
 
         if acq_type.is_write:
             obj.data = snapshot(payload["obj_data"])
@@ -600,6 +598,7 @@ class EntryConsistencyEngine(ConsistencyModel):
             obj.status = ObjectStatus.NO_ACCESS
             obj.data = None
         obj.prob_owner = new_owner
+        self._forward_hints.pop(obj.obj_id, None)
         obj.pending_invalidate_from = None
         if ack_to is not None:
             self.send_message(
@@ -644,8 +643,11 @@ class EntryConsistencyEngine(ConsistencyModel):
     # mode switching / barrier plumbing is inherited from the base)
     # ==================================================================
     def note_crashed(self, pid: ProcessId) -> None:
-        """Failure detector: purge queued requests from the dead process."""
+        """Failure detector: purge queued requests from the dead process
+        and every forward hint (recovery assumes the probOwner graph)."""
         self._known_crashed.add(pid)
+        self._hinting = False
+        self._forward_hints.clear()
         for obj_id, queue in list(self._queues.items()):
             keep = deque(r for r in queue if r.p_acq != pid)
             dropped = [r for r in queue if r.p_acq == pid]
@@ -655,6 +657,10 @@ class EntryConsistencyEngine(ConsistencyModel):
                 self._queues[obj_id] = keep
             else:
                 self._queues.pop(obj_id, None)
+
+    def enter_recovery_mode(self) -> None:
+        self._hinting = False
+        super().enter_recovery_mode()
 
     def note_recovered(self, pid: ProcessId, resume_lts: dict[Tid, int]) -> None:
         """RECOVERY_DONE: purge bookkeeping past the resume points.
@@ -677,14 +683,7 @@ class EntryConsistencyEngine(ConsistencyModel):
         # (idempotent at the receiver) so the ack can arrive.
         for (obj_id, _tid), pending in list(self._pending_acks.items()):
             if pid in pending["waiting"]:
-                obj = self.directory.get(obj_id)
-                self.metrics.invalidations_sent += 1
-                self.send_message(
-                    MessageKind.INVALIDATE,
-                    pid,
-                    {"obj_id": obj_id, "new_owner": self.pid, "version": obj.version},
-                    None,
-                )
+                self._send_invalidations(self.directory.get(obj_id), {pid})
 
     def reissue_pending(self) -> int:
         """Re-issue acquire requests that may have died with a process
@@ -716,14 +715,7 @@ class EntryConsistencyEngine(ConsistencyModel):
                 continue  # not owner yet: transient hint, retry next tick
             self.metrics.reissued_requests += 1
             reissued += 1
-            if req.type.is_write:
-                self._awaiting_ownership.add(req.obj_id)
-            self.send_message(
-                MessageKind.ACQUIRE_REQUEST,
-                obj.prob_owner,
-                req.wire_payload(),
-                req.wire_control(),
-            )
+            self._send_request(req, obj.prob_owner)
         return reissued
 
     # ==================================================================

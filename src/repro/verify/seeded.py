@@ -119,9 +119,9 @@ def seeded_dummy_chain() -> List[InvariantViolation]:
 def seeded_bad_schedule() -> Dict[str, Any]:
     """A known-bad failure schedule, padded with inert decoy elements.
 
-    The core is corpus entry ``606fc3ac34fab29f.json``: the sor
+    The core is corpus entry ``ac9a98fdac42fc4e.json``: the sor
     workload on 5 processes, seed 10911, under the coordinated baseline
-    with wire jitter, crashing P4@46.9 -- the post-recovery
+    with wire jitter, crashing P4@54.0 -- the post-recovery
     ``sor.barrier`` race the inline checker reports.  This rides on that
     open bug class; when it is fixed, re-base the schedule on whatever
     known-bad run is left, or the seeded fault stops being detected.
@@ -142,7 +142,7 @@ def seeded_bad_schedule() -> Dict[str, Any]:
         "seed": 10911,
         "interval": 50.0,
         "latency": {"base": 0.68, "jitter": 1.51},
-        "crashes": [[4, 46.9], [0, 5000.0], [1, 6000.0]],
+        "crashes": [[4, 54.0], [0, 5000.0], [1, 6000.0]],
         "highwater": 10_000_000,
         "check": True,
     })

@@ -42,9 +42,9 @@ SHAPES = {
 #: objects=8)`` at seed 7, interval 40, with every image checked against
 #: the walk.
 PINNED_BYTES = {
-    "failure-free": (2_458_419, 2_458_419),
-    "disom-crash": (807_561, 882_459),
-    "coordinated-crash": (82_631, 130_812),
+    "failure-free": (2_495_409, 2_495_409),
+    "disom-crash": (903_369, 987_172),
+    "coordinated-crash": (84_279, 133_671),
 }
 
 

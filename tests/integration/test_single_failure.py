@@ -175,3 +175,25 @@ class TestNoRecoveryConfigured:
         system.inject_crash(1, at_time=10.0)
         with pytest.raises(RecoveryError):
             system.run()
+
+
+@pytest.mark.parametrize("seed", [0, 2, 3])
+def test_recovery_sees_the_probowner_graph_not_forward_hints(seed):
+    """Forward hints are dropped, and stay off, once a crash is known, so
+    recovery works on the authoritative probOwner graph.  Writing the forwarded writer
+    into ``prob_owner`` itself (the literal Li-Hudak rule) stalls seeds 0
+    and 2 here and exceeds the forwarding budget on seed 3."""
+    from repro import attach_checkers
+
+    workload = SyntheticWorkload(rounds=60, objects=8)
+    system = make_system(processes=8, seed=seed, interval=300.0)
+    workload.setup(system)
+    attach_checkers(system, strict=True)
+    system.inject_crash(3, at_time=60.0)
+    result = system.run()
+    assert result.completed and not result.aborted
+    assert workload.verify(result).ok
+    assert not result.invariant_violations
+    assert result.check_report.ok
+    # Survivors learnt of the crash; the victim's new incarnation recovered.
+    assert not any(p.engine._hinting for p in system.processes.values())

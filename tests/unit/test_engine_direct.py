@@ -149,3 +149,84 @@ class TestDuplicateSuppression:
         # ...and one to before it reopens the execution point.
         system.note_rollback({Tid(1, 0): 0})
         assert system.try_claim_grant(ep, 0)
+
+
+def run_three(p0_ops, p1_ops, p2_ops, until=None):
+    """Like :func:`run_two` with a third process; ``until`` stops early."""
+    system = make_system(processes=3, interval=None)
+    system.add_object("x", initial=0, home=0)
+    for pid, ops in enumerate((p0_ops, p1_ops, p2_ops)):
+        system.spawn(pid, step_program(*ops))
+    return system, system.run(until=until)
+
+
+class TestForwardHints:
+    """Li-Hudak path compression: a process that forwards a write request
+    routes its own next request to that writer, until an authoritative
+    probOwner update or a crash overrides the hint."""
+
+    #: P1 takes ownership from P0 (the home) at t=0; P2, whose probOwner
+    #: still names P0, writes at t=10, so P0 forwards P2's request to P1.
+    P1_WRITES = [("aw", "x"), ("relv", ("x", 1))]
+    P2_WRITES_LATER = [("c", 10.0), ("aw", "x"), ("relv", ("x", 2))]
+
+    def test_forwarder_sends_next_request_to_the_writer_it_forwarded(self):
+        system, result = run_three(
+            [("c", 30.0), ("ar", "x"), ("rel", "x")],
+            self.P1_WRITES, self.P2_WRITES_LATER)
+        assert result.completed
+        per_process = result.metrics.per_process
+        assert per_process[0].request_forwards == 1  # P2's write
+        # P0's read goes straight to P2; the old owner P1 never sees it.
+        assert per_process[1].request_forwards == 0
+        assert result.thread_results[Tid(0, 0)] == [2]
+
+    def test_forwarding_records_the_writer_until_a_reply_overrides_it(self):
+        # P1 takes ownership back from P2 at t=25; P0 then reads at t=40.
+        p0_ops = [("c", 40.0), ("ar", "x"), ("rel", "x")]
+        p1_ops = self.P1_WRITES + [("c", 25.0), ("aw", "x"), ("relv", ("x", 3))]
+        system, _ = run_three(p0_ops, p1_ops, self.P2_WRITES_LATER, until=35.0)
+        engine = system.processes[0].engine
+        assert engine._forward_hints == {"x": 2}
+        assert system.processes[0].directory.get("x").prob_owner == 1
+        result = system.run()
+        assert result.thread_results[Tid(0, 0)] == [3]
+        # The reply came from P1 (via P2): it names the owner.
+        assert engine._forward_hints == {}
+        assert system.processes[0].directory.get("x").prob_owner == 1
+
+    def test_invalidation_overrides_the_hint(self):
+        # P0 reads P1's version at t=5 and keeps the copy; P1 writes
+        # again at t=30 and invalidates it.
+        system, _ = run_three(
+            [("c", 5.0), ("ar", "x"), ("rel", "x")],
+            self.P1_WRITES + [("c", 30.0), ("aw", "x"), ("relv", ("x", 2))],
+            [], until=20.0)
+        engine = system.processes[0].engine
+        assert system.processes[0].directory.get("x").status is ObjectStatus.READ
+        engine._forward_hints["x"] = 2
+        system.run()
+        assert engine._forward_hints == {}
+        assert system.processes[0].directory.get("x").prob_owner == 1
+
+    def test_ownership_transfer_overrides_the_hint(self):
+        system, _ = run_three(
+            [], [("c", 10.0), ("aw", "x"), ("relv", ("x", 1))], [], until=5.0)
+        engine = system.processes[0].engine
+        assert system.processes[0].directory.get("x").status is ObjectStatus.OWNED
+        engine._forward_hints["x"] = 2
+        system.run()
+        assert engine._forward_hints == {}
+        assert system.processes[0].directory.get("x").prob_owner == 1
+
+    def test_a_known_crash_drops_every_hint_for_good(self):
+        system, _ = run_three([("c", 30.0)], self.P1_WRITES,
+                              self.P2_WRITES_LATER, until=20.0)
+        engine = system.processes[0].engine
+        assert engine._forward_hints == {"x": 2}
+        engine.note_crashed(1)
+        assert engine._forward_hints == {}
+        engine.note_recovered(1, {})
+        # Hints stay off after the recovery: re-issued duplicates of a
+        # request could point them at a writer that is already done.
+        assert not engine._hinting

@@ -220,7 +220,7 @@ def _small_scenario():
 def test_failed_check_repeat_is_byte_identical():
     # The corpus entry whose inline check fails (a sor.barrier race):
     # the failure text must carry no host-clock verifier overhead.
-    with open(f"{DEFAULT_CORPUS_DIR}/606fc3ac34fab29f.json") as handle:
+    with open(f"{DEFAULT_CORPUS_DIR}/ac9a98fdac42fc4e.json") as handle:
         document = json.load(handle)["scenario"]
     first = run_scenario(document)
     assert "check_failed" in first["result"]
