@@ -77,8 +77,7 @@ def build_workload(
     latency: Union[LatencyModel, Mapping[str, float], None] = None,
     consistency: str = "entry",
     trace: bool = False,
-    gc_transport: str = "piggyback",
-    dummy_transport: str = "piggyback",
+    control_transport: str = "piggyback",
 ) -> DisomSystem:
     """Assemble one cluster execution of ``workload`` and return it un-run.
 
@@ -144,8 +143,7 @@ def build_workload(
                       store_dir=store_dir, observers=observers,
                       consistency=consistency),
         CheckpointPolicy(interval=interval, log_highwater=highwater,
-                         gc_transport=gc_transport,
-                         dummy_transport=dummy_transport),
+                         control_transport=control_transport),
         protocol_factory=protocol_factory,
     )
     workload.setup(system)

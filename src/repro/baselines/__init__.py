@@ -22,7 +22,7 @@ The first six are failure-free cost models in
 (:mod:`repro.baselines.coordinated`).
 """
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.baselines.base import FaultToleranceProtocol
 from repro.baselines.coordinated import CoordinatedProtocol
@@ -34,15 +34,18 @@ from repro.baselines.cost_models import (
     SenderMessageLogging,
     StummZhouProtocol,
 )
+# After ``base``: the paper's protocol subclasses it, and importing it
+# first would re-enter this package half-initialised.
+from repro.checkpoint.protocol import DisomCheckpointProtocol
 
-#: Baseline registry: name -> protocol factory for
+#: Scheme registry: name -> protocol factory for
 #: ``DisomSystem(protocol_factory=...)``, i.e. a ``protocol(process)``
-#: constructor.  ``"disom"`` is the paper's own protocol (factory
-#: ``None``).  The CLI's ``--baseline`` flag and the api facade's
-#: ``baseline=`` keyword both resolve here; other parameters are passed
-#: with ``functools.partial(Cls, interval=...)``.
-ALL_BASELINES: dict[str, Optional[Callable[[Any], FaultToleranceProtocol]]] = {
-    "disom": None,
+#: constructor.  ``"disom"`` is the paper's own protocol, the default.
+#: The CLI's ``--baseline`` flag and the api facade's ``baseline=``
+#: keyword both resolve here; other parameters are passed with
+#: ``functools.partial(Cls, interval=...)``.
+ALL_BASELINES: dict[str, Callable[[Any], FaultToleranceProtocol]] = {
+    "disom": DisomCheckpointProtocol,
     "none": NullProtocol,
     "richard-singhal": RichardSinghalProtocol,
     "stumm-zhou": StummZhouProtocol,

@@ -1,10 +1,11 @@
 """Pluggable fault-tolerance protocol interface.
 
 A :class:`~repro.cluster.process.DisomProcess` hosts exactly one protocol
-object.  The default is the paper's
-:class:`~repro.checkpoint.protocol.DisomCheckpointProtocol`; baselines
-subclass :class:`FaultToleranceProtocol`, which provides no-op defaults
-for every integration point:
+object, built by a ``protocol(process)`` constructor from
+:data:`repro.baselines.ALL_BASELINES` -- the paper's
+:class:`~repro.checkpoint.protocol.DisomCheckpointProtocol` (``"disom"``)
+or a baseline.  Each subclasses :class:`FaultToleranceProtocol`, which
+provides no-op defaults for every integration point:
 
 * the :class:`~repro.memory.coherence.CoherenceHooks` methods (grant,
   release, local acquire...);
@@ -12,12 +13,13 @@ for every integration point:
 * lifecycle (``on_start``/``stop_timer`` on process start/crash,
   ``flush_pending_writes`` at the end of a run, ``take_checkpoint`` on a
   cluster-wide cut);
-* protocol-private message kinds (``handles_kind``/``on_protocol_message``)
-  and incoming-message filtering (used by the coordinated baseline's
-  epoch mechanism);
-* crash handling (``recover_crashed``, ``restore_from_checkpoint``) and
-  the figures the run result reports (``peak_log_bytes``,
-  ``overhead_summary``).
+* every message kind the coherence engine does not handle
+  (``handles_kind``/``on_protocol_message``: DiSOM's recovery exchange
+  and abort, the coordinated baseline's rounds) and incoming-message
+  filtering (the coordinated baseline's epoch mechanism);
+* crash handling (``recover_crashed``, ``recover_from_storage``,
+  ``restore_from_checkpoint``) and the figures the run result reports
+  (``peak_log_bytes``, ``overhead_summary``).
 
 The cluster talks to a scheme through these methods only; it never asks
 which scheme it holds.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.errors import ConfigError
 from repro.memory.coherence import CoherenceHooks
 from repro.net.message import Message, MessageKind
 from repro.types import ProcessId
@@ -105,6 +108,13 @@ class FaultToleranceProtocol(CoherenceHooks):
             f"process {pid} crashed and scheme '{self.name}' "
             "cannot recover it",
             from_pid=pid,
+        )
+
+    def recover_from_storage(self) -> None:
+        """Cold restart (``DisomSystem.recover_all_from_storage``): load
+        this fresh process's latest stored checkpoint and recover it."""
+        raise ConfigError(
+            f"scheme '{self.name}' cannot restart from stored checkpoints"
         )
 
     def restore_from_checkpoint(self, checkpoint: Any) -> None:

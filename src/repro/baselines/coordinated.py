@@ -68,6 +68,8 @@ class CoordinatedProtocol(FaultToleranceProtocol):
         self._ready: set[ProcessId] = set()
         self._acked: set[ProcessId] = set()
         self._timer = None
+        #: epoch -> this process's snapshot at that epoch (the last two).
+        self.snapshots: dict[int, Checkpoint] = {}
 
     @property
     def is_coordinator(self) -> bool:
@@ -209,16 +211,9 @@ class CoordinatedProtocol(FaultToleranceProtocol):
         # A crash can strike mid-round, leaving some processes one epoch
         # ahead; recovery rolls back to the highest epoch available at
         # *every* process, so the previous epoch must be retained too.
-        store = self._epoch_store()
-        store[(self.pid, self.epoch)] = checkpoint
-        store.pop((self.pid, self.epoch - 2), None)
+        self.snapshots[self.epoch] = checkpoint
+        self.snapshots.pop(self.epoch - 2, None)
         self.record_checkpoint(checkpoint.size, f"coordinated-e{self.epoch}")
-
-    def _epoch_store(self) -> dict:
-        system = self.process.system
-        if not hasattr(system, "_coord_snapshots"):
-            system._coord_snapshots = {}
-        return system._coord_snapshots
 
     def filter_incoming(self, message: Message) -> bool:
         # Post-rollback: every message put on the wire before the rollback
@@ -243,13 +238,10 @@ class CoordinatedProtocol(FaultToleranceProtocol):
 
         now = system.kernel.now
         system.claim_spare(crashed_pid)
-        snapshots: dict = getattr(system, "_coord_snapshots", {})
         # Roll back to the last *globally complete* round: the highest
         # epoch for which every process has a snapshot.
-        target_epoch = min(
-            max(epoch for (pid_, epoch) in snapshots if pid_ == pid)
-            for pid in system.all_pids()
-        )
+        target_epoch = min(max(system.processes[pid].checkpoint_protocol.snapshots)
+                           for pid in system.all_pids())
         for pid in system.all_pids():
             old = system.processes[pid]
             survivor = old.alive
@@ -257,8 +249,12 @@ class CoordinatedProtocol(FaultToleranceProtocol):
                 old.alive = False
                 old.scheduler.kill()
                 old.checkpoint_protocol.stop_timer()
+            snapshots = old.checkpoint_protocol.snapshots
             process = system.rebuild_process(pid)
-            checkpoint = snapshots[(pid, target_epoch)]
+            # The rebuilt process keeps the snapshots: a later crash
+            # rolls back to them again.
+            process.checkpoint_protocol.snapshots = snapshots
+            checkpoint = snapshots[target_epoch]
             restore_process_state(process, checkpoint)
             # The cut was taken at quiescence and pre-rollback messages are
             # dropped (rollback_floor), so no acquire at or before it is

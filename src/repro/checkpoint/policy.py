@@ -33,11 +33,11 @@ class CheckpointPolicy:
 
     interval: Optional[float] = 200.0
     log_highwater: Optional[int] = None
-    #: Transport for checkpoint control info: "piggyback" rides on
-    #: coherence messages (the paper's design, zero extra messages);
-    #: "eager" sends dedicated messages immediately (ablation A1).
-    gc_transport: str = "piggyback"
-    dummy_transport: str = "piggyback"
+    #: Transport for checkpoint control info (dummy entries and CkpSet
+    #: announcements): "piggyback" rides on coherence messages (the
+    #: paper's design, zero extra messages); "eager" sends dedicated
+    #: messages immediately (ablation A1).
+    control_transport: str = "piggyback"
     #: Extension (ablation A4): write only the state that changed since
     #: the previous checkpoint.  Stable-write *cost* shrinks to the delta;
     #: recovery still loads the full (materialized) image.
@@ -48,10 +48,8 @@ class CheckpointPolicy:
             raise ConfigError(f"checkpoint interval must be positive: {self.interval}")
         if self.log_highwater is not None and self.log_highwater <= 0:
             raise ConfigError(f"log high-water mark must be positive: {self.log_highwater}")
-        if self.gc_transport not in ("piggyback", "eager"):
-            raise ConfigError(f"unknown gc_transport {self.gc_transport!r}")
-        if self.dummy_transport not in ("piggyback", "eager"):
-            raise ConfigError(f"unknown dummy_transport {self.dummy_transport!r}")
+        if self.control_transport not in ("piggyback", "eager"):
+            raise ConfigError(f"unknown control_transport {self.control_transport!r}")
 
     @staticmethod
     def disabled() -> "CheckpointPolicy":

@@ -9,7 +9,11 @@ points and maintains, per process:
 * per-thread depSets (figure 3);
 * uncoordinated checkpoints to stable storage, triggered by a periodic
   timer or the log high-water mark, followed by the CkpSet garbage
-  collection broadcast (section 4.4) -- itself piggybacked by default.
+  collection broadcast (section 4.4) -- itself piggybacked by default;
+* its own message kinds: the eager transports of ablation A1, the
+  recovery exchange of section 4.3 and the abort of section 4.5.  A
+  crash is handed to a :class:`~repro.checkpoint.recovery.RecoveryManager`
+  built in :meth:`DisomCheckpointProtocol.recover_from_storage`.
 """
 
 from __future__ import annotations
@@ -30,13 +34,14 @@ from repro.checkpoint.log import (
     pseudo_ep,
     pseudo_tid,
 )
-from repro.checkpoint.policy import CheckpointPolicy, CkpSet
+from repro.checkpoint.policy import CkpSet
+from repro.checkpoint.recovery import RecoveryManager, answer_recovery_request
 from repro.checkpoint.stable import Checkpoint
 from repro.baselines.base import FaultToleranceProtocol
-from repro.errors import ProtocolError
+from repro.errors import ConfigError, ProtocolError, RecoveryError
 from repro.memory.coherence import PendingRequest
 from repro.memory.objects import SharedObject, SharedObjectSpec
-from repro.net.message import MessageKind
+from repro.net.message import Message, MessageKind
 from repro.net.sizing import payload_size
 from repro.sim.tracing import TRACE_GATE
 from repro.threads.thread import Thread, snapshot
@@ -49,19 +54,43 @@ from repro.types import (
     Tid,
 )
 
+#: How long after RECOVERY_DONE a process waits before re-issuing
+#: possibly-lost acquire requests.  It must exceed the maximum in-flight
+#: reply latency (see the coherence engine's module docstring).
+REISSUE_DELAY = 50.0
+
+_DISOM_KINDS = frozenset({
+    MessageKind.DUMMY_SHIP,
+    MessageKind.CKPT_GC,
+    MessageKind.RECOVERY_REQUEST,
+    MessageKind.RECOVERY_REPLY,
+    MessageKind.RECOVERY_DONE,
+    MessageKind.ABORT,
+})
+
 
 class DisomCheckpointProtocol(FaultToleranceProtocol):
-    """The paper's checkpoint protocol, failure-free side."""
+    """The paper's checkpoint protocol."""
 
     name = "disom"
     emits_dummies = True
 
-    def __init__(self, process: Any, policy: CheckpointPolicy) -> None:
+    def __init__(self, process: Any) -> None:
         # ``process`` is the hosting DisomProcess; duck-typed to avoid a
         # circular import (it provides pid, kernel, threads, directory,
-        # metrics, observers, stable_store, peer_pids() and send_raw()).
+        # metrics, observers, stable_store, checkpoint_policy,
+        # consistency, peer_pids() and send_raw()).
+        if process.consistency != "entry":
+            # The log records entry-consistency version/dependency
+            # structure; it has no meaning on the other backends
+            # (DESIGN.md section 2.13).
+            raise ConfigError(
+                f"the DiSOM checkpoint protocol requires consistency='entry', "
+                f"got consistency={process.consistency!r}; select "
+                f"baseline='none' (or another baseline) to run this backend"
+            )
         super().__init__(process)
-        self.policy = policy
+        self.policy = process.checkpoint_policy
         #: The run's observer registry (see :mod:`repro.observers`).
         self.observers = process.observers
         # Log append/remove notifications carry this process's pid.
@@ -159,7 +188,7 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
                 entry.next_owner = self.pid
                 entry.next_owner_ep = ep_acq
                 entry.copy_set_at_grant = frozenset(obj.copy_set)
-        if self.policy.dummy_transport == "eager":
+        if self.policy.control_transport == "eager":
             self._ship_dummies_eagerly()
 
     def on_remote_grant(self, obj: SharedObject, req: PendingRequest) -> dict[str, Any]:
@@ -269,7 +298,7 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
         """Attach pending dummies and GC announcements to an outgoing
         coherence message headed for ``dst`` (paper 4.2 local step 3)."""
         dummies: list[DummyEntry] = []
-        if self.pending_dummies and self.policy.dummy_transport == "piggyback":
+        if self.pending_dummies and self.policy.control_transport == "piggyback":
             dummies, self.pending_dummies = self.pending_dummies, []
             self._note_dummies_shipped(dummies, dst)
         ckp_set = self.pending_gc.pop(dst, None)
@@ -440,7 +469,7 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
         self.last_ckp_set = ckp_set
         if self.observers.active:
             self.observers.on_ckp_set(ckp_set)
-        if self.policy.gc_transport == "eager":
+        if self.policy.control_transport == "eager":
             for peer in self.process.peer_pids():
                 if peer != self.pid:
                     self.process.send_raw(MessageKind.CKPT_GC, peer, {}, ckp_sets=[ckp_set])
@@ -506,10 +535,88 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
         )
 
     # ==================================================================
+    # protocol messages
+    # ==================================================================
+    def handles_kind(self, kind: MessageKind) -> bool:
+        return kind in _DISOM_KINDS
+
+    def on_protocol_message(self, message: Message) -> None:
+        kind = message.kind
+        manager = self.process.recovery_manager
+        if kind is MessageKind.RECOVERY_REQUEST:
+            if manager is not None:
+                manager.on_peer_request(message)
+            else:
+                answer_recovery_request(self.process, message, (
+                    list(self.log),
+                    list(self.dummy_log),
+                    {tid: t.dep_set for tid, t in self.process.threads.items()},
+                ))
+        elif kind is MessageKind.RECOVERY_REPLY:
+            if manager is not None:
+                manager.on_reply(message)
+        elif kind is MessageKind.RECOVERY_DONE:
+            if manager is not None:
+                # Still recovering ourselves: apply the purge once our own
+                # restore/replay is finished (it operates on the live log).
+                manager.defer_done(message)
+            else:
+                self.apply_recovery_done(message.src, message.payload["resume_lts"])
+        elif kind is MessageKind.ABORT:
+            self.process.system.abort(message.payload.get("reason", "aborted"),
+                                      from_pid=message.src)
+        else:
+            pass  # DUMMY_SHIP, CKPT_GC: the piggyback was already consumed
+
+    # ==================================================================
     # recovery (section 4.3) and restore support
     # ==================================================================
     def recover_crashed(self, system: Any, pid: ProcessId) -> None:
-        system.start_recovery(pid)
+        system.claim_spare(pid)
+        if not system.stable_store.has_checkpoint(pid):
+            raise RecoveryError(f"no checkpoint in stable storage for P{pid}")
+        # "The first step to recover a process is to get its most recent
+        # checkpoint and reload it in a free processor."
+        system.rebuild_process(pid).checkpoint_protocol.recover_from_storage()
+
+    def recover_from_storage(self) -> None:
+        process = self.process
+        manager = RecoveryManager(
+            process=process,
+            checkpoint=process.stable_store.load(self.pid),
+            timing=process.system.config.recovery,
+        )
+        process.recovery_manager = manager
+        manager.start()
+        # Other in-flight recoveries sent their request while this process
+        # was dark; re-send so it can answer from its checkpoint.
+        for other in process.system.processes.values():
+            other_mgr = other.recovery_manager
+            if other.pid != self.pid and other_mgr is not None and other_mgr.ckp_set is not None:
+                other_mgr.send_request_to(self.pid)
+
+    def apply_recovery_done(self, src: ProcessId, resume_lts: dict[Tid, int]) -> None:
+        """RECOVERY_DONE from ``src``: forget its discarded executions,
+        then retry our own blocked acquires."""
+        self.process.engine.note_recovered(src, resume_lts)
+        self.purge_stale(src, resume_lts)
+        self.schedule_reissue()
+
+    def schedule_reissue(self) -> None:
+        """Periodically re-issue possibly-lost acquire requests until no
+        thread of this process is blocked (duplicates are deduplicated
+        at the owner, so retrying is safe)."""
+        process = self.process
+
+        def _tick() -> None:
+            if not process.alive or process.system.aborted:
+                return
+            process.engine.reissue_pending()
+            if any(t.wait_obj is not None for t in process.threads.values()):
+                process.kernel.schedule(REISSUE_DELAY, _tick,
+                                        label=f"reissue P{self.pid}")
+
+        process.kernel.schedule(REISSUE_DELAY, _tick, label=f"reissue P{self.pid}")
 
     def restore_from_checkpoint(self, checkpoint: Checkpoint) -> None:
         # Writes the crashed incarnation left in flight are torn.

@@ -409,7 +409,13 @@ class RecoveryManager:
                 record.truncated = self.report.any_truncated
 
         if abort_reason is not None:
-            process.system.abort(abort_reason, from_pid=process.pid, broadcast=True)
+            if not process.system.aborted:
+                # Theorem 2's clean abort, announced to every peer.
+                process.system.abort(abort_reason, from_pid=process.pid)
+                for peer in process.peer_pids():
+                    if peer != process.pid:
+                        process.send_raw(MessageKind.ABORT, peer,
+                                         {"reason": abort_reason})
             self._set_phase("aborted")
             return
 
@@ -455,8 +461,8 @@ class RecoveryManager:
                     MessageKind.RECOVERY_DONE, peer, {"resume_lts": resume_lts}
                 )
         for message in self._deferred_dones:
-            process.system.apply_recovery_done(
-                process, message.src, message.payload["resume_lts"]
+            process.checkpoint_protocol.apply_recovery_done(
+                message.src, message.payload["resume_lts"]
             )
         self._deferred_dones = []
         process.engine.exit_recovery_mode()
@@ -465,7 +471,7 @@ class RecoveryManager:
         # Our own fresh requests may race ahead of our RECOVERY_DONE along
         # forwarded paths and be dropped by peers that still believe us
         # crashed; retry until unblocked.
-        process.system.schedule_reissue(process)
+        process.checkpoint_protocol.schedule_reissue()
         process.kernel.trace.emit(
             process.kernel.now, "recovery", f"P{process.pid} recovery complete"
         )

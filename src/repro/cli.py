@@ -64,6 +64,14 @@ def _parse_crash(spec: str) -> tuple[int, float]:
         ) from exc
 
 
+def _write_json(path: str, report: object) -> None:
+    """Write a command's ``--json`` report: indented, newline-terminated
+    (values JSON cannot spell, such as enums, are written as strings)."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(report, handle, indent=2, default=str)
+        handle.write("\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -383,9 +391,7 @@ def cmd_workload(args: argparse.Namespace) -> int:
             "recoveries": len(result.recoveries),
             "invariant_violations": list(result.invariant_violations),
         }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(summary, handle, indent=2)
-            handle.write("\n")
+        _write_json(args.json, summary)
     return 0 if (ok or result.aborted) else 1
 
 
@@ -462,9 +468,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             "events_checked": report.events_checked,
             "ok": not failures,
         }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(summary, handle, indent=2)
-            handle.write("\n")
+        _write_json(args.json, summary)
     return 1 if failures else 0
 
 
@@ -538,9 +542,7 @@ def cmd_experiments(args: argparse.Namespace) -> int:
         if not merged.ok:
             failures += 1
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(findings, handle, indent=2, default=str)
-            handle.write("\n")
+        _write_json(args.json, findings)
     return 1 if failures else 0
 
 
@@ -562,9 +564,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     for key in report.stale_keys:
         print(f"stale baseline key (finding fixed? retire it): {key}")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.as_dict(), handle, indent=2)
-            handle.write("\n")
+        _write_json(args.json, report.as_dict())
         print(f"report written to {args.json}")
     if args.write_baseline is not None:
         target = (Path(args.write_baseline) if args.write_baseline
@@ -637,9 +637,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             "findings": [finding.as_dict() for finding in report.findings],
             "new_findings": len(report.new_findings),
         }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(summary, handle, indent=2)
-            handle.write("\n")
+        _write_json(args.json, summary)
     return 1 if report.new_findings else 0
 
 

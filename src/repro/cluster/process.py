@@ -16,9 +16,8 @@ from typing import Any, Optional
 
 from repro.analysis.metrics import ProcessMetrics
 from repro.checkpoint.policy import CheckpointPolicy
-from repro.checkpoint.protocol import DisomCheckpointProtocol
 from repro.checkpoint.stable import StableStore
-from repro.errors import ConfigError, ProtocolError
+from repro.errors import ProtocolError
 from repro.memory.model import resolve_consistency
 from repro.memory.objects import ObjectDirectory, SharedObjectSpec
 from repro.net.message import Message, MessageKind, Piggyback
@@ -34,7 +33,7 @@ from repro.types import ProcessId, Tid
 
 
 class DisomProcess:
-    """One DiSOM process with the full checkpoint protocol wired in."""
+    """One DiSOM process hosting one fault-tolerance scheme."""
 
     def __init__(
         self,
@@ -43,9 +42,9 @@ class DisomProcess:
         network: Network,
         stable_store: StableStore,
         system: Any,
+        protocol_factory: Any,
         checkpoint_policy: Optional[CheckpointPolicy] = None,
         strict_invalidation_acks: bool = True,
-        protocol_factory: Optional[Any] = None,
         consistency: str = "entry",
     ) -> None:
         self.pid = pid
@@ -62,23 +61,9 @@ class DisomProcess:
         self.threads: dict[Tid, Thread] = {}
         self.scheduler = ThreadScheduler(kernel, self, name=f"P{pid}")
         self.checkpoint_policy = checkpoint_policy or CheckpointPolicy()
-        if protocol_factory is None:
-            self.checkpoint_protocol = DisomCheckpointProtocol(self, self.checkpoint_policy)
-        else:
-            self.checkpoint_protocol = protocol_factory(self)
-        engine_cls = resolve_consistency(consistency)
-        if consistency != "entry" and isinstance(
-            self.checkpoint_protocol, DisomCheckpointProtocol
-        ):
-            # The DiSOM checkpoint protocol logs entry-consistency
-            # version/dependency structure; it has no meaning on the
-            # other backends (DESIGN.md section 2.13).
-            raise ConfigError(
-                f"the DiSOM checkpoint protocol requires consistency='entry', "
-                f"got consistency={consistency!r}; select baseline='none' "
-                f"(or another baseline) to run this backend"
-            )
         self.consistency = consistency
+        engine_cls = resolve_consistency(consistency)
+        self.checkpoint_protocol = protocol_factory(self)
         self.engine = engine_cls(
             pid=pid,
             kernel=kernel,
@@ -91,7 +76,8 @@ class DisomProcess:
             observers=self.observers,
         )
         self.engine.peer_lister = self.peer_pids
-        #: Set while this process is being recovered; owns replay routing.
+        #: Host slots for the scheme's recovery: set while this process
+        #: is being recovered; the replayer owns acquire routing.
         self.recovery_manager: Optional[Any] = None
         self.replayer: Optional[Any] = None
         self._next_local_thread = 0
@@ -230,19 +216,6 @@ class DisomProcess:
         kind = message.kind
         if kind in self.engine.handled_kinds:
             self.engine.on_message(message)
-        elif kind is MessageKind.DUMMY_SHIP:
-            pass  # contents were in the piggyback, already consumed
-        elif kind is MessageKind.CKPT_GC:
-            pass  # contents were in the piggyback, already consumed
-        elif kind is MessageKind.RECOVERY_REQUEST:
-            self.system.on_recovery_request(self, message)
-        elif kind is MessageKind.RECOVERY_REPLY:
-            if self.recovery_manager is not None:
-                self.recovery_manager.on_reply(message)
-        elif kind is MessageKind.RECOVERY_DONE:
-            self.system.on_recovery_done(self, message)
-        elif kind is MessageKind.ABORT:
-            self.system.abort(message.payload.get("reason", "aborted"), from_pid=message.src)
         elif self.checkpoint_protocol.handles_kind(kind):
             self.checkpoint_protocol.on_protocol_message(message)
         else:

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.analysis.metrics import SystemMetrics
+from repro.baselines import ALL_BASELINES
 from repro.checkpoint.policy import CheckpointPolicy
-from repro.checkpoint.recovery import RecoveryManager, answer_recovery_request
 from repro.checkpoint.stable import StableStore
 from repro.cluster.config import ClusterConfig, CrashPlan
 from repro.cluster.process import DisomProcess
@@ -29,7 +29,6 @@ from repro.failure.injector import CrashInjector
 from repro.storage.backend import make_backend
 from repro.storage.faults import StorageFault, StorageFaultPlan
 from repro.memory.objects import SharedObjectSpec
-from repro.net.message import Message, MessageKind
 from repro.net.network import Network
 from repro.net.sizing import reset_size_cache
 from repro.observers import Observers
@@ -37,12 +36,6 @@ from repro.sim.kernel import Kernel
 from repro.sim.tracing import TraceLog
 from repro.threads.program import Program
 from repro.types import ObjectId, ObjectStatus, ProcessId, Tid
-
-
-#: How long after RECOVERY_DONE a process waits before re-issuing
-#: possibly-lost acquire requests.  It must exceed the maximum in-flight
-#: reply latency (see the coherence engine's module docstring).
-REISSUE_DELAY = 50.0
 
 
 @dataclass
@@ -107,17 +100,17 @@ class DisomSystem:
         protocol_factory: Optional[Any] = None,
         storage_backend: Optional[Any] = None,
     ) -> None:
-        """``protocol_factory`` selects the fault-tolerance scheme: None
-        runs the paper's DiSOM checkpoint protocol; a baseline passes its
-        ``protocol(process)`` constructor, e.g. ``NullProtocol`` (see
-        :mod:`repro.baselines`).
+        """``protocol_factory`` selects the fault-tolerance scheme: a
+        ``protocol(process)`` constructor such as ``NullProtocol`` (see
+        :mod:`repro.baselines`); None runs the paper's protocol,
+        registered as ``"disom"``.
         ``storage_backend`` overrides the checkpoint store built from the
         config (``ClusterConfig.store_dir`` selects the durable
         :class:`~repro.storage.backend.FileBackend`)."""
         self.config = config or ClusterConfig()
         reset_size_cache()
         self.checkpoint_policy = checkpoint or CheckpointPolicy()
-        self.protocol_factory = protocol_factory
+        self.protocol_factory = protocol_factory or ALL_BASELINES["disom"]
         trace = TraceLog(
             enabled=self.config.trace,
             max_records=self.config.trace_max_records,
@@ -181,9 +174,9 @@ class DisomSystem:
             network=self.network,
             stable_store=self.stable_store,
             system=self,
+            protocol_factory=self.protocol_factory,
             checkpoint_policy=self.checkpoint_policy,
             strict_invalidation_acks=self.config.strict_invalidation_acks,
-            protocol_factory=self.protocol_factory,
             consistency=self.config.consistency,
         )
         self.processes[pid] = process
@@ -362,25 +355,14 @@ class DisomSystem:
                 "recover_all_from_storage must be called before run()"
             )
         self._started = True
-        managers = []
-        for pid in sorted(self.processes):
-            process = self.processes[pid]
-            checkpoint = self.stable_store.load(pid)
-            self.recovery_records.append(
-                RecoveryRecord(pid=pid, crashed_at=0.0, detected_at=0.0)
-            )
-            manager = RecoveryManager(
-                process=process,
-                checkpoint=checkpoint,
-                timing=self.config.recovery,
-            )
-            process.recovery_manager = manager
-            managers.append(manager)
-        # Start only after every manager exists so no recovery request
-        # races ahead of a peer's ability to queue it.
+        # Each recovery only schedules its checkpoint load here, so every
+        # process is recovering before the first request goes out.
         with self.kernel.trace.feeding():
-            for manager in managers:
-                manager.start()
+            for pid in sorted(self.processes):
+                self.recovery_records.append(
+                    RecoveryRecord(pid=pid, crashed_at=0.0, detected_at=0.0)
+                )
+                self.processes[pid].checkpoint_protocol.recover_from_storage()
 
     def _describe_blocked(self) -> str:
         parts = []
@@ -422,19 +404,13 @@ class DisomSystem:
                 return
         self.kernel.stop("completed")
 
-    def abort(self, reason: str, from_pid: ProcessId, broadcast: bool = False) -> None:
+    def abort(self, reason: str, from_pid: ProcessId) -> None:
         """Abort the application (Theorem 2's 'aborted' outcome)."""
         if self.aborted:
             return
         self.aborted = True
         self.abort_reason = reason
         self.kernel.trace.emit(self.kernel.now, "abort", reason, pid=from_pid)
-        if broadcast:
-            origin = self.processes.get(from_pid)
-            if origin is not None and origin.alive:
-                for peer in self.all_pids():
-                    if peer != from_pid:
-                        origin.send_raw(MessageKind.ABORT, peer, {"reason": reason})
         self.kernel.stop("aborted")
 
     def _build_result(self, completed: bool) -> RunResult:
@@ -566,69 +542,3 @@ class DisomSystem:
         if plan is not None and not plan.recover:
             return
         self.processes[pid].checkpoint_protocol.recover_crashed(self, pid)
-
-    def start_recovery(self, pid: ProcessId) -> None:
-        """Recover ``pid`` from its last checkpoint (section 4.3): the
-        DiSOM protocol's ``recover_crashed``."""
-        self.claim_spare(pid)
-        if not self.stable_store.has_checkpoint(pid):
-            raise RecoveryError(f"no checkpoint in stable storage for P{pid}")
-        # "The first step to recover a process is to get its most recent
-        # checkpoint and reload it in a free processor."
-        process = self.rebuild_process(pid)
-        checkpoint = self.stable_store.load(pid)
-        manager = RecoveryManager(
-            process=process,
-            checkpoint=checkpoint,
-            timing=self.config.recovery,
-        )
-        process.recovery_manager = manager
-        manager.start()
-        # Other in-flight recoveries sent their request while this process
-        # was dark; re-send so it can answer from its checkpoint.
-        for other in self.processes.values():
-            other_mgr = other.recovery_manager
-            if other.pid != pid and other_mgr is not None and other_mgr.ckp_set is not None:
-                other_mgr.send_request_to(pid)
-
-    # ------------------------------------------------------------------
-    # message routing helpers (called by DisomProcess.deliver)
-    # ------------------------------------------------------------------
-    def on_recovery_request(self, process: DisomProcess, message: Message) -> None:
-        if process.recovery_manager is not None:
-            process.recovery_manager.on_peer_request(message)
-            return
-        protocol = process.checkpoint_protocol
-        answer_recovery_request(process, message, (
-            list(protocol.log),
-            list(protocol.dummy_log),
-            {tid: t.dep_set for tid, t in process.threads.items()},
-        ))
-
-    def on_recovery_done(self, process: DisomProcess, message: Message) -> None:
-        if process.recovery_manager is not None:
-            # Still recovering ourselves: apply the purge once our own
-            # restore/replay is finished (it operates on the live log).
-            process.recovery_manager.defer_done(message)
-            return
-        self.apply_recovery_done(process, message.src, message.payload["resume_lts"])
-
-    def apply_recovery_done(self, process: DisomProcess, src: ProcessId,
-                            resume_lts: dict) -> None:
-        process.engine.note_recovered(src, resume_lts)
-        process.checkpoint_protocol.purge_stale(src, resume_lts)
-        self.schedule_reissue(process)
-
-    def schedule_reissue(self, process: DisomProcess) -> None:
-        """Periodically re-issue possibly-lost acquire requests until no
-        thread of ``process`` is blocked (duplicates are deduplicated at
-        the owner, so retrying is safe)."""
-        def _tick() -> None:
-            if not process.alive or self.aborted:
-                return
-            process.engine.reissue_pending()
-            if any(t.wait_obj is not None for t in process.threads.values()):
-                self.kernel.schedule(REISSUE_DELAY, _tick,
-                                     label=f"reissue P{process.pid}")
-
-        self.kernel.schedule(REISSUE_DELAY, _tick, label=f"reissue P{process.pid}")

@@ -6,6 +6,7 @@ from functools import partial
 import pytest
 
 from tests.conftest import counter_system, make_system
+from repro.api import build_workload
 from repro.baselines import (
     CoordinatedProtocol,
     JanssensFuchsProtocol,
@@ -141,6 +142,24 @@ class TestCoordinated:
             partial(CoordinatedProtocol, interval=25.0), crashes=[(1, 45.0)])
         assert result.completed
         assert not result.invariant_violations
+
+
+    @pytest.mark.parametrize("crashes", [
+        [(1, 40.0), (2, 90.0)],   # well after the first rollback
+        [(1, 40.0), (2, 52.0)],   # soon after it
+        [(1, 30.0), (3, 31.0)],   # before the first crash is detected
+    ])
+    def test_second_rollback_finds_the_snapshots(self, crashes):
+        # The processes the first rollback rebuilt must still hold the
+        # snapshots the second one rolls back to.
+        workload = SyntheticWorkload()
+        system = build_workload(workload, processes=4, interval=40.0,
+                                baseline="coordinated", crashes=crashes)
+        result = system.run()
+        assert result.completed
+        assert workload.verify(result).ok
+        assert [r.pid for r in result.recoveries] == [pid for pid, _ in crashes]
+        assert all(r.finished_at is not None for r in result.recoveries)
 
 
 class TestComparisonShape:

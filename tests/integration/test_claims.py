@@ -39,8 +39,7 @@ class TestAblations:
         for transport in ("piggyback", "eager"):
             workload = SyntheticWorkload(rounds=18, locality=0.5)
             _, result = run_workload(workload, interval=25.0,
-                                     gc_transport=transport,
-                                     dummy_transport=transport)
+                                     control_transport=transport)
             assert result.completed and workload.verify(result).ok
             results[transport] = result.net
         assert results["piggyback"]["checkpoint_messages"] == 0

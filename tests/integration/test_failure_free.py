@@ -79,8 +79,7 @@ class TestNoExtraMessages:
 
         system = DisomSystem(
             ClusterConfig(processes=3, seed=7),
-            CheckpointPolicy(interval=20.0, gc_transport="eager",
-                             dummy_transport="eager"),
+            CheckpointPolicy(interval=20.0, control_transport="eager"),
         )
         system.add_object("counter", initial=0, home=0)
         for pid in range(3):

@@ -14,6 +14,7 @@ from repro.baselines import (
     StummZhouProtocol,
 )
 from repro.baselines.base import FaultToleranceProtocol
+from repro.errors import ConfigError, ProtocolError
 from repro.net.message import Message, MessageKind
 
 from tests.conftest import counter_system, incrementer, make_system, reader
@@ -33,6 +34,19 @@ class TestInterfaceDefaults:
         protocol.on_piggyback(1, [], [])
         protocol.on_start()
         protocol.stop_timer()
+
+    def test_a_kind_no_layer_claims_is_a_protocol_error(self):
+        # DUMMY_SHIP belongs to the DiSOM protocol: a process running
+        # another scheme must not swallow it.
+        system = make_system(processes=2, protocol_factory=NullProtocol)
+        with pytest.raises(ProtocolError, match="unhandled message"):
+            system.processes[0].deliver(
+                Message(1, 0, MessageKind.DUMMY_SHIP))
+
+    def test_only_a_scheme_with_stored_checkpoints_restarts_cold(self):
+        system = make_system(processes=2, protocol_factory=NullProtocol)
+        with pytest.raises(ConfigError, match="cannot restart"):
+            system.recover_all_from_storage()
 
     def test_names_and_recovery_flags(self):
         assert NullProtocol.name == "none"
@@ -116,12 +130,11 @@ class TestCoordinatedMechanics:
             processes=2, rounds=12, interval=None,
             protocol_factory=partial(CoordinatedProtocol, interval=10.0))
         system.run()
-        store = system._coord_snapshots
-        per_pid = {}
-        for (pid, epoch) in store:
-            per_pid.setdefault(pid, []).append(epoch)
-        for epochs in per_pid.values():
-            assert len(epochs) <= 2
+        for process in system.processes.values():
+            snapshots = process.checkpoint_protocol.snapshots
+            epoch = process.checkpoint_protocol.epoch
+            assert epoch >= 1
+            assert sorted(snapshots) == [epoch - 1, epoch]
 
     def test_message_kinds_routed(self):
         protocol_cls = CoordinatedProtocol

@@ -193,7 +193,7 @@ class TestCheckpointPolicy:
         with pytest.raises(ConfigError):
             CheckpointPolicy(log_highwater=-5)
         with pytest.raises(ConfigError):
-            CheckpointPolicy(gc_transport="bogus")
+            CheckpointPolicy(control_transport="bogus")
 
     def test_disabled(self):
         policy = CheckpointPolicy.disabled()

@@ -61,6 +61,11 @@ MEASURES = {
     # One match per line: the anchored prefix swallows the rest of it.
     "cluster-protocol-probes": lambda: _matches(
         SRC / "cluster", r"(?m)^.*\b(?:getattr|hasattr)\("),
+    "cluster-scheme-names": lambda: _matches(
+        SRC / "cluster",
+        r"(?m)^.*(?:checkpoint\.(?:recovery|protocol)|RecoveryManager"
+        r"|answer_recovery_request|DisomCheckpointProtocol"
+        r"|MessageKind\.(?:RECOVERY_[A-Z]+|DUMMY_SHIP|CKPT_GC|ABORT))"),
 }
 
 
