@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
+from repro.checkpoint.gc import covered
 from repro.net.sizing import register_sized_type
 from repro.types import AcquireType, ExecutionPoint, ObjectId, ProcessId
 
@@ -109,24 +110,16 @@ class DummyLog:
     def entries_created_by(self, pid: ProcessId) -> list[DummyEntry]:
         return [e for e in self._entries if e.creator_pid == pid]
 
-    def remove_before(self, pid: ProcessId, ckpt_lts: dict) -> int:
-        """GC: drop entries created by ``pid`` before its checkpoint.
-
-        ``ckpt_lts`` maps the checkpointing process's tids to their logical
-        times at checkpoint; an entry with ``epAcq`` strictly before the
-        matching thread's checkpoint point is no longer needed (section 4.4).
-        """
-        survivors: list[DummyEntry] = []
-        removed = 0
-        for entry in self._entries:
-            ckpt_lt = ckpt_lts.get(entry.ep_acq.tid)
-            if entry.creator_pid == pid and ckpt_lt is not None and entry.ep_acq.lt < ckpt_lt:
-                removed += 1
-                self._keys.discard((entry.obj_id, entry.ep_acq))
-            else:
-                survivors.append(entry)
-        self._entries = survivors
-        return removed
+    def remove_before(self, pid: ProcessId, ckpt_lts: dict) -> list[DummyEntry]:
+        """GC (section 4.4): drop and return, in store order, the entries
+        whose ``epAcq`` precedes the checkpoint of ``pid`` -- ``ckpt_lts``
+        maps its tids to their logical times at that checkpoint."""
+        dropped = [e for e in self._entries if covered(e.ep_acq, pid, ckpt_lts)]
+        if dropped:
+            self._entries = [e for e in self._entries
+                             if not covered(e.ep_acq, pid, ckpt_lts)]
+            self._keys.difference_update((e.obj_id, e.ep_acq) for e in dropped)
+        return dropped
 
     # ------------------------------------------------------------------
     # checkpoint support

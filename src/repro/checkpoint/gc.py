@@ -12,55 +12,59 @@ Three stores grow during the failure-free period and are trimmed when a
    checkpoint are dropped (the producer's checkpointed log already
    contains the corresponding threadSet pairs).
 
-All functions return the number of items removed, for the E9 experiment.
+The ``gc_*`` functions return the number of items removed, for the E9
+experiment; :func:`covered` is the drop rule the three stores share.
 
-The ``observers`` keyword arguments take the unified
-:class:`repro.observers.Observers` registry (the protocol passes the
-run's registry through while anybody is listening, ``None`` otherwise);
-every GC drop is announced there together with the CkpSet justifying
-it, so GC safety can be audited online.  Register auditors on
-``system.observers`` or via ``ClusterConfig(observers=...)``.
+The ``observers`` keyword arguments take the run's
+:class:`repro.observers.Observers` registry (``None`` while nobody
+listens); every GC drop is announced there together with the CkpSet
+justifying it, so GC safety can be audited online.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
-from repro.checkpoint.dummy import DummyLog
 from repro.checkpoint.log import ProcessLog
 from repro.checkpoint.policy import CkpSet
 from repro.threads.thread import Thread
-from repro.types import Tid
+from repro.types import ExecutionPoint, ProcessId, Tid
+
+if TYPE_CHECKING:
+    from repro.checkpoint.dummy import DummyLog
+
+
+def covered(point: ExecutionPoint, pid: ProcessId,
+            ckpt_lts: dict[Tid, int]) -> bool:
+    """Section 4.4's drop rule, written once: ``point`` is on a thread of
+    the checkpointing process ``pid`` strictly before that thread's
+    checkpoint (``ckpt_lts``).  A CkpSet names only ``pid``'s threads, so
+    the pid test comes first and spares the ``Tid``-hashing lookup."""
+    tid = point.tid
+    if tid.pid != pid:
+        return False
+    ckpt_lt = ckpt_lts.get(tid)
+    return ckpt_lt is not None and point.lt < ckpt_lt
 
 
 def gc_thread_sets(log: ProcessLog, ckp_set: CkpSet,
                    observers: Optional[Any] = None) -> tuple[int, int]:
     """Trim threadSets against ``ckp_set``; drop dead old entries.
-
-    Returns ``(pairs_removed, entries_removed)``.  ``observers`` (the
-    registry) is told of every dropped pair together with the CkpSet
-    justifying the drop, so GC safety can be checked online.
-    """
-    lts = ckp_set.lts_by_tid()
-    lts_get = lts.get
+    Returns ``(pairs_removed, entries_removed)``."""
+    pid, lts = ckp_set.pid, ckp_set.lts_by_tid()
     pairs_removed = 0
     for entry in log:
         # Fast scan first: most entries have nothing to drop, and the
-        # rebuild below allocates.  ``ep_acq.lt < lts[tid]`` is the drop
-        # condition from section 4.4 (acquire before the checkpoint).
+        # rebuild below allocates.
         thread_set = entry.thread_set
-        dirty = False
         for pair in thread_set:
-            ckpt_lt = lts_get(pair.ep_acq.tid)
-            if ckpt_lt is not None and pair.ep_acq.lt < ckpt_lt:
-                dirty = True
+            if covered(pair.ep_acq, pid, lts):
                 break
-        if not dirty:
+        else:
             continue
         kept = []
         for pair in thread_set:
-            ckpt_lt = lts_get(pair.ep_acq.tid)
-            if ckpt_lt is not None and pair.ep_acq.lt < ckpt_lt:
+            if covered(pair.ep_acq, pid, lts):
                 pairs_removed += 1
                 if observers is not None:
                     observers.on_gc_pair_drop(entry, pair, ckp_set)
@@ -74,42 +78,28 @@ def gc_thread_sets(log: ProcessLog, ckp_set: CkpSet,
 def gc_dummy_log(dummy_log: DummyLog, ckp_set: CkpSet,
                  observers: Optional[Any] = None) -> int:
     """Drop stored dummy entries created by ``P_ckp`` before its checkpoint."""
+    dropped = dummy_log.remove_before(ckp_set.pid, ckp_set.lts_by_tid())
     if observers is not None:
-        lts = ckp_set.lts_by_tid()
-        for dummy in dummy_log:
-            ckpt_lt = lts.get(dummy.ep_acq.tid)
-            if (dummy.ep_acq.tid.pid == ckp_set.pid
-                    and ckpt_lt is not None and dummy.ep_acq.lt < ckpt_lt):
-                observers.on_gc_dummy_drop(dummy, ckp_set)
-    return dummy_log.remove_before(ckp_set.pid, ckp_set.lts_by_tid())
+        for dummy in dropped:
+            observers.on_gc_dummy_drop(dummy, ckp_set)
+    return len(dropped)
 
 
 def gc_dep_sets(threads: Iterable[Thread], ckp_set: CkpSet,
                 observers: Optional[Any] = None) -> int:
     """Drop depSet entries with ``ep_prd`` before the producer's checkpoint."""
-    lts = ckp_set.lts_by_tid()
-    lts_get = lts.get
-    ckp_pid = ckp_set.pid
+    pid, lts = ckp_set.pid, ckp_set.lts_by_tid()
     removed = 0
     for thread in threads:
         dep_set = thread.dep_set
-        dirty = False
         for dep in dep_set:
-            ckpt_lt = lts_get(dep.ep_prd.tid)
-            if (dep.ep_prd.tid.pid == ckp_pid and ckpt_lt is not None
-                    and dep.ep_prd.lt < ckpt_lt):
-                dirty = True
+            if covered(dep.ep_prd, pid, lts):
                 break
-        if not dirty:
+        else:
             continue
         kept = []
         for dep in dep_set:
-            ckpt_lt = lts_get(dep.ep_prd.tid)
-            if (
-                dep.ep_prd.tid.pid == ckp_pid
-                and ckpt_lt is not None
-                and dep.ep_prd.lt < ckpt_lt
-            ):
+            if covered(dep.ep_prd, pid, lts):
                 removed += 1
                 if observers is not None:
                     observers.on_gc_dep_drop(thread.tid, dep, ckp_set)

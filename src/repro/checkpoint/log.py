@@ -122,19 +122,19 @@ class LogEntry:
         return data_bytes + 40 + 32 * len(self.thread_set)
 
     def clone(self) -> "LogEntry":
-        cloned = LogEntry(
+        # obj_data is never mutated (see size_bytes): the clone shares it.
+        return LogEntry(
             obj_id=self.obj_id,
             version=self.version,
-            obj_data=_pristine(self.obj_data),
+            obj_data=self.obj_data,
             tid_prd=self.tid_prd,
             next_owner=self.next_owner,
             thread_set=list(self.thread_set),
             ep_release=self.ep_release,
             next_owner_ep=self.next_owner_ep,
             copy_set_at_grant=self.copy_set_at_grant,
+            _data_bytes=self._data_bytes,
         )
-        cloned._data_bytes = self._data_bytes
-        return cloned
 
     def __str__(self) -> str:
         nxt = f"->{self.next_owner}" if self.next_owner is not None else ""
@@ -243,13 +243,13 @@ class ProcessLog:
         per_obj = self._by_object.get(entry.obj_id, [])
         if entry in per_obj:
             per_obj.remove(entry)
-        self.live_bytes -= getattr(entry, "_accounted_bytes", entry.size_bytes())
+        self.live_bytes -= entry._accounted_bytes
         if self._observers.active:
             self._observers.on_log_remove(self._pid, entry)
 
     def drop_old_unreferenced(self) -> int:
         """Delete old entries with an empty threadSet; returns count."""
-        victims = [e for e in self._entries if self.is_old(e) and not e.thread_set]
+        victims = [e for e in self._entries if not e.thread_set and self.is_old(e)]
         for entry in victims:
             self.remove(entry)
         return len(victims)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ProtocolError
 from repro.net.sizing import register_sized_type
 from repro.types import ExecutionPoint, ProcessId, Tid
 
@@ -66,18 +66,20 @@ class CkpSet:
     """The set of thread execution points at a checkpoint (sections 4.3/4.4).
 
     Broadcast (piggybacked) after a checkpoint to drive garbage collection,
-    and sent in the recovery request to scope data collection.
+    and sent in the recovery request to scope data collection.  Every
+    point is on one of ``pid``'s threads; GC relies on it.
     """
 
     pid: ProcessId
     seq: int
     points: tuple[ExecutionPoint, ...]
 
+    def __post_init__(self) -> None:
+        if any(point.tid.pid != self.pid for point in self.points):
+            raise ProtocolError(f"{self} names another process's thread")
+
     def lt_of(self, tid: Tid) -> Optional[int]:
-        for point in self.points:
-            if point.tid == tid:
-                return point.lt
-        return None
+        return self.lts_by_tid().get(tid)
 
     def lts_by_tid(self) -> dict[Tid, int]:
         """Checkpoint logical time per tid, memoized (the instance is

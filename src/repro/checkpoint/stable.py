@@ -84,9 +84,9 @@ class Checkpoint:
         the list costs an empty list + ``ITEM_BYTES`` per record + the
         running total, byte-identical to the walk.  The log section sums
         each entry's own ``size_bytes`` (entries mutate their threadSet).
-        The object section is one C-speed serialization
-        (:func:`blob_size`): object snapshots are fresh deep copies, so
-        nothing would cache.
+        The object section is one C-speed serialization (:func:`blob_size`)
+        of the whole section: pickle memoises across objects, so per-object
+        sizes of the shared, unchanged snapshots would not add up to it.
         """
         log_bytes = 8
         for entry in self.log_entries:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
 from repro.errors import ProtocolError
-from repro.net.sizing import payload_size
 from repro.threads.thread import snapshot as _pristine
 from repro.types import (
     AcquireType,
@@ -50,6 +49,7 @@ class SharedObject:
     __slots__ = (
         "obj_id", "version", "prob_owner", "status", "copy_set", "ep_dep",
         "data", "local_readers", "local_writer", "pending_invalidate_from",
+        "_snap", "_snap_data",
     )
 
     def __init__(self, spec: SharedObjectSpec, local_pid: ProcessId) -> None:
@@ -70,6 +70,9 @@ class SharedObject:
         #: ack is deferred until the last reader releases.  Stores
         #: (new_owner, ack_to, invalidated_version).
         self.pending_invalidate_from: Optional[tuple] = None
+        #: The dict :meth:`snapshot` last returned and the data it copied.
+        self._snap: Optional[dict[str, Any]] = None
+        self._snap_data: Any = None
 
     @property
     def guard_id(self) -> ObjectId:
@@ -136,14 +139,27 @@ class SharedObject:
             return False
         return self.status in (ObjectStatus.OWNED, ObjectStatus.READ)
 
-    def data_bytes(self) -> int:
-        return payload_size(self.data)
-
     # ------------------------------------------------------------------
     # checkpoint support
     # ------------------------------------------------------------------
     def snapshot(self) -> dict[str, Any]:
-        return {
+        """This object's image section, copy-on-write: images are never
+        mutated, so the last dict is returned again while the object is
+        unchanged -- the same ``data`` (only ever replaced, never mutated
+        in place) and equal fields, ``ep_dep`` / ``local_writer`` by
+        identity too since pickle, which sizes images, memoises by it."""
+        snap = self._snap
+        if (snap is not None and self.data is self._snap_data
+                and snap["version"] == self.version
+                and snap["status"] is self.status
+                and snap["prob_owner"] == self.prob_owner
+                and snap["ep_dep"] is self.ep_dep
+                and snap["local_writer"] is self.local_writer
+                and snap["copy_set"] == self.copy_set
+                and snap["local_readers"] == self.local_readers):
+            return snap
+        self._snap_data = self.data
+        snap = self._snap = {
             "obj_id": self.obj_id,
             "version": self.version,
             "prob_owner": self.prob_owner,
@@ -154,6 +170,7 @@ class SharedObject:
             "local_readers": set(self.local_readers),
             "local_writer": self.local_writer,
         }
+        return snap
 
     def restore(self, snap: dict[str, Any]) -> None:
         self.version = snap["version"]
@@ -165,6 +182,7 @@ class SharedObject:
         self.local_readers = set(snap["local_readers"])
         self.local_writer = snap["local_writer"]
         self.pending_invalidate_from = None
+        self._snap = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"SharedObject({self.obj_id} v{self.version} {self.status.value} "

@@ -20,10 +20,6 @@ from repro.workloads.base import Workload, WorkloadResult
 from repro.workloads.lib import barrier
 
 
-def _block_ids(workers: int, parity: int) -> list[str]:
-    return [f"sor.{parity}.{w}" for w in range(workers)]
-
-
 def _sor_step(block, above, below, omega):
     """One Jacobi/SOR update of a block given boundary rows."""
     rows = len(block)

@@ -28,13 +28,14 @@ class TestLogEntry:
         copy1.append(3)
         assert e.obj_data == [1, 2]
 
-    def test_clone_is_deep(self):
+    def test_clone_shares_data_copies_thread_set(self):
+        # obj_data is never mutated, so a clone shares it; the threadSet
+        # is GC-trimmed in place and must be the clone's own.
         e = entry(data={"v": [1]})
         e.add_access(ep(1, 0, 3), ep(0, 0, 2))
         clone = e.clone()
-        clone.obj_data["v"].append(2)
         clone.thread_set.append(ThreadSetPair(ep(2, 0, 1), ep(0, 0, 2)))
-        assert e.obj_data == {"v": [1]}
+        assert clone.obj_data is e.obj_data
         assert len(e.thread_set) == 1
 
     def test_size_grows_with_threadset(self):
@@ -90,8 +91,8 @@ class TestProcessLog:
         log = ProcessLog()
         log.append(entry(version=0, data=[1]))
         snap = log.snapshot()
-        snap[0].obj_data.append(99)  # snapshot is independent
-        assert log.last_entry("x").obj_data == [1]
+        snap[0].add_access(ep(1, 0, 3), ep(0, 0, 2))  # snapshot is independent
+        assert log.last_entry("x").thread_set == []
         log2 = ProcessLog()
         log2.restore(log.snapshot())
         assert log2.last_entry("x").obj_data == [1]
@@ -121,14 +122,14 @@ class TestDummyLog:
         log.store(self._dummy(pid=1, lt=3))
         log.store(self._dummy(pid=1, lt=9))
         removed = log.remove_before(1, {Tid(1, 0): 5})
-        assert removed == 1
+        assert [e.ep_acq.lt for e in removed] == [3]
         assert [e.ep_acq.lt for e in log] == [9]
 
     def test_gc_only_touches_named_process(self):
         log = DummyLog(0)
         log.store(self._dummy(pid=1, lt=3))
         log.store(self._dummy(pid=2, lt=3))
-        assert log.remove_before(1, {Tid(1, 0): 10}) == 1
+        assert len(log.remove_before(1, {Tid(1, 0): 10})) == 1
         assert len(log) == 1
 
     def test_store_is_idempotent_on_object_and_acquire_point(self):
@@ -152,7 +153,7 @@ class TestDummyLog:
     def test_gc_forgets_removed_keys(self):
         log = DummyLog(0)
         log.store(self._dummy(pid=1, lt=3))
-        assert log.remove_before(1, {Tid(1, 0): 5}) == 1
+        assert len(log.remove_before(1, {Tid(1, 0): 5})) == 1
         log.store(self._dummy(pid=1, lt=3))
         assert [e.ep_acq.lt for e in log] == [3]
 
@@ -174,6 +175,14 @@ class TestCkpSet:
         assert ckp.lt_of(Tid(1, 0)) == 5
         assert ckp.lt_of(Tid(1, 2)) is None
         assert ckp.lts_by_tid() == {Tid(1, 0): 5, Tid(1, 1): 7}
+
+    def test_points_must_belong_to_the_announcing_process(self):
+        # GC skips every item of another process before looking up the
+        # checkpoint floor; a CkpSet naming a foreign thread would make
+        # that skip unsound, so it cannot be built.
+        with pytest.raises(ProtocolError, match="another process"):
+            CkpSet(pid=1, seq=1, points=(ep(1, 0, 5), ep(2, 0, 7)))
+        assert CkpSet(pid=2, seq=1, points=()).points == ()
 
 
 class TestCheckpointPolicy:
