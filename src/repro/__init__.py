@@ -41,7 +41,7 @@ from repro.api import (
     serve,
 )
 from repro.checkpoint.policy import CheckpointPolicy, CkpSet
-from repro.cluster.config import ClusterConfig, CrashPlan, RecoveryTiming
+from repro.cluster.config import ClusterConfig, CrashPlan
 from repro.cluster.system import DisomSystem, RunResult
 from repro.errors import (
     ApplicationAborted,
@@ -111,7 +111,6 @@ __all__ = [
     "ProgramContext",
     "ProtocolError",
     "RecoveryError",
-    "RecoveryTiming",
     "Release",
     "ReproError",
     "RunResult",

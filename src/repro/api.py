@@ -197,11 +197,11 @@ def run_experiment(
     experiment runs internally; results are identical to a serial run.
     """
     from repro.experiments import ALL_EXPERIMENTS
-    from repro.experiments.base import ExperimentDefaults, call_experiment
+    from repro.experiments.base import ExperimentDefaults
 
     runner = ALL_EXPERIMENTS[resolve_experiment(experiment)]
     with ExperimentDefaults(check=check, jobs=jobs).active():
-        return call_experiment(runner, quick=quick)
+        return runner(quick=quick)
 
 
 def fuzz(

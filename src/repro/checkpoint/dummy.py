@@ -107,9 +107,6 @@ class DummyLog:
     def size_bytes(self) -> int:
         return sum(entry.size_bytes() for entry in self._entries)
 
-    def entries_created_by(self, pid: ProcessId) -> list[DummyEntry]:
-        return [e for e in self._entries if e.creator_pid == pid]
-
     def remove_before(self, pid: ProcessId, ckpt_lts: dict) -> list[DummyEntry]:
         """GC (section 4.4): drop and return, in store order, the entries
         whose ``epAcq`` precedes the checkpoint of ``pid`` -- ``ckpt_lts``

@@ -584,7 +584,6 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
         manager = RecoveryManager(
             process=process,
             checkpoint=process.stable_store.load(self.pid),
-            timing=process.system.config.recovery,
         )
         process.recovery_manager = manager
         manager.start()

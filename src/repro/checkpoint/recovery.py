@@ -219,15 +219,9 @@ def restore_process_state(process: Any, checkpoint: Checkpoint) -> None:
 class RecoveryManager:
     """Drives the recovery of one failed process (section 4.3.2 + 4.5)."""
 
-    def __init__(
-        self,
-        process: Any,
-        checkpoint: Checkpoint,
-        timing: Any,
-    ) -> None:
+    def __init__(self, process: Any, checkpoint: Checkpoint) -> None:
         self.process = process
         self.checkpoint = checkpoint
-        self.timing = timing
         self.phase = "loading"
         self._announce_phase("loading")
         self.ckp_set: Optional[CkpSet] = None
@@ -276,7 +270,7 @@ class RecoveryManager:
         self.process.checkpoint_protocol.suppress_checkpoints = True
         # Recovery reads the full materialized image even when checkpoint
         # *writes* were incremental deltas.
-        load_time = self.timing.load_time(
+        load_time = self.process.stable_store.read_duration(
             self.checkpoint.full_size or self.checkpoint.size
         )
         self.process.kernel.schedule(

@@ -4,17 +4,15 @@ The paper assumes ordinary disks (explicitly *not* NVRAM or UPS -- section
 3).  Where checkpoint images actually live is delegated to a pluggable
 :class:`~repro.storage.backend.StorageBackend` (volatile in-memory, or the
 durable two-slot on-disk store); this module keeps the *policy*: the
-write-time cost model that puts checkpoint cost on the simulated timeline,
-and per-process write accounting.
+disk cost model that puts checkpoint writes and recovery reads on the
+simulated timeline, and per-process write accounting.
 
 Saves are two-phase, mirroring a real disk commit: :meth:`StableStore.
 begin_save` stages the image and returns the simulated write duration;
 :meth:`StableStore.commit` publishes it once that time has elapsed.  A
 process that crashes between the two loses only the in-flight image --
 the previously committed checkpoint is never destroyed before the new one
-is durable, so recovery always finds an intact image.  The one-shot
-:meth:`StableStore.save` (stage + immediate commit) remains for callers
-that model the write delay themselves (baselines, tests).
+is durable, so recovery always finds an intact image.
 """
 
 from __future__ import annotations
@@ -121,9 +119,12 @@ class StableStore:
     so a torn or corrupt latest slot never loses the process.
     """
 
-    #: Simulated write cost: a fixed latency plus a per-byte transfer.
+    #: Simulated disk costs: a fixed latency plus a per-byte transfer.
+    #: Reads are what recovery pays to load an image into a free processor.
     WRITE_BASE_TIME = 5.0
     WRITE_PER_BYTE = 0.00005
+    READ_BASE_TIME = 10.0
+    READ_PER_BYTE = 0.00005
 
     def __init__(self, backend: Optional[Any] = None) -> None:
         from repro.storage.backend import MemoryBackend
@@ -138,6 +139,9 @@ class StableStore:
     # ------------------------------------------------------------------
     def write_duration(self, size: int) -> float:
         return self.WRITE_BASE_TIME + self.WRITE_PER_BYTE * size
+
+    def read_duration(self, size: int) -> float:
+        return self.READ_BASE_TIME + self.READ_PER_BYTE * size
 
     def note_write(self, pid: ProcessId, size: int) -> None:
         """Account one write of ``size`` bytes by ``pid``, including the
@@ -159,14 +163,6 @@ class StableStore:
     def discard(self, pid: ProcessId, seq: int) -> None:
         """Drop a staged checkpoint whose write will never complete."""
         self.backend.discard(pid, seq)
-
-    def save(self, checkpoint: Checkpoint) -> float:
-        """Persist ``checkpoint`` immediately; returns the simulated write
-        duration.  Stage-and-commit in one step, for callers that do not
-        model a crash window during the write."""
-        duration = self.begin_save(checkpoint)
-        self.commit(checkpoint.pid, checkpoint.seq)
-        return duration
 
     # ------------------------------------------------------------------
     # read path

@@ -1,6 +1,6 @@
 """Cluster orchestration: DiSOM processes, nodes and the whole system."""
 
-from repro.cluster.config import ClusterConfig, CrashPlan, RecoveryTiming
+from repro.cluster.config import ClusterConfig, CrashPlan
 from repro.cluster.process import DisomProcess
 from repro.cluster.system import DisomSystem, RunResult
 
@@ -9,6 +9,5 @@ __all__ = [
     "CrashPlan",
     "DisomProcess",
     "DisomSystem",
-    "RecoveryTiming",
     "RunResult",
 ]

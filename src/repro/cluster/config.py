@@ -12,21 +12,6 @@ from repro.types import ProcessId
 
 
 @dataclass(frozen=True)
-class RecoveryTiming:
-    """Simulated costs of the recovery procedure.
-
-    ``load_base``/``load_per_byte``: reading the checkpoint from stable
-    storage into the free processor.
-    """
-
-    load_base: float = 10.0
-    load_per_byte: float = 0.00005
-
-    def load_time(self, checkpoint_bytes: int) -> float:
-        return self.load_base + self.load_per_byte * checkpoint_bytes
-
-
-@dataclass(frozen=True)
 class CrashPlan:
     """A scheduled fail-stop crash of one process."""
 
@@ -48,12 +33,8 @@ class ClusterConfig:
     processes: int = 4
     seed: int = 0
     latency: LatencyModel = field(default_factory=LatencyModel)
-    #: Fail-stop detection latency: all survivors learn of a crash within
-    #: this bound (paper section 3).
-    detection_delay: float = 5.0
     #: Free processors available to host recovering processes.
     spare_nodes: int = 2
-    recovery: RecoveryTiming = field(default_factory=RecoveryTiming)
     #: Writers wait for invalidation acks (strict CREW).  Ablation A3.
     strict_invalidation_acks: bool = True
     #: Memory consistency backend: one of
@@ -62,8 +43,6 @@ class ClusterConfig:
     #: experiment E14).  The DiSOM checkpoint protocol requires
     #: "entry"; pair "sequential" with a baseline.
     consistency: str = "entry"
-    #: Hard horizon for a run; exceeding it raises SimulationError.
-    max_time: float = 1_000_000.0
     #: Durable checkpoint store: a directory selects the on-disk
     #: FileBackend (checkpoints survive the Python process, sections
     #: zlib-compressed); None keeps the volatile in-memory backend.
@@ -86,12 +65,8 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.processes < 1:
             raise ConfigError(f"need at least one process, got {self.processes}")
-        if self.detection_delay < 0:
-            raise ConfigError("detection delay must be non-negative")
         if self.spare_nodes < 0:
             raise ConfigError("spare node count must be non-negative")
-        if self.max_time <= 0:
-            raise ConfigError("max_time must be positive")
         from repro.memory.model import CONSISTENCY_MODELS
 
         if self.consistency not in CONSISTENCY_MODELS:

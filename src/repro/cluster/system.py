@@ -24,8 +24,6 @@ from repro.errors import (
     RecoveryError,
     SimulationError,
 )
-from repro.failure.detector import FailureDetector
-from repro.failure.injector import CrashInjector
 from repro.storage.backend import make_backend
 from repro.storage.faults import StorageFault, StorageFaultPlan
 from repro.memory.objects import SharedObjectSpec
@@ -36,6 +34,14 @@ from repro.sim.kernel import Kernel
 from repro.sim.tracing import TraceLog
 from repro.threads.program import Program
 from repro.types import ObjectId, ObjectStatus, ProcessId, Tid
+
+#: Fail-stop detection bound: every survivor learns of a crash this long
+#: after it happens ("all surviving processors detect the node failure
+#: within bounded time", paper section 3).
+DETECTION_DELAY = 5.0
+#: Simulated horizon of a run to completion; reaching it raises
+#: SimulationError.
+MAX_TIME = 1_000_000.0
 
 
 @dataclass
@@ -126,9 +132,6 @@ class DisomSystem:
             )
         self.storage_backend = storage_backend
         self.stable_store = StableStore(backend=storage_backend)
-        self.detector = FailureDetector(self.kernel, self.config.detection_delay)
-        self.detector.subscribe(self._on_crash_detected)
-        self.injector = CrashInjector(self.kernel, self._execute_crash)
 
         self.processes: dict[ProcessId, DisomProcess] = {}
         self.object_specs: list[SharedObjectSpec] = []
@@ -266,9 +269,16 @@ class DisomSystem:
         """Schedule a fail-stop crash of process ``pid``."""
         if pid not in self.processes:
             raise ConfigError(f"unknown process {pid}")
+        if pid in self._crash_plans:
+            raise ConfigError(
+                f"process {pid} scheduled to crash twice; use separate runs "
+                "(re-crash of a recovered process is driven by crash_now, "
+                "not the static plan)"
+            )
         plan = CrashPlan(pid=pid, at_time=at_time, recover=recover)
         self._crash_plans[pid] = plan
-        self.injector.schedule([plan])
+        self.kernel.schedule_at(at_time, self._execute_crash, plan,
+                                label=f"crash P{pid}")
 
     def inject_storage_fault(
         self,
@@ -300,7 +310,7 @@ class DisomSystem:
                 self._started = True
                 for pid in sorted(self.processes):
                     self.processes[pid].start()
-            horizon = until if until is not None else self.config.max_time
+            horizon = until if until is not None else MAX_TIME
             self.kernel.run(until=horizon)
             completed = self.kernel.stop_reason == "completed"
             if self.aborted:
@@ -525,13 +535,15 @@ class DisomSystem:
         self.shadows[plan.pid] = ShadowSnapshot.capture(process, self.kernel.now)
         self.kernel.trace.emit(self.kernel.now, "failure", f"P{plan.pid} crashed")
         process.crash()
-        self.detector.report_crash(plan.pid)
+        self.kernel.schedule(DETECTION_DELAY, self._on_crash_detected, plan.pid,
+                             label=f"detect crash P{plan.pid}")
         self.recovery_records.append(
             RecoveryRecord(pid=plan.pid, crashed_at=self.kernel.now,
                            detected_at=-1.0)
         )
 
     def _on_crash_detected(self, pid: ProcessId) -> None:
+        self.kernel.trace.emit(self.kernel.now, "failure", f"crash of P{pid} detected")
         for record in self.recovery_records:
             if record.pid == pid and record.detected_at < 0:
                 record.detected_at = self.kernel.now

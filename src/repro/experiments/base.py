@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import inspect
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
@@ -93,26 +92,6 @@ def _call_under(defaults: ExperimentDefaults, fn: Callable[..., Any],
                 fixed: dict, **params: Any) -> Any:
     with defaults.active():
         return fn(**fixed, **params)
-
-
-def call_experiment(runner: Callable[..., "ExperimentResult"],
-                    quick: bool = True) -> "ExperimentResult":
-    """Invoke an experiment runner, passing ``quick`` only if it takes it.
-
-    Uses :func:`inspect.signature` (which follows ``functools.partial``
-    and ``__wrapped__`` chains) rather than peeking at
-    ``__code__.co_varnames``, so wrapped or partially-applied runners
-    are dispatched correctly.
-    """
-    try:
-        parameters = inspect.signature(runner).parameters
-    except (TypeError, ValueError):
-        return runner()
-    accepts_quick = "quick" in parameters or any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    )
-    return runner(quick=quick) if accepts_quick else runner()
 
 
 @dataclass

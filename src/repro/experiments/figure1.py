@@ -37,7 +37,9 @@ NAMED_STATES = {
 PAPER_VERDICTS = {"S1": False, "S2": False, "S3": True}
 
 
-def run_figure1() -> ExperimentResult:
+def run_figure1(quick: bool = True) -> ExperimentResult:
+    """Classify the paper's figure-1 cuts.  The history is fixed, so
+    ``quick`` (every runner's one parameter) changes nothing."""
     history = figure1_history()
     table = Table(
         "Figure 1: system-state consistency",

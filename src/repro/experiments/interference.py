@@ -58,8 +58,8 @@ def run_interference(quick: bool = True) -> ExperimentResult:
     # P3 works on the disjoint "cold"; P0 idles on "cold" home duty.
     system.add_object("hot", initial=0, home=1)
     system.add_object("cold", initial=0, home=3)
-    clock = system.kernel.clock
-    params = {"clock": lambda: clock.now}
+    kernel = system.kernel
+    params = {"clock": lambda: kernel.now}
     victim = _worker("hot", rounds).with_params(**params)
     contender = _worker("hot", rounds).with_params(**params)
     bystander = _worker("cold", rounds).with_params(**params)

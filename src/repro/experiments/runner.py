@@ -12,7 +12,9 @@ This is ``python -m repro experiments ...`` under its older spelling.
 With ``--jobs N`` independent experiments run concurrently in worker
 processes; output is still printed in registry order and is identical to
 a serial run.  When exactly one experiment is selected, the fan-out
-happens one level down instead (its internal sweeps run with ``jobs=N``).
+happens one level down instead (its internal sweeps run with ``jobs=N``),
+unless ``--check`` is on: check reports are collected where the runs
+happen, so a checked single experiment runs its sweeps in this process.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import sys
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.experiments import ALL_EXPERIMENTS
-from repro.experiments.base import ExperimentDefaults, call_experiment
+from repro.experiments.base import ExperimentDefaults
 
 
 def _experiment_task(exp_id: str, quick: bool,
@@ -35,7 +37,7 @@ def _experiment_task(exp_id: str, quick: bool,
     runs handed in, for parent-side merging.
     """
     with defaults.active() as reports:
-        result = call_experiment(ALL_EXPERIMENTS[exp_id], quick=quick)
+        result = ALL_EXPERIMENTS[exp_id](quick=quick)
     return result, reports
 
 
@@ -61,7 +63,9 @@ def run_experiments(
     worker per CPU).  With several experiments selected the fan-out is
     across experiments and each worker runs its experiment's internal
     sweeps serially; with exactly one experiment selected the experiment
-    runs in-process and its internal sweeps get ``jobs`` workers.
+    runs in-process and its internal sweeps get ``jobs`` workers -- or
+    none under ``check``, since a sweep worker's check reports would not
+    come back with its metrics.
     """
     from repro.parallel import Call, RunPool, WorkerFailure, resolve_jobs
 
@@ -70,7 +74,7 @@ def run_experiments(
     n_jobs = resolve_jobs(jobs)
     defaults = ExperimentDefaults(
         check=check, seed=seed, store_dir=store_dir,
-        jobs=n_jobs if len(selected) == 1 else 1)
+        jobs=n_jobs if len(selected) == 1 and not check else 1)
     pool_jobs = 1 if len(selected) <= 1 else n_jobs
     calls = [Call(_experiment_task, (exp_id, quick, defaults), key=exp_id)
              for exp_id in selected]

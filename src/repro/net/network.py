@@ -62,9 +62,6 @@ class Network:
         self._endpoints[pid] = endpoint
         self._crashed.discard(pid)
 
-    def unregister(self, pid: ProcessId) -> None:
-        self._endpoints.pop(pid, None)
-
     def mark_crashed(self, pid: ProcessId) -> None:
         """Fail-stop halt of ``pid``: future deliveries to it are dropped."""
         if pid not in self._endpoints:
@@ -75,9 +72,6 @@ class Network:
         """Re-register ``pid`` after recovery reloads it on a free node."""
         self._endpoints[pid] = endpoint
         self._crashed.discard(pid)
-
-    def is_crashed(self, pid: ProcessId) -> bool:
-        return pid in self._crashed
 
     @property
     def pids(self) -> list[ProcessId]:
@@ -119,7 +113,7 @@ class Network:
             # A crashed process cannot put new messages on the wire.
             raise SimulationError(f"crashed process {src} tried to send {message}")
         kernel = self.kernel
-        message.send_time = now = kernel.clock.now
+        message.send_time = now = kernel.now
         self.stats.record_send(message)
         channel = self._channels.get((src, dst))
         if channel is None:

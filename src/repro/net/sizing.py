@@ -28,7 +28,7 @@ import enum
 import pickle
 from typing import Any
 
-from repro.types import Dependency, ExecutionPoint, Tid, VersionId, WaitObj
+from repro.types import Dependency, ExecutionPoint, Tid, WaitObj
 
 #: Fixed per-message header cost (addresses, kind, sequence numbers).
 HEADER_BYTES = 32
@@ -61,7 +61,7 @@ UNKNOWN_BYTES = 64
 #: states both work).  Other modules add their wire types via
 #: :func:`register_sized_type` so the net layer never imports protocol
 #: layers.
-_STATE_TYPES = {Tid, ExecutionPoint, WaitObj, Dependency, VersionId}
+_STATE_TYPES = {Tid, ExecutionPoint, WaitObj, Dependency}
 
 #: Identity cache of sizes for *immutable* objects: registered wire
 #: types, enum members (singletons) and the constants None/True/False.

@@ -382,12 +382,11 @@ def _run_workload_scenario(spec: ScenarioSpec) -> Dict[str, Any]:
 
 def _run_experiment_scenario(spec: ScenarioSpec) -> Dict[str, Any]:
     from repro.experiments import ALL_EXPERIMENTS
-    from repro.experiments.base import ExperimentDefaults, call_experiment
+    from repro.experiments.base import ExperimentDefaults
 
     assert spec.experiment is not None
     with ExperimentDefaults(check=spec.check, seed=spec.seed).active():
-        outcome = call_experiment(ALL_EXPERIMENTS[spec.experiment],
-                                  quick=spec.quick)
+        outcome = ALL_EXPERIMENTS[spec.experiment](quick=spec.quick)
     return {
         "title": outcome.title,
         "claim_holds": outcome.claim_holds,

@@ -49,10 +49,6 @@ class Event:
         """Mark the event as cancelled; it will never fire."""
         self.cancelled = True
 
-    def fire(self) -> None:
-        if not self.cancelled:
-            self.callback(*self.args)
-
     def __lt__(self, other: "Event") -> bool:
         return (self.time, self.seq) < (other.time, other.seq)
 
@@ -83,19 +79,6 @@ class EventQueue:
         event = Event(time, seq, callback, args, label)
         heapq.heappush(self._heap, (time, seq, event))
         return event
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the next live event, or None if empty.
-
-        Cancelled events are discarded transparently.
-        """
-        heap = self._heap
-        while heap:
-            event = heapq.heappop(heap)[2]
-            if event.cancelled:
-                continue
-            return event
-        return None
 
     def pop_next(self, until: Optional[float] = None) -> Optional[Event]:
         """Pop the next live event with ``time <= until``.
@@ -142,10 +125,3 @@ class EventQueue:
             heappop(heap)
             return event
         return None
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event without removing it."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None

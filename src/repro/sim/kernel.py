@@ -1,10 +1,10 @@
 """The discrete-event kernel.
 
 One :class:`Kernel` instance drives a whole simulated cluster: it owns the
-clock, the event queue, the RNG registry and the trace log.  Components
-schedule callbacks; the kernel dispatches them in deterministic
-(time, insertion) order until the queue drains, a time horizon is reached,
-or a stop condition fires.
+simulated time (:attr:`Kernel.now`), the event queue, the RNG registry and
+the trace log.  Components schedule callbacks; the kernel dispatches them
+in deterministic (time, insertion) order until the queue drains, a time
+horizon is reached, or a stop condition fires.
 """
 
 from __future__ import annotations
@@ -12,14 +12,18 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
-from repro.sim.clock import Clock
 from repro.sim.events import Event, EventQueue
 from repro.sim.rng import RngRegistry
 from repro.sim.tracing import TraceLog
 
 
 class Kernel:
-    """Deterministic discrete-event simulation kernel."""
+    """Deterministic discrete-event simulation kernel.
+
+    ``now`` is the simulated time: a float in arbitrary units (the
+    experiments read one unit as one millisecond, nothing here depends on
+    that).  Only :meth:`run` moves it, and only forwards.
+    """
 
     def __init__(
         self,
@@ -27,7 +31,7 @@ class Kernel:
         trace: Optional[TraceLog] = None,
         max_events: int = 50_000_000,
     ) -> None:
-        self.clock = Clock()
+        self.now = 0.0
         self.queue = EventQueue()
         self.rng = RngRegistry(seed)
         self.trace = trace if trace is not None else TraceLog(enabled=False)
@@ -35,16 +39,10 @@ class Kernel:
         self._dispatched = 0
         self._stopped = False
         self._stop_reason: Optional[str] = None
-        #: Called after each dispatched event; may call :meth:`stop`.
-        self.idle_hooks: list[Callable[[], None]] = []
 
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        return self.clock.now
-
     @property
     def dispatched(self) -> int:
         """Total number of events dispatched so far."""
@@ -60,7 +58,7 @@ class Kernel:
         """Schedule ``callback(*args)`` ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay} for {label or callback}")
-        return self.queue.push(self.clock.now + delay, callback, args, label)
+        return self.queue.push(self.now + delay, callback, args, label)
 
     def schedule_at(
         self,
@@ -70,16 +68,16 @@ class Kernel:
         label: str = "",
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self.clock.now:
+        if time < self.now:
             raise SimulationError(
                 f"cannot schedule {label or callback} in the past "
-                f"({time} < {self.clock.now})"
+                f"({time} < {self.now})"
             )
         return self.queue.push(time, callback, args, label)
 
     def call_soon(self, callback: Callable[..., None], *args: Any, label: str = "") -> Event:
         """Schedule ``callback`` at the current time (after pending same-time events)."""
-        return self.queue.push(self.clock.now, callback, args, label)
+        return self.queue.push(self.now, callback, args, label)
 
     # ------------------------------------------------------------------
     # run loop
@@ -93,47 +91,28 @@ class Kernel:
     def stop_reason(self) -> Optional[str]:
         return self._stop_reason
 
-    def step(self) -> bool:
-        """Dispatch one event.  Returns False when the queue is empty."""
-        event = self.queue.pop()
-        if event is None:
-            return False
-        self.clock.advance_to(event.time)
-        self._dispatched += 1
-        if self._dispatched > self._max_events:
-            raise SimulationError(
-                f"event budget exhausted ({self._max_events} events) -- "
-                "likely a livelock in the simulated protocol"
-            )
-        event.fire()
-        return True
-
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains, ``until`` is reached, or stop() is called.
 
         Returns the simulated time at which the run loop exited.  When
-        ``until`` is given and events remain beyond it, the clock is
+        ``until`` is given and events remain beyond it, ``now`` is
         advanced exactly to ``until``.
 
         The loop body is the simulator's hottest path; locals are bound
         once and events are dispatched in same-timestamp *batches*: the
         outer loop pops the first event of a timestamp via
         :meth:`EventQueue.pop_next` (which enforces the ``until`` bound)
-        and advances the clock once, then the inner loop drains the rest
+        and advances ``now`` once, then the inner loop drains the rest
         of the run via :meth:`EventQueue.pop_next_at`, skipping the
-        bound check and the clock advance for every follower.  Stop
+        bound check and the advance for every follower.  Stop
         flags and the event budget are still consulted per event --
         callbacks (e.g. completion checks) may stop the kernel mid-batch
         and the dispatched count feeds run results, so both must be
-        exact.  ``idle_hooks`` also run after every dispatched event,
-        exactly as before; the hook-free inner loop merely avoids
-        re-testing an empty list.
+        exact.
         """
         self._stopped = False
         self._stop_reason = None
         queue = self.queue
-        clock = self.clock
-        hooks = self.idle_hooks
         max_events = self._max_events
         pop_next_at = queue.pop_next_at
         while not self._stopped:
@@ -141,7 +120,12 @@ class Kernel:
             if event is None:
                 break
             batch_time = event.time
-            clock.advance_to(batch_time)
+            if batch_time < self.now:
+                # Only a corrupted queue hands back an event in the past.
+                raise SimulationError(
+                    f"clock moving backwards: {self.now} -> {batch_time}"
+                )
+            self.now = batch_time
             while True:
                 dispatched = self._dispatched = self._dispatched + 1
                 if dispatched > max_events:
@@ -150,14 +134,11 @@ class Kernel:
                         "likely a livelock in the simulated protocol"
                     )
                 event.callback(*event.args)
-                if hooks:
-                    for hook in hooks:
-                        hook()
                 if self._stopped:
                     break
                 event = pop_next_at(batch_time)
                 if event is None:
                     break
-        if until is not None and clock.now < until and not self._stopped:
-            clock.advance_to(until)
-        return clock.now
+        if until is not None and self.now < until and not self._stopped:
+            self.now = until
+        return self.now

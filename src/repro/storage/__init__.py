@@ -11,7 +11,7 @@ checkpoints survive on ordinary disks.  This package supplies that layer:
 * :mod:`repro.storage.faults` -- deterministic storage fault injection
   (torn write, bit flip, missing rename, stale slot).
 
-:class:`repro.checkpoint.stable.StableStore` is the policy layer (write
+:class:`repro.checkpoint.stable.StableStore` is the policy layer (disk
 cost model, per-process accounting) over a backend from this package.
 """
 
@@ -25,7 +25,6 @@ from repro.storage.backend import (
 )
 from repro.storage.faults import (
     FAULTS_BY_NAME,
-    FiredFault,
     StorageFault,
     StorageFaultInjector,
     StorageFaultPlan,
@@ -34,7 +33,6 @@ from repro.storage.faults import (
 __all__ = [
     "FAULTS_BY_NAME",
     "FileBackend",
-    "FiredFault",
     "MemoryBackend",
     "SlotInfo",
     "StorageBackend",

@@ -26,7 +26,7 @@ from __future__ import annotations
 import abc
 import os
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import CheckpointCorruptError, StorageError
@@ -84,20 +84,7 @@ class StorageCounters:
     gc_files_removed: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "writes_started": self.writes_started,
-            "writes_committed": self.writes_committed,
-            "writes_lost": self.writes_lost,
-            "reads": self.reads,
-            "verifies": self.verifies,
-            "bytes_written": self.bytes_written,
-            "bytes_read": self.bytes_read,
-            "crc_failures": self.crc_failures,
-            "slot_fallbacks": self.slot_fallbacks,
-            "segments_written": self.segments_written,
-            "segments_reused": self.segments_reused,
-            "gc_files_removed": self.gc_files_removed,
-        }
+        return asdict(self)
 
 
 @dataclass

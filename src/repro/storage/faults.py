@@ -1,9 +1,10 @@
 """Storage-level fault injection.
 
-The crash injector (:mod:`repro.failure.injector`) models fail-stop node
-failures; this module models the *disk-side* failure modes the two-slot
-commit scheme exists to survive.  Each fault targets one checkpoint write
-and fires at a specific point of the write protocol:
+Fail-stop node crashes are scheduled by the cluster
+(:meth:`repro.cluster.system.DisomSystem.inject_crash`); this module
+models the *disk-side* failure modes the two-slot commit scheme exists to
+survive.  Each fault targets one checkpoint write and fires at a specific
+point of the write protocol:
 
 ``TORN_WRITE``
     The image is only partially written before the (implicit) crash: the
@@ -21,8 +22,8 @@ and fires at a specific point of the write protocol:
     reaches the disk, the slot keeps its old image.
 
 Faults are armed deterministically (by pid and/or checkpoint seq) so
-experiments and tests reproduce bit-for-bit; every fired fault is
-recorded for reporting.
+experiments and tests reproduce bit-for-bit; a plan's ``count`` says how
+many shots it has left.
 """
 
 from __future__ import annotations
@@ -78,21 +79,11 @@ class StorageFaultPlan:
             self.count -= 1
 
 
-@dataclass(frozen=True)
-class FiredFault:
-    """Record of one fault that actually fired."""
-
-    kind: StorageFault
-    pid: int
-    seq: int
-
-
 @dataclass
 class StorageFaultInjector:
     """Deterministic fault schedule consulted by storage backends."""
 
     plans: list[StorageFaultPlan] = field(default_factory=list)
-    fired: list[FiredFault] = field(default_factory=list)
 
     def arm(
         self,
@@ -119,13 +110,5 @@ class StorageFaultInjector:
         for plan in self.plans:
             if plan.kind is kind and plan.matches(pid, seq):
                 plan.consume()
-                self.fired.append(FiredFault(kind=kind, pid=pid, seq=seq))
                 return True
         return False
-
-    def fired_kinds(self) -> dict[str, int]:
-        """Counts of fired faults by kind, for reports."""
-        out: dict[str, int] = {}
-        for record in self.fired:
-            out[record.kind.value] = out.get(record.kind.value, 0) + 1
-        return out

@@ -173,10 +173,6 @@ class Thread:
         """The thread's current execution point ``<tid, lt>``."""
         return ExecutionPoint.of(self.tid, self.lt)
 
-    def next_acquire_ep(self):
-        """Execution point the *next* acquire will execute at (lt + 1)."""
-        return ExecutionPoint.of(self.tid, self.lt + 1)
-
     def tick(self) -> None:
         """Increment logical time; called when an acquire is issued."""
         self.lt += 1

@@ -10,11 +10,9 @@ The paper builds everything on three notions:
   time, identifying a unique point in the system's execution.  Logical time
   is incremented on every acquire.
 
-The strict and reflexive orderings ``ep_i < ep_j`` (paper's ``prec``) and
-``ep_i <= ep_j`` (paper's ``preceq``) are only defined between execution
-points of the *same* thread; comparing points of different threads is a
-programming error and raises ``ValueError`` rather than silently returning
-``False``.
+The paper's orderings ``prec`` and ``preceq`` relate execution points of
+the *same* thread only; the protocol code that needs them compares the
+``lt`` of points it already knows share a tid.
 """
 
 from __future__ import annotations
@@ -59,11 +57,11 @@ class Tid:
     thread identifier.  Therefore, the process identifier can be obtained
     from the tid."
 
-    Tids (like execution points and version identifiers) are used as
-    dict/set keys throughout the protocol layers, so the hash is computed
-    once at construction and cached in a hidden ``_hash`` slot.  The
-    cached value is exactly the dataclass-generated ``hash((pid, local))``
-    so container iteration orders are unchanged.  ``Tid.of`` interns
+    Tids (like execution points) are used as dict/set keys throughout the
+    protocol layers, so the hash is computed once at construction and
+    cached in a hidden ``_hash`` slot.  The cached value is exactly the
+    dataclass-generated ``hash((pid, local))`` so container iteration
+    orders are unchanged.  ``Tid.of`` interns
     instances: hot paths that construct the same identifier repeatedly
     get the same object back, which turns dict-key equality checks into
     identity hits and lets the wire-size model cache by identity.
@@ -157,45 +155,10 @@ class ExecutionPoint:
     def __str__(self) -> str:
         return f"<{self.tid}@{self.lt}>"
 
-    # -- orderings ---------------------------------------------------------
-    def _check_same_thread(self, other: "ExecutionPoint") -> None:
-        if self.tid != other.tid:
-            raise ValueError(
-                f"execution points of different threads are incomparable: "
-                f"{self} vs {other}"
-            )
 
-    def strictly_precedes(self, other: "ExecutionPoint") -> bool:
-        """The paper's ``prec``: same thread and strictly smaller lt."""
-        self._check_same_thread(other)
-        return self.lt < other.lt
-
-    def precedes(self, other: "ExecutionPoint") -> bool:
-        """The paper's ``preceq``: same thread and lt less than or equal.
-
-        The paper's definition section contains an obvious typo (both
-        relations written with ``<``); we take ``preceq`` to be the
-        reflexive closure, which is what sections 4.3/4.4 require.
-        """
-        self._check_same_thread(other)
-        return self.lt <= other.lt
-
-    def same_thread(self, other: "ExecutionPoint") -> bool:
-        return self.tid == other.tid
-
-    # Comparisons restricted to the same thread; used by sort keys instead.
-    def sort_key(self) -> tuple[ProcessId, int, int]:
-        """Total order usable for deterministic container ordering.
-
-        This is *not* the paper's (partial) precedence relation; it exists
-        only so data structures can be iterated deterministically.
-        """
-        return (self.tid.pid, self.tid.local, self.lt)
-
-
-#: Bound on each intern cache (thread ids, execution points, version
-#: ids); cleared wholesale when full (interning is an optimization --
-#: equality never depends on it).
+#: Bound on each intern cache (thread ids, execution points); cleared
+#: wholesale when full (interning is an optimization -- equality never
+#: depends on it).
 _INTERN_MAX = 1 << 17
 _EP_INTERN: dict[tuple, ExecutionPoint] = {}
 
@@ -277,60 +240,6 @@ class Dependency:
         kind = "local" if self.local else "remote"
         return (f"dep({self.obj_id},{self.type},acq={self.ep_acq},"
                 f"prd={self.ep_prd},P={self.p_log},{kind})")
-
-
-def pid_of(point: ExecutionPoint) -> ProcessId:
-    """Process identifier embedded in an execution point's tid."""
-    return point.tid.pid
-
-
-#: Sentinel version number of an object that has never been written.
-INITIAL_VERSION = 0
-
-
-@dataclass(frozen=True)
-class VersionId:
-    """Identifies one version of one object: ``(obj_id, version)``.
-
-    Hash caching and interning follow :class:`Tid`.
-    """
-
-    __slots__ = ("obj_id", "version", "_hash")
-
-    obj_id: ObjectId
-    version: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.obj_id, self.version)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @staticmethod
-    def of(obj_id: ObjectId, version: int) -> "VersionId":
-        """Interned constructor; equal arguments return the same object."""
-        key = (obj_id, version)
-        vid = _VERSION_INTERN.get(key)
-        if vid is None:
-            if len(_VERSION_INTERN) >= _INTERN_MAX:
-                _VERSION_INTERN.clear()
-            vid = _VERSION_INTERN[key] = VersionId(obj_id, version)
-        return vid
-
-    # Fast pickle path; see Tid.__getstate__ for the contract.
-    def __getstate__(self) -> list:
-        return [self.obj_id, self.version]
-
-    def __setstate__(self, state: list) -> None:
-        object.__setattr__(self, "obj_id", state[0])
-        object.__setattr__(self, "version", state[1])
-        object.__setattr__(self, "_hash", hash((state[0], state[1])))
-
-    def __str__(self) -> str:
-        return f"{self.obj_id}:v{self.version}"
-
-
-_VERSION_INTERN: dict[tuple, VersionId] = {}
 
 
 class ObjectStatus(enum.Enum):

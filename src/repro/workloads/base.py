@@ -24,10 +24,6 @@ class WorkloadResult:
     issues: list[str] = field(default_factory=list)
 
     @staticmethod
-    def success() -> "WorkloadResult":
-        return WorkloadResult(ok=True)
-
-    @staticmethod
     def failure(*issues: str) -> "WorkloadResult":
         return WorkloadResult(ok=False, issues=list(issues))
 

@@ -144,8 +144,8 @@ class TestReadSharing:
             return write_completed_at
 
         system.spawn(1, program_of(long_reader))
-        clock = system.kernel.clock
-        system.spawn(2, program_of(eager_writer, clock=lambda: clock.now))
+        kernel = system.kernel
+        system.spawn(2, program_of(eager_writer, clock=lambda: kernel.now))
         result = system.run()
         assert result.completed
         from repro.types import Tid
@@ -241,10 +241,10 @@ class TestSequentialBackend:
                              protocol_factory=NullProtocol,
                              consistency="sequential")
         system.add_object("x", initial=0, home=0)
-        clock = system.kernel.clock
+        kernel = system.kernel
 
         def now():
-            return clock.now
+            return kernel.now
 
         def holding_reader(ctx):
             yield AcquireRead("x")

@@ -2,14 +2,13 @@
 
 Server workers and fuzz batches execute many scenarios per process, and
 a handful of process globals survive from one to the next: the trace
-gate, the ``Tid`` / ``ExecutionPoint`` / ``VersionId`` intern tables
-and the wire-size cache.  They exist for speed only.  This test proves
-it the blunt way: the same scenario fingerprints byte-identically
-before and after ~50 unrelated scenarios of every shape (sizes,
-workloads, backends, a crash, checking on and off, through the facade,
-the fuzzer and the server's task body), the gate is back down after
-each of them, no table outgrows its declared cap, and the experiment
-harness -- whose check-report collector only exists inside an
+gate, the ``Tid`` / ``ExecutionPoint`` intern tables and the wire-size
+cache.  They exist for speed only.  This test proves it the blunt way:
+the same scenario fingerprints byte-identically before and after ~50
+unrelated scenarios of every shape (sizes, workloads, backends, a crash,
+checking on and off, through the facade, the fuzzer and the server's
+task body), the gate is back down after each of them, no table outgrows
+its declared cap, and the experiment harness -- whose check-report collector only exists inside an
 ``ExperimentDefaults.active()`` block -- has kept nothing.
 """
 
@@ -77,19 +76,16 @@ def test_a_run_is_unchanged_by_the_runs_before_it():
         experiments_base.ExperimentDefaults(), None)
     assert len(types._TID_INTERN) <= types._INTERN_MAX
     assert len(types._EP_INTERN) <= types._INTERN_MAX
-    assert len(types._VERSION_INTERN) <= types._INTERN_MAX
     assert len(sizing._OBJ_SIZES) <= sizing._OBJ_SIZES_MAX
 
 
 def test_intern_tables_clear_at_their_cap(monkeypatch):
     monkeypatch.setattr(types, "_INTERN_MAX", 8)
-    for name in ("_TID_INTERN", "_EP_INTERN", "_VERSION_INTERN"):
+    for name in ("_TID_INTERN", "_EP_INTERN"):
         monkeypatch.setattr(types, name, {})
     for index in range(100):
         tid = types.Tid.of(index, 0)
         assert tid == types.Tid(index, 0)
         types.ExecutionPoint.of(tid, index)
-        types.VersionId.of("x", index)
         assert len(types._TID_INTERN) <= 8
         assert len(types._EP_INTERN) <= 8
-        assert len(types._VERSION_INTERN) <= 8

@@ -8,6 +8,7 @@ recovered process against the shadow snapshot taken at the crash."""
 import pytest
 
 from repro import CheckpointPolicy, ClusterConfig, DisomSystem
+from repro.cluster.system import DETECTION_DELAY
 
 from tests.conftest import counter_system, make_system
 from repro.workloads import ALL_WORKLOADS, SyntheticWorkload
@@ -57,13 +58,12 @@ class TestSingleFailureRecovery:
             assert not result.aborted
 
     def test_recovery_record_populated(self):
-        _, result, system = run_counter_with_crash(1, 20.0)
+        _, result, _ = run_counter_with_crash(1, 20.0)
         assert len(result.recoveries) == 1
         record = result.recoveries[0]
         assert record.pid == 1
         assert record.crashed_at == 20.0
-        assert record.detected_at == pytest.approx(
-            20.0 + system.config.detection_delay)
+        assert record.detected_at == pytest.approx(20.0 + DETECTION_DELAY)
         assert record.duration is not None and record.duration > 0
 
     def test_recovery_uses_recovery_layer_messages_only(self):

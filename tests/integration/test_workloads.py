@@ -142,7 +142,7 @@ class TestPipeline:
 
 class TestWorkloadResult:
     def test_helpers(self):
-        assert WorkloadResult.success().ok
+        assert WorkloadResult(ok=True).ok
         failure = WorkloadResult.failure("a", "b")
         assert not failure.ok
         assert failure.issues == ["a", "b"]

@@ -111,12 +111,6 @@ class TestDummyLog:
         assert len(log) == 1
         assert stored.creator_pid == 1
 
-    def test_entries_created_by(self):
-        log = DummyLog(0)
-        log.store(self._dummy(pid=1))
-        log.store(self._dummy(pid=2))
-        assert len(log.entries_created_by(1)) == 1
-
     def test_gc_remove_before(self):
         log = DummyLog(0)
         log.store(self._dummy(pid=1, lt=3))
@@ -225,10 +219,16 @@ class TestStableStore:
         ckpt.compute_size()
         return ckpt
 
+    @staticmethod
+    def _save(store: StableStore, ckpt: Checkpoint) -> float:
+        duration = store.begin_save(ckpt)
+        store.commit(ckpt.pid, ckpt.seq)
+        return duration
+
     def test_save_load(self):
         store = StableStore()
-        store.save(self._checkpoint(seq=1))
-        store.save(self._checkpoint(seq=2))
+        self._save(store, self._checkpoint(seq=1))
+        self._save(store, self._checkpoint(seq=2))
         assert store.load(0).seq == 2  # only the most recent kept
         assert store.writes(0) == 2
 
@@ -240,12 +240,16 @@ class TestStableStore:
         store = StableStore()
         ckpt = self._checkpoint()
         ckpt.size = 100_000
-        assert store.save(ckpt) == pytest.approx(5.0 + 0.00005 * 100_000)
+        assert self._save(store, ckpt) == pytest.approx(5.0 + 0.00005 * 100_000)
+
+    def test_read_duration_model(self):
+        assert StableStore().read_duration(100_000) == pytest.approx(
+            10.0 + 0.00005 * 100_000)
 
     def test_cluster_wide_accounting(self):
         store = StableStore()
-        store.save(self._checkpoint(pid=0))
-        store.save(self._checkpoint(pid=1))
+        self._save(store, self._checkpoint(pid=0))
+        self._save(store, self._checkpoint(pid=1))
         assert store.writes() == 2
         assert store.has_checkpoint(1)
         assert not store.has_checkpoint(9)

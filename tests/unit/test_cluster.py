@@ -3,7 +3,7 @@
 import pytest
 
 from repro import CheckpointPolicy, ClusterConfig, DisomSystem
-from repro.cluster.config import CrashPlan, RecoveryTiming
+from repro.cluster.config import CrashPlan
 from repro.errors import ConfigError
 from repro.memory.consistency import AcquireHistory
 from repro.types import AcquireType, Tid
@@ -16,11 +16,7 @@ class TestClusterConfig:
         with pytest.raises(ConfigError):
             ClusterConfig(processes=0)
         with pytest.raises(ConfigError):
-            ClusterConfig(detection_delay=-1)
-        with pytest.raises(ConfigError):
             ClusterConfig(spare_nodes=-1)
-        with pytest.raises(ConfigError):
-            ClusterConfig(max_time=0)
 
     def test_pids(self):
         assert ClusterConfig(processes=3).pids() == [0, 1, 2]
@@ -28,10 +24,6 @@ class TestClusterConfig:
     def test_crash_plan_validation(self):
         with pytest.raises(ConfigError):
             CrashPlan(pid=0, at_time=-1.0)
-
-    def test_recovery_timing_model(self):
-        timing = RecoveryTiming(load_base=10.0, load_per_byte=0.01)
-        assert timing.load_time(1000) == pytest.approx(20.0)
 
 
 class TestSystemLifecycle:

@@ -1,31 +1,36 @@
-"""Unit tests for the discrete-event kernel, clock and events."""
+"""Unit tests for the discrete-event kernel, its clock and events."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.clock import Clock
 from repro.sim.events import EventQueue
 from repro.sim.kernel import Kernel
 
 
 class TestClock:
+    """Simulated time is ``Kernel.now``; only ``run()`` moves it."""
+
     def test_starts_at_zero(self):
-        assert Clock().now == 0.0
+        assert Kernel().now == 0.0
 
-    def test_advance(self):
-        clock = Clock()
-        clock.advance_to(5.0)
-        assert clock.now == 5.0
-        clock.advance_to(5.0)  # staying put is fine
+    def test_advance(self, kernel):
+        kernel.schedule(5.0, lambda: None)
+        kernel.schedule(5.0, lambda: None)  # staying put is fine
+        assert kernel.run() == 5.0
+        assert kernel.now == 5.0
 
-    def test_never_moves_backwards(self):
-        clock = Clock(10.0)
-        with pytest.raises(SimulationError):
-            clock.advance_to(9.0)
+    def test_never_moves_backwards(self, kernel):
+        kernel.schedule(10.0, lambda: None)
+        kernel.run()
+        # Behind schedule_at's guard: only a corrupted queue gets here.
+        kernel.queue.push(9.0, lambda: None)
+        with pytest.raises(SimulationError, match="backwards"):
+            kernel.run()
 
-    def test_negative_start_rejected(self):
-        with pytest.raises(SimulationError):
-            Clock(-1.0)
+
+def _drain(queue):
+    while (event := queue.pop_next()) is not None:
+        event.callback(*event.args)
 
 
 class TestEventQueue:
@@ -34,8 +39,7 @@ class TestEventQueue:
         order = []
         for i in range(5):
             queue.push(1.0, order.append, (i,))
-        while (event := queue.pop()) is not None:
-            event.fire()
+        _drain(queue)
         assert order == [0, 1, 2, 3, 4]
 
     def test_time_ordering(self):
@@ -44,8 +48,7 @@ class TestEventQueue:
         queue.push(3.0, order.append, ("late",))
         queue.push(1.0, order.append, ("early",))
         queue.push(2.0, order.append, ("mid",))
-        while (event := queue.pop()) is not None:
-            event.fire()
+        _drain(queue)
         assert order == ["early", "mid", "late"]
 
     def test_cancellation(self):
@@ -54,23 +57,16 @@ class TestEventQueue:
         event = queue.push(1.0, fired.append, (1,))
         event.cancel()
         queue.push(2.0, fired.append, (2,))
-        results = []
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
-            event.fire()
-            results.append(event.time)
+        _drain(queue)
         assert fired == [2]
-        # Drained: nothing live is reported once the last event popped.
-        assert queue.peek_time() is None
 
-    def test_peek_skips_cancelled(self):
+    def test_pop_next_skips_cancelled(self):
         queue = EventQueue()
         first = queue.push(1.0, lambda: None)
         queue.push(2.0, lambda: None)
         first.cancel()
-        assert queue.peek_time() == 2.0
+        assert queue.pop_next(until=1.5) is None
+        assert queue.pop_next().time == 2.0
 
     def test_negative_time_rejected(self):
         queue = EventQueue()
@@ -98,7 +94,7 @@ class TestKernel:
         assert end == 10.0
         assert kernel.now == 10.0
         # The far event is still pending.
-        assert kernel.queue.peek_time() == 100.0
+        assert kernel.queue.pop_next().time == 100.0
 
     def test_stop_terminates_run(self, kernel):
         fired = []

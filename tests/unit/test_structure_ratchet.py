@@ -11,8 +11,10 @@ When an answer drops, lower the baseline to lock the gain in.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
+import typing
 from pathlib import Path
 
 import pytest
@@ -33,6 +35,20 @@ def _known_unfixed() -> int:
     return len(KNOWN_UNFIXED)
 
 
+def _settable_leaves(cls: type) -> int:
+    """Init fields of a config dataclass, nested dataclasses expanded."""
+    hints = typing.get_type_hints(cls)
+    return sum(_settable_leaves(hints[f.name])
+               if dataclasses.is_dataclass(hints[f.name]) else 1
+               for f in dataclasses.fields(cls) if f.init)
+
+
+def _config_knobs() -> int:
+    from repro import CheckpointPolicy, ClusterConfig
+
+    return _settable_leaves(ClusterConfig) + _settable_leaves(CheckpointPolicy)
+
+
 def _lines(*roots: Path) -> int:
     return sum(len(path.read_text().splitlines())
                for root in roots for path in root.rglob("*.py"))
@@ -44,6 +60,7 @@ MEASURES = {
     "strict-xfail-sites": lambda: _matches(
         REPO / "tests", r"mark\.xfail\(", skip=Path(__file__).name),
     "known-unfixed-signatures": _known_unfixed,
+    "config-knobs": _config_knobs,
     "fuzz-allowlist": lambda: len(json.loads(
         (REPO / "tests" / "corpus" / "allowlist.json").read_text())),
     "analysis-baseline": lambda: len(json.loads(

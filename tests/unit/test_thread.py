@@ -64,7 +64,6 @@ class TestThreadLifecycle:
         thread.tick()
         assert thread.lt == 1
         assert thread.current_ep() == ep(0, 0, 1)
-        assert thread.next_acquire_ep() == ep(0, 0, 2)
 
     def test_completed_lt_excludes_inflight_acquire(self):
         thread = make_thread(simple_body)

@@ -14,10 +14,8 @@ from repro.types import (
     ExecutionPoint,
     ObjectStatus,
     Tid,
-    VersionId,
     WaitObj,
     ep,
-    pid_of,
 )
 
 
@@ -39,40 +37,6 @@ class TestTid:
 
     def test_str(self):
         assert str(Tid(2, 0)) == "t2.0"
-
-
-class TestExecutionPoint:
-    def test_strictly_precedes_same_thread(self):
-        a, b = ep(0, 0, 3), ep(0, 0, 5)
-        assert a.strictly_precedes(b)
-        assert not b.strictly_precedes(a)
-        assert not a.strictly_precedes(a)
-
-    def test_precedes_is_reflexive(self):
-        a = ep(0, 0, 3)
-        assert a.precedes(a)
-        assert a.precedes(ep(0, 0, 4))
-        assert not ep(0, 0, 4).precedes(a)
-
-    def test_cross_thread_comparison_rejected(self):
-        # The paper's relations are only defined within one thread;
-        # silently returning False would mask protocol bugs.
-        with pytest.raises(ValueError):
-            ep(0, 0, 3).strictly_precedes(ep(0, 1, 5))
-        with pytest.raises(ValueError):
-            ep(0, 0, 3).precedes(ep(1, 0, 5))
-
-    def test_same_thread(self):
-        assert ep(0, 0, 1).same_thread(ep(0, 0, 9))
-        assert not ep(0, 0, 1).same_thread(ep(0, 1, 1))
-
-    def test_sort_key_total_order(self):
-        points = [ep(1, 0, 2), ep(0, 1, 9), ep(0, 0, 5), ep(0, 1, 1)]
-        ordered = sorted(points, key=lambda p: p.sort_key())
-        assert ordered == [ep(0, 0, 5), ep(0, 1, 1), ep(0, 1, 9), ep(1, 0, 2)]
-
-    def test_pid_of(self):
-        assert pid_of(ep(4, 2, 7)) == 4
 
 
 class TestAcquireType:
@@ -129,7 +93,6 @@ PICKLED_HOT_TYPES = [
     ExecutionPoint(Tid(1, 2), 9),
     WaitObj("x", AcquireType.WRITE, ep(0, 0, 1)),
     Dependency("x", AcquireType.READ, ep(0, 0, 1), ep(1, 0, 2), 1, True),
-    VersionId("x", 4),
     ThreadSetPair(ep(0, 0, 1), ep(1, 0, 2)),
     DummyEntry("x", ep(0, 0, 3), ep(0, 0, 1), 2, AcquireType.WRITE),
 ]
