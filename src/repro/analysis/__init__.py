@@ -4,7 +4,7 @@ Two halves live here:
 
 * **run analysis** -- metrics and tables over simulation results
   (:mod:`~repro.analysis.metrics`, :mod:`~repro.analysis.report`,
-  :mod:`~repro.analysis.sweep`, :mod:`~repro.analysis.timeline`);
+  :mod:`~repro.analysis.timeline`);
 * **static analysis** -- the whole-program analyzer suite behind
   ``repro analyze`` (:mod:`~repro.analysis.runner` and friends):
   AST->CFG dataflow (:mod:`~repro.analysis.cfg`), a module-level call

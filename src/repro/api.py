@@ -186,21 +186,18 @@ def run_experiment(
     *,
     quick: bool = True,
     check: bool = False,
-    jobs: int = 1,
 ) -> Any:
     """Run one experiment by id (exact or unique prefix, e.g. ``"E2"``).
 
     Returns its :class:`~repro.experiments.base.ExperimentResult`.
     ``check=True`` attaches the inline verification layer to every run
-    the experiment makes.  ``jobs`` follows the uniform contract (``1``
-    serial, ``0`` = one worker per CPU) and parallelizes the sweeps the
-    experiment runs internally; results are identical to a serial run.
+    the experiment makes.
     """
     from repro.experiments import ALL_EXPERIMENTS
     from repro.experiments.base import ExperimentDefaults
 
     runner = ALL_EXPERIMENTS[resolve_experiment(experiment)]
-    with ExperimentDefaults(check=check, jobs=jobs).active():
+    with ExperimentDefaults(check=check).active():
         return runner(quick=quick)
 
 

@@ -15,7 +15,7 @@
     python -m repro check --seed-fault locks      # prove the analyzer bites
     python -m repro analyze                       # static analyzer suite
     python -m repro experiments E2 E3 --full      # print experiment tables
-    python -m repro experiments E1 --check        # experiments under checking
+    python -m repro experiments E1- E11 --check   # experiments under checking
     python -m repro experiments E2 --json out.json --seed 11
     python -m repro experiments --jobs 4          # fan out over 4 workers
     python -m repro storage inspect --store-dir /tmp/ckpts
@@ -175,7 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also write the full report as JSON")
 
     experiments = sub.add_parser("experiments", help="run experiment tables")
-    experiments.add_argument("ids", nargs="*", help="experiment id prefixes")
+    experiments.add_argument("ids", nargs="*",
+                             help="experiment ids, each exact or a unique "
+                                  "prefix (default: all)")
     experiments.add_argument("--full", action="store_true",
                              help="wider parameter sweeps")
     experiments.add_argument("--check", action="store_true",
@@ -512,12 +514,17 @@ def cmd_storage(action: str, store_dir: str) -> int:
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
+    from repro.errors import ConfigError
     from repro.experiments.runner import run_experiments
     from repro.parallel import WorkerFailure
 
-    outcomes, merged = run_experiments(
-        ids=args.ids, quick=not args.full, check=args.check,
-        jobs=args.jobs, seed=args.seed, store_dir=args.store_dir)
+    try:
+        outcomes, merged = run_experiments(
+            ids=args.ids, quick=not args.full, check=args.check,
+            jobs=args.jobs, seed=args.seed, store_dir=args.store_dir)
+    except ConfigError as exc:
+        print(f"repro experiments: error: {exc}", file=sys.stderr)
+        return 2
     failures = 0
     findings: dict = {}
     for exp_id, outcome in outcomes:

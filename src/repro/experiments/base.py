@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import functools
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.analysis.report import Table
 from repro.api import build_workload, raise_on_failed_check
@@ -16,13 +15,13 @@ from repro.workloads.base import Workload
 
 @dataclass(frozen=True)
 class ExperimentDefaults:
-    """What ``repro experiments --check/--seed/--store-dir/--jobs`` asks
-    of every run an experiment makes, without threading a flag through
+    """What ``repro experiments --check/--seed/--store-dir`` asks of
+    every run an experiment makes, without threading a flag through
     each experiment function.
 
     Frozen and picklable: a spawn worker does not inherit the parent's
-    active defaults, so whoever fans experiment work out ships this
-    object along and re-enters :meth:`active` on the other side.
+    active defaults, so the experiment runner ships this object along
+    with each experiment and re-enters :meth:`active` on the other side.
     """
 
     #: Attach the inline verifier to every run.
@@ -31,8 +30,6 @@ class ExperimentDefaults:
     seed: Optional[int] = None
     #: Route all checkpoints through a durable on-disk store.
     store_dir: Optional[str] = None
-    #: Workers for the sweeps an experiment runs internally.
-    jobs: int = 1
 
     @contextmanager
     def active(self) -> Iterator[List[Any]]:
@@ -40,12 +37,10 @@ class ExperimentDefaults:
 
         Yields the list that collects the
         :class:`~repro.verify.inline.CheckReport` of every checked run
-        made inside it; a nested block reports to the enclosing block's
-        list.  Outside any block nothing is collected, so a long-lived
-        worker keeps no per-run residue.
+        made inside it.  Outside any block nothing is collected, so a
+        long-lived worker keeps no per-run residue.
         """
-        enclosing = _ACTIVE.get()[1]
-        reports: List[Any] = [] if enclosing is None else enclosing
+        reports: List[Any] = []
         token = _ACTIVE.set((self, reports))
         try:
             yield reports
@@ -71,27 +66,6 @@ def note_checked_run(result: RunResult) -> None:
     reports = _ACTIVE.get()[1]
     if reports is not None and result.check_report is not None:
         reports.append(result.check_report)
-
-
-def bind_experiment_defaults(fn: Callable[..., Any],
-                             **fixed: Any) -> Callable[..., Any]:
-    """Bind ``fn`` (plus fixed kwargs) for use as a parallel sweep task.
-
-    A sweep point that calls :func:`run_workload` inside a spawn worker
-    would otherwise run under the worker's blank defaults -- silently
-    unchecked, on the experiment's own seed.  This snapshots the
-    defaults in force *now* and returns a picklable callable that
-    re-enters them around every point.  ``jobs`` is reset to serial:
-    the fan-out happens at the sweep that receives the callable.
-    """
-    return functools.partial(_call_under, replace(current_defaults(), jobs=1),
-                             fn, fixed)
-
-
-def _call_under(defaults: ExperimentDefaults, fn: Callable[..., Any],
-                fixed: dict, **params: Any) -> Any:
-    with defaults.active():
-        return fn(**fixed, **params)
 
 
 @dataclass

@@ -25,13 +25,7 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from repro.analysis.report import Table
-from repro.analysis.sweep import Sweep
-from repro.experiments.base import (
-    ExperimentResult,
-    bind_experiment_defaults,
-    current_defaults,
-    run_workload,
-)
+from repro.experiments.base import ExperimentResult, run_workload
 from repro.workloads import SyntheticWorkload
 
 #: The (consistency, fault-tolerance) stacks under test.  Entry runs
@@ -76,22 +70,11 @@ def _run(profile: str, stack: str, rounds: int = 30) -> Dict[str, Any]:
     }
 
 
-def _identity(metrics: Dict[str, Any]) -> Dict[str, Any]:
-    """Extractor for the sweep (module-level so workers can pickle it)."""
-    return metrics
-
-
 def run_consistency_matrix(quick: bool = True) -> ExperimentResult:
     rounds = 30 if quick else 80
-    sweep = Sweep(
-        axes={"profile": list(PROFILES), "stack": ["+".join(s) for s in STACKS]},
-        title="E14: protocol x consistency matrix",
-    )
-    outcome = sweep.run(bind_experiment_defaults(_run, rounds=rounds),
-                        extract=_identity, jobs=current_defaults().jobs)
-
-    by_point = {(row.params["profile"], row.params["stack"]): row.metrics
-                for row in outcome.rows}
+    stacks = ["+".join(stack) for stack in STACKS]
+    by_point = {(profile, stack): _run(profile, stack, rounds)
+                for profile in PROFILES for stack in stacks}
 
     tables = []
     for profile in PROFILES:

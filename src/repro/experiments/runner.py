@@ -1,26 +1,15 @@
-"""Run every experiment and print its tables.
+"""Run the selected experiments and collect their results.
 
-Usage::
-
-    python -m repro.experiments.runner            # quick versions
-    python -m repro.experiments.runner --full     # wider sweeps
-    python -m repro.experiments.runner E3 E8      # a subset
-    python -m repro.experiments.runner --check    # inline verification on
-    python -m repro.experiments.runner --jobs 4   # fan out over 4 workers
-
-This is ``python -m repro experiments ...`` under its older spelling.
-With ``--jobs N`` independent experiments run concurrently in worker
-processes; output is still printed in registry order and is identical to
-a serial run.  When exactly one experiment is selected, the fan-out
-happens one level down instead (its internal sweeps run with ``jobs=N``),
-unless ``--check`` is on: check reports are collected where the runs
-happen, so a checked single experiment runs its sweeps in this process.
+:func:`run_experiments` is the engine behind ``repro experiments``.
+With ``jobs`` > 1 independent experiments run concurrently in worker
+processes; the outcomes still come back in registry order and are
+identical to a serial run.  Each experiment runs its own points in
+its process, one after another: fan-out happens at this one level.
 """
 
 from __future__ import annotations
 
-import sys
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.base import ExperimentDefaults
@@ -48,8 +37,6 @@ def run_experiments(
     jobs: int = 1,
     seed: Optional[int] = None,
     store_dir: Optional[str] = None,
-    timeout: Optional[float] = None,
-    progress: Optional[Callable[[int, int, str], None]] = None,
 ) -> Tuple[List[Tuple[str, Any]], Optional[Any]]:
     """Run the selected experiments, optionally fanned out over workers.
 
@@ -59,26 +46,22 @@ def run_experiments(
     aggregates every inline-checked run across all workers (``None``
     unless ``check``).
 
+    Each of ``ids`` names one experiment the way
+    :func:`repro.api.resolve_experiment` reads it (an exact id, else a
+    unique prefix; anything else raises
+    :class:`~repro.errors.ConfigError`); none selects them all.
     ``jobs`` follows the uniform contract (``1`` serial, ``0`` = one
-    worker per CPU).  With several experiments selected the fan-out is
-    across experiments and each worker runs its experiment's internal
-    sweeps serially; with exactly one experiment selected the experiment
-    runs in-process and its internal sweeps get ``jobs`` workers -- or
-    none under ``check``, since a sweep worker's check reports would not
-    come back with its metrics.
+    worker per CPU) and fans the experiments out over that many workers.
     """
-    from repro.parallel import Call, RunPool, WorkerFailure, resolve_jobs
+    from repro.api import resolve_experiment
+    from repro.parallel import Call, RunPool, WorkerFailure
 
-    selected = [eid for eid in ALL_EXPERIMENTS
-                if not ids or any(eid.startswith(w) for w in ids)]
-    n_jobs = resolve_jobs(jobs)
-    defaults = ExperimentDefaults(
-        check=check, seed=seed, store_dir=store_dir,
-        jobs=n_jobs if len(selected) == 1 and not check else 1)
-    pool_jobs = 1 if len(selected) <= 1 else n_jobs
+    named = {resolve_experiment(exp_id) for exp_id in ids}
+    selected = [eid for eid in ALL_EXPERIMENTS if not ids or eid in named]
+    defaults = ExperimentDefaults(check=check, seed=seed, store_dir=store_dir)
     calls = [Call(_experiment_task, (exp_id, quick, defaults), key=exp_id)
              for exp_id in selected]
-    with RunPool(jobs=pool_jobs, timeout=timeout, progress=progress) as pool:
+    with RunPool(jobs=jobs) as pool:
         raw = pool.map(calls)
     outcomes: List[Tuple[str, Any]] = []
     reports: List[Any] = []
@@ -96,14 +79,3 @@ def run_experiments(
         merged = CheckReport.merge(reports)
     return outcomes, merged
 
-
-def main(argv: list[str]) -> int:
-    """``python -m repro.experiments.runner ARGS`` is spelled
-    ``repro experiments ARGS``; one command prints the tables."""
-    from repro.cli import main as cli_main
-
-    return cli_main(["experiments", *argv])
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main(sys.argv[1:]))

@@ -11,19 +11,8 @@ crashed process's replay window, not by cluster size.
 from __future__ import annotations
 
 from repro.analysis.report import Table
-from repro.analysis.sweep import Sweep
-from repro.experiments.base import (
-    ExperimentResult,
-    bind_experiment_defaults,
-    current_defaults,
-    run_workload,
-)
+from repro.experiments.base import ExperimentResult, run_workload
 from repro.workloads import SyntheticWorkload
-
-
-def _metrics(point_metrics: dict) -> dict:
-    """Identity extractor (module-level so the sweep can fan out)."""
-    return point_metrics
 
 
 def _run(processes: int, crash: bool):
@@ -49,37 +38,29 @@ def _run(processes: int, crash: bool):
 
 def run_scalability(quick: bool = True) -> ExperimentResult:
     sizes = [2, 4, 8] if quick else [2, 4, 8, 16, 24]
-    sweep = Sweep(axes={"processes": sizes},
-                  title="E11: cluster-size scaling")
-    jobs = current_defaults().jobs
-    failure_free = sweep.run(bind_experiment_defaults(_run, crash=False),
-                             extract=_metrics, jobs=jobs)
-    crashed = sweep.run(bind_experiment_defaults(_run, crash=True),
-                        extract=_metrics, jobs=jobs)
+    failure_free = [_run(processes, crash=False) for processes in sizes]
+    crashed = [_run(processes, crash=True) for processes in sizes]
 
     table = Table(
         "E11: failure-free cost and recovery vs cluster size",
         ["procs", "acquires", "msgs/acquire", "piggyback ratio",
          "ckpt msgs", "recovery duration", "replayed"],
     )
-    for ff_row, cr_row in zip(failure_free.rows, crashed.rows):
-        procs = ff_row.params["processes"]
+    for procs, ff, cr in zip(sizes, failure_free, crashed):
         table.add_row(
             procs,
-            ff_row.metrics["acquires"],
-            round(ff_row.metrics["msgs_per_acquire"], 2),
-            round(ff_row.metrics["piggyback_ratio"], 3),
-            ff_row.metrics["checkpoint_msgs"],
-            round(cr_row.metrics["recovery_duration"], 1),
-            cr_row.metrics["replayed"],
+            ff["acquires"],
+            round(ff["msgs_per_acquire"], 2),
+            round(ff["piggyback_ratio"], 3),
+            ff["checkpoint_msgs"],
+            round(cr["recovery_duration"], 1),
+            cr["replayed"],
         )
     table.add_note("checkpoint-layer messages stay 0 at every size; "
                    "recovery cost tracks the victim's replay window, not P")
 
-    ckpt_always_zero = all(
-        row.metrics["checkpoint_msgs"] == 0 for row in failure_free.rows
-    )
-    durations = [row.metrics["recovery_duration"] for row in crashed.rows]
+    ckpt_always_zero = all(ff["checkpoint_msgs"] == 0 for ff in failure_free)
+    durations = [cr["recovery_duration"] for cr in crashed]
     bounded = max(durations) <= 3.0 * max(1e-9, min(durations))
     return ExperimentResult(
         experiment_id="E11",

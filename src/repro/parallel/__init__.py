@@ -1,8 +1,8 @@
 """Deterministic multi-core fan-out for independent simulation runs.
 
 A single simulated run is inherently serial (one discrete-event kernel),
-but everything *above* a run is embarrassingly parallel: sweep points,
-experiments, seeded verification runs.  This package
+but everything *above* a run is embarrassingly parallel: experiments,
+fuzz trials, scenario requests.  This package
 provides the one engine all of those layers share:
 
 * :class:`~repro.parallel.engine.WorkerEngine` -- the single owner of
@@ -19,9 +19,8 @@ provides the one engine all of those layers share:
   request/response face (pre-warmed workers, bounded admission,
   per-task deadlines) used by the scenario server.
 
-Consumers: ``Sweep.run(jobs=N)``, ``repro experiments --jobs N``,
-``repro fuzz --jobs N``, ``repro serve`` and the corresponding
-:mod:`repro.api` knobs.
+Consumers: ``repro experiments --jobs N``, ``repro fuzz --jobs N``,
+``repro serve`` and the corresponding :mod:`repro.api` knobs.
 The determinism guarantee is that any of those with ``jobs=N`` produces
 byte-identical tables and metrics to ``jobs=1``; only wall-clock
 changes.

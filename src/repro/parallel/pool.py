@@ -10,8 +10,8 @@ order" (DESIGN.md section 2.9).  What the pool itself guarantees:
   from the serial loop it replaces.
 * **Structured failure** -- a task that raises comes back as a typed
   :class:`WorkerFailure` row in its slot (the original exception rides
-  along when it survives pickling), so ``Sweep.run(keep_errors=True)``
-  can keep its abort-rate studies and strict callers can re-raise.
+  along when it survives pickling), so a caller can keep the failed
+  slot as a row or re-raise (:func:`raise_failures`).
 * **Graceful degradation** -- with ``jobs<=1``, a single task, or a task
   that cannot be pickled (lambdas, closures), the pool runs the batch
   inline in the parent, preserving exact serial semantics.  The

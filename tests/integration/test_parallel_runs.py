@@ -3,7 +3,7 @@
 The parallel engine's contract is *invisibility*: every table, metric
 and counter must come out byte-identical whether a study ran serially or
 fanned out over workers.  These tests exercise that contract end to end
--- real ``DisomSystem`` runs through ``Sweep`` and the experiment
+-- real ``DisomSystem`` runs through ``RunPool`` and the experiment
 runner -- plus the check-report aggregation path.
 """
 
@@ -13,9 +13,8 @@ import os
 
 import pytest
 
-from repro.analysis.sweep import Sweep
 from repro.experiments.runner import run_experiments
-from repro.parallel import WorkerFailure
+from repro.parallel import Call, RunPool, WorkerFailure
 
 
 def _run_point(processes: int, seed: int) -> dict:
@@ -41,21 +40,20 @@ def _run_point(processes: int, seed: int) -> dict:
     }
 
 
-def _identity(metrics: dict) -> dict:
-    return metrics
+def _run_points(points, jobs: int) -> list:
+    with RunPool(jobs=jobs) as pool:
+        return pool.map([Call(_run_point, point, key=str(point))
+                         for point in points])
 
 
 class TestSweepEquality:
     def test_real_run_sweep_identical_serial_vs_parallel(self):
-        sweep = Sweep(axes={"processes": [2, 4], "seed": [0, 1, 2]},
-                      title="parallel-equality")
-        serial = sweep.run(_run_point, extract=_identity, jobs=1)
-        fanned = sweep.run(_run_point, extract=_identity, jobs=4)
-        assert [r.params for r in serial.rows] == \
-               [r.params for r in fanned.rows]
-        assert [r.metrics for r in serial.rows] == \
-               [r.metrics for r in fanned.rows]
-        assert serial.table().render() == fanned.table().render()
+        points = [(processes, seed) for processes in (2, 4)
+                  for seed in (0, 1, 2)]
+        serial = _run_points(points, jobs=1)
+        fanned = _run_points(points, jobs=4)
+        assert not any(isinstance(o, WorkerFailure) for o in serial + fanned)
+        assert serial == fanned
 
 
 class TestExperimentRunner:
@@ -75,9 +73,9 @@ class TestExperimentRunner:
                                                "E12-interference"]
 
     def test_check_reports_aggregate_across_workers(self):
-        # Two experiments fan out one per worker; a single one fans its
-        # internal sweep out instead.  Either way every checked run
-        # reports, exactly as in a serial run.
+        # Experiments fan out one per worker and run their points
+        # serially inside it; a single experiment runs inline.  Either
+        # way every checked run reports, exactly as in a serial run.
         for ids in (["E2", "E12"], ["E14"]):
             outcomes, merged = run_experiments(ids, quick=True, check=True,
                                                jobs=2)
@@ -105,12 +103,12 @@ class TestSpeedup:
     def test_sweep_fanout_beats_serial(self):
         import time
 
-        sweep = Sweep(axes={"processes": [4], "seed": list(range(8))})
+        points = [(4, seed) for seed in range(8)]
         start = time.perf_counter()
-        sweep.run(_run_point, extract=_identity, jobs=1)
+        _run_points(points, jobs=1)
         serial_wall = time.perf_counter() - start
         start = time.perf_counter()
-        sweep.run(_run_point, extract=_identity, jobs=4)
+        _run_points(points, jobs=4)
         parallel_wall = time.perf_counter() - start
         # Loose bound: worker startup is amortized over only 8 points, so
         # demand better-than-serial, not a suite-level speed-up.

@@ -97,6 +97,14 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="matches"):
             run_experiment("E99")
 
+    def test_runner_reads_ids_by_the_same_rule(self):
+        from repro.experiments.runner import run_experiments
+
+        with pytest.raises(ConfigError, match="matches"):
+            run_experiments(["E1"])
+        outcomes, _ = run_experiments(["E2", "E2-no-extra-messages"])
+        assert [eid for eid, _ in outcomes] == ["E2-no-extra-messages"]
+
 
 class TestBenchMatchesDirectRunner:
     def test_experiment_results_identical(self):

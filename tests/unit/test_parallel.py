@@ -12,7 +12,6 @@ import time
 
 import pytest
 
-from repro.analysis.sweep import Sweep
 from repro.errors import ConfigError
 from repro.parallel import (
     Call,
@@ -38,20 +37,6 @@ def _fail_on_odd(x):
 def _sleep_then(seconds, value):
     time.sleep(seconds)
     return value
-
-
-def _point_value(a, b):
-    return {"value": a * 100 + b}
-
-
-def _point_metrics(outcome):
-    return outcome
-
-
-def _point_or_fail(a, b):
-    if a == 2 and b == 1:
-        raise RuntimeError(f"bad point a={a} b={b}")
-    return {"value": a * 100 + b}
 
 
 # ----------------------------------------------------------------------
@@ -125,22 +110,28 @@ def test_runpool_reused_across_maps():
 
 
 def test_runpool_marshals_errors_as_typed_failures():
-    with RunPool(jobs=2) as pool:
-        outcomes = pool.map([Call(_fail_on_odd, (i,), key=f"t{i}")
-                             for i in range(4)])
-    assert outcomes[0] == 0 and outcomes[2] == 20
-    for index in (1, 3):
-        failure = outcomes[index]
-        assert isinstance(failure, WorkerFailure)
-        assert failure.kind == "error"
-        assert failure.index == index
-        assert failure.error_type == "ValueError"
-        assert f"odd input {index}" in failure.message
-        assert "_fail_on_odd" in failure.traceback
-    with pytest.raises(ValueError, match="odd input 1"):
-        outcomes[1].raise_()
-    with pytest.raises(ValueError, match="odd input 1"):
-        raise_failures(outcomes)
+    # The serial path and the workers yield the same failure rows.
+    rows = {}
+    for jobs in (1, 2):
+        with RunPool(jobs=jobs) as pool:
+            outcomes = pool.map([Call(_fail_on_odd, (i,), key=f"t{i}")
+                                 for i in range(4)])
+        assert outcomes[0] == 0 and outcomes[2] == 20
+        for index in (1, 3):
+            failure = outcomes[index]
+            assert isinstance(failure, WorkerFailure)
+            assert failure.kind == "error"
+            assert failure.index == index
+            assert failure.error_type == "ValueError"
+            assert f"odd input {index}" in failure.message
+            assert "_fail_on_odd" in failure.traceback
+        with pytest.raises(ValueError, match="odd input 1"):
+            outcomes[1].raise_()
+        with pytest.raises(ValueError, match="odd input 1"):
+            raise_failures(outcomes)
+        rows[jobs] = [str(o) if isinstance(o, WorkerFailure) else o
+                      for o in outcomes]
+    assert rows[1] == rows[2]
 
 
 def test_runpool_unpicklable_task_falls_back_to_serial():
@@ -188,42 +179,3 @@ def test_worker_failure_str_format():
     failure = WorkerFailure(index=2, key="t2", kind="error",
                             error_type="ValueError", message="bad 3")
     assert str(failure) == "[error] ValueError: bad 3 (task t2)"
-
-
-# ----------------------------------------------------------------------
-# Sweep fan-out
-# ----------------------------------------------------------------------
-
-def test_sweep_parallel_table_identical_to_serial():
-    sweep = Sweep(axes={"a": [1, 2, 3], "b": [0, 1]}, title="eq")
-    serial = sweep.run(_point_value, extract=_point_metrics, jobs=1)
-    fanned = sweep.run(_point_value, extract=_point_metrics, jobs=2)
-    assert [r.params for r in serial.rows] == [r.params for r in fanned.rows]
-    assert [r.metrics for r in serial.rows] == [r.metrics for r in fanned.rows]
-    assert serial.table().render() == fanned.table().render()
-
-
-def test_sweep_keep_errors_rows_match_serial_format_and_order():
-    sweep = Sweep(axes={"a": [1, 2, 3], "b": [0, 1]}, title="errs")
-    serial = sweep.run(_point_or_fail, extract=_point_metrics,
-                       keep_errors=True, jobs=1)
-    fanned = sweep.run(_point_or_fail, extract=_point_metrics,
-                       keep_errors=True, jobs=2)
-    assert [r.error for r in serial.rows] == [r.error for r in fanned.rows]
-    errors = [r.error for r in fanned.rows if r.error]
-    assert errors == ["RuntimeError: bad point a=2 b=1"]
-    assert serial.table().render() == fanned.table().render()
-
-
-def test_sweep_without_keep_errors_raises_original_exception():
-    sweep = Sweep(axes={"a": [1, 2, 3], "b": [0, 1]})
-    with pytest.raises(RuntimeError, match="bad point a=2 b=1"):
-        sweep.run(_point_or_fail, extract=_point_metrics, jobs=2)
-
-
-def test_sweep_external_pool_amortizes_workers():
-    sweep = Sweep(axes={"a": [1, 2], "b": [0, 1]}, title="warm")
-    with RunPool(jobs=2) as pool:
-        first = sweep.run(_point_value, extract=_point_metrics, pool=pool)
-        second = sweep.run(_point_value, extract=_point_metrics, pool=pool)
-    assert [r.metrics for r in first.rows] == [r.metrics for r in second.rows]

@@ -67,6 +67,8 @@ MEASURES = {
         (REPO / "ANALYSIS_baseline.json").read_text())["suppressions"]),
     "inline-allows": lambda: _matches(SRC, r"# analyze: allow\([a-z]"),
     "worker-spawn-sites": lambda: _matches(SRC / "parallel", r"\bProcess\("),
+    "run-pool-sites": lambda: (_matches(SRC, r"\bRunPool\(")
+                               - _matches(SRC / "parallel", r"\bRunPool\(")),
     "cluster-build-sites": lambda: (
         _matches(SRC, r"DisomSystem\(") - _matches(SRC / "cluster",
                                                    r"DisomSystem\(")),

@@ -1,50 +1,12 @@
-"""Unit tests for the analysis tools (sweep, timeline) and the CLI."""
+"""Unit tests for the analysis tools (timeline) and the CLI."""
 
 import json
 
 import pytest
 
-from repro.analysis.sweep import Sweep
 from repro.analysis.timeline import extract_events, render_timeline
 from repro.cli import build_parser, main
 from repro.sim.tracing import TraceLog
-
-
-class TestSweep:
-    def test_cross_product_points(self):
-        sweep = Sweep(axes={"a": [1, 2], "b": ["x", "y", "z"]})
-        points = sweep.points()
-        assert len(points) == 6
-        assert {"a": 2, "b": "y"} in points
-
-    def test_run_and_table(self):
-        sweep = Sweep(axes={"n": [1, 2, 3]}, title="squares")
-        result = sweep.run(lambda n: n, extract=lambda n: {"square": n * n})
-        assert result.column("square") == [1, 4, 9]
-        rendered = result.table().render()
-        assert "squares" in rendered and "square" in rendered
-
-    def test_aggregate_groups_means(self):
-        sweep = Sweep(axes={"n": [1, 2], "m": [10, 20]})
-        result = sweep.run(lambda n, m: (n, m),
-                           extract=lambda t: {"v": t[0] * t[1]})
-        means = result.aggregate("v", over="n")
-        assert means == {1: 15.0, 2: 30.0}
-
-    def test_errors_kept_when_requested(self):
-        sweep = Sweep(axes={"n": [1, 0]})
-
-        def run(n):
-            return 10 // n
-
-        result = sweep.run(run, extract=lambda v: {"v": v}, keep_errors=True)
-        assert result.rows[1].error is not None
-        assert "error" in result.table().columns
-
-    def test_errors_propagate_by_default(self):
-        sweep = Sweep(axes={"n": [0]})
-        with pytest.raises(ZeroDivisionError):
-            sweep.run(lambda n: 1 // n, extract=lambda v: {})
 
 
 class TestTimeline:
@@ -189,3 +151,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "a planted violation" in out
         assert "Traceback" not in out
+
+    @pytest.mark.parametrize("exp_id", ["E99", "E1"])
+    def test_experiments_unknown_or_ambiguous_id_exits_two(self, exp_id,
+                                                           capsys):
+        assert main(["experiments", exp_id]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"experiment {exp_id!r} matches" in captured.err
+        assert "Traceback" not in captured.err
