@@ -41,8 +41,18 @@ def _reject_unserializable(value: Any) -> Any:
     )
 
 
+#: Exact types tested before the ``Mapping`` ABC check, which costs
+#: more than the ``json.dumps`` it guards when paid on every leaf.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_SEQUENCES = frozenset({list, tuple})
+
+
 def _reject_non_string_keys(value: Any) -> None:
-    if isinstance(value, Mapping):
+    kind = type(value)
+    if kind in _SCALARS:
+        return
+    if kind is dict or (kind not in _SEQUENCES
+                        and isinstance(value, Mapping)):
         for key, item in value.items():
             if not isinstance(key, str):
                 raise ConfigError(

@@ -4,9 +4,9 @@
 service (DESIGN.md section 2.10):
 
 * a stdlib :class:`~http.server.ThreadingHTTPServer` front end (one
-  thread per connection; ``/healthz`` stays responsive while scenario
-  runs are in flight because handler threads never share locks with
-  running simulations);
+  thread per kept-alive connection; ``/healthz`` stays responsive while
+  scenario runs are in flight because handler threads never share locks
+  with running simulations);
 * a shared warm :class:`~repro.parallel.service.PoolService` executing
   scenarios in worker processes, with per-request deadlines, bounded
   admission (HTTP 429 past ``max_pending``) and crash/timeout respawn;
@@ -30,8 +30,10 @@ invalid scenario            400 naming the field and the valid choices
 
 from __future__ import annotations
 
+import socket
 import subprocess
 import threading
+import weakref
 from http.server import ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
@@ -81,6 +83,12 @@ class _AppHTTPServer(ThreadingHTTPServer):
     allow_reuse_address = True
     #: The ScenarioServer, reachable from handler threads.
     app: "ScenarioServer"
+    #: Sockets of the open connections, idle keep-alive ones included.
+    connections: "weakref.WeakSet[socket.socket]"
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        self.connections.add(request)
+        super().process_request(request, client_address)
 
 
 class ScenarioServer:
@@ -125,6 +133,7 @@ class ScenarioServer:
         self._closed = False
         self.httpd = _AppHTTPServer((host, port), ScenarioRequestHandler)
         self.httpd.app = self
+        self.httpd.connections = weakref.WeakSet()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -164,6 +173,13 @@ class ScenarioServer:
         self._closed = True
         self.httpd.shutdown()
         self.httpd.server_close()
+        # An idle keep-alive handler sees end of stream and exits; a
+        # busy one still sends its reply.
+        for connection in list(self.httpd.connections):
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # its handler closed it meanwhile
         if self._thread is not None:
             self._thread.join(timeout=5.0)
         self.service.close()

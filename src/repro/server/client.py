@@ -1,24 +1,43 @@
 """``ScenarioClient``: a stdlib HTTP client for the scenario server.
 
-Thin by design -- ``urllib`` plus the canonical JSON spelling -- so the
-CLI, tests, CI smoke jobs and user scripts all speak to the server the
-same way without any dependency beyond the standard library::
+Thin by design -- ``http.client`` plus the canonical JSON spelling -- so
+the CLI, tests, CI smoke jobs and user scripts all speak to the server
+the same way without any dependency beyond the standard library::
 
     client = ScenarioClient("http://127.0.0.1:8723")
     reply = client.scenario(workload="synthetic", seed=3)
     assert reply.ok and reply.cache_status in ("hit", "miss")
     print(reply.json["result"]["duration"], client.metrics())
+
+Each calling thread keeps one persistent HTTP/1.1 connection, so a
+cache hit costs one request/response exchange rather than a TCP
+handshake and teardown around it.  A request on a *reused* connection
+that fails before any response byte (the server closed the connection
+while it sat idle, or restarted) is retried once on a fresh connection;
+any other failure drops the connection and raises.  Proxy environment
+variables are not consulted: the server is meant to be reached directly.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
-import urllib.error
-import urllib.request
+import threading
+import urllib.parse
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.errors import ConfigError
+
+#: How a reused connection fails when the server closed it before
+#: reading the request: safe to send once more on a fresh connection.
+_STALE = (http.client.RemoteDisconnected, ConnectionResetError,
+          BrokenPipeError)
+
+
+class _PerThread(threading.local):
+    #: This thread's open connection to the server, if any.
+    connection: Optional[http.client.HTTPConnection] = None
 
 
 @dataclass
@@ -59,6 +78,13 @@ class ScenarioClient:
             )
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        parts = urllib.parse.urlsplit(self.base_url)
+        self._connection_class = (http.client.HTTPSConnection
+                                  if parts.scheme == "https"
+                                  else http.client.HTTPConnection)
+        self._netloc = parts.netloc
+        self._prefix = parts.path
+        self._local = _PerThread()
 
     # ------------------------------------------------------------------
     # scenario submission
@@ -114,26 +140,47 @@ class ScenarioClient:
     # ------------------------------------------------------------------
     def _request(self, method: str, path: str,
                  payload: Optional[bytes] = None) -> ScenarioReply:
-        request = urllib.request.Request(
-            self.base_url + path, data=payload, method=method,
-            headers={"Content-Type": "application/json"}
-            if payload is not None else {},
-        )
+        headers = ({"Content-Type": "application/json"}
+                   if payload is not None else {})
+        reused = self._local.connection is not None
         try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as response:
-                return ScenarioReply(
-                    status=response.status,
-                    body=response.read(),
-                    headers={k.lower(): v for k, v in response.headers.items()},
-                )
-        except urllib.error.HTTPError as exc:
-            return ScenarioReply(
-                status=exc.code,
-                body=exc.read(),
-                headers={k.lower(): v for k, v in exc.headers.items()}
-                if exc.headers else {},
-            )
+            response = self._send(method, path, payload, headers)
+        except _STALE:
+            if not reused:
+                raise
+            # Closed while idle: once more, on a fresh connection.
+            response = self._send(method, path, payload, headers)
+        try:
+            body = response.read()
+        except BaseException:
+            self._drop()
+            raise
+        if response.will_close:
+            self._drop()
+        return ScenarioReply(
+            status=response.status, body=body,
+            headers={k.lower(): v for k, v in response.getheaders()})
+
+    def _send(self, method: str, path: str, payload: Optional[bytes],
+              headers: Dict[str, str]) -> http.client.HTTPResponse:
+        """Send on this thread's connection (opening one if there is
+        none) and read the response head; a failure drops it."""
+        connection = self._local.connection
+        if connection is None:
+            connection = self._local.connection = self._connection_class(
+                self._netloc, timeout=self.timeout)
+        try:
+            connection.request(method, self._prefix + path, body=payload,
+                               headers=headers)
+            return connection.getresponse()
+        except BaseException:
+            self._drop()
+            raise
+
+    def _drop(self) -> None:
+        connection, self._local.connection = self._local.connection, None
+        if connection is not None:
+            connection.close()
 
 
 __all__ = ["ScenarioClient", "ScenarioReply"]

@@ -1,7 +1,8 @@
 """HTTP request handling for the scenario server.
 
-One :class:`ScenarioRequestHandler` instance handles one request on a
-:class:`~http.server.ThreadingHTTPServer` thread.  The handler is a
+One :class:`ScenarioRequestHandler` instance handles one connection on
+a :class:`~http.server.ThreadingHTTPServer` thread: HTTP/1.1 keep-alive,
+so a client may send many requests on it.  The handler is a
 thin codec: it parses the wire request, routes to the
 :class:`~repro.server.app.ScenarioServer` application object (reached
 via ``self.server.app``), and writes the application's
@@ -38,6 +39,10 @@ from repro.server.scenario import SCHEMA
 #: anything bigger is a client error (or abuse), not a scenario.
 MAX_BODY_BYTES = 1 << 20
 
+#: Seconds a kept-alive connection may sit idle before the server closes
+#: it, so an abandoned client cannot hold a handler thread forever.
+IDLE_TIMEOUT_SECONDS = 30.0
+
 
 def error_body(message: str, **extra: Any) -> bytes:
     document: Dict[str, Any] = {"error": message, "schema": SCHEMA}
@@ -54,6 +59,10 @@ class ScenarioRequestHandler(BaseHTTPRequestHandler):
 
     server_version = f"repro-scenario-server/{__version__}"
     protocol_version = "HTTP/1.1"
+    timeout = IDLE_TIMEOUT_SECONDS
+    #: A reply goes out as two sends (head, body); with Nagle on, the
+    #: body waits for the client's delayed ACK of the head (~40 ms).
+    disable_nagle_algorithm = True
 
     @property
     def app(self) -> Any:
@@ -90,11 +99,13 @@ class ScenarioRequestHandler(BaseHTTPRequestHandler):
         path = self.path.split("?", 1)[0]
         app.metrics.record_request(path)
         if path != "/scenario":
+            self.close_connection = True  # the body stays unread
             self._reply(404, error_body(f"no such endpoint: POST {path}"))
             return
         started = time.monotonic()
         document, parse_error = self._read_json()
         if parse_error is not None:
+            self.close_connection = True  # the body may be unread
             app.metrics.record_scenario(
                 outcome="invalid",
                 latency_seconds=time.monotonic() - started)
@@ -145,6 +156,8 @@ class ScenarioRequestHandler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", str(len(body)))
             for name, value in (headers or {}).items():
                 self.send_header(name, value)
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
         except (BrokenPipeError, ConnectionResetError):
@@ -152,5 +165,5 @@ class ScenarioRequestHandler(BaseHTTPRequestHandler):
             pass
 
 
-__all__ = ["MAX_BODY_BYTES", "ScenarioRequestHandler", "error_body",
-           "json_body"]
+__all__ = ["IDLE_TIMEOUT_SECONDS", "MAX_BODY_BYTES", "ScenarioRequestHandler",
+           "error_body", "json_body"]

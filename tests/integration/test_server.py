@@ -9,12 +9,16 @@ simulation), and /healthz answers while a scenario run is in flight.
 
 from __future__ import annotations
 
+import http.client
+import json
+import socket
 import threading
 import time
 
 import pytest
 
 from repro.server import ScenarioClient, ScenarioServer
+from repro.server.handlers import IDLE_TIMEOUT_SECONDS, ScenarioRequestHandler
 
 #: rounds= sizes for the synthetic workload: SMALL finishes in
 #: milliseconds, SLOW takes a second or two on this hardware -- long
@@ -186,6 +190,97 @@ def test_metrics_document_shape(client):
     assert set(metrics["latency_ms"]) == {"window", "p50", "p99", "max"}
     assert metrics["pool"]["workers"] == 1
     assert metrics["cache"]["entries"] >= 1
+
+
+@pytest.mark.parametrize("path,length", [
+    ("/nope", "25"),
+    ("/scenario", str(2 << 20)),
+    ("/scenario", "twelve"),
+    ("/scenario", None),
+], ids=["unknown-path", "oversized", "bad-length", "missing-length"])
+def test_unread_body_closes_the_connection(server, path, length):
+    # An error reply that leaves the body unread must close the
+    # connection, or a keep-alive client's next request is parsed from
+    # the leftover bytes.
+    host, port = server.address
+    connection = http.client.HTTPConnection(host, port, timeout=10.0)
+    try:
+        connection.putrequest("POST", path)
+        if length is not None:
+            connection.putheader("Content-Length", length)
+        connection.endheaders(b'{"workload": "synthetic"}')
+        response = connection.getresponse()
+        assert response.status in (400, 404)
+        assert response.getheader("Connection") == "close"
+        response.read()
+        connection.request("GET", "/healthz")  # reopens if closed
+        response = connection.getresponse()
+        assert response.status == 200
+        assert json.loads(response.read())["status"] == "ok"
+    finally:
+        connection.close()
+
+
+# ----------------------------------------------------------------------
+# keep-alive connections
+# ----------------------------------------------------------------------
+
+def test_sequential_hits_do_not_wait_for_delayed_acks(client):
+    # Each reply is two sends; with Nagle on, the second waits ~40 ms
+    # for the client's delayed ACK, so 50 hits would take >= 2 s.
+    doc = _workload_doc(seed=91)
+    assert client.scenario(doc).status == 200
+    started = time.monotonic()
+    for _ in range(50):
+        assert client.scenario(doc).cache_status == "hit"
+    elapsed = time.monotonic() - started
+    assert elapsed < 1.0, f"50 hits took {elapsed:.2f}s"
+
+
+def test_stale_connection_is_retried_once_on_a_fresh_one():
+    with ScenarioServer(port=0, jobs=1) as first:
+        client = ScenarioClient(first.base_url, timeout=60.0)
+        assert client.wait_ready()
+        stale = client._local.connection
+        port = first.address[1]
+    with ScenarioServer(port=port, jobs=1):
+        assert client.health()["status"] == "ok"
+        assert client._local.connection is not stale
+
+
+def test_idle_connection_is_closed_and_the_client_reconnects(monkeypatch):
+    assert ScenarioRequestHandler.timeout == IDLE_TIMEOUT_SECONDS
+    monkeypatch.setattr(ScenarioRequestHandler, "timeout", 0.2)
+    with ScenarioServer(port=0, jobs=1) as server:
+        client = ScenarioClient(server.base_url, timeout=60.0)
+        assert client.wait_ready()
+        idle = client._local.connection
+        time.sleep(0.6)  # past the idle timeout: the server hangs up
+        assert client.health()["status"] == "ok"
+        assert client._local.connection is not idle
+
+
+def test_fresh_connection_failure_is_not_retried():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    client = ScenarioClient(f"http://127.0.0.1:{port}", timeout=5.0)
+    with pytest.raises(OSError):
+        client.health()
+    assert client.wait_ready(attempts=3, delay_seconds=0.01) is False
+
+
+def test_close_is_prompt_while_a_client_holds_an_idle_connection():
+    server = ScenarioServer(port=0, jobs=1).start()
+    try:
+        client = ScenarioClient(server.base_url, timeout=60.0)
+        assert client.wait_ready()
+        assert client._local.connection is not None
+    finally:
+        started = time.monotonic()
+        server.close()
+    elapsed = time.monotonic() - started
+    assert elapsed < 2.0, f"close() took {elapsed:.2f}s"
 
 
 # ----------------------------------------------------------------------

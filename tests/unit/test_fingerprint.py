@@ -10,6 +10,8 @@ and must be made deliberately (bump the canonical-form tag).
 from __future__ import annotations
 
 import math
+import types
+from collections import OrderedDict
 
 import pytest
 
@@ -66,6 +68,19 @@ def test_canonical_json_rejects_non_string_keys():
         canonical_json({1: "a"})
 
 
+@pytest.mark.parametrize("value", [
+    types.MappingProxyType({1: "a"}),
+    OrderedDict([("a", 1), (2, "b")]),
+    ({"a": 1}, {3: "c"}),
+    [{"a": {"b": [OrderedDict([(4, "d")])]}}],
+], ids=["mappingproxy", "ordereddict", "tuple-of-dicts", "nested-list"])
+def test_non_string_keys_rejected_beyond_plain_dicts(value):
+    # The key check dispatches on exact dict/list/tuple first; other
+    # mappings must still be reached through the Mapping fallback.
+    with pytest.raises(ConfigError):
+        canonical_json(value)
+
+
 # ----------------------------------------------------------------------
 # config_fingerprint
 # ----------------------------------------------------------------------
@@ -91,6 +106,33 @@ def test_config_fingerprint_pinned_values():
         "f2f9f3a392d93760d97e6a022b18b59a7e47bcb4d1599d3c674fc21dc436e513")
     assert config_fingerprint({}) == (
         "e57a91513310f5188305cdf9a0ab663b2e41b633a54dad91d3f2afe5ceebdb77")
+
+
+#: Scenario documents as the server fingerprints them, with their
+#: digests recorded before the key check gained its exact-type fast path.
+SCENARIO_DIGESTS = [
+    ({"workload": "synthetic", "processes": 2, "seed": 3,
+      "params": {"rounds": 4}},
+     "d7e9578bd54a129fc394606b6215726215bbdcb0f00a58c8034351de3abcc960"),
+    ({"kind": "workload", "workload": "sor", "seed": 7,
+      "crashes": [[1, 40.0]], "check": True},
+     "ff7f98628cc327ff8b2435f2993e15a144d7b4ccacdaeb44231c42492a2f1724"),
+    ({"kind": "experiment", "experiment": "E1-figure1", "quick": True},
+     "bc2c58a7f3a73e468bddf26d1491f1d5bd9fb11e147e719dddc41f528acc4e07"),
+    ({"kind": "workload", "workload": "synthetic", "processes": 8,
+      "seed": 12345, "params": {"rounds": 40}, "interval": 50.0,
+      "baseline": "disom", "consistency": "entry", "crashes": [],
+      "check": False, "latency": None, "highwater": None},
+     "12674fdf1f455a9c5ce2acb2357b360d74761d825654ac316d73ac036c35c738"),
+    ({"nested": ({"a": [1, 2.5, None, True]}, "\u00e9"),
+      "x": OrderedDict([("b", 1), ("a", 2)])},
+     "96f91085df8af3636e4eebdc4f3725261d3bc6d938641f36cb4f4469f4e0e172"),
+]
+
+
+@pytest.mark.parametrize("document,digest", SCENARIO_DIGESTS)
+def test_scenario_document_fingerprints_pinned(document, digest):
+    assert config_fingerprint(document) == digest
 
 
 def test_canonical_form_tag_is_versioned():
