@@ -5,14 +5,13 @@ escape into a loop that must not die:
 
 * **dynamic callable fan-out** -- ``for method in targets: method(...)``
   (the :mod:`repro.observers` registry) or a stored ``progress``/
-  ``callback`` handle invoked while ``RunPool.map`` waits on its
-  tickets (:mod:`repro.parallel.pool`).  The callee is user-supplied;
+  ``callback`` handle invoked from a loop.  The callee is user-supplied;
   if it raises, the exception propagates into the simulation kernel or
-  abandons the batch half-collected.
+  abandons the loop half-done.
 * **wire decoders** -- ``pickle.loads``/``json.loads`` on bytes that
   crossed a process or socket boundary.  Malformed bytes raise, and an
-  unprotected decode in the worker engine's collector loop
-  (:mod:`repro.parallel.engine`) kills the thread (every pending ticket
+  unprotected decode in the worker pool's collector loop
+  (:mod:`repro.parallel.service`) kills the thread (every pending ticket
   then hangs forever).
 
 The rule (``exception-safety``) flags such calls when no enclosing

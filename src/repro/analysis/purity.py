@@ -87,7 +87,7 @@ PATH_TABLE: Tuple[Tuple[str, str, Optional[str], str], ...] = (
     ("repro/verify/inline.py", TRUSTED, WALL_CLOCK,
      "a listener the core notifies through the observer registry; it "
      "times its own overhead for reports, never control flow"),
-    ("repro/parallel/engine.py", HOST_SIDE, WALL_CLOCK,
+    ("repro/parallel/service.py", HOST_SIDE, WALL_CLOCK,
      "task deadlines, liveness sweeps and join timeouts; workers stay a "
      "pure function of their payload"),
     ("repro/server/app.py", HOST_SIDE, WALL_CLOCK,

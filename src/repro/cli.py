@@ -651,10 +651,14 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.server.app import ScenarioServer
 
-    server = ScenarioServer(
-        args.host, args.port, jobs=args.jobs, cache_dir=args.cache_dir,
-        cache_entries=args.cache_entries, request_timeout=args.timeout,
-        max_pending=args.max_queue, quiet=not args.verbose)
+    try:
+        server = ScenarioServer(
+            args.host, args.port, jobs=args.jobs, cache_dir=args.cache_dir,
+            cache_entries=args.cache_entries, request_timeout=args.timeout,
+            max_pending=args.max_queue, quiet=not args.verbose)
+    except OSError as exc:
+        print(f"repro serve: error: {exc}", file=sys.stderr)
+        return 2
     host, port = server.address
     print(f"repro scenario server listening on http://{host}:{port}")
     print(f"  code version : {server.code_version}")

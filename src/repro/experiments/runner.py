@@ -54,15 +54,14 @@ def run_experiments(
     worker per CPU) and fans the experiments out over that many workers.
     """
     from repro.api import resolve_experiment
-    from repro.parallel import Call, RunPool, WorkerFailure
+    from repro.parallel import PoolService, WorkerFailure
 
     named = {resolve_experiment(exp_id) for exp_id in ids}
     selected = [eid for eid in ALL_EXPERIMENTS if not ids or eid in named]
     defaults = ExperimentDefaults(check=check, seed=seed, store_dir=store_dir)
-    calls = [Call(_experiment_task, (exp_id, quick, defaults), key=exp_id)
-             for exp_id in selected]
-    with RunPool(jobs=jobs) as pool:
-        raw = pool.map(calls)
+    with PoolService(jobs=jobs) as pool:
+        raw = pool.map(_experiment_task, [(exp_id, quick, defaults)
+                                          for exp_id in selected])
     outcomes: List[Tuple[str, Any]] = []
     reports: List[Any] = []
     for exp_id, item in zip(selected, raw):

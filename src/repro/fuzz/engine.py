@@ -17,9 +17,9 @@ trial document, the trial log, the coverage map, the findings -- is a
 pure function of the seed, byte-identical across repeats and across
 ``--jobs`` values.  Trials are generated in fixed-size batches from
 per-trial RNGs (``derive_seed(seed, "fuzz-trial", i)``); the batch is
-what fans out over the :class:`~repro.parallel.pool.RunPool`, and the
-coverage map is folded in submission order afterwards.  The only
-wall-clock in this module is the optional ``budget_seconds`` cap,
+what fans out over :meth:`~repro.parallel.service.PoolService.map`,
+and the coverage map is folded in submission order afterwards.  The
+only wall-clock in this module is the optional ``budget_seconds`` cap,
 checked *between* batches so a wall-capped run is always a prefix of
 the uncapped one.
 """
@@ -42,7 +42,7 @@ from repro.fuzz.schedule import (
     random_schedule,
 )
 from repro.observers import Observers
-from repro.parallel.pool import RunPool, WorkerFailure
+from repro.parallel.service import PoolService, WorkerFailure
 from repro.parallel.seeds import derive_seed
 
 #: Trials per generation batch.  Fixed (never sized from ``jobs``) so
@@ -218,7 +218,7 @@ def run_fuzz(
     deadline = (time.monotonic() + budget_seconds
                 if budget_seconds is not None else None)
 
-    with RunPool(jobs=jobs) as pool:
+    with PoolService(jobs=jobs) as pool:
         trial = 0
         while trial < budget_trials:
             if deadline is not None and time.monotonic() >= deadline:
@@ -236,8 +236,8 @@ def run_fuzz(
                 else:
                     documents.append(
                         random_schedule(rng, workloads, baselines))
-            outcomes = pool.map([(run_trial, (document,))
-                                 for document in documents])
+            outcomes = pool.map(run_trial, [(document,)
+                                            for document in documents])
             for index, document, outcome in zip(batch_indices, documents,
                                                 outcomes):
                 if isinstance(outcome, WorkerFailure):

@@ -1,4 +1,4 @@
-"""The worker-side main loop of :class:`repro.parallel.engine.WorkerEngine`.
+"""The worker-side main loop of :class:`repro.parallel.service.PoolService`.
 
 Workers are started with the ``spawn`` context, so each one is a fresh
 interpreter that imports this module by name -- ``sys.path`` (and with it
@@ -15,7 +15,7 @@ the message kind):
     sent once at startup;
 ``("start", worker_id, task_index)``
     sent immediately before a task body runs (the parent uses it to
-    arm the per-task timeout clock);
+    arm the task's deadline clock);
 ``("done", worker_id, task_index, body_bytes)``
     sent after a task finishes; ``body_bytes`` unpickles to either
     ``("ok", value)`` or ``("error", type_name, message, traceback,
@@ -34,7 +34,7 @@ def _run_payload(payload: bytes) -> bytes:
 
     Never raises: every exception (including result-pickling failures)
     is folded into an ``("error", ...)`` body so the parent can surface
-    it as a typed :class:`~repro.parallel.engine.WorkerFailure` row.
+    it as a typed :class:`~repro.parallel.service.WorkerFailure` row.
     """
     try:
         fn, args, kwargs = pickle.loads(payload)

@@ -39,7 +39,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro import __version__
 from repro.errors import ConfigError
-from repro.parallel.service import PoolService, QueueFullError
+from repro.parallel.service import PoolService, QueueFullError, WorkerFailure
 from repro.server.cache import ResultCache
 from repro.server.handlers import (
     ScenarioRequestHandler,
@@ -130,10 +130,13 @@ class ScenarioServer:
         self._inflight: Dict[str, threading.Event] = {}
         self._inflight_lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
+        self._serving = False
         self._closed = False
+        # Bind before any worker exists: a taken port leaves nothing behind.
         self.httpd = _AppHTTPServer((host, port), ScenarioRequestHandler)
         self.httpd.app = self
         self.httpd.connections = weakref.WeakSet()
+        self.service.prewarm()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -157,6 +160,7 @@ class ScenarioServer:
     def start(self) -> "ScenarioServer":
         """Serve in a background thread; returns self."""
         if self._thread is None:
+            self._serving = True
             self._thread = threading.Thread(
                 target=self.httpd.serve_forever,
                 name="repro-scenario-server", daemon=True)
@@ -165,13 +169,15 @@ class ScenarioServer:
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until interrupted/closed."""
+        self._serving = True
         self.httpd.serve_forever()
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        self.httpd.shutdown()
+        if self._serving:   # shutdown() waits for a serve_forever loop
+            self.httpd.shutdown()
         self.httpd.server_close()
         # An idle keep-alive handler sees end of stream and exits; a
         # busy one still sends its reply.
@@ -291,7 +297,6 @@ class ScenarioServer:
                 if self.request_timeout is not None else None)
         outcome = self.service.result(ticket, wait=wait)
 
-        from repro.parallel.pool import WorkerFailure
         from repro.server.scenario import encode_response
 
         if isinstance(outcome, WorkerFailure):

@@ -1,9 +1,9 @@
-"""Integration tests: the parallel engine against the real simulator.
+"""Integration tests: the parallel run pool against the real simulator.
 
-The parallel engine's contract is *invisibility*: every table, metric
-and counter must come out byte-identical whether a study ran serially or
-fanned out over workers.  These tests exercise that contract end to end
--- real ``DisomSystem`` runs through ``RunPool`` and the experiment
+The pool's contract is *invisibility*: every table, metric and counter
+must come out byte-identical whether a study ran serially or fanned out
+over workers.  These tests exercise that contract end to end -- real
+``DisomSystem`` runs through ``PoolService.map`` and the experiment
 runner -- plus the check-report aggregation path.
 """
 
@@ -14,7 +14,7 @@ import os
 import pytest
 
 from repro.experiments.runner import run_experiments
-from repro.parallel import Call, RunPool, WorkerFailure
+from repro.parallel import PoolService, WorkerFailure
 
 
 def _run_point(processes: int, seed: int) -> dict:
@@ -41,9 +41,8 @@ def _run_point(processes: int, seed: int) -> dict:
 
 
 def _run_points(points, jobs: int) -> list:
-    with RunPool(jobs=jobs) as pool:
-        return pool.map([Call(_run_point, point, key=str(point))
-                         for point in points])
+    with PoolService(jobs=jobs) as pool:
+        return pool.map(_run_point, points)
 
 
 class TestSweepEquality:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import multiprocessing
 import socket
 import threading
 import time
@@ -281,6 +282,32 @@ def test_close_is_prompt_while_a_client_holds_an_idle_connection():
         server.close()
     elapsed = time.monotonic() - started
     assert elapsed < 2.0, f"close() took {elapsed:.2f}s"
+
+
+def test_close_returns_when_the_server_never_served():
+    server = ScenarioServer(port=0, jobs=1)
+    closer = threading.Thread(target=server.close, daemon=True)
+    closer.start()
+    closer.join(timeout=5.0)
+    assert not closer.is_alive(), "close() hung on a server never started"
+
+
+def test_a_failed_bind_leaves_no_worker_behind():
+    with ScenarioServer(port=0, jobs=1) as live:
+        before = len(multiprocessing.active_children())
+        with pytest.raises(OSError):
+            ScenarioServer(port=live.address[1], jobs=1)
+        assert len(multiprocessing.active_children()) == before
+
+
+def test_serve_on_a_busy_port_is_a_one_line_error(capsys):
+    from repro.cli import main
+
+    with ScenarioServer(port=0, jobs=1) as live:
+        assert main(["serve", "--port", str(live.address[1])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro serve: error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 # ----------------------------------------------------------------------

@@ -1,25 +1,23 @@
-"""Unit tests for the parallel run engine (repro.parallel).
+"""Unit tests for the parallel run pool (repro.parallel).
 
 The worker functions here are module-level on purpose: spawn-context
-workers import tasks by reference, so anything handed to a RunPool must
-be addressable from a fresh interpreter.  Lambdas exercise the serial
-fallback instead.
+workers import tasks by reference, so anything ``PoolService.map`` fans
+out must be addressable from a fresh interpreter.
 """
 
 from __future__ import annotations
 
+import pickle
 import time
 
 import pytest
 
 from repro.errors import ConfigError
 from repro.parallel import (
-    Call,
-    RunPool,
+    PoolService,
     WorkerError,
     WorkerFailure,
     derive_seed,
-    raise_failures,
     resolve_jobs,
 )
 
@@ -76,106 +74,96 @@ def test_resolve_jobs_contract():
 
 
 # ----------------------------------------------------------------------
-# RunPool
+# PoolService.map: the run pool's batch path
 # ----------------------------------------------------------------------
 
-def test_runpool_options_are_jobs_timeout_progress():
+def test_pool_options_are_jobs_timeout_max_pending():
     import inspect
 
-    assert list(inspect.signature(RunPool).parameters) == [
-        "jobs", "timeout", "progress"]
+    assert list(inspect.signature(PoolService).parameters) == [
+        "jobs", "timeout", "max_pending"]
 
 
 def test_runpool_serial_path_preserves_order():
-    with RunPool(jobs=1) as pool:
-        outcomes = pool.map([Call(_square, (i,)) for i in range(6)])
+    with PoolService(jobs=1) as pool:
+        outcomes = pool.map(_square, [(i,) for i in range(6)])
+        assert pool.stats()["workers_spawned"] == 0
     assert outcomes == [i * i for i in range(6)]
-    assert pool.ran_parallel is False
 
 
 def test_runpool_parallel_merges_by_submission_index():
-    with RunPool(jobs=2) as pool:
-        outcomes = pool.map([Call(_square, (i,), key=f"t{i}")
-                             for i in range(8)])
+    with PoolService(jobs=2) as pool:
+        outcomes = pool.map(_square, [(i,) for i in range(8)])
+        assert pool.stats()["tasks_completed"] == 8
     assert outcomes == [i * i for i in range(8)]
-    assert pool.ran_parallel is True
 
 
 def test_runpool_reused_across_maps():
-    with RunPool(jobs=2) as pool:
-        first = pool.map([Call(_square, (i,)) for i in range(4)])
-        second = pool.map([Call(_square, (i,)) for i in range(4, 8)])
+    with PoolService(jobs=2) as pool:
+        first = pool.map(_square, [(i,) for i in range(4)])
+        second = pool.map(_square, [(i,) for i in range(4, 8)])
+        assert pool.stats()["workers_spawned"] == 2
     assert first == [0, 1, 4, 9]
     assert second == [16, 25, 36, 49]
 
 
 def test_runpool_marshals_errors_as_typed_failures():
-    # The serial path and the workers yield the same failure rows.
+    # The inline path and the workers yield the same failure rows.
     rows = {}
     for jobs in (1, 2):
-        with RunPool(jobs=jobs) as pool:
-            outcomes = pool.map([Call(_fail_on_odd, (i,), key=f"t{i}")
-                                 for i in range(4)])
+        with PoolService(jobs=jobs) as pool:
+            outcomes = pool.map(_fail_on_odd, [(i,) for i in range(4)])
         assert outcomes[0] == 0 and outcomes[2] == 20
         for index in (1, 3):
             failure = outcomes[index]
             assert isinstance(failure, WorkerFailure)
             assert failure.kind == "error"
-            assert failure.index == index
             assert failure.error_type == "ValueError"
             assert f"odd input {index}" in failure.message
             assert "_fail_on_odd" in failure.traceback
         with pytest.raises(ValueError, match="odd input 1"):
             outcomes[1].raise_()
-        with pytest.raises(ValueError, match="odd input 1"):
-            raise_failures(outcomes)
-        rows[jobs] = [str(o) if isinstance(o, WorkerFailure) else o
-                      for o in outcomes]
+        rows[jobs] = [
+            (o.kind, o.error_type, o.message, str(o))
+            if isinstance(o, WorkerFailure) else o for o in outcomes]
     assert rows[1] == rows[2]
 
 
-def test_runpool_unpicklable_task_falls_back_to_serial():
+def test_map_unpicklable_task_raises_when_it_fans_out():
     offset = 3
-    with RunPool(jobs=2) as pool:
-        outcomes = pool.map([Call(lambda x=i: x + offset) for i in range(4)])
-    assert outcomes == [3, 4, 5, 6]
-    assert pool.ran_parallel is False
+
+    def closure(x):
+        return x + offset
+
+    with PoolService(jobs=1) as pool:
+        assert pool.map(closure, [(i,) for i in range(4)]) == [3, 4, 5, 6]
+    with PoolService(jobs=2) as pool:
+        with pytest.raises((AttributeError, TypeError, pickle.PicklingError)):
+            pool.map(closure, [(i,) for i in range(4)])
+        assert pool.stats()["tasks_submitted"] == 0
 
 
 def test_runpool_single_task_stays_serial():
-    with RunPool(jobs=4) as pool:
-        outcomes = pool.map([Call(_square, (5,))])
+    with PoolService(jobs=4) as pool:
+        outcomes = pool.map(_square, [(5,)])
+        assert pool.stats()["workers_spawned"] == 0
     assert outcomes == [25]
-    assert pool.ran_parallel is False
 
 
 def test_runpool_timeout_cancels_straggler():
-    calls = [
-        Call(_sleep_then, (0.0, "fast-0"), key="fast-0"),
-        Call(_sleep_then, (30.0, "slow"), key="slow"),
-        Call(_sleep_then, (0.0, "fast-1"), key="fast-1"),
-    ]
-    with RunPool(jobs=2, timeout=0.6) as pool:
-        outcomes = pool.map(calls)
+    with PoolService(jobs=2, timeout=0.6) as pool:
+        outcomes = pool.map(_sleep_then, [
+            (0.0, "fast-0"), (30.0, "slow"), (0.0, "fast-1")])
     assert outcomes[0] == "fast-0"
     assert outcomes[2] == "fast-1"
     failure = outcomes[1]
     assert isinstance(failure, WorkerFailure)
     assert failure.kind == "timeout"
-    assert failure.key == "slow"
     with pytest.raises(WorkerError):
         failure.raise_()
 
 
-def test_runpool_progress_reports_every_completion():
-    seen = []
-    with RunPool(jobs=2, progress=lambda done, total, key:
-                 seen.append((done, total))) as pool:
-        pool.map([Call(_square, (i,)) for i in range(5)])
-    assert sorted(seen) == [(i, 5) for i in range(1, 6)]
-
-
 def test_worker_failure_str_format():
-    failure = WorkerFailure(index=2, key="t2", kind="error",
+    failure = WorkerFailure(key="t2", kind="error",
                             error_type="ValueError", message="bad 3")
     assert str(failure) == "[error] ValueError: bad 3 (task t2)"

@@ -1,8 +1,7 @@
-"""Unit tests for PoolService: the request/response warm worker pool.
+"""Unit tests for PoolService's request/response way in.
 
 Task functions are module-level on purpose -- spawn-context workers
-import them by reference, and (unlike RunPool) the service has no
-inline fallback: server tasks must be picklable.
+import them by reference, so tasks must be picklable.
 """
 
 from __future__ import annotations
@@ -92,7 +91,7 @@ def test_worker_crash_is_detected_and_respawned():
         assert isinstance(outcome, WorkerFailure)
         assert outcome.kind == "crash"
         assert "exited with code" in outcome.message
-        assert _wait_until(lambda: service.workers == 1)
+        assert _wait_until(lambda: service.stats()["workers"] == 1)
         assert service.worker_restarts == 1
         # The replacement worker serves the next task.
         assert service.run(_double, (3,), wait=60.0) == 6
@@ -105,9 +104,9 @@ def test_deadline_cancels_the_task_and_respawns():
         assert outcome.kind == "timeout"
         assert "deadline" in outcome.message
         assert service.worker_restarts == 1
-        assert _wait_until(lambda: service.workers == 1)
-        # Per-task override beats the service default.
-        assert service.run(_sleepy, (1.0,), timeout=30.0, wait=60.0) == "woke"
+        assert _wait_until(lambda: service.stats()["workers"] == 1)
+        # The replacement worker runs the next task under the same deadline.
+        assert service.run(_sleepy, (0.05,), wait=60.0) == "woke"
 
 
 def test_parent_side_wait_does_not_cancel():
@@ -143,8 +142,19 @@ def test_collector_survives_malformed_queue_messages():
     # thread (every pending ticket would then hang forever); it is
     # counted in collector_errors and the service keeps working.
     with PoolService(jobs=1) as service:
+        service.prewarm()
         service._result_queue.put(("unknown-tag",))
         service._result_queue.put(None)
         assert _wait_until(
             lambda: service.stats()["collector_errors"] >= 2)
         assert service.run(_double, (5,), wait=30.0) == 10
+
+
+def test_prewarm_is_a_call_the_constructor_does_not_make():
+    with PoolService(jobs=2) as service:
+        assert service.stats()["workers"] == 0
+        service.prewarm()
+        assert service.stats()["workers"] == 2
+        assert service.stats()["workers_spawned"] == 2
+        assert service.run(_double, (4,), wait=30.0) == 8
+        assert service.stats()["workers_spawned"] == 2

@@ -127,7 +127,7 @@ class TestUnorderedIteration:
 class TestRuleExemptions:
     def test_exemptions_are_per_rule(self):
         # A wall-clock-exempt path is NOT exempt from the other rules.
-        path = "repro/parallel/engine.py"
+        path = "repro/parallel/service.py"
         assert (path, HOST_SIDE) in [row[:2] for row in PATH_TABLE]
         assert lint_source(path, "import time\nt = time.time()\n") == []
         assert rules("import random\nx = random.random()\n",
