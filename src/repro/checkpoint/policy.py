@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import ConfigError, ProtocolError
-from repro.net.sizing import register_sized_type
+from repro.net.sizing import register_sized_type, state_bytes
 from repro.types import ExecutionPoint, ProcessId, Tid
 
 
@@ -60,7 +60,6 @@ class CheckpointPolicy:
         return self.log_highwater is not None and log_bytes > self.log_highwater
 
 
-@register_sized_type
 @dataclass(frozen=True)
 class CkpSet:
     """The set of thread execution points at a checkpoint (sections 4.3/4.4).
@@ -90,8 +89,17 @@ class CkpSet:
             object.__setattr__(self, "_lts", cached)
         return cached
 
+    def wire_size(self) -> int:
+        """Size-model bytes, memoized like ``lts_by_tid``: the newest
+        CkpSet is piggybacked to every peer."""
+        cached = self.__dict__.get("_wire_size")
+        if cached is None:
+            cached = state_bytes(self)
+            object.__setattr__(self, "_wire_size", cached)
+        return cached
+
     # Fast pickle path (see repro.types.Tid.__getstate__): also keeps the
-    # ``_lts`` memo out of pickles and out of the wire-size model.
+    # memos out of pickles and out of the wire-size model.
     def __getstate__(self) -> list:
         return [self.pid, self.seq, self.points]
 
@@ -103,6 +111,9 @@ class CkpSet:
     def __str__(self) -> str:
         pts = ",".join(str(p) for p in self.points)
         return f"CkpSet(P{self.pid}#{self.seq}:{pts})"
+
+
+register_sized_type(CkpSet, CkpSet.wire_size)
 
 
 @dataclass

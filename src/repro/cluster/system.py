@@ -28,7 +28,6 @@ from repro.storage.backend import make_backend
 from repro.storage.faults import StorageFault, StorageFaultPlan
 from repro.memory.objects import SharedObjectSpec
 from repro.net.network import Network
-from repro.net.sizing import reset_size_cache
 from repro.observers import Observers
 from repro.sim.kernel import Kernel
 from repro.sim.tracing import TraceLog
@@ -114,7 +113,6 @@ class DisomSystem:
         config (``ClusterConfig.store_dir`` selects the durable
         :class:`~repro.storage.backend.FileBackend`)."""
         self.config = config or ClusterConfig()
-        reset_size_cache()
         self.checkpoint_policy = checkpoint or CheckpointPolicy()
         self.protocol_factory = protocol_factory or ALL_BASELINES["disom"]
         trace = TraceLog(

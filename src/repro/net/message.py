@@ -11,11 +11,10 @@ separate them.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.net.sizing import HEADER_BYTES, payload_size
+from repro.net.sizing import payload_size
 from repro.types import ProcessId
 
 
@@ -138,20 +137,17 @@ class Piggyback:
 #: Size of a piggyback carrying nothing -- the common case, precomputed.
 _EMPTY_PIGGYBACK_BYTES = payload_size({}) + 2 * payload_size([])
 
-_msg_counter = itertools.count(1)
-
 
 @dataclass(slots=True)
 class Message:
     """One network message.
 
-    Byte sizes are computed lazily and cached: a message's payload and
-    piggyback are fixed once it is handed to the network (it is "on the
-    wire"), yet its size is consulted several times per send -- by the
-    stats counters, the latency model and the trace.  Sizing dominates
-    the simulator's send path (it pickles the payload), so the cache is
-    a significant win.  Call :meth:`invalidate_sizes` in the rare case a
-    test mutates a payload after sizing.
+    The protocol layers fill in the first five fields; the rest are
+    stamped once by :meth:`repro.net.network.Network.send` when the
+    message goes on the wire: ``msg_id`` from the network's own counter
+    (1, 2, ... per network), the send time, and the byte counts that the
+    stats, the latency model, the trace and the baselines' message logs
+    all read.  A message is never edited after it is sent.
     """
 
     src: ProcessId
@@ -159,37 +155,17 @@ class Message:
     kind: MessageKind
     payload: dict[str, Any] = field(default_factory=dict)
     piggyback: Optional[Piggyback] = None
-    msg_id: int = field(default_factory=lambda: next(_msg_counter))
-    #: Filled in by the network at send time.
+    msg_id: int = 0
     send_time: float = -1.0
-    _pay_bytes: Optional[int] = field(default=None, repr=False, compare=False)
-    _pig_bytes: Optional[int] = field(default=None, repr=False, compare=False)
+    payload_bytes: int = 0
+    piggyback_bytes: int = 0
 
     @property
     def layer(self) -> str:
         return layer_of(self.kind)
 
-    def payload_bytes(self) -> int:
-        size = self._pay_bytes
-        if size is None:
-            size = self._pay_bytes = HEADER_BYTES + payload_size(self.payload)
-        return size
-
-    def piggyback_bytes(self) -> int:
-        size = self._pig_bytes
-        if size is None:
-            size = self._pig_bytes = (
-                self.piggyback.size() if self.piggyback is not None else 0
-            )
-        return size
-
     def total_bytes(self) -> int:
-        return self.payload_bytes() + self.piggyback_bytes()
-
-    def invalidate_sizes(self) -> None:
-        """Drop cached sizes after an in-place payload/piggyback edit."""
-        self._pay_bytes = None
-        self._pig_bytes = None
+        return self.payload_bytes + self.piggyback_bytes
 
     def __str__(self) -> str:
         pig = ""

@@ -14,11 +14,13 @@ tolerated").
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Optional, Protocol
 
 from repro.errors import ConfigError, SimulationError
 from repro.net.channel import Channel, LatencyModel
 from repro.net.message import Message
+from repro.net.sizing import HEADER_BYTES, payload_size
 from repro.net.stats import NetworkStats
 from repro.sim.kernel import Kernel
 from repro.sim.tracing import TRACE_GATE
@@ -43,6 +45,7 @@ class Network:
         self.kernel = kernel
         self.latency = latency if latency is not None else LatencyModel()
         self.stats = NetworkStats()
+        self._msg_ids = itertools.count(1)
         self._endpoints: dict[ProcessId, Endpoint] = {}
         self._channels: dict[tuple[ProcessId, ProcessId], Channel] = {}
         self._crashed: set[ProcessId] = set()
@@ -97,8 +100,8 @@ class Network:
         This is the simulator's hottest protocol path (every coherence
         interaction crosses it), so it avoids redundant work: the channel
         lookup is a single dict probe (misses fall back to the builder),
-        message sizes are computed once and cached on the message, and
-        the trace row is only built when tracing is on.
+        the message is numbered and sized here, once, before anything
+        reads it, and the trace row is only built when tracing is on.
         """
         src = message.src
         dst = message.dst
@@ -113,7 +116,12 @@ class Network:
             # A crashed process cannot put new messages on the wire.
             raise SimulationError(f"crashed process {src} tried to send {message}")
         kernel = self.kernel
+        message.msg_id = next(self._msg_ids)
         message.send_time = now = kernel.now
+        message.payload_bytes = HEADER_BYTES + payload_size(message.payload)
+        piggyback = message.piggyback
+        if piggyback is not None:
+            message.piggyback_bytes = piggyback.size()
         self.stats.record_send(message)
         channel = self._channels.get((src, dst))
         if channel is None:

@@ -17,16 +17,18 @@ reads nicely but puts a serializer in the hottest path of the
 simulator: every message is sized at send time, piggybacked CkpSets
 carry one execution point per thread, and so the cost of sizing grew
 with cluster size exactly where the p=64/256 workloads hurt most.  The
-compositional model is pure integer arithmetic, and because the wire
-types are immutable their sizes are cached by identity -- a CkpSet
-broadcast to 255 peers is measured once.
+compositional model is pure integer arithmetic and keeps no state: a
+value is walked each time it is sized, except that ``Tid`` and
+``ExecutionPoint`` have fixed shapes (so fixed sizes) and a wire type
+may register its own sizer -- ``CkpSet`` memoizes its size on the
+instance, because one is piggybacked to every peer.
 """
 
 from __future__ import annotations
 
 import enum
 import pickle
-from typing import Any
+from typing import Any, Callable
 
 from repro.types import Dependency, ExecutionPoint, Tid, WaitObj
 
@@ -56,42 +58,42 @@ ENUM_BYTES = 4
 #: tests with sentinel objects hit this.
 UNKNOWN_BYTES = 64
 
-#: Types measured as STATE_BYTES plus the sum of their ``__getstate__``
-#: fields (hand-written list states and default dataclass ``__dict__``
-#: states both work).  Other modules add their wire types via
-#: :func:`register_sized_type` so the net layer never imports protocol
-#: layers.
-_STATE_TYPES = {Tid, ExecutionPoint, WaitObj, Dependency}
-
-#: Identity cache of sizes for *immutable* objects: registered wire
-#: types, enum members (singletons) and the constants None/True/False.
-#: Keyed by ``id``; the value keeps a strong reference to the object so
-#: the id cannot be recycled while the entry lives.  Cleared when full and
-#: when a cluster is built: sizes are cheap to recompute, and an earlier
-#: run's entries would keep that run's objects alive.
-_OBJ_SIZES: dict[int, tuple[Any, int]] = {}
-_OBJ_SIZES_MAX = 65536
+#: A Tid's state is two ints; an ExecutionPoint's a Tid and an int.
+#: These are what :func:`state_bytes` gives for them (a property test
+#: holds the two in step).
+TID_BYTES = STATE_BYTES + 8 + 8
+EP_BYTES = STATE_BYTES + TID_BYTES + 8
 
 
-def reset_size_cache() -> None:
-    """Empty the identity cache, keeping the constants' entries."""
-    _OBJ_SIZES.clear()
-    _OBJ_SIZES[id(None)] = (None, 0)
-    _OBJ_SIZES[id(True)] = (True, 1)
-    _OBJ_SIZES[id(False)] = (False, 1)
+def state_bytes(value: Any) -> int:
+    """Size of a registered wire type: STATE_BYTES plus its state fields.
 
-
-reset_size_cache()
-
-
-def register_sized_type(cls: type) -> type:
-    """Size ``cls`` through its ``__getstate__`` and cache by identity.
-
-    Only safe for immutable value types: the cache assumes an object's
-    size never changes after construction.  Returns ``cls`` so it can
-    be used as a decorator.
+    ``__getstate__`` returns a list of field values (see
+    ``repro.types.Tid.__getstate__``).
     """
-    _STATE_TYPES.add(cls)
+    total = STATE_BYTES
+    for item in value.__getstate__():
+        total += _sized(item)
+    return total
+
+
+#: Wire types outside the fixed-shape pair, each with its sizer.  Other
+#: modules add theirs via :func:`register_sized_type` so the net layer
+#: never imports protocol layers.
+_SIZERS: dict[type, Callable[[Any], int]] = {
+    WaitObj: state_bytes,
+    Dependency: state_bytes,
+}
+
+
+def register_sized_type(
+    cls: type, sizer: Callable[[Any], int] = state_bytes
+) -> type:
+    """Size instances of ``cls`` by ``sizer`` (default :func:`state_bytes`).
+
+    Returns ``cls`` so it can be used as a decorator.
+    """
+    _SIZERS[cls] = sizer
     return cls
 
 
@@ -128,8 +130,7 @@ def _sized(value: Any) -> int:
             elif icls is str:
                 total += len(item) if item.isascii() else len(item.encode())
             else:
-                cached = _OBJ_SIZES.get(id(item))
-                total += cached[1] if cached is not None else _sized(item)
+                total += _sized(item)
         return total
     if cls is list or cls is tuple or cls is set or cls is frozenset:
         total = _EMPTY_CONTAINER_BYTES[cls] + ITEM_BYTES * len(value)
@@ -140,39 +141,18 @@ def _sized(value: Any) -> int:
             elif icls is str:
                 total += len(item) if item.isascii() else len(item.encode())
             else:
-                cached = _OBJ_SIZES.get(id(item))
-                total += cached[1] if cached is not None else _sized(item)
+                total += _sized(item)
         return total
-    if cls in _STATE_TYPES:
-        ident = id(value)
-        cached = _OBJ_SIZES.get(ident)
-        if cached is not None:
-            return cached[1]
-        state = value.__getstate__()
-        total = STATE_BYTES
-        if state is not None:
-            if state.__class__ is list:
-                for item in state:
-                    total += _sized(item)
-            else:
-                total += _sized(state)
-        if len(_OBJ_SIZES) >= _OBJ_SIZES_MAX:
-            reset_size_cache()
-        _OBJ_SIZES[ident] = (value, total)
-        return total
+    if cls is ExecutionPoint:
+        return EP_BYTES
+    if cls is Tid:
+        return TID_BYTES
+    sizer = _SIZERS.get(cls)
+    if sizer is not None:
+        return sizer(value)
     if isinstance(value, enum.Enum):
-        # Members are singletons; cache so container walks hit inline.
-        if len(_OBJ_SIZES) >= _OBJ_SIZES_MAX:
-            reset_size_cache()
-        _OBJ_SIZES[id(value)] = (value, ENUM_BYTES)
         return ENUM_BYTES
     return UNKNOWN_BYTES
-
-
-def state_size(value: Any) -> int:
-    """:func:`payload_size` of a registered type with a list state, kept
-    out of the identity cache (for callers that keep a running total)."""
-    return STATE_BYTES + sum(map(_sized, value.__getstate__()))
 
 
 def blob_size(value: Any) -> int:
@@ -192,20 +172,4 @@ def blob_size(value: Any) -> int:
 
 def payload_size(value: Any) -> int:
     """Approximate wire size in bytes of an arbitrary payload value."""
-    if value is None:
-        return 0
-    cls = value.__class__
-    if cls is dict or cls is list:
-        # The two hot payload shapes; skip the scalar checks.
-        if not value:
-            return _EMPTY_CONTAINER_BYTES[cls]
-        return _sized(value)
-    if isinstance(value, (bytes, bytearray)):
-        return len(value)
-    if isinstance(value, str):
-        return len(value.encode())
-    if isinstance(value, bool):
-        return 1
-    if isinstance(value, (int, float)):
-        return 8
     return _sized(value)

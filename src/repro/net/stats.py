@@ -34,8 +34,8 @@ class NetworkStats:
     total_bytes: int = 0
 
     def record_send(self, message: Message) -> None:
-        pay = message.payload_bytes()
-        pig = message.piggyback_bytes()
+        pay = message.payload_bytes
+        pig = message.piggyback_bytes
         self.messages_by_kind[message.kind] += 1
         self.bytes_by_kind[message.kind] += pay
         piggyback = message.piggyback

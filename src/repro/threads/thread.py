@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.errors import MemoryModelError, RecoveryError
-from repro.net.sizing import register_sized_type, state_size
+from repro.net.sizing import payload_size, register_sized_type
 from repro.threads.program import Program, ProgramContext, ProgramGen
 from repro.threads.syscalls import (
     AcquireRead,
@@ -295,9 +295,10 @@ class Thread:
 
     def records_bytes(self) -> int:
         """Sum of ``payload_size`` over ``records``: a running total that
-        sizes each record once, so a checkpoint costs O(new records)."""
+        sizes each record once, so a checkpoint costs O(new records)
+        (the size model walks a value each time it is asked)."""
         if self._records_sized < len(self.records):
-            self._records_bytes += sum(map(state_size, self.records[self._records_sized:]))
+            self._records_bytes += sum(map(payload_size, self.records[self._records_sized:]))
             self._records_sized = len(self.records)
         return self._records_bytes
 

@@ -64,7 +64,7 @@ class Tid:
     orders are unchanged.  ``Tid.of`` interns
     instances: hot paths that construct the same identifier repeatedly
     get the same object back, which turns dict-key equality checks into
-    identity hits and lets the wire-size model cache by identity.
+    identity hits (and changes pickled sizes; see ``_INTERN_MAX``).
     """
 
     __slots__ = ("pid", "local", "_hash")
@@ -157,8 +157,11 @@ class ExecutionPoint:
 
 
 #: Bound on each intern cache (thread ids, execution points); cleared
-#: wholesale when full (interning is an optimization -- equality never
-#: depends on it).
+#: wholesale when full.  Equality never depends on interning, but
+#: serialized sizes do: pickle's memo writes a shared object once, so an
+#: image holding one interned point in several places pickles smaller
+#: than one holding equal copies.  Dropping interning changes what the
+#: durable store writes (``bytes_written``), so it is not behaviour-neutral.
 _INTERN_MAX = 1 << 17
 _EP_INTERN: dict[tuple, ExecutionPoint] = {}
 

@@ -8,8 +8,7 @@ every shape below (failure-free, a DiSOM crash whose restore resets the
 totals, the coordinated baseline's global rollback, incremental
 checkpoints) both must give the same bytes, and the byte totals of the
 three synthetic shapes stay pinned.  A count-based guard proves each
-record is sized exactly once and never enters the size model's identity
-cache, which building a cluster empties.
+record is sized exactly once.
 """
 
 import dataclasses
@@ -17,9 +16,8 @@ import random
 
 import pytest
 
-import repro.net.sizing as sizing
 import repro.threads.thread as thread_module
-from repro.api import build_workload, run_workload
+from repro.api import run_workload
 from repro.checkpoint.policy import CheckpointPolicy
 from repro.checkpoint.stable import Checkpoint
 from repro.cluster.config import ClusterConfig
@@ -27,7 +25,7 @@ from repro.cluster.system import DisomSystem
 from repro.net.sizing import payload_size
 from repro.threads.program import Program
 from repro.threads.syscalls import AcquireRead, AcquireWrite, Compute, Release
-from repro.threads.thread import RecordedResult, Thread
+from repro.threads.thread import Thread
 from repro.types import Tid
 from repro.workloads import SyntheticWorkload
 
@@ -101,15 +99,14 @@ def test_running_totals_equal_the_walk(oracle):
     assert any(pid == 1 and at > 300.0 for pid, at in oracle)
 
 
-def test_each_record_is_sized_once_and_not_cached(monkeypatch):
-    monkeypatch.setattr(sizing, "_OBJ_SIZES", {})  # building the cluster seeds it
+def test_each_record_is_sized_once(monkeypatch):
     sized = []
 
-    def counting_state_size(record):
+    def counting_payload_size(record):
         sized.append(id(record))
-        return sizing.state_size(record)
+        return payload_size(record)
 
-    monkeypatch.setattr(thread_module, "state_size", counting_state_size)
+    monkeypatch.setattr(thread_module, "payload_size", counting_payload_size)
     system, result = run_workload("synthetic")
     assert result.completed and system.stable_store.writes() > 4
     threads = [thread for process in system.processes.values()
@@ -119,14 +116,6 @@ def test_each_record_is_sized_once_and_not_cached(monkeypatch):
     appended = sum(len(thread.records) for thread in threads)
     assert appended > 0
     assert len(sized) == len(set(sized)) == appended
-    assert not any(isinstance(value, RecordedResult)
-                   for value, _ in sizing._OBJ_SIZES.values())
-    # Building the next cluster empties the cache: its entries would keep
-    # this run's wire objects alive.
-    assert len(sizing._OBJ_SIZES) > 3
-    build_workload("synthetic")
-    assert {value for value, _ in sizing._OBJ_SIZES.values()} == {
-        None, True, False}
 
 
 def _body(ctx):

@@ -1,18 +1,26 @@
 """Runs sharing one interpreter must not see each other.
 
 Server workers and fuzz batches execute many scenarios per process, and
-a handful of process globals survive from one to the next: the trace
-gate, the ``Tid`` / ``ExecutionPoint`` intern tables and the wire-size
-cache.  They exist for speed only.  This test proves it the blunt way:
-the same scenario fingerprints byte-identically before and after ~50
-unrelated scenarios of every shape (sizes, workloads, backends, a crash,
-checking on and off, through the facade, the fuzzer and the server's
-task body), the gate is back down after each of them, no table outgrows
-its declared cap, and the experiment harness -- whose check-report collector only exists inside an
-``ExperimentDefaults.active()`` block -- has kept nothing.
+a few process globals survive from one to the next: the trace gate and
+the ``Tid`` / ``ExecutionPoint`` intern tables.  They exist for speed
+only.  This test proves it the blunt way: the same scenario fingerprints
+byte-identically before and after ~50 unrelated scenarios of every shape
+(sizes, workloads, backends, a crash, checking on and off, through the
+facade, the fuzzer and the server's task body), the gate is back down
+after each of them, no intern table outgrows its declared cap, the
+network layer's modules hold no run state (message ids and sizes belong
+to the network that sends them), and the experiment harness -- whose
+check-report collector only exists inside an
+``ExperimentDefaults.active()`` block -- has kept nothing.  Two
+identical traced runs also give identical trace text, message ids
+included.
 """
 
+import enum
+import itertools
+
 import repro.experiments.base as experiments_base
+import repro.net.message as message
 import repro.net.sizing as sizing
 import repro.types as types
 from repro.api import run_workload
@@ -51,6 +59,17 @@ def _module_containers(module) -> dict:
             and not name.startswith("__")}
 
 
+def _run_state(module) -> list:
+    """Module-level counters, and containers keyed by anything but
+    classes or enum members (the import-time type registries)."""
+    return [name for name, value in vars(module).items()
+            if not name.startswith("__") and (
+                isinstance(value, itertools.count)
+                or isinstance(value, (list, dict, set))
+                and not all(isinstance(key, (type, enum.Enum))
+                            for key in value))]
+
+
 def test_a_run_is_unchanged_by_the_runs_before_it():
     previous = set_fast_mode(True)
     harness_state = _module_containers(experiments_base)
@@ -76,7 +95,19 @@ def test_a_run_is_unchanged_by_the_runs_before_it():
         experiments_base.ExperimentDefaults(), None)
     assert len(types._TID_INTERN) <= types._INTERN_MAX
     assert len(types._EP_INTERN) <= types._INTERN_MAX
-    assert len(sizing._OBJ_SIZES) <= sizing._OBJ_SIZES_MAX
+    assert _run_state(sizing) == _run_state(message) == []
+
+
+def test_identical_traced_runs_give_identical_trace_text():
+    def trace_text():
+        system, result = run_workload("synthetic", processes=3, seed=7,
+                                      trace=True)
+        assert result.completed
+        return [str(record) for record in system.kernel.trace.records]
+
+    first = trace_text()
+    assert any(" #1 " in line for line in first)
+    assert trace_text() == first
 
 
 def test_intern_tables_clear_at_their_cap(monkeypatch):

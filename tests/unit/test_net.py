@@ -38,20 +38,49 @@ class TestMessage:
         assert layer_of(MessageKind.CKPT_GC) == LAYER_CHECKPOINT
 
     def test_byte_accounting_splits_piggyback(self):
+        _, network, _ = _net()
         pig = Piggyback(control={"x": 1}, dummies=["d"], ckp_sets=[])
         msg = Message(0, 1, MessageKind.ACQUIRE_REPLY, {"k": "v"}, pig)
-        assert msg.payload_bytes() >= HEADER_BYTES
-        assert msg.piggyback_bytes() > 0
-        assert msg.total_bytes() == msg.payload_bytes() + msg.piggyback_bytes()
+        network.send(msg)
+        assert msg.payload_bytes == HEADER_BYTES + payload_size({"k": "v"})
+        assert msg.piggyback_bytes == pig.size() > 0
+        assert msg.total_bytes() == msg.payload_bytes + msg.piggyback_bytes
+        assert network.stats.total_bytes == msg.total_bytes()
+        assert network.stats.piggyback_bytes == msg.piggyback_bytes
 
     def test_piggyback_empty(self):
         assert Piggyback().is_empty()
         assert not Piggyback(control={"a": 1}).is_empty()
 
     def test_ids_unique(self):
-        a = Message(0, 1, MessageKind.APP)
-        b = Message(0, 1, MessageKind.APP)
-        assert a.msg_id != b.msg_id
+        _, network, _ = _net()
+        sent = [Message(src, (src + 1) % 3, MessageKind.APP)
+                for src in (0, 1, 2, 0)]
+        for message in sent:
+            network.send(message)
+        assert [message.msg_id for message in sent] == [1, 2, 3, 4]
+        # Each network numbers its own messages: no count leaks across runs.
+        _, other, _ = _net()
+        first = Message(1, 0, MessageKind.APP)
+        other.send(first)
+        assert first.msg_id == 1
+
+
+class _Sink:
+    def __init__(self):
+        self.received = []
+
+    def deliver(self, message):
+        self.received.append(message)
+
+
+def _net():
+    kernel = Kernel(seed=1)
+    network = Network(kernel)
+    sinks = {pid: _Sink() for pid in range(3)}
+    for pid, sink in sinks.items():
+        network.register(pid, sink)
+    return kernel, network, sinks
 
 
 class TestLatencyModel:
@@ -73,50 +102,34 @@ class TestChannel:
     def test_fifo_preserved(self):
         model = LatencyModel(base=1.0, per_byte=0.1, jitter=0.0)
         channel = Channel(0, 1, model)
-        big = Message(0, 1, MessageKind.APP, {"data": "x" * 500})
-        small = Message(0, 1, MessageKind.APP, {})
+        big = Message(0, 1, MessageKind.APP, payload_bytes=532)
+        small = Message(0, 1, MessageKind.APP, payload_bytes=32)
         t_big = channel.delivery_time(0.0, big)
         t_small = channel.delivery_time(0.1, small)
         # The small message would naturally arrive earlier; FIFO forbids it.
         assert t_small >= t_big
 
 
-class _Sink:
-    def __init__(self):
-        self.received = []
-
-    def deliver(self, message):
-        self.received.append(message)
-
-
 class TestNetwork:
-    def _net(self):
-        kernel = Kernel(seed=1)
-        network = Network(kernel)
-        sinks = {pid: _Sink() for pid in range(3)}
-        for pid, sink in sinks.items():
-            network.register(pid, sink)
-        return kernel, network, sinks
-
     def test_delivery(self):
-        kernel, network, sinks = self._net()
+        kernel, network, sinks = _net()
         network.send(Message(0, 1, MessageKind.APP, {"n": 1}))
         kernel.run()
         assert len(sinks[1].received) == 1
         assert network.stats.total_messages == 1
 
     def test_self_send_rejected(self):
-        _, network, _ = self._net()
+        _, network, _ = _net()
         with pytest.raises(ConfigError):
             network.send(Message(0, 0, MessageKind.APP))
 
     def test_send_to_unknown_rejected(self):
-        _, network, _ = self._net()
+        _, network, _ = _net()
         with pytest.raises(SimulationError):
             network.send(Message(0, 9, MessageKind.APP))
 
     def test_crashed_destination_drops(self):
-        kernel, network, sinks = self._net()
+        kernel, network, sinks = _net()
         network.send(Message(0, 1, MessageKind.APP))
         network.mark_crashed(1)
         kernel.run()
@@ -124,21 +137,21 @@ class TestNetwork:
         assert network.stats.dropped_to_crashed == 1
 
     def test_crashed_source_cannot_send(self):
-        _, network, _ = self._net()
+        _, network, _ = _net()
         network.mark_crashed(0)
         with pytest.raises(SimulationError):
             network.send(Message(0, 1, MessageKind.APP))
 
     def test_in_flight_from_crashed_source_still_delivered(self):
         # Fail-stop: messages already on the wire are delivered.
-        kernel, network, sinks = self._net()
+        kernel, network, sinks = _net()
         network.send(Message(0, 1, MessageKind.APP))
         network.mark_crashed(0)
         kernel.run()
         assert len(sinks[1].received) == 1
 
     def test_recovery_reregistration(self):
-        kernel, network, sinks = self._net()
+        kernel, network, sinks = _net()
         network.mark_crashed(1)
         fresh = _Sink()
         network.mark_recovered(1, fresh)
@@ -151,7 +164,7 @@ class TestNetwork:
         assert len(sinks[0].received) == 1
 
     def test_broadcast_skips_self_and_crashed(self):
-        kernel, network, sinks = self._net()
+        kernel, network, sinks = _net()
         network.mark_crashed(2)
         sent = network.broadcast(0, lambda pid: Message(0, pid, MessageKind.APP))
         kernel.run()
@@ -160,7 +173,7 @@ class TestNetwork:
         assert sinks[2].received == []
 
     def test_per_channel_fifo_across_sizes(self):
-        kernel, network, sinks = self._net()
+        kernel, network, sinks = _net()
         network.send(Message(0, 1, MessageKind.APP, {"pad": "x" * 2000, "seq": 1}))
         network.send(Message(0, 1, MessageKind.APP, {"seq": 2}))
         kernel.run()
@@ -168,7 +181,7 @@ class TestNetwork:
         assert seqs == [1, 2]
 
     def test_stats_by_layer(self):
-        kernel, network, sinks = self._net()
+        kernel, network, sinks = _net()
         network.send(Message(0, 1, MessageKind.ACQUIRE_REQUEST, {}))
         network.send(Message(0, 1, MessageKind.CKPT_GC, {}))
         kernel.run()

@@ -81,6 +81,9 @@ MEASURES = {
     # One match per line: the anchored prefix swallows the rest of it.
     "cluster-protocol-probes": lambda: _matches(
         SRC / "cluster", r"(?m)^.*\b(?:getattr|hasattr)\("),
+    "process-global-tables": lambda: _matches(
+        SRC, r"(?m)^[A-Za-z_]\w*(?:\s*:[^=\n]+)?\s*=\s*"
+             r"(?:\{\}|\[\]|set\(\)|itertools\.count\()"),
     "cluster-scheme-names": lambda: _matches(
         SRC / "cluster",
         r"(?m)^.*(?:checkpoint\.(?:recovery|protocol)|RecoveryManager"
