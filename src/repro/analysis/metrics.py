@@ -61,11 +61,6 @@ class SystemMetrics:
     """Cluster-wide aggregate of :class:`ProcessMetrics` counters."""
 
     per_process: dict[int, ProcessMetrics] = field(default_factory=dict)
-    #: Stable-storage backend counters (reads / writes / verifies, CRC
-    #: failures, slot fallbacks, segment reuse) from
-    #: :class:`repro.storage.backend.StorageCounters` -- store-wide, not
-    #: per process, because the stable store is shared cluster hardware.
-    storage: dict = field(default_factory=dict)
 
     def total(self, attribute: str) -> int:
         return sum(getattr(metrics, attribute) for metrics in self.per_process.values())
@@ -95,11 +90,9 @@ class SystemMetrics:
         return self.total("survivor_rollbacks")
 
     def as_dict(self) -> dict:
-        """Per-key sums over the processes (plus the storage counters)."""
+        """Per-key sums over the processes."""
         out = dict.fromkeys(ProcessMetrics().as_dict(), 0)
         for metrics in self.per_process.values():
             for key, value in metrics.as_dict().items():
                 out[key] += value
-        if self.storage:
-            out["storage"] = dict(self.storage)
         return out

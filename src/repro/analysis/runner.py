@@ -4,8 +4,8 @@
 over the shared :class:`~repro.analysis.findings.ModuleTable` and call
 graph, applies the two suppression layers (inline ``# analyze:
 allow(<rule>)`` comments, then the checked-in baseline file), and
-returns an :class:`AnalysisReport` -- the object behind both
-``repro analyze`` and ``repro check --lint-only``.
+returns an :class:`AnalysisReport` -- the object behind ``repro
+analyze`` (which ``repro check`` runs first).
 """
 
 from __future__ import annotations

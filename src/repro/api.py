@@ -299,14 +299,25 @@ def serve(host: str = "127.0.0.1", port: int = 8723, *, jobs: int = 1,
     is the per-scenario deadline, ``max_pending`` bounds admission
     (beyond it requests answer 429), and ``cache_dir`` makes the cache
     durable on disk.  ``block=False`` serves from a background thread
-    and returns the live :class:`~repro.server.app.ScenarioServer`.
+    and returns the live :class:`~repro.server.app.ScenarioServer`
+    (close it yourself); ``block=True`` serves on the calling thread
+    until KeyboardInterrupt and returns the closed server.
     """
-    from repro.server.app import serve as _serve
+    from repro.server.app import ScenarioServer
 
-    return _serve(host, port, jobs=jobs, cache_dir=cache_dir,
-                  cache_entries=cache_entries,
-                  request_timeout=request_timeout, max_pending=max_pending,
-                  quiet=quiet, block=block)
+    server = ScenarioServer(
+        host, port, jobs=jobs, cache_dir=cache_dir,
+        cache_entries=cache_entries, request_timeout=request_timeout,
+        max_pending=max_pending, quiet=quiet)
+    if not block:
+        return server.start()
+    try:
+        server.serve_forever()
+    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
+        pass
+    finally:
+        server.close()
+    return server
 
 
 def __getattr__(name: str) -> Any:

@@ -47,8 +47,6 @@ class ClusterConfig:
     #: FileBackend (checkpoints survive the Python process, sections
     #: zlib-compressed); None keeps the volatile in-memory backend.
     store_dir: Optional[str] = None
-    #: fsync on-disk writes (disable only to speed up tests).
-    storage_fsync: bool = True
     #: Enable the structured trace log (tests use it; experiments mostly not).
     trace: bool = False
     trace_max_records: Optional[int] = 200_000

@@ -111,7 +111,8 @@ class DisomSystem:
         registered as ``"disom"``.
         ``storage_backend`` overrides the checkpoint store built from the
         config (``ClusterConfig.store_dir`` selects the durable
-        :class:`~repro.storage.backend.FileBackend`)."""
+        :class:`~repro.storage.backend.FileBackend`, which fsyncs); pass
+        one to choose compression or fsync."""
         self.config = config or ClusterConfig()
         self.checkpoint_policy = checkpoint or CheckpointPolicy()
         self.protocol_factory = protocol_factory or ALL_BASELINES["disom"]
@@ -126,7 +127,6 @@ class DisomSystem:
             storage_backend = make_backend(
                 self.config.store_dir,
                 incremental=self.checkpoint_policy.incremental,
-                fsync=self.config.storage_fsync,
             )
         self.storage_backend = storage_backend
         self.stable_store = StableStore(backend=storage_backend)
@@ -423,9 +423,7 @@ class DisomSystem:
 
     def _build_result(self, completed: bool) -> RunResult:
         metrics = SystemMetrics(
-            per_process={pid: p.metrics for pid, p in self.processes.items()},
-            storage=self.stable_store.storage_counters(),
-        )
+            per_process={pid: p.metrics for pid, p in self.processes.items()})
         thread_results: dict[Tid, Any] = {}
         for process in self.processes.values():
             for tid, thread in process.threads.items():

@@ -59,15 +59,6 @@ def current_defaults() -> ExperimentDefaults:
     return _ACTIVE.get()[0]
 
 
-def note_checked_run(result: RunResult) -> None:
-    """Fail on a failed inline check; otherwise hand the run's check
-    report (if it has one) to the enclosing block's collector."""
-    raise_on_failed_check(result)
-    reports = _ACTIVE.get()[1]
-    if reports is not None and result.check_report is not None:
-        reports.append(result.check_report)
-
-
 @dataclass
 class ExperimentResult:
     """One experiment's outcome: tables plus machine-readable findings."""
@@ -88,7 +79,7 @@ class ExperimentResult:
         return f"{head}\n{body}{verdict}"
 
 
-def run_workload(
+def build_system(
     workload: Workload,
     processes: int = 4,
     seed: int = 7,
@@ -97,19 +88,16 @@ def run_workload(
     check: Optional[bool] = None,
     store_dir: Optional[str] = None,
     **build_args: Any,
-) -> Tuple[DisomSystem, RunResult]:
-    """Build, run and return one cluster execution under the defaults
-    in force (:class:`ExperimentDefaults`).
+) -> DisomSystem:
+    """Build one cluster execution under the defaults in force
+    (:class:`ExperimentDefaults`) and return it un-run.
 
     Takes the keywords of :func:`repro.api.build_workload`.  ``check=None``
-    yields to the defaults' ``check``; when effective, the inline
-    verifier rides along, any race or invariant violation it finds
-    fails the experiment, and the report goes to the active collector.
-    ``seed`` yields to the defaults' seed override, and ``store_dir=None``
-    to their store directory.
+    yields to the defaults' ``check``, ``seed`` to their seed override,
+    and ``store_dir=None`` to their store directory.
     """
     defaults = current_defaults()
-    system = build_workload(
+    return build_workload(
         workload,
         processes=processes,
         seed=seed if defaults.seed is None else defaults.seed,
@@ -118,6 +106,22 @@ def run_workload(
         store_dir=defaults.store_dir if store_dir is None else store_dir,
         **build_args,
     )
+
+
+def run_system(system: DisomSystem) -> RunResult:
+    """Run a system from :func:`build_system`.  When the inline verifier
+    rode along, any race or invariant violation it found fails the
+    experiment, and its report goes to the active collector."""
     result = system.run()
-    note_checked_run(result)
-    return system, result
+    raise_on_failed_check(result)
+    reports = _ACTIVE.get()[1]
+    if reports is not None and result.check_report is not None:
+        reports.append(result.check_report)
+    return result
+
+
+def run_workload(workload: Workload, *args: Any,
+                 **kwargs: Any) -> Tuple[DisomSystem, RunResult]:
+    """:func:`build_system` (same arguments), then :func:`run_system`."""
+    system = build_system(workload, *args, **kwargs)
+    return system, run_system(system)

@@ -16,16 +16,10 @@ objects.
 from __future__ import annotations
 
 from repro.analysis.report import Table
-from repro.checkpoint.policy import CheckpointPolicy
-from repro.cluster.config import ClusterConfig
-from repro.cluster.system import DisomSystem
-from repro.experiments.base import (
-    ExperimentResult,
-    current_defaults,
-    note_checked_run,
-)
+from repro.experiments.base import ExperimentResult, run_workload
 from repro.threads.program import Program
 from repro.threads.syscalls import AcquireWrite, Compute, Release
+from repro.workloads.base import Workload, WorkloadResult
 
 
 def _worker(obj_id: str, rounds: int) -> Program:
@@ -42,34 +36,39 @@ def _worker(obj_id: str, rounds: int) -> Program:
     return Program("worker", body, {"obj_id": obj_id, "rounds": rounds})
 
 
+class _Interference(Workload):
+    """P1 (the victim) owns and hammers "hot"; P2 contends for "hot";
+    P3 works on the disjoint "cold"; P0 idles on "cold" home duty.
+    Each worker stamps the simulated time of each of its releases."""
+
+    name = "interference"
+
+    def setup(self, system):
+        system.add_object("hot", initial=0, home=1)
+        system.add_object("cold", initial=0, home=3)
+        kernel = system.kernel
+        rounds = self.param("rounds")
+        for pid, obj_id in ((1, "hot"), (2, "hot"), (3, "cold")):
+            system.spawn(pid, _worker(obj_id, rounds).with_params(
+                clock=lambda: kernel.now))
+
+    def verify(self, result):
+        rounds = self.param("rounds")
+        if result.final_objects != {"hot": 2 * rounds, "cold": rounds}:
+            return WorkloadResult.failure(f"counters {result.final_objects}")
+        return WorkloadResult(ok=True)
+
+
 def _progress_in_window(stamps: list[float], start: float, end: float) -> int:
     return sum(1 for s in stamps if start <= s <= end)
 
 
 def run_interference(quick: bool = True) -> ExperimentResult:
     rounds = 30 if quick else 80
-    # A custom cluster (hand-placed objects and threads), so only the
-    # ``check`` default applies; the report goes to the collector below.
-    system = DisomSystem(
-        ClusterConfig(processes=4, seed=5, check=current_defaults().check),
-        CheckpointPolicy(interval=30.0),
-    )
-    # P1 (the victim) owns and hammers "hot"; P2 contends for "hot";
-    # P3 works on the disjoint "cold"; P0 idles on "cold" home duty.
-    system.add_object("hot", initial=0, home=1)
-    system.add_object("cold", initial=0, home=3)
-    kernel = system.kernel
-    params = {"clock": lambda: kernel.now}
-    victim = _worker("hot", rounds).with_params(**params)
-    contender = _worker("hot", rounds).with_params(**params)
-    bystander = _worker("cold", rounds).with_params(**params)
-    system.spawn(1, victim)
-    system.spawn(2, contender)
-    system.spawn(3, bystander)
-    system.inject_crash(1, at_time=40.0)
-    result = system.run()
-    note_checked_run(result)
-    assert result.completed and not result.aborted
+    workload = _Interference(rounds=rounds)
+    _, result = run_workload(workload, processes=4, seed=5, interval=30.0,
+                             crashes=[(1, 40.0)])
+    assert result.completed and workload.verify(result).ok
 
     record = result.recoveries[0]
     window = (record.detected_at, record.finished_at)

@@ -12,39 +12,31 @@ and two-slot fallback, the previous checkpoint.
 
 from __future__ import annotations
 
+import os
 import tempfile
 
 from repro.analysis.report import Table
-from repro.checkpoint.policy import CheckpointPolicy
-from repro.cluster.config import ClusterConfig
-from repro.cluster.system import DisomSystem
 from repro.experiments.base import (
     ExperimentResult,
+    build_system,
     current_defaults,
-    note_checked_run,
+    run_system,
 )
 from repro.storage.faults import FAULTS_BY_NAME
 from repro.workloads import SyntheticWorkload
 
 
 def _run_with_fault(fault_name: str, store_dir: str, quick: bool):
-    workload = SyntheticWorkload(rounds=10 if quick else 25, seed=11)
-    system = DisomSystem(
-        ClusterConfig(processes=3, seed=11, spare_nodes=2,
-                      store_dir=store_dir, storage_fsync=False,
-                      check=current_defaults().check),
-        CheckpointPolicy(interval=12.0),
-    )
-    workload.setup(system)
+    # Crash P1 after the faulted write would have committed: recovery must
+    # read back whatever the store preserved.
+    system = build_system(
+        SyntheticWorkload(rounds=10 if quick else 25, seed=11), processes=3,
+        seed=11, interval=12.0, store_dir=store_dir,
+        crashes=[(1, 25.0)])
     # Hit P1's first periodic checkpoint (seq 2; seq 1 is the initial
     # image, which must stay intact for recovery to have a floor).
     system.inject_storage_fault(fault_name, pid=1, seq=2)
-    # Crash P1 after the faulted write would have committed: recovery must
-    # read back whatever the store preserved.
-    system.inject_crash(1, at_time=25.0)
-    result = system.run()
-    note_checked_run(result)
-    return system, result
+    return system, run_system(system)
 
 
 def run_storage_faults(quick: bool = True) -> ExperimentResult:
@@ -55,8 +47,13 @@ def run_storage_faults(quick: bool = True) -> ExperimentResult:
     )
     always_recovered = True
     findings: dict[str, dict] = {}
+    # Each fault gets a fresh store, under --store-dir when one is given.
+    parent = current_defaults().store_dir
+    if parent is not None:
+        os.makedirs(parent, exist_ok=True)
     for fault_name in sorted(FAULTS_BY_NAME):
-        with tempfile.TemporaryDirectory(prefix="repro-e13-") as store_dir:
+        with tempfile.TemporaryDirectory(prefix="repro-e13-",
+                                         dir=parent) as store_dir:
             system, result = _run_with_fault(fault_name, store_dir, quick)
             storage = result.storage
             intact = sum(

@@ -12,8 +12,7 @@ a service (DESIGN.md section 2.10):
   disk-backed :class:`~repro.server.cache.ResultCache`;
 * :mod:`repro.server.app` -- :class:`~repro.server.app.ScenarioServer`
   (stdlib ``ThreadingHTTPServer`` + shared warm
-  :class:`~repro.parallel.service.PoolService` + the cache) and
-  :func:`~repro.server.app.serve`;
+  :class:`~repro.parallel.service.PoolService` + the cache);
 * :mod:`repro.server.handlers` -- the HTTP routing layer;
 * :mod:`repro.server.metrics` -- request/cache/pool/latency counters
   behind ``/metrics``;
@@ -24,7 +23,7 @@ Entry points: ``repro serve`` on the command line,
 :func:`repro.api.serve` / :class:`repro.ScenarioClient` from code.
 """
 
-from repro.server.app import ScenarioServer, default_code_version, serve
+from repro.server.app import ScenarioServer, default_code_version
 from repro.server.cache import CacheCounters, ResultCache
 from repro.server.client import ScenarioClient, ScenarioReply
 from repro.server.metrics import ServerMetrics
@@ -50,6 +49,5 @@ __all__ = [
     "default_code_version",
     "encode_response",
     "run_scenario",
-    "serve",
     "validate_scenario",
 ]

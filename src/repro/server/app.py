@@ -25,6 +25,7 @@ worker crash                respawn; that request answers 500
 request past its deadline   worker cancelled + respawned; 504
 admission queue full        429 with Retry-After (shed load early)
 invalid scenario            400 naming the field and the valid choices
+rejected at build time      400 as well, and not cached
 ==========================  =========================================
 """
 
@@ -304,6 +305,10 @@ class ScenarioServer:
                 return 504, error_body(
                     f"scenario exceeded the server deadline: "
                     f"{outcome.message}"), "timeout"
+            if isinstance(outcome.exception, ConfigError):
+                # Well-formed, but the builder rejects it (a workload's
+                # minimum cluster size): the client's error, not cached.
+                return 400, error_body(outcome.message), "invalid"
             return 500, error_body(
                 f"scenario execution failed: {outcome.error_type}: "
                 f"{outcome.message}", kind=outcome.kind), "failed"
@@ -314,29 +319,4 @@ class ScenarioServer:
         return 200, body, "miss"
 
 
-def serve(host: str = "127.0.0.1", port: int = 8723, *, jobs: int = 1,
-          cache_dir: Optional[str] = None, cache_entries: int = 1024,
-          request_timeout: Optional[float] = 300.0, max_pending: int = 16,
-          quiet: bool = True, block: bool = True) -> ScenarioServer:
-    """Build (and by default run) a :class:`ScenarioServer`.
-
-    ``block=True`` serves on the calling thread until KeyboardInterrupt
-    and returns the (closed) server; ``block=False`` starts a
-    background thread and returns the live server (close it yourself).
-    """
-    server = ScenarioServer(
-        host, port, jobs=jobs, cache_dir=cache_dir,
-        cache_entries=cache_entries, request_timeout=request_timeout,
-        max_pending=max_pending, quiet=quiet)
-    if not block:
-        return server.start()
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
-        pass
-    finally:
-        server.close()
-    return server
-
-
-__all__ = ["ScenarioServer", "default_code_version", "serve"]
+__all__ = ["ScenarioServer", "default_code_version"]

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.cluster.system import DisomSystem, RunResult
+from repro.errors import ConfigError
 from repro.threads.program import Program
 from repro.threads.syscalls import AcquireWrite, Compute, Release
 from repro.workloads.base import Workload, WorkloadResult
@@ -77,7 +78,7 @@ class PipelineWorkload(Workload):
     def setup(self, system: DisomSystem) -> None:
         nproc = system.config.processes
         if nproc < 3:
-            raise ValueError("pipeline needs at least 3 processes")
+            raise ConfigError("pipeline needs at least 3 processes")
         system.add_object("pipe.q1", initial=[], home=0)
         system.add_object("pipe.q2", initial=[], home=1 % nproc)
         system.add_object("pipe.sum", initial=0, home=nproc - 1)

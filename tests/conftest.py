@@ -25,6 +25,7 @@ def make_system(
     highwater: Optional[int] = None,
     trace: bool = False,
     protocol_factory=None,
+    storage_backend=None,
     **config_kwargs,
 ) -> DisomSystem:
     """One-stop system builder used across integration tests."""
@@ -32,6 +33,7 @@ def make_system(
         ClusterConfig(processes=processes, seed=seed, trace=trace, **config_kwargs),
         CheckpointPolicy(interval=interval, log_highwater=highwater),
         protocol_factory=protocol_factory,
+        storage_backend=storage_backend,
     )
 
 

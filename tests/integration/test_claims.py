@@ -12,6 +12,7 @@ fold into its verdict: the figure 1 cut census and E8's strictly
 growing replay count.
 """
 
+import os
 import re
 from pathlib import Path
 
@@ -109,6 +110,36 @@ def _verdict_summary() -> dict:
     summary = text.split("## Verdict summary", 1)[1]
     return {match[1]: match[2] for match in
             re.finditer(r"^\| (E\d+) \|[^|]*\| ([✔✘])", summary, re.M)}
+
+
+def test_e12_and_e13_take_the_experiment_defaults(monkeypatch, tmp_path):
+    # Both build through experiments.base, so --seed, --store-dir and
+    # --check reach them as they reach every other experiment.
+    from repro.experiments import base
+    from repro.experiments.interference import run_interference
+    from repro.experiments.storage_faults import run_storage_faults
+
+    built = []
+    build = base.build_workload
+
+    def spy(workload, **kwargs):
+        built.append((kwargs["seed"], kwargs["store_dir"]))
+        return build(workload, **kwargs)
+
+    monkeypatch.setattr(base, "build_workload", spy)
+    store = str(tmp_path / "stores")
+    defaults = base.ExperimentDefaults(check=True, seed=3, store_dir=store)
+    with defaults.active() as reports:
+        assert run_interference().claim_holds
+        assert run_storage_faults().claim_holds
+    assert [seed for seed, _ in built] == [3] * 5
+    assert built[0][1] == store  # E12 uses the store itself
+    # E13 gives each of its four faults a fresh store under it.
+    fault_stores = [path for _, path in built[1:]]
+    assert len(set(fault_stores)) == 4
+    assert all(path.startswith(os.path.join(store, "repro-e13-"))
+               for path in fault_stores)
+    assert len(reports) == 5
 
 
 def test_verdict_summary_matches_every_experiment():

@@ -20,7 +20,7 @@ EXPECTED = PROCESSES * ROUNDS
 def durable_counter_system(store_dir: str):
     return counter_system(
         processes=PROCESSES, rounds=ROUNDS, seed=7, interval=20.0,
-        store_dir=store_dir, storage_fsync=False,
+        storage_backend=FileBackend(store_dir, fsync=False),
     )
 
 
@@ -121,9 +121,9 @@ class TestDurableCrashRecovery:
     def test_in_run_crash_recovery_reads_from_disk(self, tmp_path):
         # The ordinary (hot) recovery path also works against the durable
         # backend: crash one process mid-run, recover from the file store.
-        system = make_system(processes=3, interval=10.0,
-                             store_dir=str(tmp_path / "store"),
-                             storage_fsync=False)
+        system = make_system(
+            processes=3, interval=10.0,
+            storage_backend=FileBackend(str(tmp_path / "store"), fsync=False))
         system.add_object("counter", initial=0, home=0)
         for pid in range(3):
             system.spawn(pid, incrementer(rounds=ROUNDS))

@@ -152,6 +152,19 @@ def test_invalid_scenario_answers_400_naming_choices(client):
     assert client.metrics()["scenario"]["validation_errors"] >= 1
 
 
+def test_scenario_the_builder_rejects_answers_400_uncached(client):
+    # Valid in form; the workload refuses a two-process cluster at build
+    # time, in the worker.  A client error, so 400, and nothing cached.
+    before = client.metrics()["scenario"]
+    for _ in range(2):
+        reply = client.scenario({"workload": "pipeline", "processes": 2})
+        assert reply.status == 400
+        assert "pipeline needs at least 3 processes" in reply.json["error"]
+    after = client.metrics()["scenario"]
+    assert after["cache_hits"] == before["cache_hits"]
+    assert after["validation_errors"] == before["validation_errors"] + 2
+
+
 def test_non_object_body_answers_400(server):
     import urllib.error
     import urllib.request

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigError
 from tests.conftest import make_system
 from repro.workloads import (
     ALL_WORKLOADS,
@@ -129,7 +130,7 @@ class TestPipeline:
     def test_needs_three_processes(self):
         workload = PipelineWorkload()
         system = make_system(processes=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="at least 3 processes"):
             workload.setup(system)
 
     def test_sum_correct_with_multiple_stages(self):

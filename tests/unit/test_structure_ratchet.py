@@ -56,6 +56,7 @@ def _lines(*roots: Path) -> int:
 
 MEASURES = {
     "src-lines": lambda: _lines(SRC),
+    "cli-lines": lambda: len((SRC / "cli.py").read_text().splitlines()),
     "benchmark-lines": lambda: _lines(REPO / "benchmarks", SRC / "perf"),
     "strict-xfail-sites": lambda: _matches(
         REPO / "tests", r"mark\.xfail\(", skip=Path(__file__).name),
