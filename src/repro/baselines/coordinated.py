@@ -35,7 +35,7 @@ from typing import Any, Optional
 
 from repro.baselines.base import FaultToleranceProtocol
 from repro.checkpoint.stable import Checkpoint
-from repro.net.message import Message, MessageKind
+from repro.net.message import CoordRound, Message, MessageKind
 from repro.types import ProcessId
 
 _COORD_KINDS = {
@@ -107,7 +107,7 @@ class CoordinatedProtocol(FaultToleranceProtocol):
         for peer in self.process.peer_pids():
             if peer != self.pid:
                 self.process.send_raw(
-                    MessageKind.COORD_CKPT_REQUEST, peer, {"epoch": self.epoch + 1}
+                    MessageKind.COORD_CKPT_REQUEST, peer, CoordRound(self.epoch + 1)
                 )
         self._begin_pause()
 
@@ -126,7 +126,7 @@ class CoordinatedProtocol(FaultToleranceProtocol):
         elif kind is MessageKind.COORD_CKPT_COMMIT:
             self._commit()
             self.process.send_raw(
-                MessageKind.COORD_CKPT_ACK, message.src, {"epoch": self.epoch}
+                MessageKind.COORD_CKPT_ACK, message.src, CoordRound(self.epoch)
             )
         elif kind is MessageKind.COORD_CKPT_ACK:
             self._acked.add(message.src)
@@ -150,7 +150,7 @@ class CoordinatedProtocol(FaultToleranceProtocol):
                 self._maybe_commit()
             else:
                 self.process.send_raw(
-                    MessageKind.COORD_CKPT_READY, 0, {"epoch": self.epoch + 1}
+                    MessageKind.COORD_CKPT_READY, 0, CoordRound(self.epoch + 1)
                 )
             return
         self.process.kernel.schedule(
@@ -188,7 +188,7 @@ class CoordinatedProtocol(FaultToleranceProtocol):
         for peer in sorted(expected):
             if peer != self.pid:
                 self.process.send_raw(
-                    MessageKind.COORD_CKPT_COMMIT, peer, {"epoch": self.epoch + 1}
+                    MessageKind.COORD_CKPT_COMMIT, peer, CoordRound(self.epoch + 1)
                 )
         self._commit()
         self._acked.add(self.pid)

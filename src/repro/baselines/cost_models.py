@@ -18,7 +18,7 @@ from typing import Any, Optional
 from repro.baselines.base import FaultToleranceProtocol
 from repro.memory.coherence import PendingRequest
 from repro.memory.objects import SharedObject
-from repro.net.message import Message
+from repro.net.message import GrantControl, Message
 from repro.net.sizing import blob_size, payload_size
 from repro.threads.thread import Thread
 from repro.types import AcquireType, ExecutionPoint, ProcessId
@@ -87,7 +87,7 @@ class RichardSinghalProtocol(FaultToleranceProtocol):
     # -- hooks ---------------------------------------------------------
     def on_reply_received(self, thread: Thread, obj: SharedObject,
                           acq_type: AcquireType, ep_acq: ExecutionPoint,
-                          p_prd: ProcessId, control: dict) -> None:
+                          p_prd: ProcessId, control: GrantControl) -> None:
         # "logged all the pages acquired in the volatile memory of the
         # acquirer"
         size = _page_bytes(obj.data, self.page_size)

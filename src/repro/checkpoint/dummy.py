@@ -14,13 +14,19 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from repro.checkpoint.gc import covered
-from repro.net.sizing import register_sized_type
+from repro.net.sizing import (
+    ENUM_BYTES,
+    EP_BYTES,
+    NUMBER_BYTES,
+    STATE_BYTES,
+    StoredSize,
+    str_bytes,
+)
 from repro.types import AcquireType, ExecutionPoint, ObjectId, ProcessId
 
 
-@register_sized_type
 @dataclass(frozen=True, slots=True)
-class DummyEntry:
+class DummyEntry(StoredSize):
     """Figure 5: ``objId, epAcq, localDep, Plog``.
 
     ``local_dep`` is the execution point of the local event (previous local
@@ -31,6 +37,9 @@ class DummyEntry:
     ``type`` is implementation metadata (not in the paper's figure): the
     acquire mode, kept only so replay can assert the re-executed program
     issues the same kind of acquire.
+
+    Its size-model bytes (``wire_bytes``) are computed at construction,
+    and again by :meth:`stored_at`, which fills ``p_log``.
     """
 
     obj_id: ObjectId
@@ -38,6 +47,14 @@ class DummyEntry:
     local_dep: Optional[ExecutionPoint]
     p_log: Optional[ProcessId] = None
     type: AcquireType = AcquireType.READ
+
+    def __post_init__(self) -> None:
+        size = _DUMMY_BYTES + str_bytes(self.obj_id)
+        if self.local_dep is not None:
+            size += EP_BYTES
+        if self.p_log is not None:
+            size += NUMBER_BYTES
+        object.__setattr__(self, "wire_bytes", size)
 
     # Fast pickle path; see repro.types.Tid.__getstate__ for the contract.
     def __getstate__(self) -> list:
@@ -48,6 +65,7 @@ class DummyEntry:
             ("obj_id", "ep_acq", "local_dep", "p_log", "type"), state
         ):
             object.__setattr__(self, name, value)
+        self.__post_init__()
 
     def stored_at(self, pid: ProcessId) -> "DummyEntry":
         """Copy with ``Plog`` set; made by the receiver when it stores the entry."""
@@ -64,6 +82,11 @@ class DummyEntry:
     def __str__(self) -> str:
         dep = str(self.local_dep) if self.local_dep is not None else "-"
         return f"dummy({self.obj_id} acq={self.ep_acq} dep={dep} Plog={self.p_log})"
+
+
+#: A dummy entry's bytes but for its object id and optional fields: the
+#: acquire's execution point and the type tag.
+_DUMMY_BYTES = STATE_BYTES + EP_BYTES + ENUM_BYTES
 
 
 class DummyLog:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import ConfigError, ProtocolError
-from repro.net.sizing import register_sized_type, state_bytes
+from repro.net.sizing import state_bytes
 from repro.types import ExecutionPoint, ProcessId, Tid
 
 
@@ -89,13 +89,14 @@ class CkpSet:
             object.__setattr__(self, "_lts", cached)
         return cached
 
-    def wire_size(self) -> int:
+    @property
+    def wire_bytes(self) -> int:
         """Size-model bytes, memoized like ``lts_by_tid``: the newest
         CkpSet is piggybacked to every peer."""
-        cached = self.__dict__.get("_wire_size")
+        cached = self.__dict__.get("_wire_bytes")
         if cached is None:
             cached = state_bytes(self)
-            object.__setattr__(self, "_wire_size", cached)
+            object.__setattr__(self, "_wire_bytes", cached)
         return cached
 
     # Fast pickle path (see repro.types.Tid.__getstate__): also keeps the
@@ -111,9 +112,6 @@ class CkpSet:
     def __str__(self) -> str:
         pts = ",".join(str(p) for p in self.points)
         return f"CkpSet(P{self.pid}#{self.seq}:{pts})"
-
-
-register_sized_type(CkpSet, CkpSet.wire_size)
 
 
 @dataclass

@@ -41,8 +41,8 @@ from repro.baselines.base import FaultToleranceProtocol
 from repro.errors import ConfigError, ProtocolError, RecoveryError
 from repro.memory.coherence import PendingRequest
 from repro.memory.objects import SharedObject, SharedObjectSpec
-from repro.net.message import Message, MessageKind
-from repro.net.sizing import payload_size
+from repro.net.message import GrantControl, Message, MessageKind, NO_PAYLOAD
+from repro.net.sizing import EMPTY_LIST_BYTES, ITEM_BYTES, payload_size
 from repro.sim.tracing import TRACE_GATE
 from repro.threads.thread import Thread, snapshot
 from repro.types import (
@@ -191,7 +191,8 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
         if self.policy.control_transport == "eager":
             self._ship_dummies_eagerly()
 
-    def on_remote_grant(self, obj: SharedObject, req: PendingRequest) -> dict[str, Any]:
+    def on_remote_grant(self, obj: SharedObject,
+                        req: PendingRequest) -> ExecutionPoint:
         # Paper 4.2 step 2: record the access in the last version's
         # threadSet; for writes also pre-record the next owner.
         entry = self.log.last_entry(obj.obj_id)
@@ -211,7 +212,7 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
             entry.next_owner = req.p_acq
             entry.next_owner_ep = req.ep_acq
             entry.copy_set_at_grant = frozenset(obj.copy_set - {req.p_acq})
-        return {"ep_prd": ep_prd}
+        return ep_prd
 
     def _producer_ep(self, entry: LogEntry) -> ExecutionPoint:
         """Current execution point of the producer thread (paper 4.2)."""
@@ -240,11 +241,11 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
         acq_type: AcquireType,
         ep_acq: ExecutionPoint,
         p_prd: ProcessId,
-        control: dict[str, Any],
+        control: GrantControl,
     ) -> None:
         # Paper 4.2 step 3: record the dependency <objId,type,ep_acq,ep_prd,P>.
         thread.dep_set.append(
-            Dependency(obj.obj_id, acq_type, ep_acq, control["ep_prd"], p_prd)
+            Dependency(obj.obj_id, acq_type, ep_acq, control.ep_prd, p_prd)
         )
 
     def on_ownership_installed(self, obj: SharedObject,
@@ -327,7 +328,7 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
         dummies, self.pending_dummies = self.pending_dummies, []
         self._note_dummies_shipped(dummies, dst)
         self.process.send_raw(
-            MessageKind.DUMMY_SHIP, dst, {}, dummies=dummies
+            MessageKind.DUMMY_SHIP, dst, NO_PAYLOAD, dummies=dummies
         )
 
     def _some_peer(self) -> Optional[ProcessId]:
@@ -472,7 +473,8 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
         if self.policy.control_transport == "eager":
             for peer in self.process.peer_pids():
                 if peer != self.pid:
-                    self.process.send_raw(MessageKind.CKPT_GC, peer, {}, ckp_sets=[ckp_set])
+                    self.process.send_raw(MessageKind.CKPT_GC, peer, NO_PAYLOAD,
+                                          ckp_sets=[ckp_set])
         else:
             for peer in self.process.peer_pids():
                 if peer != self.pid:
@@ -491,7 +493,8 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
             oid: (snap["version"], snap["status"], snap["ep_dep"])
             for oid, snap in checkpoint.objects.items()
         }
-        records_fp = {tid: len(state["records"])
+        # Per thread: how many replay records, and their running total.
+        records_fp = {tid: (len(state["records"]), checkpoint.record_bytes[tid])
                       for tid, state in checkpoint.threads.items()}
         log_fp = {(e.obj_id, e.version) for e in checkpoint.log_entries}
         dummy_fp = {(d.obj_id, d.ep_acq) for d in checkpoint.dummy_entries}
@@ -510,9 +513,12 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
         for oid, fp in objects_fp.items():
             if previous["objects"].get(oid) != fp:
                 delta += payload_size(checkpoint.objects[oid])
-        for tid, state in checkpoint.threads.items():
-            new_records = state["records"][previous["records"].get(tid, 0):]
-            delta += payload_size(new_records) + 32
+        for tid, (count, total) in records_fp.items():
+            # The records appended since, sized from the running totals:
+            # an empty list, ITEM_BYTES per record, the total's growth.
+            old_count, old_total = previous["records"].get(tid, (0, 0))
+            delta += (EMPTY_LIST_BYTES + ITEM_BYTES * (count - old_count)
+                      + total - old_total + 32)
         for entry in checkpoint.log_entries:
             if (entry.obj_id, entry.version) not in previous["log"]:
                 delta += entry.size_bytes()
@@ -561,9 +567,9 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
                 # restore/replay is finished (it operates on the live log).
                 manager.defer_done(message)
             else:
-                self.apply_recovery_done(message.src, message.payload["resume_lts"])
+                self.apply_recovery_done(message.src, message.payload.resume_lts)
         elif kind is MessageKind.ABORT:
-            self.process.system.abort(message.payload.get("reason", "aborted"),
+            self.process.system.abort(message.payload.reason,
                                       from_pid=message.src)
         else:
             pass  # DUMMY_SHIP, CKPT_GC: the piggyback was already consumed

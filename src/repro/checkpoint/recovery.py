@@ -28,7 +28,14 @@ from repro.checkpoint.policy import CkpSet
 from repro.checkpoint.replay import LogReplayer, ReplayItem, ReplayPlan
 from repro.checkpoint.stable import Checkpoint
 from repro.errors import ProtocolError, RecoveryError
-from repro.net.message import Message, MessageKind
+from repro.net.message import (
+    Abort,
+    Message,
+    MessageKind,
+    RecoveryDone,
+    RecoveryReply,
+    RecoveryRequest,
+)
 from repro.types import (
     Dependency,
     ExecutionPoint,
@@ -158,10 +165,10 @@ def answer_recovery_request(process: Any, message: Message, view: tuple) -> None
         log_entries=log_entries,
         dummy_entries=dummy_entries,
         dep_sets=dep_sets,
-        failed_pid=message.payload["failed_pid"],
-        ckp_set=message.payload["ckp_set"],
+        failed_pid=message.payload.failed_pid,
+        ckp_set=message.payload.ckp_set,
     )
-    process.send_raw(MessageKind.RECOVERY_REPLY, message.src, {"data": data})
+    process.send_raw(MessageKind.RECOVERY_REPLY, message.src, RecoveryReply(data))
 
 
 def restore_process_state(process: Any, checkpoint: Checkpoint) -> None:
@@ -312,7 +319,7 @@ class RecoveryManager:
         self.process.send_raw(
             MessageKind.RECOVERY_REQUEST,
             peer,
-            {"ckp_set": self.ckp_set, "failed_pid": self.process.pid},
+            RecoveryRequest(self.ckp_set, self.process.pid),
         )
 
     # ------------------------------------------------------------------
@@ -328,7 +335,7 @@ class RecoveryManager:
     # phase 2: collect replies, run detection, build the replay plan
     # ------------------------------------------------------------------
     def on_reply(self, message: Message) -> None:
-        data: RecoveryReplyData = message.payload["data"]
+        data: RecoveryReplyData = message.payload.data
         self._replies[data.from_pid] = data
         self._maybe_build()
 
@@ -409,7 +416,7 @@ class RecoveryManager:
                 for peer in process.peer_pids():
                     if peer != process.pid:
                         process.send_raw(MessageKind.ABORT, peer,
-                                         {"reason": abort_reason})
+                                         Abort(abort_reason))
             self._set_phase("aborted")
             return
 
@@ -452,11 +459,11 @@ class RecoveryManager:
         for peer in process.peer_pids():
             if peer != process.pid:
                 process.send_raw(
-                    MessageKind.RECOVERY_DONE, peer, {"resume_lts": resume_lts}
+                    MessageKind.RECOVERY_DONE, peer, RecoveryDone(resume_lts)
                 )
         for message in self._deferred_dones:
             process.checkpoint_protocol.apply_recovery_done(
-                message.src, message.payload["resume_lts"]
+                message.src, message.payload.resume_lts
             )
         self._deferred_dones = []
         process.engine.exit_recovery_mode()

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.errors import CheckpointCorruptError, RecoveryError
-from repro.net.sizing import ITEM_BYTES, blob_size, payload_size
+from repro.net.sizing import EMPTY_LIST_BYTES, ITEM_BYTES, blob_size, payload_size
 from repro.types import ProcessId
 
 
@@ -80,8 +80,12 @@ class Checkpoint:
         (:func:`payload_size`), except that with ``record_bytes`` a
         thread's replay records, which grow with the run, are not walked:
         the list costs an empty list + ``ITEM_BYTES`` per record + the
-        running total, byte-identical to the walk.  The log section sums
-        each entry's own ``size_bytes`` (entries mutate their threadSet).
+        running total, byte-identical to the walk; nor are a thread's
+        dependencies and the dummy entries: each list costs an empty list
+        + ``ITEM_BYTES`` per element + the sizes the elements stored when
+        they were built.  An image built by hand (no ``record_bytes``) is
+        walked.  The log section sums each entry's own ``size_bytes``
+        (entries mutate their threadSet).
         The object section is one C-speed serialization (:func:`blob_size`)
         of the whole section: pickle memoises across objects, so per-object
         sizes of the shared, unchanged snapshots would not add up to it.
@@ -92,22 +96,34 @@ class Checkpoint:
             log_bytes += size_of() if size_of is not None else payload_size(entry)
         if self.record_bytes is None:
             thread_bytes = payload_size(self.threads)
+            dummy_bytes = payload_size(self.dummy_entries)
         else:
             thread_bytes = payload_size(
-                {tid: {**state, "records": []} for tid, state in self.threads.items()}
-            ) + sum(ITEM_BYTES * len(state["records"]) + self.record_bytes[tid]
-                    for tid, state in self.threads.items())
+                {tid: {**state, "records": [], "dep_set": []}
+                 for tid, state in self.threads.items()})
+            for tid, state in self.threads.items():
+                thread_bytes += (_stored_list_bytes(state["dep_set"])
+                                 + ITEM_BYTES * len(state["records"])
+                                 + self.record_bytes[tid])
+            dummy_bytes = (EMPTY_LIST_BYTES
+                           + _stored_list_bytes(self.dummy_entries))
         self.full_size = (
-            thread_bytes
-            + blob_size(self.objects)
-            + log_bytes
-            + payload_size(self.dummy_entries)
+            thread_bytes + blob_size(self.objects) + log_bytes + dummy_bytes
         )
         if delta_bytes is None:
             self.size = self.full_size
         else:
             self.size = min(delta_bytes, self.full_size)
         return self.size
+
+
+def _stored_list_bytes(values: list[Any]) -> int:
+    """Size of a list of values that store their size, less the empty
+    list: ``ITEM_BYTES`` and the stored ``wire_bytes`` per element."""
+    size = ITEM_BYTES * len(values)
+    for value in values:
+        size += value.wire_bytes
+    return size
 
 
 class StableStore:

@@ -20,7 +20,13 @@ from repro.checkpoint.stable import StableStore
 from repro.errors import ProtocolError
 from repro.memory.model import resolve_consistency
 from repro.memory.objects import ObjectDirectory, SharedObjectSpec
-from repro.net.message import Message, MessageKind, Piggyback
+from repro.net.message import (
+    GrantControl,
+    Message,
+    MessageKind,
+    Piggyback,
+    RequestControl,
+)
 from repro.net.network import Network
 from repro.observers import Observers
 from repro.sim.kernel import Kernel
@@ -160,13 +166,13 @@ class DisomProcess:
         self,
         kind: MessageKind,
         dst: ProcessId,
-        payload: dict,
-        control: Optional[dict],
+        payload: Any,
+        control: Optional[RequestControl | GrantControl],
     ) -> None:
         """Send a coherence message, attaching pending checkpoint piggyback."""
         dummies, ckp_sets = self.checkpoint_protocol.collect_piggyback(dst)
-        piggyback = Piggyback(control=control or {}, dummies=dummies, ckp_sets=ckp_sets)
-        message = Message(self.pid, dst, kind, payload, piggyback)
+        message = Message(self.pid, dst, kind, payload,
+                          Piggyback(control, dummies, ckp_sets))
         self.network.send(message)
         self.checkpoint_protocol.on_message_sent(message)
 
@@ -174,19 +180,15 @@ class DisomProcess:
         self,
         kind: MessageKind,
         dst: ProcessId,
-        payload: dict,
-        control: Optional[dict] = None,
+        payload: Any,
         dummies: Optional[list] = None,
         ckp_sets: Optional[list] = None,
     ) -> None:
-        """Send a non-coherence message (recovery layer, eager transports)."""
+        """Send a non-coherence message (recovery layer, eager transports);
+        it carries a piggyback only when given dummies or CkpSets."""
         piggyback = None
-        if control or dummies or ckp_sets:
-            piggyback = Piggyback(
-                control=control or {},
-                dummies=dummies or [],
-                ckp_sets=ckp_sets or [],
-            )
+        if dummies or ckp_sets:
+            piggyback = Piggyback(None, dummies or [], ckp_sets or [])
         message = Message(self.pid, dst, kind, payload, piggyback)
         self.network.send(message)
         self.checkpoint_protocol.on_message_sent(message)

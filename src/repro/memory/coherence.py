@@ -46,7 +46,14 @@ from repro.memory.model import (
     PendingRequest,
 )
 from repro.memory.objects import SharedObject
-from repro.net.message import Message, MessageKind
+from repro.net.message import (
+    Ack,
+    AcquireReply,
+    GrantControl,
+    Invalidate,
+    Message,
+    MessageKind,
+)
 from repro.threads.syscalls import Release
 from repro.threads.thread import Thread, snapshot
 from repro.types import (
@@ -297,15 +304,13 @@ class EntryConsistencyEngine(ConsistencyModel):
 
     # ------------------------------------------------------------------
     def _on_request(self, message: Message) -> None:
-        payload = message.payload
-        control = message.piggyback.control if message.piggyback else {}
-        ep_acq: ExecutionPoint = control["ep_acq"]
+        request = message.payload
         req = PendingRequest(
-            obj_id=payload["obj_id"],
-            type=payload["type"],
-            p_acq=payload["p_acq"],
-            ep_acq=ep_acq,
-            hops=payload["hops"],
+            obj_id=request.obj_id,
+            type=request.type,
+            p_acq=request.p_acq,
+            ep_acq=message.piggyback.control.ep_acq,
+            hops=request.hops,
         )
         obj = self.directory.get(req.obj_id)
 
@@ -371,27 +376,21 @@ class EntryConsistencyEngine(ConsistencyModel):
     # ------------------------------------------------------------------
     def _grant_remote(self, obj: SharedObject, req: PendingRequest) -> None:
         self.hooks.on_before_grant_data(obj, req)
-        control = dict(self.hooks.on_remote_grant(obj, req))
-        control["version"] = obj.version
-        control["ep_acq"] = req.ep_acq
+        control = GrantControl(obj.version, req.ep_acq,
+                               self.hooks.on_remote_grant(obj, req))
         self._seen.setdefault(obj.obj_id, {})[req.ep_acq] = "granted"
         self.metrics.grants += 1
 
-        payload: dict[str, Any] = {
-            "obj_id": obj.obj_id,
-            "type": req.type,
-            "obj_data": snapshot(obj.data),
-            "p_prd": self.pid,
-        }
+        reply = AcquireReply(obj.obj_id, req.type, snapshot(obj.data), self.pid)
         if req.type.is_write:
             # 2(b): move ownership and the copySet to the new writer.
-            payload["copy_set"] = sorted(obj.copy_set - {req.p_acq})
-            self.send_message(MessageKind.ACQUIRE_REPLY, req.p_acq, payload, control)
+            reply.copy_set = sorted(obj.copy_set - {req.p_acq})
+            self.send_message(MessageKind.ACQUIRE_REPLY, req.p_acq, reply, control)
             self._transfer_ownership(obj, req.p_acq)
         else:
             # 2(a): add the reader to the copySet.
             obj.copy_set.add(req.p_acq)
-            self.send_message(MessageKind.ACQUIRE_REPLY, req.p_acq, payload, control)
+            self.send_message(MessageKind.ACQUIRE_REPLY, req.p_acq, reply, control)
 
     def _transfer_ownership(self, obj: SharedObject, new_owner: ProcessId) -> None:
         obj.prob_owner = new_owner
@@ -446,11 +445,11 @@ class EntryConsistencyEngine(ConsistencyModel):
     # reply path (requester side; paper 4.2 step 3)
     # ------------------------------------------------------------------
     def _on_reply(self, message: Message) -> None:
-        payload = message.payload
-        control = message.piggyback.control if message.piggyback else {}
-        obj_id = payload["obj_id"]
-        ep_acq: ExecutionPoint = control["ep_acq"]
-        acq_type: AcquireType = payload["type"]
+        reply: AcquireReply = message.payload
+        control: GrantControl = message.piggyback.control
+        obj_id = reply.obj_id
+        ep_acq = control.ep_acq
+        acq_type = reply.type
         thread = self.scheduler.threads.get(ep_acq.tid)
         if (
             thread is None
@@ -462,16 +461,16 @@ class EntryConsistencyEngine(ConsistencyModel):
             return
 
         obj = self.directory.get(obj_id)
-        version = control["version"]
-        p_prd: ProcessId = payload["p_prd"]
+        version = control.version
+        p_prd = reply.p_prd
         self._forward_hints.pop(obj_id, None)
 
         if acq_type.is_write:
-            obj.data = snapshot(payload["obj_data"])
+            obj.data = snapshot(reply.obj_data)
             obj.version = version
             obj.status = ObjectStatus.OWNED
             obj.prob_owner = self.pid
-            obj.copy_set = set(payload.get("copy_set", []))
+            obj.copy_set = set(reply.copy_set or ())
             self._awaiting_ownership.discard(obj_id)
         else:
             stale = self._stale_floor.get(obj_id)
@@ -483,7 +482,7 @@ class EntryConsistencyEngine(ConsistencyModel):
                 obj.prob_owner = stale[1]
                 obj.data = None
             else:
-                obj.data = snapshot(payload["obj_data"])
+                obj.data = snapshot(reply.obj_data)
                 obj.version = version
                 obj.status = ObjectStatus.READ
                 obj.prob_owner = p_prd
@@ -492,7 +491,7 @@ class EntryConsistencyEngine(ConsistencyModel):
         obj.ep_dep = ep_acq
         thread.wait_obj = None
 
-        value = snapshot(payload["obj_data"])
+        value = snapshot(reply.obj_data)
         if acq_type.is_write:
             if obj.hold_state is not HoldState.FREE:
                 # Ownership has arrived, but sibling threads still hold
@@ -549,11 +548,7 @@ class EntryConsistencyEngine(ConsistencyModel):
             self.send_message(
                 MessageKind.INVALIDATE,
                 pid,
-                {
-                    "obj_id": obj.obj_id,
-                    "new_owner": self.pid,
-                    "version": obj.version,
-                },
+                Invalidate(obj.obj_id, self.pid, obj.version),
                 None,
             )
 
@@ -561,10 +556,10 @@ class EntryConsistencyEngine(ConsistencyModel):
     # invalidation handling (reader side)
     # ------------------------------------------------------------------
     def _on_invalidate(self, message: Message) -> None:
-        payload = message.payload
-        obj = self.directory.get(payload["obj_id"])
-        new_owner: ProcessId = payload["new_owner"]
-        version: int = payload["version"]
+        invalidate: Invalidate = message.payload
+        obj = self.directory.get(invalidate.obj_id)
+        new_owner = invalidate.new_owner
+        version = invalidate.version
         self.metrics.invalidations_received += 1
         if obj.status is ObjectStatus.OWNED and obj.version >= version:
             # Late invalidation from an older writer, already superseded by
@@ -572,7 +567,7 @@ class EntryConsistencyEngine(ConsistencyModel):
             self.send_message(
                 MessageKind.INVALIDATE_ACK,
                 new_owner,
-                {"obj_id": obj.obj_id, "from": self.pid, "version": version},
+                Ack(obj.obj_id, self.pid, version),
                 None,
             )
             return
@@ -604,11 +599,8 @@ class EntryConsistencyEngine(ConsistencyModel):
             self.send_message(
                 MessageKind.INVALIDATE_ACK,
                 ack_to,
-                {
-                    "obj_id": obj.obj_id,
-                    "from": self.pid,
-                    "version": version if version is not None else obj.version,
-                },
+                Ack(obj.obj_id, self.pid,
+                    version if version is not None else obj.version),
                 None,
             )
 
@@ -618,12 +610,11 @@ class EntryConsistencyEngine(ConsistencyModel):
             self._apply_invalidate(obj, new_owner, ack_to, version)
 
     def _on_invalidate_ack(self, message: Message) -> None:
-        payload = message.payload
-        obj_id = payload["obj_id"]
-        source: ProcessId = payload["from"]
+        ack: Ack = message.payload
+        obj_id = ack.obj_id
+        source = ack.sender
         obj = self.directory.get(obj_id)
-        acked_version = payload.get("version")
-        if acked_version is None or acked_version >= obj.version:
+        if ack.version >= obj.version:
             # An ack for an *older* invalidation (e.g. one re-sent across a
             # recovery) must not evict a reader that has since re-acquired
             # a current copy.

@@ -52,7 +52,13 @@ from typing import TYPE_CHECKING, Any, Callable, ClassVar, Dict, List, Optional,
 from repro.analysis.metrics import ProcessMetrics
 from repro.errors import ConfigError
 from repro.memory.objects import ObjectDirectory, SharedObject, SharedObjectSpec
-from repro.net.message import Message, MessageKind
+from repro.net.message import (
+    AcquireRequest,
+    GrantControl,
+    Message,
+    MessageKind,
+    RequestControl,
+)
 from repro.observers import Observers
 from repro.sim.kernel import Kernel
 from repro.sim.tracing import TRACE_GATE
@@ -93,18 +99,13 @@ class PendingRequest:
     def is_local(self) -> bool:
         return self.thread is not None
 
-    def wire_payload(self) -> Dict[str, Any]:
-        return {
-            "obj_id": self.obj_id,
-            "type": self.type,
-            "p_acq": self.p_acq,
-            "hops": self.hops,
-        }
+    def wire_payload(self) -> AcquireRequest:
+        return AcquireRequest(self.obj_id, self.type, self.p_acq, self.hops)
 
-    def wire_control(self) -> Dict[str, Any]:
+    def wire_control(self) -> RequestControl:
         # The checkpoint-protocol part of the request: [ep_acq] (paper 4.2
         # step 1); accounted as piggyback bytes.
-        return {"ep_acq": self.ep_acq}
+        return RequestControl(self.ep_acq)
 
 
 class CoherenceHooks:
@@ -130,10 +131,12 @@ class CoherenceHooks:
     ) -> None:
         """A local acquire was granted (paper 4.2, local step 1)."""
 
-    def on_remote_grant(self, obj: SharedObject, req: PendingRequest) -> Dict[str, Any]:
+    def on_remote_grant(self, obj: SharedObject,
+                        req: PendingRequest) -> Optional[ExecutionPoint]:
         """The owner granted a remote request; returns the reply's
-        checkpoint-control fields (paper 4.2 step 2: ``[ep_prd, version]``)."""
-        return {}
+        ``ep_prd`` (paper 4.2 step 2: ``[ep_prd, version]``), or None
+        when the scheme ships none."""
+        return None
 
     def on_reply_received(
         self,
@@ -142,7 +145,7 @@ class CoherenceHooks:
         acq_type: AcquireType,
         ep_acq: ExecutionPoint,
         p_prd: ProcessId,
-        control: Dict[str, Any],
+        control: GrantControl,
     ) -> None:
         """The requester processed an acquire reply (paper 4.2 step 3)."""
 
@@ -190,7 +193,7 @@ class ConsistencyModel:
         directory: ObjectDirectory,
         scheduler: ThreadScheduler,
         metrics: ProcessMetrics,
-        send_message: Callable[[MessageKind, ProcessId, dict, Optional[dict]], None],
+        send_message: Callable[[MessageKind, ProcessId, Any, Optional[Any]], None],
         hooks: Optional[CoherenceHooks] = None,
         strict_invalidation_acks: bool = True,
         *,

@@ -34,7 +34,16 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.errors import ProtocolError
 from repro.memory.model import ConsistencyModel, PendingRequest
 from repro.memory.objects import SharedObject
-from repro.net.message import Message, MessageKind
+from repro.net.message import (
+    Ack,
+    AcquireReply,
+    GrantControl,
+    Message,
+    MessageKind,
+    ScRelease,
+    ScReleaseDone,
+    ScUpdate,
+)
 from repro.threads.syscalls import Release
 from repro.threads.thread import Thread, snapshot
 from repro.types import (
@@ -134,14 +143,8 @@ class SequentialConsistencyEngine(ConsistencyModel):
                 self.send_message(
                     MessageKind.SC_RELEASE,
                     home,
-                    {
-                        "obj_id": obj_id,
-                        "write": True,
-                        "p_rel": self.pid,
-                        "tid": thread.tid,
-                        "version": obj.version,
-                        "obj_data": snapshot(obj.data),
-                    },
+                    ScRelease(obj_id, True, self.pid, thread.tid, obj.version,
+                              snapshot(obj.data)),
                     None,
                 )
         else:
@@ -154,7 +157,7 @@ class SequentialConsistencyEngine(ConsistencyModel):
                 self.send_message(
                     MessageKind.SC_RELEASE,
                     home,
-                    {"obj_id": obj_id, "write": False, "p_rel": self.pid},
+                    ScRelease(obj_id, False, self.pid),
                     None,
                 )
             self.scheduler.complete(thread, None)
@@ -183,14 +186,13 @@ class SequentialConsistencyEngine(ConsistencyModel):
             raise ProtocolError(f"{self.pid}: unexpected SC message {message}")
 
     def _on_acquire_msg(self, message: Message) -> None:
-        payload = message.payload
-        control = message.piggyback.control if message.piggyback else {}
+        request = message.payload
         req = PendingRequest(
-            obj_id=payload["obj_id"],
-            type=payload["type"],
-            p_acq=payload["p_acq"],
-            ep_acq=control["ep_acq"],
-            hops=payload["hops"],
+            obj_id=request.obj_id,
+            type=request.type,
+            p_acq=request.p_acq,
+            ep_acq=message.piggyback.control.ep_acq,
+            hops=request.hops,
         )
         if req.p_acq in self._known_crashed:
             return
@@ -198,10 +200,10 @@ class SequentialConsistencyEngine(ConsistencyModel):
         self._home_admit(obj, req)
 
     def _on_grant(self, message: Message) -> None:
-        payload = message.payload
-        control = message.piggyback.control if message.piggyback else {}
-        ep_acq: ExecutionPoint = control["ep_acq"]
-        acq_type: AcquireType = payload["type"]
+        grant: AcquireReply = message.payload
+        control: GrantControl = message.piggyback.control
+        ep_acq = control.ep_acq
+        acq_type = grant.type
         thread = self.scheduler.threads.get(ep_acq.tid)
         if (
             thread is None
@@ -210,38 +212,38 @@ class SequentialConsistencyEngine(ConsistencyModel):
         ):
             self.metrics.duplicate_requests_discarded += 1
             return
-        obj = self.directory.get(payload["obj_id"])
-        version: int = control["version"]
+        obj = self.directory.get(grant.obj_id)
+        version = control.version
         if version >= obj.version:
-            obj.data = snapshot(payload["obj_data"])
+            obj.data = snapshot(grant.obj_data)
             obj.version = version
             if obj.status is not ObjectStatus.OWNED:
                 obj.status = ObjectStatus.READ
         self.hooks.on_reply_received(
-            thread, obj, acq_type, ep_acq, payload["p_prd"], control
+            thread, obj, acq_type, ep_acq, grant.p_prd, control
         )
         self._complete_acquire(thread, obj, acq_type, ep_acq, local=False)
 
     def _on_release_msg(self, message: Message) -> None:
-        payload = message.payload
-        obj = self.directory.get(payload["obj_id"])
-        if payload["write"]:
-            obj.data = snapshot(payload["obj_data"])
-            obj.version = payload["version"]
+        release: ScRelease = message.payload
+        obj = self.directory.get(release.obj_id)
+        if release.write:
+            obj.data = snapshot(release.obj_data)
+            obj.version = release.version
             self._finish_home_write(
                 obj,
-                writer_pid=payload["p_rel"],
-                done_to=(payload["p_rel"], payload["tid"]),
+                writer_pid=release.p_rel,
+                done_to=(release.p_rel, release.tid),
             )
         else:
-            self._lock_release_read(obj, payload["p_rel"])
+            self._lock_release_read(obj, release.p_rel)
 
     def _on_release_done(self, message: Message) -> None:
-        payload = message.payload
-        thread = self._await_done.pop((payload["obj_id"], payload["tid"]), None)
+        done: ScReleaseDone = message.payload
+        thread = self._await_done.pop((done.obj_id, done.tid), None)
         if thread is None:
             return
-        obj = self.directory.get(payload["obj_id"])
+        obj = self.directory.get(done.obj_id)
         self.emit_mem_event("release", thread.tid, thread.lt, obj,
                             AcquireType.WRITE)
         self.scheduler.complete(thread, None)
@@ -319,18 +321,12 @@ class SequentialConsistencyEngine(ConsistencyModel):
     # ==================================================================
     def _grant_remote(self, obj: SharedObject, req: PendingRequest) -> None:
         self.hooks.on_before_grant_data(obj, req)
-        control = dict(self.hooks.on_remote_grant(obj, req))
-        control["version"] = obj.version
-        control["ep_acq"] = req.ep_acq
+        control = GrantControl(obj.version, req.ep_acq,
+                               self.hooks.on_remote_grant(obj, req))
         self.metrics.grants += 1
         obj.copy_set.add(req.p_acq)
-        payload: Dict[str, Any] = {
-            "obj_id": obj.obj_id,
-            "type": req.type,
-            "obj_data": snapshot(obj.data),
-            "p_prd": self.pid,
-        }
-        self.send_message(MessageKind.SC_GRANT, req.p_acq, payload, control)
+        grant = AcquireReply(obj.obj_id, req.type, snapshot(obj.data), self.pid)
+        self.send_message(MessageKind.SC_GRANT, req.p_acq, grant, control)
 
     def _complete_acquire(
         self,
@@ -381,11 +377,7 @@ class SequentialConsistencyEngine(ConsistencyModel):
             self.send_message(
                 MessageKind.SC_UPDATE,
                 pid,
-                {
-                    "obj_id": obj.obj_id,
-                    "version": obj.version,
-                    "obj_data": snapshot(obj.data),
-                },
+                ScUpdate(obj.obj_id, obj.version, snapshot(obj.data)),
                 None,
             )
 
@@ -396,28 +388,27 @@ class SequentialConsistencyEngine(ConsistencyModel):
         return [p for p in self.peer_lister() if p not in skip]
 
     def _on_update(self, message: Message) -> None:
-        payload = message.payload
-        obj = self.directory.get(payload["obj_id"])
-        if payload["version"] > obj.version:
-            obj.data = snapshot(payload["obj_data"])
-            obj.version = payload["version"]
+        update: ScUpdate = message.payload
+        obj = self.directory.get(update.obj_id)
+        if update.version > obj.version:
+            obj.data = snapshot(update.obj_data)
+            obj.version = update.version
         if obj.status is ObjectStatus.NO_ACCESS:
             obj.status = ObjectStatus.READ
         self.send_message(
             MessageKind.SC_UPDATE_ACK,
             message.src,
-            {"obj_id": obj.obj_id, "from": self.pid,
-             "version": payload["version"]},
+            Ack(obj.obj_id, self.pid, update.version),
             None,
         )
 
     def _on_update_ack(self, message: Message) -> None:
-        payload = message.payload
-        obj_id = payload["obj_id"]
+        ack: Ack = message.payload
+        obj_id = ack.obj_id
         pending = self._pending_updates.get(obj_id)
         if pending is None:
             return
-        pending["waiting"].discard(payload["from"])
+        pending["waiting"].discard(ack.sender)
         if pending["waiting"]:
             return
         del self._pending_updates[obj_id]
@@ -438,7 +429,7 @@ class SequentialConsistencyEngine(ConsistencyModel):
             self.send_message(
                 MessageKind.SC_RELEASE_DONE,
                 p_rel,
-                {"obj_id": obj.obj_id, "tid": tid},
+                ScReleaseDone(obj.obj_id, tid),
                 None,
             )
         if completion is not None:

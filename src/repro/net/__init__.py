@@ -8,21 +8,9 @@ accounting the evaluation needs: every message carries a *layer* tag
 *piggyback* compartment, so experiments can verify the paper's "no extra
 messages during the failure-free period" claim and measure the piggyback
 byte overhead.
+
+The modules are imported by name (``repro.net.message``,
+``repro.net.network``, ...); this file imports none of them, so
+``repro.types`` can size itself with :mod:`repro.net.sizing` without an
+import cycle.
 """
-
-from repro.net.message import Message, MessageKind, Piggyback
-from repro.net.channel import Channel, LatencyModel
-from repro.net.network import Network
-from repro.net.sizing import payload_size
-from repro.net.stats import NetworkStats
-
-__all__ = [
-    "Channel",
-    "LatencyModel",
-    "Message",
-    "MessageKind",
-    "Network",
-    "NetworkStats",
-    "Piggyback",
-    "payload_size",
-]

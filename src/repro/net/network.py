@@ -20,7 +20,7 @@ from typing import Callable, Optional, Protocol
 from repro.errors import ConfigError, SimulationError
 from repro.net.channel import Channel, LatencyModel
 from repro.net.message import Message
-from repro.net.sizing import HEADER_BYTES, payload_size
+from repro.net.sizing import HEADER_BYTES
 from repro.net.stats import NetworkStats
 from repro.sim.kernel import Kernel
 from repro.sim.tracing import TRACE_GATE
@@ -101,7 +101,8 @@ class Network:
         interaction crosses it), so it avoids redundant work: the channel
         lookup is a single dict probe (misses fall back to the builder),
         the message is numbered and sized here, once, before anything
-        reads it, and the trace row is only built when tracing is on.
+        reads it (each typed record sizes itself in closed form), and the
+        trace row is only built when tracing is on.
         """
         src = message.src
         dst = message.dst
@@ -118,7 +119,7 @@ class Network:
         kernel = self.kernel
         message.msg_id = next(self._msg_ids)
         message.send_time = now = kernel.now
-        message.payload_bytes = HEADER_BYTES + payload_size(message.payload)
+        message.payload_bytes = HEADER_BYTES + message.payload.size()
         piggyback = message.piggyback
         if piggyback is not None:
             message.piggyback_bytes = piggyback.size()

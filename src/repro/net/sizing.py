@@ -14,23 +14,30 @@ the same values through the same size model.
 
 Earlier revisions measured ``len(pickle.dumps(value))`` instead.  That
 reads nicely but puts a serializer in the hottest path of the
-simulator: every message is sized at send time, piggybacked CkpSets
-carry one execution point per thread, and so the cost of sizing grew
-with cluster size exactly where the p=64/256 workloads hurt most.  The
-compositional model is pure integer arithmetic and keeps no state: a
-value is walked each time it is sized, except that ``Tid`` and
-``ExecutionPoint`` have fixed shapes (so fixed sizes) and a wire type
-may register its own sizer -- ``CkpSet`` memoizes its size on the
-instance, because one is piggybacked to every peer.
+simulator.  The compositional model is pure integer arithmetic and
+keeps no state.
+
+Messages are not walked at all: each message kind is a typed record
+(:mod:`repro.net.message`) whose ``size()`` is this model written out in
+closed form -- the bytes :func:`payload_size` gives for the dict spelling
+``{"field": value, ...}`` of the same record, built from the constants
+and helpers below.  What is still walked (checkpoint images, log data,
+replay records) reaches a wire type through its ``wire_bytes``
+attribute: a class constant for the fixed shapes (``Tid``,
+``ExecutionPoint``), a value stored at construction for immutable
+records (``Dependency``, ``DummyEntry``), a memo (``CkpSet``), or a
+walk of the state (:func:`state_bytes`).  A value with none of these is
+outside the model and raises ``TypeError``.
+
+This module imports nothing from ``repro``, so the wire types can size
+themselves with it.
 """
 
 from __future__ import annotations
 
 import enum
 import pickle
-from typing import Any, Callable
-
-from repro.types import Dependency, ExecutionPoint, Tid, WaitObj
+from typing import Any
 
 #: Fixed per-message header cost (addresses, kind, sequence numbers).
 HEADER_BYTES = 32
@@ -44,9 +51,16 @@ _EMPTY_CONTAINER_BYTES: dict[type, int] = {
                                      protocol=pickle.HIGHEST_PROTOCOL))
     for container_type in (dict, list, tuple, set, frozenset)
 }
+EMPTY_DICT_BYTES = _EMPTY_CONTAINER_BYTES[dict]
+EMPTY_LIST_BYTES = _EMPTY_CONTAINER_BYTES[list]
 
-#: Per-element framing charge inside a container.
+#: Per-element framing charge inside a container (a dict entry pays it
+#: twice: key and value).
 ITEM_BYTES = 1
+
+#: Encoded size of an int or a float, and of a bool.
+NUMBER_BYTES = 8
+BOOL_BYTES = 1
 
 #: Per-object overhead of a repro wire type (class tag + framing).
 STATE_BYTES = 6
@@ -54,47 +68,47 @@ STATE_BYTES = 6
 #: Encoded size of an enum member (small tag).
 ENUM_BYTES = 4
 
-#: Flat charge for values outside the model (unknown classes); only
-#: tests with sentinel objects hit this.
-UNKNOWN_BYTES = 64
-
 #: A Tid's state is two ints; an ExecutionPoint's a Tid and an int.
 #: These are what :func:`state_bytes` gives for them (a property test
 #: holds the two in step).
-TID_BYTES = STATE_BYTES + 8 + 8
-EP_BYTES = STATE_BYTES + TID_BYTES + 8
+TID_BYTES = STATE_BYTES + NUMBER_BYTES + NUMBER_BYTES
+EP_BYTES = STATE_BYTES + TID_BYTES + NUMBER_BYTES
+
+
+def str_bytes(text: str) -> int:
+    """Size of a string: its UTF-8 length."""
+    return len(text) if text.isascii() else len(text.encode())
+
+
+def dict_bytes(*keys: str) -> int:
+    """Size of a dict with these (ASCII) string keys, values excluded."""
+    return EMPTY_DICT_BYTES + sum(2 * ITEM_BYTES + len(key) for key in keys)
+
+
+class StoredSize:
+    """Base of the frozen records that store their size at construction.
+
+    It adds one slot, ``wire_bytes``, outside the subclass's dataclass
+    fields, so the stored size stays out of pickles, equality and
+    ``dataclasses.fields``.  The subclass sets it in ``__post_init__``
+    and again in ``__setstate__``.
+    """
+
+    __slots__ = ("wire_bytes",)
 
 
 def state_bytes(value: Any) -> int:
-    """Size of a registered wire type: STATE_BYTES plus its state fields.
+    """Size of a wire type by walking its state: STATE_BYTES plus its
+    state fields.
 
     ``__getstate__`` returns a list of field values (see
-    ``repro.types.Tid.__getstate__``).
+    ``repro.types.Tid.__getstate__``).  Types with a closed form or a
+    stored size are held equal to this walk by property tests.
     """
     total = STATE_BYTES
     for item in value.__getstate__():
         total += _sized(item)
     return total
-
-
-#: Wire types outside the fixed-shape pair, each with its sizer.  Other
-#: modules add theirs via :func:`register_sized_type` so the net layer
-#: never imports protocol layers.
-_SIZERS: dict[type, Callable[[Any], int]] = {
-    WaitObj: state_bytes,
-    Dependency: state_bytes,
-}
-
-
-def register_sized_type(
-    cls: type, sizer: Callable[[Any], int] = state_bytes
-) -> type:
-    """Size instances of ``cls`` by ``sizer`` (default :func:`state_bytes`).
-
-    Returns ``cls`` so it can be used as a decorator.
-    """
-    _SIZERS[cls] = sizer
-    return cls
 
 
 def _sized(value: Any) -> int:
@@ -107,9 +121,9 @@ def _sized(value: Any) -> int:
     """
     cls = value.__class__
     if cls is int or cls is float:
-        return 8
+        return NUMBER_BYTES
     if cls is bool:
-        return 1
+        return BOOL_BYTES
     if value is None:
         return 0
     if cls is str:
@@ -126,7 +140,7 @@ def _sized(value: Any) -> int:
                 total += _sized(key)
             icls = item.__class__
             if icls is int or icls is float:
-                total += 8
+                total += NUMBER_BYTES
             elif icls is str:
                 total += len(item) if item.isascii() else len(item.encode())
             else:
@@ -137,22 +151,20 @@ def _sized(value: Any) -> int:
         for item in value:
             icls = item.__class__
             if icls is int or icls is float:
-                total += 8
+                total += NUMBER_BYTES
             elif icls is str:
                 total += len(item) if item.isascii() else len(item.encode())
             else:
                 total += _sized(item)
         return total
-    if cls is ExecutionPoint:
-        return EP_BYTES
-    if cls is Tid:
-        return TID_BYTES
-    sizer = _SIZERS.get(cls)
-    if sizer is not None:
-        return sizer(value)
     if isinstance(value, enum.Enum):
         return ENUM_BYTES
-    return UNKNOWN_BYTES
+    size = getattr(value, "wire_bytes", None)
+    if size is None:
+        raise TypeError(
+            f"{cls.__module__}.{cls.__qualname__} is outside the wire-size "
+            "model: give it a wire_bytes attribute")
+    return size
 
 
 def blob_size(value: Any) -> int:
@@ -161,7 +173,7 @@ def blob_size(value: Any) -> int:
     Checkpoint images are materialized onto stable storage as one
     serialized blob, so their cost model is the length of an actual
     serialization -- one C-speed pickle per checkpoint, unlike the
-    per-message :func:`payload_size` which must stay allocation-free.
+    allocation-free walk of :func:`payload_size`.
     Falls back to the compositional model for unpicklable sentinels.
     """
     try:
@@ -171,5 +183,6 @@ def blob_size(value: Any) -> int:
 
 
 def payload_size(value: Any) -> int:
-    """Approximate wire size in bytes of an arbitrary payload value."""
+    """Approximate wire size in bytes of a value: a scalar, a container,
+    an enum member or a wire type (``TypeError`` otherwise)."""
     return _sized(value)

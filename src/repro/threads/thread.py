@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.errors import MemoryModelError, RecoveryError
-from repro.net.sizing import payload_size, register_sized_type
+from repro.net.sizing import payload_size, state_bytes
 from repro.threads.program import Program, ProgramContext, ProgramGen
 from repro.threads.syscalls import (
     AcquireRead,
@@ -104,19 +104,20 @@ class ThreadState(enum.Enum):
     FAILED = "failed"
 
 
-@register_sized_type
 @dataclass(frozen=True, slots=True)
 class RecordedResult:
     """One element of a thread's replay prefix.
 
     ``kind`` is the syscall class name; ``value`` is the (pristine) result
-    the syscall returned.  Only acquires have non-None values.  Registered
-    with the size model; the value is a never-mutated snapshot, so a
+    the syscall returned.  Only acquires have non-None values.  The size
+    model walks its state; the value is a never-mutated snapshot, so a
     record's size is fixed and :meth:`Thread.records_bytes` sizes it once.
     """
 
     kind: str
     value: Any = None
+
+    wire_bytes = property(state_bytes)
 
     # Fast pickle path; see repro.types.Tid.__getstate__ for the contract.
     def __getstate__(self) -> list:

@@ -20,6 +20,18 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from repro.net.sizing import (
+    BOOL_BYTES,
+    ENUM_BYTES,
+    EP_BYTES,
+    NUMBER_BYTES,
+    STATE_BYTES,
+    TID_BYTES,
+    StoredSize,
+    state_bytes,
+    str_bytes,
+)
+
 #: Identifier of a DiSOM process (one per simulated workstation).
 ProcessId = int
 
@@ -71,6 +83,9 @@ class Tid:
 
     pid: ProcessId
     local: int
+
+    #: Size-model bytes: the shape is fixed.
+    wire_bytes = TID_BYTES
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.pid, self.local)))
@@ -125,6 +140,9 @@ class ExecutionPoint:
 
     tid: Tid
     lt: int
+
+    #: Size-model bytes: the shape is fixed.
+    wire_bytes = EP_BYTES
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.tid, self.lt)))
@@ -184,6 +202,9 @@ class WaitObj:
     type: AcquireType
     ep_acq: ExecutionPoint
 
+    #: Size-model bytes, walked: a waitObj is sized only in images.
+    wire_bytes = property(state_bytes)
+
     # Fast pickle path; see Tid.__getstate__ for the contract.
     def __getstate__(self) -> list:
         return [self.obj_id, self.type, self.ep_acq]
@@ -198,7 +219,7 @@ class WaitObj:
 
 
 @dataclass(frozen=True, slots=True)
-class Dependency:
+class Dependency(StoredSize):
     """One ``depSet`` entry: ``<objId, type, ep_acq, ep_prd, P>`` (fig. 3).
 
     Reading: a version of ``obj_id`` was acquired for ``type`` when the
@@ -208,6 +229,10 @@ class Dependency:
     For *local* acquires, ``ep_prd`` holds the object's ``epDep`` at acquire
     time (the local event this acquire depends on) and ``p_log`` the process
     where the dummy entry was eventually stored.
+
+    Its size-model bytes (``wire_bytes``) are computed at construction:
+    dependencies are the most common value in a checkpoint's thread
+    section, and every image would otherwise walk them again.
     """
 
     obj_id: ObjectId
@@ -217,6 +242,10 @@ class Dependency:
     p_log: ProcessId
     #: True when this dependency describes a local acquire (dummy-logged).
     local: bool = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "wire_bytes",
+                           _DEPENDENCY_BYTES + str_bytes(self.obj_id))
 
     # Fast pickle path; see Tid.__getstate__ for the contract.
     def __getstate__(self) -> list:
@@ -228,6 +257,7 @@ class Dependency:
             ("obj_id", "type", "ep_acq", "ep_prd", "p_log", "local"), state
         ):
             object.__setattr__(self, name, value)
+        self.__post_init__()
 
     def with_p_log(self, p_log: ProcessId) -> "Dependency":
         """Return a copy with the ``P`` field replaced.
@@ -243,6 +273,12 @@ class Dependency:
         kind = "local" if self.local else "remote"
         return (f"dep({self.obj_id},{self.type},acq={self.ep_acq},"
                 f"prd={self.ep_prd},P={self.p_log},{kind})")
+
+
+#: A Dependency's bytes but for its object id: the type tag, two
+#: execution points, the ``P`` pid and the ``local`` flag.
+_DEPENDENCY_BYTES = (STATE_BYTES + ENUM_BYTES + 2 * EP_BYTES + NUMBER_BYTES
+                     + BOOL_BYTES)
 
 
 class ObjectStatus(enum.Enum):

@@ -4,17 +4,24 @@ import pytest
 
 from repro.errors import ConfigError, SimulationError
 from repro.net.channel import Channel, LatencyModel
+from repro.checkpoint.dummy import DummyEntry
 from repro.net.message import (
     LAYER_CHECKPOINT,
     LAYER_COHERENCE,
+    NO_PAYLOAD,
+    AppData,
+    GrantControl,
+    Invalidate,
     Message,
     MessageKind,
     Piggyback,
+    RequestControl,
     layer_of,
 )
 from repro.net.network import Network
 from repro.net.sizing import HEADER_BYTES, payload_size
 from repro.sim.kernel import Kernel
+from repro.types import ep
 
 
 class TestSizing:
@@ -39,10 +46,13 @@ class TestMessage:
 
     def test_byte_accounting_splits_piggyback(self):
         _, network, _ = _net()
-        pig = Piggyback(control={"x": 1}, dummies=["d"], ckp_sets=[])
-        msg = Message(0, 1, MessageKind.ACQUIRE_REPLY, {"k": "v"}, pig)
+        pig = Piggyback(control=GrantControl(1, ep(1, 0, 1)),
+                        dummies=[DummyEntry("x", ep(0, 0, 2), ep(0, 0, 1))],
+                        ckp_sets=[])
+        msg = Message(0, 1, MessageKind.INVALIDATE, Invalidate("k", 0, 1), pig)
         network.send(msg)
-        assert msg.payload_bytes == HEADER_BYTES + payload_size({"k": "v"})
+        assert msg.payload_bytes == HEADER_BYTES + payload_size(
+            {"obj_id": "k", "new_owner": 0, "version": 1})
         assert msg.piggyback_bytes == pig.size() > 0
         assert msg.total_bytes() == msg.payload_bytes + msg.piggyback_bytes
         assert network.stats.total_bytes == msg.total_bytes()
@@ -50,7 +60,7 @@ class TestMessage:
 
     def test_piggyback_empty(self):
         assert Piggyback().is_empty()
-        assert not Piggyback(control={"a": 1}).is_empty()
+        assert not Piggyback(control=RequestControl(ep(0, 0, 1))).is_empty()
 
     def test_ids_unique(self):
         _, network, _ = _net()
@@ -113,7 +123,7 @@ class TestChannel:
 class TestNetwork:
     def test_delivery(self):
         kernel, network, sinks = _net()
-        network.send(Message(0, 1, MessageKind.APP, {"n": 1}))
+        network.send(Message(0, 1, MessageKind.APP, AppData({"n": 1})))
         kernel.run()
         assert len(sinks[1].received) == 1
         assert network.stats.total_messages == 1
@@ -174,16 +184,17 @@ class TestNetwork:
 
     def test_per_channel_fifo_across_sizes(self):
         kernel, network, sinks = _net()
-        network.send(Message(0, 1, MessageKind.APP, {"pad": "x" * 2000, "seq": 1}))
-        network.send(Message(0, 1, MessageKind.APP, {"seq": 2}))
+        network.send(Message(0, 1, MessageKind.APP,
+                             AppData({"pad": "x" * 2000, "seq": 1})))
+        network.send(Message(0, 1, MessageKind.APP, AppData({"seq": 2})))
         kernel.run()
-        seqs = [m.payload["seq"] for m in sinks[1].received]
+        seqs = [m.payload.fields["seq"] for m in sinks[1].received]
         assert seqs == [1, 2]
 
     def test_stats_by_layer(self):
         kernel, network, sinks = _net()
-        network.send(Message(0, 1, MessageKind.ACQUIRE_REQUEST, {}))
-        network.send(Message(0, 1, MessageKind.CKPT_GC, {}))
+        network.send(Message(0, 1, MessageKind.ACQUIRE_REQUEST, NO_PAYLOAD))
+        network.send(Message(0, 1, MessageKind.CKPT_GC, NO_PAYLOAD))
         kernel.run()
         assert network.stats.coherence_messages == 1
         assert network.stats.checkpoint_messages == 1

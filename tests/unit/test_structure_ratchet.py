@@ -85,6 +85,9 @@ MEASURES = {
     "process-global-tables": lambda: _matches(
         SRC, r"(?m)^[A-Za-z_]\w*(?:\s*:[^=\n]+)?\s*=\s*"
              r"(?:\{\}|\[\]|set\(\)|itertools\.count\()"),
+    # One match per line, as above.
+    "payload-key-reads": lambda: _matches(
+        SRC, r"(?m)^.*(?:payload|control)(?:\[|\.get\()"),
     "cluster-scheme-names": lambda: _matches(
         SRC / "cluster",
         r"(?m)^.*(?:checkpoint\.(?:recovery|protocol)|RecoveryManager"
