@@ -76,9 +76,6 @@ class DummyEntry(StoredSize):
         """Process whose thread performed the local acquire."""
         return self.ep_acq.tid.pid
 
-    def size_bytes(self) -> int:
-        return 48
-
     def __str__(self) -> str:
         dep = str(self.local_dep) if self.local_dep is not None else "-"
         return f"dummy({self.obj_id} acq={self.ep_acq} dep={dep} Plog={self.p_log})"
@@ -126,9 +123,6 @@ class DummyLog:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def size_bytes(self) -> int:
-        return sum(entry.size_bytes() for entry in self._entries)
 
     def remove_before(self, pid: ProcessId, ckpt_lts: dict) -> list[DummyEntry]:
         """GC (section 4.4): drop and return, in store order, the entries

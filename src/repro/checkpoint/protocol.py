@@ -278,7 +278,9 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
         self.log.append(entry)
         self.metrics.log_entries_created += 1
         self.metrics.log_bytes_created += entry.size_bytes()
-        if self.policy.highwater_exceeded(self.log.size_bytes()):
+        # The log's size is a sum over it: taken only under a mark.
+        if (self.policy.log_highwater is not None
+                and self.policy.highwater_exceeded(self.log.size_bytes())):
             # Take the checkpoint outside the release path.
             self.process.kernel.call_soon(
                 self._highwater_checkpoint, label=f"highwater-ckpt P{self.pid}"
@@ -524,7 +526,7 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
                 delta += entry.size_bytes()
         for dummy in checkpoint.dummy_entries:
             if (dummy.obj_id, dummy.ep_acq) not in previous["dummies"]:
-                delta += dummy.size_bytes()
+                delta += dummy.wire_bytes
         return min(delta, checkpoint.full_size)
 
     def apply_gc(self, ckp_set: CkpSet) -> None:

@@ -14,10 +14,11 @@ a service (DESIGN.md section 2.10):
   (stdlib ``ThreadingHTTPServer`` + shared warm
   :class:`~repro.parallel.service.PoolService` + the cache);
 * :mod:`repro.server.handlers` -- the HTTP routing layer;
+* :mod:`repro.server.wire` -- the HTTP head reader both ends share;
 * :mod:`repro.server.metrics` -- request/cache/pool/latency counters
   behind ``/metrics``;
-* :mod:`repro.server.client` -- the stdlib
-  :class:`~repro.server.client.ScenarioClient`.
+* :mod:`repro.server.client` -- :class:`~repro.server.client.ScenarioClient`,
+  a socket codec on the standard library alone.
 
 Entry points: ``repro serve`` on the command line,
 :func:`repro.api.serve` / :class:`repro.ScenarioClient` from code.

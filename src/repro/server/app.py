@@ -14,7 +14,9 @@ service (DESIGN.md section 2.10):
   ``config_fingerprint() ⊕ seed ⊕ code version``, so a scenario is
   simulated at most once per code version -- repeat requests are served
   from the cache byte-identically, and concurrent identical requests
-  are *coalesced* onto the single in-flight computation.
+  are *coalesced* onto the single in-flight computation;
+* a memo of the pure function ``request body -> (spec, cache key)``, as
+  large as the cache, so a repeated body skips parsing and validation.
 
 Declared failure modes (fail-open, in the sense that the service keeps
 answering and every degradation has a defined, observable fallback):
@@ -31,8 +33,11 @@ rejected at build time      400 as well, and not cached
 
 from __future__ import annotations
 
+import functools
+import json
 import socket
 import subprocess
+import sys
 import threading
 import weakref
 from http.server import ThreadingHTTPServer
@@ -51,6 +56,7 @@ from repro.server.metrics import ServerMetrics
 from repro.server.scenario import (
     CONSISTENCY_MODELS,
     SCHEMA,
+    ScenarioSpec,
     run_scenario,
     validate_scenario,
 )
@@ -59,6 +65,11 @@ from repro.server.scenario import (
 #: handler gives up waiting on a ticket (the service-side deadline is
 #: the one that actually cancels the worker).
 _WAIT_GRACE_SECONDS = 10.0
+
+#: Larger bodies are validated afresh each time, so the body memo holds
+#: at most ``cache_entries`` times this many bytes (a scenario document
+#: is a few hundred).
+_MEMO_BODY_BYTES = 1 << 14
 
 
 def git_revision(default: str = "unknown") -> str:
@@ -79,6 +90,17 @@ def default_code_version() -> str:
     return f"{__version__}+{git_revision()}"
 
 
+def resolve_body(raw: bytes, code_version: str) -> Tuple[ScenarioSpec, str]:
+    """A request body's scenario and cache key; ``ConfigError`` (a 400)
+    when the body is not a valid scenario document."""
+    try:
+        document = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"request body is not valid JSON: {exc}") from None
+    spec = validate_scenario(document)
+    return spec, spec.cache_key(code_version)
+
+
 class _AppHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
@@ -90,6 +112,11 @@ class _AppHTTPServer(ThreadingHTTPServer):
     def process_request(self, request: Any, client_address: Any) -> None:
         self.connections.add(request)
         super().process_request(request, client_address)
+
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        # A client that went away mid-reply: nothing broken.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
 
 
 class ScenarioServer:
@@ -127,6 +154,9 @@ class ScenarioServer:
                                    max_pending=max_pending)
         self.request_timeout = request_timeout
         self.code_version = code_version or default_code_version()
+        #: Exceptions are not memoised: an invalid body is a 400 each time.
+        self._resolve = functools.lru_cache(maxsize=cache_entries)(
+            resolve_body)
         #: cache key -> event for the request currently computing it.
         self._inflight: Dict[str, threading.Event] = {}
         self._inflight_lock = threading.Lock()
@@ -238,18 +268,18 @@ class ScenarioServer:
     # ------------------------------------------------------------------
     # POST /scenario
     # ------------------------------------------------------------------
-    def handle_scenario(self,
-                        document: Dict[str, Any]) -> Tuple[int, bytes, str]:
-        """Serve one scenario request.
+    def handle_scenario(self, raw: bytes) -> Tuple[int, bytes, str]:
+        """Serve one scenario request from its raw body.
 
         Returns ``(http_status, body_bytes, outcome)`` where outcome is
         a :meth:`ServerMetrics.record_scenario` outcome tag.
         """
+        resolve = (self._resolve if len(raw) <= _MEMO_BODY_BYTES
+                   else resolve_body)
         try:
-            spec = validate_scenario(document)
+            spec, key = resolve(raw, self.code_version)
         except ConfigError as exc:
             return 400, error_body(str(exc)), "invalid"
-        key = spec.cache_key(self.code_version)
 
         body = self.cache.get(key)
         if body is not None:
@@ -286,7 +316,7 @@ class ScenarioServer:
             if event is not None:
                 event.set()
 
-    def _compute(self, spec: Any, key: str) -> Tuple[int, bytes, str]:
+    def _compute(self, spec: ScenarioSpec, key: str) -> Tuple[int, bytes, str]:
         """Leader path: run the scenario on the pool, publish, serve."""
         try:
             ticket = self.service.submit(

@@ -1,8 +1,9 @@
 """``ScenarioClient``: a stdlib HTTP client for the scenario server.
 
-Thin by design -- ``http.client`` plus the canonical JSON spelling -- so
-the CLI, tests, CI smoke jobs and user scripts all speak to the server
-the same way without any dependency beyond the standard library::
+Thin by design -- a socket, the shared head reader
+(:mod:`repro.server.wire`) and the canonical JSON spelling -- so the
+CLI, tests, CI smoke jobs and user scripts all speak to the server the
+same way without any dependency beyond the standard library::
 
     client = ScenarioClient("http://127.0.0.1:8723")
     reply = client.scenario(workload="synthetic", seed=3)
@@ -10,34 +11,31 @@ the same way without any dependency beyond the standard library::
     print(reply.json["result"]["duration"], client.metrics())
 
 Each calling thread keeps one persistent HTTP/1.1 connection, so a
-cache hit costs one request/response exchange rather than a TCP
-handshake and teardown around it.  A request on a *reused* connection
-that fails before any response byte (the server closed the connection
-while it sat idle, or restarted) is retried once on a fresh connection;
-any other failure drops the connection and raises.  Proxy environment
-variables are not consulted: the server is meant to be reached directly.
+cache hit costs one send and one read rather than a TCP handshake and
+teardown around them.  A request on a *reused* connection that fails
+before any response byte (the server closed the connection while it sat
+idle, or restarted) is retried once on a fresh connection; any other
+failure drops the connection and raises.  The server speaks plain HTTP
+and is meant to be reached directly: ``https://`` URLs are refused and
+proxy environment variables are not consulted.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
+import socket
 import threading
 import urllib.parse
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, BinaryIO, Dict, Optional
 
 from repro.errors import ConfigError
-
-#: How a reused connection fails when the server closed it before
-#: reading the request: safe to send once more on a fresh connection.
-_STALE = (http.client.RemoteDisconnected, ConnectionResetError,
-          BrokenPipeError)
-
+from repro.server.wire import MAX_LINE, HeadError, read_head
 
 class _PerThread(threading.local):
-    #: This thread's open connection to the server, if any.
-    connection: Optional[http.client.HTTPConnection] = None
+    #: This thread's open connection to the server, if any (a buffered
+    #: file over the socket, which closes with it).
+    connection: Optional[BinaryIO] = None
 
 
 @dataclass
@@ -72,16 +70,15 @@ class ScenarioClient:
     """Client for one scenario server at ``base_url``."""
 
     def __init__(self, base_url: str, timeout: float = 600.0) -> None:
-        if not base_url.startswith(("http://", "https://")):
+        if not base_url.startswith("http://"):
             raise ConfigError(
-                f"base_url must be an http(s) URL, got {base_url!r}"
+                f"base_url must be an http:// URL (the server speaks no "
+                f"TLS), got {base_url!r}"
             )
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         parts = urllib.parse.urlsplit(self.base_url)
-        self._connection_class = (http.client.HTTPSConnection
-                                  if parts.scheme == "https"
-                                  else http.client.HTTPConnection)
+        self._address = (parts.hostname, parts.port or 80)
         self._netloc = parts.netloc
         self._prefix = parts.path
         self._local = _PerThread()
@@ -140,47 +137,71 @@ class ScenarioClient:
     # ------------------------------------------------------------------
     def _request(self, method: str, path: str,
                  payload: Optional[bytes] = None) -> ScenarioReply:
-        headers = ({"Content-Type": "application/json"}
-                   if payload is not None else {})
+        head = (f"{method} {self._prefix}{path} HTTP/1.1\r\n"
+                f"Host: {self._netloc}\r\n")
+        if payload is not None:
+            head += (f"Content-Type: application/json\r\n"
+                     f"Content-Length: {len(payload)}\r\n")
+        message = (head + "\r\n").encode("iso-8859-1") + (payload or b"")
         reused = self._local.connection is not None
         try:
-            response = self._send(method, path, payload, headers)
-        except _STALE:
-            if not reused:
-                raise
-            # Closed while idle: once more, on a fresh connection.
-            response = self._send(method, path, payload, headers)
-        try:
-            body = response.read()
+            try:
+                status_line = self._send(message)
+            except (ConnectionResetError, BrokenPipeError):
+                # A reused connection failing so, before any reply byte,
+                # was closed by the server: safe to send once more.
+                self._drop()
+                if not reused:
+                    raise
+                status_line = self._send(message)
+            reply = _read_reply(self._local.connection, status_line)
         except BaseException:
             self._drop()
             raise
-        if response.will_close:
+        if reply.headers.get("connection", "").lower() == "close":
             self._drop()
-        return ScenarioReply(
-            status=response.status, body=body,
-            headers={k.lower(): v for k, v in response.getheaders()})
+        return reply
 
-    def _send(self, method: str, path: str, payload: Optional[bytes],
-              headers: Dict[str, str]) -> http.client.HTTPResponse:
+    def _send(self, message: bytes) -> bytes:
         """Send on this thread's connection (opening one if there is
-        none) and read the response head; a failure drops it."""
+        none) and read the reply's status line."""
+        if self._local.connection is None:
+            with socket.create_connection(self._address,
+                                          timeout=self.timeout) as sock:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                self._local.connection = sock.makefile("rwb", 1 << 16)
         connection = self._local.connection
-        if connection is None:
-            connection = self._local.connection = self._connection_class(
-                self._netloc, timeout=self.timeout)
-        try:
-            connection.request(method, self._prefix + path, body=payload,
-                               headers=headers)
-            return connection.getresponse()
-        except BaseException:
-            self._drop()
-            raise
+        connection.write(message)
+        connection.flush()  # one send, head and body together
+        status_line = connection.readline(MAX_LINE + 1)
+        if not status_line:
+            raise ConnectionResetError(
+                "the server closed the connection without replying")
+        return status_line
 
     def _drop(self) -> None:
         connection, self._local.connection = self._local.connection, None
         if connection is not None:
-            connection.close()
+            try:
+                connection.close()
+            except OSError:
+                pass  # the unsent rest of a request that failed anyway
+
+
+def _read_reply(connection: BinaryIO, status_line: bytes) -> ScenarioReply:
+    """The rest of a reply after its status line: the head, then a body
+    of the required ``Content-Length``."""
+    headers = read_head(connection)
+    try:
+        status = int(status_line.split(None, 2)[1])
+        length = int(headers["content-length"])
+    except (IndexError, KeyError, ValueError):
+        raise HeadError(f"unreadable reply: {status_line!r}") from None
+    body = connection.read(length)
+    if len(body) != length:
+        raise ConnectionResetError(
+            f"reply body cut short: {len(body)} of {length} bytes")
+    return ScenarioReply(status=status, body=body, headers=headers)
 
 
 __all__ = ["ScenarioClient", "ScenarioReply"]

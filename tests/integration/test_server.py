@@ -18,8 +18,10 @@ import time
 
 import pytest
 
+import repro.server.app as app_module
 from repro.server import ScenarioClient, ScenarioServer
 from repro.server.handlers import IDLE_TIMEOUT_SECONDS, ScenarioRequestHandler
+from repro.server.wire import read_head
 
 #: rounds= sizes for the synthetic workload: SMALL finishes in
 #: milliseconds, SLOW takes a second or two on this hardware -- long
@@ -233,6 +235,113 @@ def test_unread_body_closes_the_connection(server, path, length):
         assert json.loads(response.read())["status"] == "ok"
     finally:
         connection.close()
+
+
+def _raw_exchange(server, request):
+    """Send raw request bytes; everything the server sends until it
+    closes the connection.  A close with request bytes still unread is
+    a reset, which arrives after the reply."""
+    with socket.create_connection(server.address, timeout=10.0) as sock:
+        sock.sendall(request)
+        chunks = []
+        try:
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except ConnectionResetError:
+            pass
+        return b"".join(chunks)
+
+
+@pytest.mark.parametrize("request_bytes,status", [
+    (b"NONSENSE\r\n\r\n", 400),
+    (b"GET /healthz HTTP/one\r\n\r\n", 400),
+    (b"GET /healthz HTTP/2.0\r\n\r\n", 505),
+    (b"GET /healthz HTTP/1.1\r\n" + b"X-Pad: 1\r\n" * 101 + b"\r\n", 431),
+    (b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n", 431),
+], ids=["request-line", "version", "http2", "101-fields", "long-line"])
+def test_a_bad_head_answers_its_status_and_closes(server, request_bytes,
+                                                  status):
+    reply = _raw_exchange(server, request_bytes)
+    assert reply.startswith(b"HTTP/1.1 %d " % status), reply[:80]
+    assert b"\r\nConnection: close\r\n" in reply
+
+
+def test_http10_request_is_answered_then_closed(server):
+    reply = _raw_exchange(server, b"GET /healthz HTTP/1.0\r\n\r\n")
+    assert reply.startswith(b"HTTP/1.1 200 ")
+    assert b"\r\nConnection: close\r\n" in reply
+
+
+@pytest.mark.parametrize("expect", [False, True], ids=["plain", "expect"])
+def test_raw_post_with_lowercase_content_length(server, client, expect):
+    doc = _workload_doc(seed=93)
+    body = json.dumps(doc).encode()
+    with socket.create_connection(server.address, timeout=10.0) as sock, \
+            sock.makefile("rb") as reader:
+        sock.sendall(b"POST /scenario HTTP/1.1\r\nhost: x\r\n"
+                     + (b"expect: 100-continue\r\n" if expect else b"")
+                     + b"content-length: %d\r\n\r\n" % len(body))
+        if expect:  # the server asks for the body before it is sent
+            assert reader.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert read_head(reader) == {}
+        sock.sendall(body)
+        assert reader.readline().startswith(b"HTTP/1.1 200 ")
+        headers = read_head(reader)
+        served = reader.read(int(headers["content-length"]))
+    assert served == client.scenario(doc).body
+
+
+# ----------------------------------------------------------------------
+# the application, without sockets: the request-body memo
+# ----------------------------------------------------------------------
+
+@pytest.fixture()
+def validations(monkeypatch):
+    calls = []
+
+    def counted(document):
+        calls.append(document)
+        return validate(document)
+
+    validate = app_module.validate_scenario
+    monkeypatch.setattr(app_module, "validate_scenario", counted)
+    return calls
+
+
+def test_a_repeated_body_is_validated_once(server, validations):
+    raw = json.dumps(_workload_doc(seed=95)).encode()
+    status, body, outcome = server.handle_scenario(raw)
+    assert (status, outcome) == (200, "miss")
+    assert server.handle_scenario(raw) == (200, body, "hit")
+    assert len(validations) == 1
+    # A body past the memo's size bound is validated every time.
+    padded = raw[:-1] + b" " * (app_module._MEMO_BODY_BYTES + 1) + b"}"
+    for _ in range(2):
+        assert server.handle_scenario(padded) == (200, body, "hit")
+    assert len(validations) == 3
+
+
+@pytest.mark.parametrize("raw,error,validated", [
+    (b'{"workload": "nope"}', "unknown workload", 2),
+    (b"[1, 2, 3]", "scenario must be a JSON object", 2),
+    (b"{not json", "not valid JSON", 0),
+], ids=["unknown-workload", "not-an-object", "not-json"])
+def test_an_invalid_body_answers_400_every_time(server, validations, raw,
+                                                error, validated):
+    for _ in range(2):
+        status, body, outcome = server.handle_scenario(raw)
+        assert (status, outcome) == (400, "invalid")
+        assert error in json.loads(body)["error"]
+    assert len(validations) == validated
+
+
+def test_the_body_memo_holds_at_most_cache_entries_bodies():
+    with ScenarioServer(port=0, jobs=1, cache_entries=2) as small:
+        for seed in range(3):
+            raw = json.dumps(_workload_doc(seed=seed)).encode()
+            assert small.handle_scenario(raw)[0] == 200
+        memo = small._resolve.cache_info()
+    assert (memo.maxsize, memo.currsize) == (2, 2)
 
 
 # ----------------------------------------------------------------------

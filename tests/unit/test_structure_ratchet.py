@@ -85,6 +85,10 @@ MEASURES = {
     "process-global-tables": lambda: _matches(
         SRC, r"(?m)^[A-Za-z_]\w*(?:\s*:[^=\n]+)?\s*=\s*"
              r"(?:\{\}|\[\]|set\(\)|itertools\.count\()"),
+    "http-client-imports": lambda: sum(
+        1 for path in SRC.rglob("*.py") if re.search(
+            r"(?m)^\s*(?:import http\.client|from http\.client import"
+            r"|from http import .*\bclient\b)", path.read_text())),
     # One match per line, as above.
     "payload-key-reads": lambda: _matches(
         SRC, r"(?m)^.*(?:payload|control)(?:\[|\.get\()"),
