@@ -439,8 +439,22 @@ class Message:
     def total_bytes(self) -> int:
         return self.payload_bytes + self.piggyback_bytes
 
+    def trace_args(self) -> tuple[MessageKind, int, ProcessId, ProcessId,
+                                  Optional[tuple[int, int]]]:
+        """What a trace row keeps of this message: kind, number, ends and
+        piggybacked (dummy, CkpSet) counts -- scalars, so the row's text
+        outlives any later edit of the message or its piggyback."""
+        pig = self.piggyback
+        return (self.kind, self.msg_id, self.src, self.dst,
+                None if pig is None or pig.is_empty()
+                else (len(pig.dummies), len(pig.ckp_sets)))
+
     def __str__(self) -> str:
-        pig = ""
-        if self.piggyback is not None and not self.piggyback.is_empty():
-            pig = f" +pig({len(self.piggyback.dummies)}d,{len(self.piggyback.ckp_sets)}c)"
-        return f"{self.kind} #{self.msg_id} {self.src}->{self.dst}{pig}"
+        return describe(*self.trace_args())
+
+
+def describe(kind: MessageKind, msg_id: int, src: ProcessId, dst: ProcessId,
+             pig: Optional[tuple[int, int]]) -> str:
+    """A message's one-line text, from :meth:`Message.trace_args`."""
+    suffix = "" if pig is None else f" +pig({pig[0]}d,{pig[1]}c)"
+    return f"{kind.value} #{msg_id} {src}->{dst}{suffix}"

@@ -15,11 +15,11 @@ tolerated").
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional, Protocol
+from typing import Any, Callable, Optional, Protocol
 
 from repro.errors import ConfigError, SimulationError
 from repro.net.channel import Channel, LatencyModel
-from repro.net.message import Message
+from repro.net.message import Message, MessageKind, describe
 from repro.net.sizing import HEADER_BYTES
 from repro.net.stats import NetworkStats
 from repro.sim.kernel import Kernel
@@ -101,8 +101,9 @@ class Network:
         interaction crosses it), so it avoids redundant work: the channel
         lookup is a single dict probe (misses fall back to the builder),
         the message is numbered and sized here, once, before anything
-        reads it (each typed record sizes itself in closed form), and the
-        trace row is only built when tracing is on.
+        reads it (each typed record sizes itself in closed form), and a
+        trace row -- scalars, rendered when read -- is only built for an
+        enabled log.
         """
         src = message.src
         dst = message.dst
@@ -130,9 +131,9 @@ class Network:
         when = channel.delivery_time(now, message)
         self.in_flight += 1
         kernel.queue.push(when, self._deliver, (message,), message.kind.value)
-        if TRACE_GATE.active:
-            kernel.trace.emit(now, "net", f"send {message}",
-                              bytes=message.total_bytes())
+        if TRACE_GATE.active and kernel.trace.enabled:
+            kernel.trace.emit(now, "net", net_row, "send",
+                              *message.trace_args(), message.total_bytes())
 
     def broadcast(self, src: ProcessId, make_message: Callable[[ProcessId], Message]) -> int:
         """Logical broadcast: send one message to every other registered process.
@@ -152,16 +153,27 @@ class Network:
 
     def _deliver(self, message: Message) -> None:
         self.in_flight -= 1
-        endpoint = self._endpoints.get(message.dst)
-        if endpoint is None or message.dst in self._crashed:
+        endpoint = (None if message.dst in self._crashed
+                    else self._endpoints.get(message.dst))
+        if TRACE_GATE.active and self.kernel.trace.enabled:
+            self.kernel.trace.emit(self.kernel.now, "net", net_row,
+                                   "drop" if endpoint is None else "recv",
+                                   *message.trace_args(), None)
+        if endpoint is None:
             self.stats.record_drop(message)
-            if TRACE_GATE.active:
-                self.kernel.trace.emit(self.kernel.now, "net",
-                                       f"drop {message} (dst crashed)")
         else:
-            if TRACE_GATE.active:
-                self.kernel.trace.emit(self.kernel.now, "net", f"recv {message}")
             endpoint.deliver(message)
         if self.in_flight == 0:
             for hook in self.drained_hooks:
                 hook()
+
+
+def net_row(verb: str, kind: MessageKind, msg_id: int, src: ProcessId,
+            dst: ProcessId, pig: Optional[tuple[int, int]],
+            nbytes: Optional[int]) -> tuple[str, dict[str, Any]]:
+    """Render a ``send`` / ``recv`` / ``drop`` row from the scalars it was
+    emitted with (:meth:`Message.trace_args`; a send adds its bytes)."""
+    text = f"{verb} {describe(kind, msg_id, src, dst, pig)}"
+    if verb == "drop":
+        text += " (dst crashed)"
+    return text, {} if nbytes is None else {"bytes": nbytes}

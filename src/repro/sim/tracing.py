@@ -8,13 +8,17 @@ be bounded for very long runs; the bound is a true ring (drop-oldest,
 one record at a time) so the retained window is always the most recent
 ``max_records`` rows.
 
-**Trace-free fast mode.**  Most production-sized runs trace nothing: the
-log is disabled and every ``emit`` early-outs.  The early-out itself is
-cheap, but the *call site* still built the record's message (usually an
-f-string over protocol state) before ``emit`` could decline it.  Hot
-layers therefore guard their emits with :data:`TRACE_GATE` -- a
-module-level flag object -- and skip argument construction entirely
-when no enabled log in the process is being fed.  The gate belongs to
+A row stores the values it was emitted with -- its text and keyword
+fields, or a renderer and the scalars (or frozen event) to render from --
+and renders them on first read (``message``, ``fields``, ``str``).
+:meth:`TraceLog.emit` is the one entry point; on a disabled log it
+returns before any string, dict or row is built.
+
+**Trace-free fast mode.**  Most production-sized runs trace nothing.
+Hot layers guard their emits with :data:`TRACE_GATE` -- a module-level
+flag object -- which saves the call itself when no enabled log in the
+process is being fed; the hottest (network rows, ``mem`` rows) also test
+their log's ``enabled`` before gathering arguments.  The gate belongs to
 the *run*, not to the log object: whoever drives a cluster holds it open
 with :meth:`TraceLog.feeding` for exactly as long as the driving call
 lasts (:class:`~repro.cluster.system.DisomSystem` does so around
@@ -24,18 +28,16 @@ server workers, fuzz batches -- on the slow path.  A harness that sends
 messages through gated layers without a ``DisomSystem`` must do the
 same, or its hot-path records are skipped.  Per-log ``enabled`` stays
 authoritative: the gate only being *set* never makes a disabled log
-record anything, it merely lets call sites fall back to the legacy
-build-then-discard path.  :func:`set_fast_mode` forces exactly that
-fallback everywhere, which the byte-identity regression test uses to
-prove the fast mode changes no simulated behavior.
+record anything.  :func:`set_fast_mode` holds the gate open everywhere,
+which the byte-identity regression test uses to prove the fast mode
+changes no simulated behavior.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional, Union
 
 
 class _TraceGate:
@@ -60,7 +62,7 @@ TRACE_GATE = _TraceGate()
 #: Number of enabled TraceLogs currently inside :meth:`TraceLog.feeding`.
 _feeding_logs = 0
 
-#: False forces the legacy always-call-emit path at gated call sites.
+#: False holds the gate open at every gated call site.
 _fast_mode = True
 
 
@@ -77,9 +79,8 @@ def set_fast_mode(on: bool) -> bool:
     """Toggle the trace-free fast mode (on by default); return the
     previous setting, which is what a temporary toggle must restore.
 
-    ``set_fast_mode(False)`` forces every gated call site back to the
-    legacy behavior of unconditionally calling ``emit`` and letting the
-    per-log ``enabled`` check discard the record.  Simulated behavior is
+    ``set_fast_mode(False)`` opens the gate at every gated call site;
+    a disabled log still records nothing.  Simulated behavior is
     identical either way -- the byte-identity regression test runs the
     same workload in both modes and compares result fingerprints.
     """
@@ -89,18 +90,46 @@ def set_fast_mode(on: bool) -> bool:
     return previous
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
-    """One trace row: simulated time, category, human message, fields."""
+#: Turns the values a row was emitted with into its text and fields.
+RowRenderer = Callable[..., tuple[str, dict[str, Any]]]
 
-    time: float
-    category: str
-    message: str
-    fields: dict[str, Any] = field(default_factory=dict)
+
+class TraceRecord:
+    """One trace row: simulated time, category, human message, fields.
+    Holds its text and fields, or a renderer and the values to render
+    them from; the first read renders and keeps the result."""
+
+    __slots__ = ("time", "category", "_source", "_values")
+
+    def __init__(self, time: float, category: str,
+                 source: Union[str, RowRenderer], values: Any) -> None:
+        self.time, self.category = time, category
+        self._source, self._values = source, values
+
+    def _rendered(self) -> tuple[str, dict[str, Any]]:
+        source = self._source
+        if isinstance(source, str):
+            return source, self._values
+        text, fields = source(*self._values)
+        self._source, self._values = text, fields
+        return text, fields
+
+    @property
+    def message(self) -> str:
+        return self._rendered()[0]
+
+    @property
+    def fields(self) -> dict[str, Any]:
+        return self._rendered()[1]
 
     def __str__(self) -> str:
-        extra = " ".join(f"{k}={v}" for k, v in self.fields.items())
-        return f"[{self.time:10.3f}] {self.category:<12} {self.message} {extra}".rstrip()
+        message, fields = self._rendered()
+        extra = " ".join(f"{k}={v}" for k, v in fields.items())
+        return f"[{self.time:10.3f}] {self.category:<12} {message} {extra}".rstrip()
+
+    def __reduce__(self) -> tuple[type, tuple[Any, ...]]:
+        # Rendered rows cross process boundaries (violation slices).
+        return (TraceRecord, (self.time, self.category, *self._rendered()))
 
 
 class TraceLog:
@@ -138,14 +167,20 @@ class TraceLog:
                 _feeding_logs -= 1
                 _refresh_gate()
 
-    def emit(self, time: float, category: str, message: str, **fields: Any) -> None:
+    def emit(self, time: float, category: str,
+             message: Union[str, RowRenderer], *args: Any,
+             **fields: Any) -> None:
+        """Record one row: ``message`` is its text and ``fields`` its
+        keywords, or ``message`` is a renderer that makes both from
+        ``args`` when the row is first read."""
         if not self.enabled:
             return
-        record = TraceRecord(time, category, message, fields)
         if self._max is not None and len(self._records) == self._max:
             # deque(maxlen=...) evicts the oldest on append; count it.
             self._dropped += 1
-        self._records.append(record)
+        self._records.append(TraceRecord(
+            time, category, message,
+            fields if isinstance(message, str) else args))
 
     @property
     def records(self) -> list[TraceRecord]:
@@ -164,7 +199,7 @@ class TraceLog:
     def iter_records(self) -> Iterator[TraceRecord]:
         """Iterate retained records in emission order without copying.
 
-        The log must not be mutated (emit/clear) during iteration --
+        The log must not be emitted to during iteration --
         deque iterators raise RuntimeError on concurrent mutation.
         """
         return iter(self._records)
@@ -194,7 +229,3 @@ class TraceLog:
 
     def count(self, category: Optional[str] = None, contains: Optional[str] = None) -> int:
         return sum(1 for _ in self.filter(category, contains))
-
-    def clear(self) -> None:
-        self._records.clear()
-        self._dropped = 0

@@ -10,7 +10,7 @@ recovery can be demonstrated across a real restart (the paper's
 Both backends implement the same two-phase, two-slot commit protocol:
 
 1. ``begin_write`` stages the new image (FileBackend: serialize to a
-   temp file and fsync it).  The previous checkpoint is untouched.
+   stage file and fsync it).  The previous checkpoint is untouched.
 2. ``commit`` publishes it (FileBackend: atomic rename onto the slot
    *not* holding the latest committed image, then fsync the directory).
 
@@ -303,9 +303,6 @@ class FileBackend(StorageBackend):
         return os.path.join(self._segment_dir(pid), f"{key}.seg")
 
     # -- low-level io --------------------------------------------------
-    def _write_file(self, path: str, blob: bytes) -> None:
-        atomic_write_file(path, blob, fsync=self.fsync)
-
     def _fsync_dir(self, path: str) -> None:
         if not self.fsync:
             return
@@ -351,7 +348,13 @@ class FileBackend(StorageBackend):
             # Only a prefix of the image reaches the platter.
             blob = blob[: max(len(blob) * 3 // 5, 1)]
             self._torn.add((pid, seq))
-        self._write_file(self._stage_path(pid, seq), blob)
+        # Written in place: a stage is only ever committed by the
+        # process that finished writing it, and gc removes leftovers.
+        with open(self._stage_path(pid, seq), "wb") as handle:
+            handle.write(blob)
+            if self.fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
         written += len(blob)
         self.counters.bytes_written += written
         return written
@@ -366,7 +369,8 @@ class FileBackend(StorageBackend):
             return 0
         blob = fmt.encode_segment(section.crc32, section.comp,
                                   section.raw_len, stored)
-        self._write_file(path, blob)
+        # Atomic: an existing segment path must mean complete content.
+        atomic_write_file(path, blob, fsync=self.fsync)
         self.counters.segments_written += 1
         return len(blob)
 
@@ -431,10 +435,10 @@ class FileBackend(StorageBackend):
         path = self._slot_path(pid, slot)
         try:
             with open(path, "rb") as handle:
-                blob = handle.read()
+                head = handle.read(fmt.HEADER_BYTES)
         except OSError:
             return None
-        return fmt.peek_header(blob, path)
+        return fmt.peek_header(head, path)
 
     def _load_slot(self, pid: ProcessId, slot: str) -> Checkpoint:
         path = self._slot_path(pid, slot)

@@ -57,6 +57,8 @@ DELTA_SECTIONS = ("threads", "objects", "log", "dummies")
 
 _HEADER = struct.Struct("<4sHHIQdQQI")
 _HEADER_CRC = struct.Struct("<I")
+#: Bytes of an image's fixed, CRC-guarded header.
+HEADER_BYTES = _HEADER.size + _HEADER_CRC.size
 _SECTION = struct.Struct("<HBBQQI")
 _SEGMENT_HEADER = struct.Struct("<4sBIQ")
 
@@ -199,8 +201,7 @@ def decode_image(blob: bytes, context: str) -> DecodedImage:
     Section *payload* CRCs are verified lazily by :func:`decode_payload`
     so that `inspect` can list a partially corrupt image.
     """
-    need = _HEADER.size + _HEADER_CRC.size
-    if len(blob) < need:
+    if len(blob) < HEADER_BYTES:
         raise CheckpointCorruptError(
             f"{context}: truncated header ({len(blob)} bytes)"
         )
@@ -213,9 +214,7 @@ def decode_image(blob: bytes, context: str) -> DecodedImage:
         raise CheckpointCorruptError(
             f"{context}: unsupported format version {version}"
         )
-    (stored_crc,) = _HEADER_CRC.unpack(
-        blob[_HEADER.size:_HEADER.size + _HEADER_CRC.size]
-    )
+    (stored_crc,) = _HEADER_CRC.unpack(blob[_HEADER.size:HEADER_BYTES])
     actual_crc = zlib.crc32(head) & 0xFFFFFFFF
     if stored_crc != actual_crc:
         raise CheckpointCorruptError(f"{context}: header CRC mismatch")
@@ -225,7 +224,7 @@ def decode_image(blob: bytes, context: str) -> DecodedImage:
         full_size=full_size, n_sections=n_sections,
         flags=flags, version=version,
     ))
-    offset = need
+    offset = HEADER_BYTES
     for _ in range(n_sections):
         if offset + _SECTION.size > len(blob):
             raise CheckpointCorruptError(f"{context}: truncated section table")
@@ -270,22 +269,19 @@ def decode_segment(blob: bytes, context: str) -> tuple[int, int, int, bytes]:
 
 
 def peek_header(blob: bytes, context: str) -> Optional[ImageHeader]:
-    """Header of a slot file if its fixed part is intact, else None."""
-    try:
-        return decode_image(blob, context).header
-    except CheckpointCorruptError:
-        try:
-            need = _HEADER.size + _HEADER_CRC.size
-            if len(blob) < need:
-                return None
-            head = blob[:_HEADER.size]
-            (magic, version, flags, pid, seq, taken_at,
-             size, full_size, n_sections) = _HEADER.unpack(head)
-            (stored_crc,) = _HEADER_CRC.unpack(blob[_HEADER.size:need])
-            if magic != MAGIC or stored_crc != (zlib.crc32(head) & 0xFFFFFFFF):
-                return None
-            return ImageHeader(pid=pid, seq=seq, taken_at=taken_at, size=size,
-                               full_size=full_size, n_sections=n_sections,
-                               flags=flags, version=version)
-        except struct.error:
-            return None
+    """Header of a slot file if its fixed part is intact, else None.
+
+    Only the first :data:`HEADER_BYTES` of ``blob`` are read (magic and
+    header CRC checked), so a caller may pass just that prefix.
+    """
+    if len(blob) < HEADER_BYTES:
+        return None
+    head = blob[:_HEADER.size]
+    (magic, version, flags, pid, seq, taken_at,
+     size, full_size, n_sections) = _HEADER.unpack(head)
+    (stored_crc,) = _HEADER_CRC.unpack(blob[_HEADER.size:HEADER_BYTES])
+    if magic != MAGIC or stored_crc != (zlib.crc32(head) & 0xFFFFFFFF):
+        return None
+    return ImageHeader(pid=pid, seq=seq, taken_at=taken_at, size=size,
+                       full_size=full_size, n_sections=n_sections,
+                       flags=flags, version=version)

@@ -2,12 +2,12 @@
 
 The coherence engine builds one typed :class:`MemEvent` per memory /
 synchronization event (see ``ConsistencyModel.emit_mem_event``) and
-hands it to :func:`publish_mem_event`, the one place that knows both
-where an event goes -- the run's :class:`~repro.observers.Observers`
-registry, as ``on_mem_event`` -- and what its human-readable ``"mem"``
-trace row looks like.  Each event carries both the accessed object id
-and the id of the guarding sync object, so consumers never re-derive
-the object-to-guard association.
+hands it to :func:`publish_mem_event`, the one place that knows where
+an event goes: the run's :class:`~repro.observers.Observers` registry,
+as ``on_mem_event``, and a ``"mem"`` trace row that keeps the frozen
+event and renders it (:func:`mem_row`) only when read.  Each event
+carries both the accessed object id and the id of the guarding sync
+object, so consumers never re-derive the object-to-guard association.
 """
 
 from __future__ import annotations
@@ -64,20 +64,22 @@ class MemEvent:
                 f"{self.mode} by {self.tid}@{self.lt}{suffix}")
 
 
+def mem_row(event: MemEvent) -> tuple[str, dict[str, Any]]:
+    """Render ``event``'s ``"mem"`` trace row (text and fields)."""
+    return (f"{event.kind} {event.obj_id} {event.mode} {event.tid}@{event.lt}",
+            {"kind": event.kind, "pid": event.pid, "tid": event.tid,
+             "lt": event.lt, "obj": event.obj_id, "sync": event.sync_id,
+             "mode": event.mode, "version": event.version,
+             "local": event.local, "replayed": event.replayed})
+
+
 def publish_mem_event(event: MemEvent, observers: Any,
                       trace: Optional[Any] = None) -> None:
-    """Render ``event``'s ``"mem"`` row into ``trace`` (a
+    """Record ``event`` as a ``"mem"`` row of ``trace`` (a
     :class:`~repro.sim.tracing.TraceLog`; ``None`` skips the row) and
-    deliver the event to the registry's listeners.  The row is for
-    people; checkers subscribe."""
+    deliver it to the registry's listeners.  The row is for people;
+    checkers subscribe."""
     if trace is not None:
-        trace.emit(
-            event.time, "mem",
-            f"{event.kind} {event.obj_id} {event.mode} {event.tid}@{event.lt}",
-            kind=event.kind, pid=event.pid, tid=event.tid, lt=event.lt,
-            obj=event.obj_id, sync=event.sync_id, mode=event.mode,
-            version=event.version, local=event.local,
-            replayed=event.replayed,
-        )
+        trace.emit(event.time, "mem", mem_row, event)
     if observers.active:
         observers.on_mem_event(event)

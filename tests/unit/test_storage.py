@@ -355,6 +355,17 @@ class TestFormat:
     def test_peek_rejects_garbage(self):
         assert fmt.peek_header(b"not a checkpoint image", "test") is None
 
+    def test_peek_needs_only_the_fixed_header(self):
+        section, _ = fmt.make_section("meta", {"k": 1}, compress=False,
+                                      mode=fmt.MODE_INLINE)
+        header = fmt.ImageHeader(pid=1, seq=4, taken_at=1.5, size=10,
+                                 full_size=20, n_sections=1)
+        blob = fmt.encode_image(header, [section])
+        head = blob[:fmt.HEADER_BYTES]
+        assert fmt.peek_header(head, "test") == fmt.peek_header(blob, "test")
+        assert fmt.peek_header(head, "test").seq == 4
+        assert fmt.peek_header(head[:-1], "test") is None
+
     def test_payload_crc_mismatch_raises(self):
         section, stored = fmt.make_section("meta", {"k": 1}, compress=False,
                                            mode=fmt.MODE_INLINE)

@@ -89,6 +89,7 @@ MEASURES = {
         1 for path in SRC.rglob("*.py") if re.search(
             r"(?m)^\s*(?:import http\.client|from http\.client import"
             r"|from http import .*\bclient\b)", path.read_text())),
+    "trace-emit-sites": lambda: _matches(SRC, r"\btrace\.emit\("),
     # One match per line, as above.
     "payload-key-reads": lambda: _matches(
         SRC, r"(?m)^.*(?:payload|control)(?:\[|\.get\()"),
