@@ -72,6 +72,10 @@ class DummyEntry(StoredSize):
         return replace(self, p_log=pid)
 
     @property
+    def lt(self) -> int:
+        return self.ep_acq.lt
+
+    @property
     def creator_pid(self) -> ProcessId:
         """Process whose thread performed the local acquire."""
         return self.ep_acq.tid.pid

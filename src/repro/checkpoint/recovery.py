@@ -25,7 +25,12 @@ from repro.checkpoint.detection import (
 from repro.checkpoint.dummy import DummyEntry
 from repro.checkpoint.log import LogEntry, is_pseudo
 from repro.checkpoint.policy import CkpSet
-from repro.checkpoint.replay import LogReplayer, ReplayItem, ReplayPlan
+from repro.checkpoint.replay import (
+    LogItem,
+    LogReplayer,
+    RegularLogElement,
+    ReplayPlan,
+)
 from repro.checkpoint.stable import Checkpoint
 from repro.errors import ProtocolError, RecoveryError
 from repro.net.message import (
@@ -58,21 +63,6 @@ RECOVERY_PHASES: tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class RegularLogElement:
-    """A LogSet element: one logged version acquired by a recovering thread.
-
-    Carries the full entry (data, threadSet, nextOwner) plus the specific
-    ``<ep_acq, ep_prd>`` pair that put it in the set, and the identity of
-    the process where the version was produced (the sender).
-    """
-
-    entry: LogEntry
-    ep_acq: ExecutionPoint
-    ep_prd: ExecutionPoint
-    produced_in: ProcessId
-
-
 @dataclass
 class RecoveryReplyData:
     """Everything one process contributes to another's recovery."""
@@ -82,6 +72,9 @@ class RecoveryReplyData:
     dummy_elements: list[DummyEntry] = field(default_factory=list)
     depend_set: list[Dependency] = field(default_factory=list)
     dummy_set: list[Dependency] = field(default_factory=list)
+    #: Collected from the frozen checkpoint-state view of a process that
+    #: is itself recovering (see :attr:`ReplayPlan.concurrent_recoveries`).
+    from_checkpoint: bool = False
 
 
 def collect_recovery_data(
@@ -152,12 +145,13 @@ def collect_recovery_data(
     return reply
 
 
-def answer_recovery_request(process: Any, message: Message, view: tuple) -> None:
+def answer_recovery_request(process: Any, message: Message, view: tuple,
+                            from_checkpoint: bool = False) -> None:
     """Send ``process``'s RECOVERY_REPLY to ``message``'s sender.
 
     ``view`` is ``(log entries, dummy entries, depSets by thread)``: the
-    live structures at a survivor, or the frozen checkpoint-state
-    snapshot at a process that is itself recovering.
+    live structures at a survivor, or -- ``from_checkpoint`` -- the frozen
+    checkpoint-state snapshot at a process that is itself recovering.
     """
     log_entries, dummy_entries, dep_sets = view
     data = collect_recovery_data(
@@ -168,6 +162,7 @@ def answer_recovery_request(process: Any, message: Message, view: tuple) -> None
         failed_pid=message.payload.failed_pid,
         ckp_set=message.payload.ckp_set,
     )
+    data.from_checkpoint = from_checkpoint
     process.send_raw(MessageKind.RECOVERY_REPLY, message.src, RecoveryReply(data))
 
 
@@ -308,7 +303,8 @@ class RecoveryManager:
         # Answer recovery requests that arrived while loading.
         pending, self._pending_requests = self._pending_requests, []
         for message in pending:
-            answer_recovery_request(process, message, self._collection_view)
+            answer_recovery_request(process, message, self._collection_view,
+                                    from_checkpoint=True)
         # Broadcast the recovery request (section 4.3.1).
         for peer in process.peer_pids():
             if peer != process.pid:
@@ -329,7 +325,8 @@ class RecoveryManager:
         if self._collection_view is None:
             self._pending_requests.append(message)
         else:
-            answer_recovery_request(self.process, message, self._collection_view)
+            answer_recovery_request(self.process, message,
+                                    self._collection_view, from_checkpoint=True)
 
     # ------------------------------------------------------------------
     # phase 2: collect replies, run detection, build the replay plan
@@ -353,29 +350,17 @@ class RecoveryManager:
         assert self.ckp_set is not None
         ckpt_lts = self.ckp_set.lts_by_tid()
 
-        log_lists: dict[Tid, list[ReplayItem]] = {tid: [] for tid in process.threads}
+        log_lists: dict[Tid, list[LogItem]] = {tid: [] for tid in process.threads}
         depend_lists: dict[Tid, list[Dependency]] = {tid: [] for tid in process.threads}
         dummy_set: list[Dependency] = []
 
         for reply in self._replies.values():
-            for element in reply.log_elements:
-                tid = element.ep_acq.tid
+            items: list[LogItem] = [*reply.log_elements, *reply.dummy_elements]
+            for item in items:
+                tid = item.ep_acq.tid
                 if tid not in log_lists:
                     raise ProtocolError(f"LogSet element for unknown thread {tid}")
-                log_lists[tid].append(
-                    ReplayItem.regular(
-                        lt=element.ep_acq.lt,
-                        entry=element.entry,
-                        ep_prd=element.ep_prd,
-                        produced_in=element.produced_in,
-                        ep_acq=element.ep_acq,
-                    )
-                )
-            for dummy in reply.dummy_elements:
-                tid = dummy.ep_acq.tid
-                if tid not in log_lists:
-                    raise ProtocolError(f"DummySet element for unknown thread {tid}")
-                log_lists[tid].append(ReplayItem.from_dummy(dummy))
+                log_lists[tid].append(item)
             for dep in reply.depend_set:
                 tid = dep.ep_prd.tid
                 if is_pseudo(tid):
@@ -420,16 +405,13 @@ class RecoveryManager:
             self._set_phase("aborted")
             return
 
-        concurrent = any(
-            peer.recovery_manager is not None and peer.pid != process.pid
-            for peer in process.system.processes.values()
-        )
         plan = ReplayPlan(
-            log_lists={tid: items for tid, items in log_lists.items()},
+            log_lists=log_lists,
             depend_lists=depend_lists,
             dummy_set=dummy_set,
             ckpt_lts=dict(ckpt_lts),
-            concurrent_recoveries=concurrent,
+            concurrent_recoveries=any(
+                reply.from_checkpoint for reply in self._replies.values()),
         )
         self.replayer = LogReplayer(process, plan, on_finished=self._replay_finished)
         process.replayer = self.replayer

@@ -17,23 +17,24 @@ original execution obeyed:
   reproduced -- operationally, until the object's ``epDep`` equals it;
 * an acquire of either kind waits until the local CREW state admits it.
 
-On completion :meth:`LogReplayer.finalize` runs the paper's reconstruction
-steps: attach DependList elements to (re-)created log entries, apply the
-InvalidSet to recover ``probOwner``/``status``, recover copySets from
-threadSets, re-create the dummy entries that were stored in the failed
-process, and re-send invalidations for a write acquire that was in flight
-at the crash.
+On completion :func:`plan_finalize` computes the paper's reconstruction
+steps from the restored log and directory -- DependList pairs attached to
+(re-)created log entries, the InvalidSet's ``probOwner``/``status`` edits,
+copySets recovered from threadSets with invalidations for stale readers,
+the failed process's dummy entries -- and :meth:`LogReplayer.finalize`
+makes them on the process.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from dataclasses import dataclass, field
+from typing import Any, Callable, Optional, Union
 
 from repro.checkpoint.dummy import DummyEntry
-from repro.checkpoint.log import LogEntry, is_pseudo
+from repro.checkpoint.log import LogEntry, ProcessLog, is_pseudo
 from repro.errors import ProtocolError
+from repro.memory.objects import ObjectDirectory
 from repro.threads.thread import Thread, ThreadState, snapshot
 from repro.types import (
     AcquireType,
@@ -46,57 +47,57 @@ from repro.types import (
 )
 
 
-@dataclass
-class ReplayItem:
-    """One LogList element: a regular or a dummy logged acquire."""
+@dataclass(frozen=True)
+class RegularLogElement:
+    """A LogSet element: one logged version acquired by a recovering thread.
 
-    lt: int
-    kind: str  # "regular" | "dummy"
-    entry: Optional[LogEntry] = None
-    ep_prd: Optional[ExecutionPoint] = None
-    produced_in: Optional[ProcessId] = None
-    dummy: Optional[DummyEntry] = None
-    #: For regular items: True when *this* acquire (not merely some thread
-    #: of this process) is the one that took ownership of the version.
-    #: Several threads of one process may appear in the same version's
-    #: threadSet; classification must be per execution point.
-    is_write: bool = False
+    Carries the full entry (data, threadSet, nextOwner) plus the specific
+    ``<ep_acq, ep_prd>`` pair that put it in the set, and the identity of
+    the process where the version was produced (the sender).
+    """
 
-    @staticmethod
-    def regular(lt: int, entry: LogEntry, ep_prd: ExecutionPoint,
-                produced_in: ProcessId,
-                ep_acq: ExecutionPoint) -> "ReplayItem":
-        is_write = (entry.next_owner_ep is not None
-                    and entry.next_owner_ep == ep_acq)
-        return ReplayItem(lt=lt, kind="regular", entry=entry, ep_prd=ep_prd,
-                          produced_in=produced_in, is_write=is_write)
+    entry: LogEntry
+    ep_acq: ExecutionPoint
+    ep_prd: ExecutionPoint
+    produced_in: ProcessId
 
-    @staticmethod
-    def from_dummy(dummy: DummyEntry) -> "ReplayItem":
-        return ReplayItem(lt=dummy.ep_acq.lt, kind="dummy", dummy=dummy)
+    @property
+    def lt(self) -> int:
+        return self.ep_acq.lt
 
     @property
     def obj_id(self) -> ObjectId:
-        return self.entry.obj_id if self.kind == "regular" else self.dummy.obj_id
+        return self.entry.obj_id
 
     @property
-    def version(self) -> Optional[int]:
-        return self.entry.version if self.kind == "regular" else None
+    def version(self) -> int:
+        return self.entry.version
+
+    @property
+    def is_write(self) -> bool:
+        """Is *this* acquire (not merely some thread of this process) the
+        one that took ownership of the version?  Several threads of one
+        process may appear in one version's threadSet."""
+        return self.entry.next_owner_ep == self.ep_acq
+
+
+#: One LogList element: a regular or a dummy logged acquire.
+LogItem = Union[RegularLogElement, DummyEntry]
 
 
 @dataclass
 class ReplayPlan:
     """Everything the replayer needs, built by the RecoveryManager."""
 
-    log_lists: dict[Tid, list[ReplayItem]]
+    log_lists: dict[Tid, list[LogItem]]
     depend_lists: dict[Tid, list[Dependency]]
     dummy_set: list[Dependency]
     #: Logical time of each thread at the checkpoint: events at or before
     #: these are considered already reproduced (they are inside the
     #: restored state).
     ckpt_lts: dict[Tid, int]
-    #: True when other processes were recovering concurrently: replay
-    #: knowledge derived from their *checkpoint-state* logs (nextOwner,
+    #: True when a reply came from a process that is itself recovering:
+    #: replay knowledge derived from its *checkpoint-state* log (nextOwner,
     #: copySets) may miss post-checkpoint events, so cached read copies
     #: cannot be trusted at all.
     concurrent_recoveries: bool
@@ -128,7 +129,7 @@ class LogReplayer:
         self._events: dict[ObjectId, set[ExecutionPoint]] = {}
         for items in plan.log_lists.values():
             for item in items:
-                if item.kind == "regular":
+                if isinstance(item, RegularLogElement):
                     self._pending.setdefault(item.obj_id, Counter())[
                         (item.version, item.is_write)
                     ] += 1
@@ -179,23 +180,23 @@ class LogReplayer:
                     continue
                 # Only a thread's earliest unconsumed item on the object
                 # can be the object's next local event.
-                if item.kind == "dummy" and self._dep_reproduced(
-                    obj_id, item.dummy.local_dep
+                if isinstance(item, DummyEntry) and self._dep_reproduced(
+                    obj_id, item.local_dep
                 ):
-                    priority = (0 if item.dummy.type.is_read else 1,
+                    priority = (0 if item.type.is_read else 1,
                                 item.lt, tid.local)
                     out.append((priority, tid))
                 break
         return sorted(out)
 
-    def _gate_open(self, thread: Thread, syscall: Any, item: ReplayItem) -> bool:
+    def _gate_open(self, thread: Thread, syscall: Any, item: LogItem) -> bool:
         obj = self.process.directory.get(item.obj_id)
         acq_type: AcquireType = syscall.type
         if not obj.can_grant_locally(acq_type):
             return False
         claimants = self._claimants(item.obj_id)
-        if item.kind == "dummy":
-            if not self._dep_reproduced(item.obj_id, item.dummy.local_dep):
+        if isinstance(item, DummyEntry):
+            if not self._dep_reproduced(item.obj_id, item.local_dep):
                 return False
             # Among ready dummies, only the chain-first may proceed.
             if claimants and claimants[0][1] != thread.tid:
@@ -218,7 +219,7 @@ class LogReplayer:
                 return False
         return True
 
-    def _apply(self, thread: Thread, syscall: Any, item: ReplayItem) -> None:
+    def _apply(self, thread: Thread, syscall: Any, item: LogItem) -> None:
         process = self.process
         obj = process.directory.get(item.obj_id)
         acq_type: AcquireType = syscall.type
@@ -231,17 +232,17 @@ class LogReplayer:
                 f"{thread.tid}: replay divergence -- program acquires at "
                 f"lt {ep_acq.lt} but LogList expects lt {item.lt}"
             )
+        if item.obj_id != syscall.obj_id:
+            raise ProtocolError(
+                f"{thread.tid}: replay divergence -- program acquires "
+                f"{syscall.obj_id!r} but LogList has {item.obj_id!r}"
+            )
         items = self.plan.log_lists[thread.tid]
         items.pop(0)
         self._waiting.pop(thread.tid, None)
 
-        if item.kind == "regular":
+        if isinstance(item, RegularLogElement):
             entry = item.entry
-            if entry.obj_id != syscall.obj_id:
-                raise ProtocolError(
-                    f"{thread.tid}: replay divergence -- program acquires "
-                    f"{syscall.obj_id!r} but LogList has {entry.obj_id!r}"
-                )
             self._pending[item.obj_id][(item.version, item.is_write)] -= 1
             obj.data = entry.data_copy()
             obj.version = entry.version
@@ -267,22 +268,16 @@ class LogReplayer:
                            item.produced_in)
             )
         else:
-            dummy = item.dummy
-            if dummy.obj_id != syscall.obj_id:
-                raise ProtocolError(
-                    f"{thread.tid}: replay divergence -- program acquires "
-                    f"{syscall.obj_id!r} but dummy entry has {dummy.obj_id!r}"
-                )
-            if dummy.type is not acq_type:
+            if item.type is not acq_type:
                 raise ProtocolError(
                     f"{thread.tid}: replay divergence -- acquire type "
-                    f"{acq_type} vs dummy-logged {dummy.type}"
+                    f"{acq_type} vs dummy-logged {item.type}"
                 )
             # Local acquire: the (reconstructed) local copy is the value;
             # note that no dummy entries are created during recovery.
             thread.dep_set.append(
-                Dependency(dummy.obj_id, acq_type, ep_acq, dummy.local_dep,
-                           dummy.p_log, local=True)
+                Dependency(item.obj_id, acq_type, ep_acq, item.local_dep,
+                           item.p_log, local=True)
             )
 
         obj.ep_dep = ep_acq
@@ -292,7 +287,7 @@ class LogReplayer:
         thread.note_acquired(item.obj_id, acq_type, value)
         thread.wait_obj = None
         process.engine.emit_mem_event("acquire", thread.tid, ep_acq.lt, obj,
-                                      acq_type, local=(item.kind == "dummy"),
+                                      acq_type, local=isinstance(item, DummyEntry),
                                       replayed=True)
         process.metrics.replayed_acquires += 1
         process.scheduler.complete(thread, value)
@@ -357,157 +352,169 @@ class LogReplayer:
     # finalization (section 4.3.2, closing paragraphs)
     # ------------------------------------------------------------------
     def finalize(self) -> None:
-        self._attach_dependencies()
-        self._apply_invalid_set()
-        self._drop_unvalidated_read_copies()
-        self._reconcile_copy_sets()
-        self._recreate_dummies()
-
-    def _attach_dependencies(self) -> None:
-        """Recover threadSets / nextOwner of (re-)created log entries from
-        the DependList elements."""
+        """Make :func:`plan_finalize`'s edits, the only finalisation code
+        that changes the process, sends or traces."""
         process = self.process
-        log = process.checkpoint_protocol.log
-        for tid in sorted(self.plan.depend_lists):
-            for dep in self.plan.depend_lists[tid]:
-                entry = self._entry_for_dependency(dep)
-                if entry is None:
-                    # Stale dependency: the entry (and this pair) was
-                    # garbage-collected, which the GC only does once the
-                    # acquirer's own checkpoint covers the acquire -- so
-                    # the dependency is no longer needed for anyone's
-                    # recovery.  (Its dep-set GC announcement simply had
-                    # not reached the sender yet.)
-                    process.kernel.trace.emit(
-                        process.kernel.now, "recovery",
-                        f"P{process.pid}: skipping stale dependency {dep}",
-                    )
-                    continue
-                if not any(pair.ep_acq == dep.ep_acq for pair in entry.thread_set):
-                    entry.add_access(dep.ep_acq, dep.ep_prd)
-                if dep.type.is_write:
-                    entry.next_owner = dep.ep_acq.tid.pid
-                    entry.next_owner_ep = dep.ep_acq
-                    obj = process.directory.get(dep.obj_id)
-                    if (
-                        log.last_entry(dep.obj_id) is entry
-                        and obj.status is ObjectStatus.OWNED
-                        and obj.version <= entry.version
-                    ):
-                        # Ownership left before the crash and our copy is
-                        # not newer: the object must be invalidated.
-                        self.invalid_set[dep.obj_id] = entry.next_owner
-
-    def _apply_invalid_set(self) -> None:
-        """Invalidate local copies whose version was superseded elsewhere."""
-        for obj_id in sorted(self.invalid_set):
-            next_owner = self.invalid_set[obj_id]
-            obj = self.process.directory.get(obj_id)
-            if obj.local_readers:
-                # A recovering thread still holds the version it read; the
-                # pre-crash invalidation was lost with the process.  Defer
-                # exactly like a live deferred invalidation: the release
-                # will ack the waiting writer.
-                obj.pending_invalidate_from = (next_owner, next_owner, obj.version)
+        protocol = process.checkpoint_protocol
+        edits = plan_finalize(self.plan, protocol.log, process.directory,
+                              process.pid, self.invalid_set, self._revalidated)
+        for dep in edits.stale:
+            process.kernel.trace.emit(
+                process.kernel.now, "recovery",
+                f"P{process.pid}: skipping stale dependency {dep}",
+            )
+        for entry, dep in edits.pairs:
+            entry.add_access(dep.ep_acq, dep.ep_prd)
+        for entry, ep_acq in edits.next_owners:
+            entry.next_owner = ep_acq.tid.pid
+            entry.next_owner_ep = ep_acq
+        for obj_id, edit in edits.objects.items():
+            obj = process.directory.get(obj_id)
+            if edit.deferred is not None:
+                obj.pending_invalidate_from = edit.deferred
                 continue
             obj.status = ObjectStatus.NO_ACCESS
             obj.data = None
-            obj.prob_owner = next_owner
-            obj.copy_set = set()
-
-    def _drop_unvalidated_read_copies(self) -> None:
-        """Conservatively drop restored read copies that replay did not
-        re-validate: an invalidation received between the checkpoint and
-        the crash died with the process, so a pre-checkpoint read copy may
-        be arbitrarily stale.  Dropping it is always safe -- the next
-        local acquire simply fetches a fresh copy."""
-        for obj in self.process.directory:
-            if obj.status is not ObjectStatus.READ:
-                continue
-            if (
-                not self.plan.concurrent_recoveries
-                and (obj.obj_id in self._revalidated
-                     or obj.obj_id in self.invalid_set)
-            ):
-                # Single-failure recovery: a copy (re-)installed by replay
-                # is precisely tracked via the survivors' nextOwner fields.
-                # Under concurrent recoveries that knowledge came from
-                # other victims' checkpoints and may be stale: drop all.
-                continue
-            if obj.local_readers:
-                # A restored thread still holds its (legitimate) read; the
-                # cached copy is dropped when it releases.  No ack is owed.
-                obj.pending_invalidate_from = (obj.prob_owner, None, obj.version)
-            else:
-                obj.status = ObjectStatus.NO_ACCESS
-                obj.data = None
-
-    def _reconcile_copy_sets(self) -> None:
-        """Reconcile copySets of objects we own (section 4.3.2: "the
-        object's copySet is recovered using the threadSet").
-
-        Readers named by the *last* version's threadSet are provably
-        current and are kept.  Every other candidate -- a reader inherited
-        by a replayed write acquire whose invalidations died with the
-        crash, or a checkpointed reader whose pair was GC'd -- may hold a
-        stale copy, so it is (re-)invalidated: invalidation is idempotent
-        and at worst costs a current reader one refetch, while a missed
-        stale reader would read old data forever.
-        """
-        process = self.process
-        log = process.checkpoint_protocol.log
-        for obj in process.directory:
-            if obj.status is not ObjectStatus.OWNED:
-                continue
-            candidates = set(obj.copy_set) - {process.pid}
-            # Readers recorded on *older* entries are candidates too: a
-            # survivor that read a version we produced after our last
-            # remote write grant appears in no inherited copySet -- only
-            # as a threadSet pair (re-attached from its DependList) on a
-            # non-last entry.  Its copy is stale and without this it
-            # would never see an invalidation.
-            for old in log.entries_for(obj.obj_id):
-                candidates |= old.copy_holders(process.pid)
-            entry = log.last_entry(obj.obj_id)
-            current: set[ProcessId] = set()
-            if (
-                obj.local_writer is None
-                and entry is not None
-                and entry.version == obj.version
-            ):
-                current = {
-                    pair.ep_acq.tid.pid for pair in entry.thread_set
-                } - {process.pid}
-            targets = candidates - current
-            obj.copy_set = current | targets  # targets leave as they ack
+            if edit.prob_owner is not None:
+                obj.prob_owner = edit.prob_owner
+                obj.copy_set = set()
+        for obj_id, copy_set, targets in edits.copy_sets:
+            obj = process.directory.get(obj_id)
+            obj.copy_set = copy_set  # targets leave as they ack
             if targets:
                 process.engine._send_invalidations(obj, targets)
+        for dummy in edits.dummies:
+            protocol.dummy_log.store(dummy)
 
-    def _recreate_dummies(self) -> None:
-        """Re-create the dummy log entries that were stored in the failed
-        process (from the merged DummySet)."""
-        dummy_log = self.process.checkpoint_protocol.dummy_log
-        for dep in self.plan.dummy_set:
-            dummy_log.store(
-                DummyEntry(
-                    obj_id=dep.obj_id,
-                    ep_acq=dep.ep_acq,
-                    local_dep=dep.ep_prd,
-                    p_log=None,
-                    type=dep.type,
-                )
-            )
 
-    def _entry_for_dependency(self, dep: Dependency) -> Optional[LogEntry]:
-        """The log entry for the version ``dep`` refers to: the entry by
-        the same producer thread with the greatest release point not after
-        ``dep.ep_prd`` (dependencies carry no version number)."""
-        protocol = self.process.checkpoint_protocol
-        best: Optional[LogEntry] = None
-        for entry in protocol.log.entries_for(dep.obj_id):
-            if entry.tid_prd != dep.ep_prd.tid:
+@dataclass(frozen=True)
+class ObjectEdit:
+    """Steps 2 / 2b's one edit of a directory object: drop its copy, or
+    defer the drop to the release of the restored thread holding it."""
+
+    #: ``pending_invalidate_from`` to set instead of dropping the copy.
+    deferred: Optional[tuple[ProcessId, Optional[ProcessId], int]] = None
+    #: An InvalidSet drop's new probOwner (the copySet empties too).
+    prob_owner: Optional[ProcessId] = None
+
+
+@dataclass
+class FinalizeEdits:
+    """What section 4.3.2's closing steps change, in the order made."""
+
+    #: Step 1: DependList pairs whose entry was garbage-collected.
+    stale: list[Dependency] = field(default_factory=list)
+    #: Step 1: DependList pairs to add to a threadSet.
+    pairs: list[tuple[LogEntry, Dependency]] = field(default_factory=list)
+    #: Step 1: a write acquirer becomes the entry's nextOwner (last wins).
+    next_owners: list[tuple[LogEntry, ExecutionPoint]] = field(default_factory=list)
+    #: Steps 2 / 2b: at most one edit per object.
+    objects: dict[ObjectId, ObjectEdit] = field(default_factory=dict)
+    #: Steps 3+4: ``(obj_id, copySet, invalidation targets)`` per owned object.
+    copy_sets: list[tuple[ObjectId, set[ProcessId], set[ProcessId]]] = field(
+        default_factory=list)
+    #: Step 5: the failed process's dummy entries, one per ``(obj_id, ep_acq)``.
+    dummies: list[DummyEntry] = field(default_factory=list)
+
+
+def plan_finalize(plan: ReplayPlan, log: ProcessLog, directory: ObjectDirectory,
+                  pid: ProcessId, invalid_set: dict[ObjectId, ProcessId],
+                  revalidated: set[ObjectId]) -> FinalizeEdits:
+    """Plan section 4.3.2's reconstruction at process ``pid`` from what it
+    received and replayed: ``invalid_set`` maps an object to the nextOwner
+    of the version replay last installed, ``revalidated`` holds the objects
+    replay re-installed.  Reads ``log`` and ``directory``, changes neither.
+    """
+    edits = FinalizeEdits()
+    invalid = dict(invalid_set)
+    # Step 1: threadSets / nextOwner of (re-)created entries from the
+    # DependLists; ``attached`` holds the acquirers added per entry.
+    attached: dict[tuple[ObjectId, int], set[ExecutionPoint]] = {}
+    for tid in sorted(plan.depend_lists):
+        for dep in plan.depend_lists[tid]:
+            entry = entry_for_dependency(log, dep)
+            if entry is None:
+                # GC drops a pair only once the acquirer's own checkpoint
+                # covers the acquire: no one's recovery needs it (its
+                # dep-set GC announcement had not reached the sender yet).
+                edits.stale.append(dep)
                 continue
-            if entry.ep_release is not None and entry.ep_release.lt <= dep.ep_prd.lt:
-                if best is None or entry.ep_release.lt > best.ep_release.lt:
-                    best = entry
-        return best
+            added = attached.setdefault((entry.obj_id, entry.version), set())
+            if dep.ep_acq not in added and not any(
+                    pair.ep_acq == dep.ep_acq for pair in entry.thread_set):
+                added.add(dep.ep_acq)
+                edits.pairs.append((entry, dep))
+            if dep.type.is_write:
+                edits.next_owners.append((entry, dep.ep_acq))
+                obj = directory.get(dep.obj_id)
+                if (log.last_entry(dep.obj_id) is entry
+                        and obj.status is ObjectStatus.OWNED
+                        and obj.version <= entry.version):
+                    # Ownership left before the crash and our copy is not
+                    # newer: the object must be invalidated.
+                    invalid[dep.obj_id] = dep.ep_acq.tid.pid
+
+    def acquirers(entry: LogEntry) -> set[ProcessId]:
+        """``entry``'s threadSet acquirers but ``pid``, step 1's included."""
+        planned = attached.get((entry.obj_id, entry.version), set())
+        return ({ep.tid.pid for ep in planned}
+                | {pair.ep_acq.tid.pid for pair in entry.thread_set}) - {pid}
+
+    # Step 2: drop copies whose version was superseded.  A restored thread
+    # still holding the version it read defers the drop, exactly like a
+    # live deferred invalidation: its release acks the waiting writer.
+    for obj_id in sorted(invalid):
+        obj, next_owner = directory.get(obj_id), invalid[obj_id]
+        edits.objects[obj_id] = (
+            ObjectEdit(deferred=(next_owner, next_owner, obj.version))
+            if obj.local_readers else ObjectEdit(prob_owner=next_owner))
+    # Step 2b: drop restored read copies replay did not re-validate: an
+    # invalidation received after the checkpoint died with the process.
+    # Under concurrent recoveries the nextOwner fields vouching for a
+    # re-installed copy came from other victims' checkpoints and may be
+    # stale, so those go too.  A restored reader keeps its copy until it
+    # releases (no ack is owed).  Step 2 decided the InvalidSet's objects.
+    for obj in directory:
+        if (obj.status is ObjectStatus.READ and obj.obj_id not in invalid
+                and (plan.concurrent_recoveries
+                     or obj.obj_id not in revalidated)):
+            edits.objects[obj.obj_id] = ObjectEdit(
+                deferred=(obj.prob_owner, None, obj.version)
+                if obj.local_readers else None)
+
+    # Steps 3+4: "the object's copySet is recovered using the threadSet".
+    # Readers in the last version's threadSet are current and kept; every
+    # other candidate -- including readers on *older* entries, which no
+    # inherited copySet names -- may hold a stale copy and is
+    # (re-)invalidated: idempotent, and at worst one refetch.
+    for obj in directory:
+        edit = edits.objects.get(obj.obj_id)
+        if obj.status is not ObjectStatus.OWNED or (
+                edit is not None and edit.deferred is None):
+            continue
+        entries = log.entries_for(obj.obj_id)
+        candidates = set(obj.copy_set) - {pid}
+        for entry in entries:
+            candidates |= entry.copy_holders(pid) | acquirers(entry)
+        current = (acquirers(entries[-1]) if entries and obj.local_writer is None
+                   and entries[-1].version == obj.version else set())
+        edits.copy_sets.append((obj.obj_id, candidates, candidates - current))
+
+    # Step 5: the dummy entries that were stored in the failed process.
+    dummies: dict[tuple[ObjectId, ExecutionPoint], DummyEntry] = {}
+    for dep in plan.dummy_set:
+        dummies.setdefault((dep.obj_id, dep.ep_acq), DummyEntry(
+            dep.obj_id, dep.ep_acq, local_dep=dep.ep_prd, type=dep.type))
+    edits.dummies = list(dummies.values())
+    return edits
+
+
+def entry_for_dependency(log: ProcessLog, dep: Dependency) -> Optional[LogEntry]:
+    """The log entry for the version ``dep`` refers to: the entry by the
+    same producer thread with the greatest release point not after
+    ``dep.ep_prd`` (dependencies carry no version number)."""
+    releases = [(entry.ep_release.lt, entry) for entry in log.entries_for(dep.obj_id)
+                if entry.tid_prd == dep.ep_prd.tid
+                and entry.ep_release is not None
+                and entry.ep_release.lt <= dep.ep_prd.lt]
+    return max(releases, key=lambda release: release[0], default=(0, None))[1]

@@ -227,3 +227,51 @@ def test_ci_former_schedule_aborts_cleanly(monkeypatch, capsys):
     assert ("dependency on version of obj1 produced at lt 12, beyond "
             "recoverable prefix ending at lt 11") in out
     assert "check: clean" in out
+
+
+def test_a_reply_from_a_checkpoint_marks_the_replay_concurrent(
+        monkeypatch, capsys):
+    """P1 answers P2's request from its checkpoint while still loading,
+    then finishes recovering (about t=83.5) before P2 builds its replay:
+    what P2 received says a peer was recovering, so both replays take the
+    concurrent branch."""
+    from repro.cli import main
+
+    plans = _replay_plans(monkeypatch)
+    assert main([*CI_CHECKED_RUN, "--crash", "1@66", "--crash", "2@66.5"]) == 0
+    out = capsys.readouterr().out
+    assert sorted(plans) == [(1, True), (2, True)]
+    assert "recovery P1  detected t=71.0, duration 12.5, replayed 0" in out
+    assert "recovery P2  detected t=71.5, duration 17.9, replayed 3" in out
+    assert "check: clean; 225 memory events" in out
+
+
+def test_a_single_crash_replays_on_survivors_replies(monkeypatch, capsys):
+    from repro.cli import main
+
+    plans = _replay_plans(monkeypatch)
+    assert main([*CI_CHECKED_RUN, "--crash", "1@40"]) == 0
+    capsys.readouterr()
+    assert plans == [(1, False)]
+
+
+def test_a_cold_restart_replays_every_process_concurrently(
+        monkeypatch, tmp_path):
+    """Every process restarts from disk, so every reply comes from a
+    recovering peer's checkpoint."""
+    from repro.storage.backend import FileBackend
+
+    def durable():
+        return counter_system(processes=4, rounds=6, seed=7, interval=20.0,
+                              storage_backend=FileBackend(
+                                  str(tmp_path / "store"), fsync=False))
+
+    system = durable()
+    system.run(until=12.0)
+    system.checkpoint_all()
+    plans = _replay_plans(monkeypatch)
+    restarted = durable()
+    restarted.recover_all_from_storage()
+    result = restarted.run()
+    assert result.completed and not result.invariant_violations
+    assert sorted(plans) == [(pid, True) for pid in range(4)]

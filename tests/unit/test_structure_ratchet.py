@@ -93,6 +93,10 @@ MEASURES = {
     # One match per line, as above.
     "payload-key-reads": lambda: _matches(
         SRC, r"(?m)^.*(?:payload|control)(?:\[|\.get\()"),
+    # One match per line, as above.
+    "locality-sites": lambda: sum(
+        _matches(SRC / package, r"(?m)^.*system\.processes")
+        for package in ("checkpoint", "memory")),
     "cluster-scheme-names": lambda: _matches(
         SRC / "cluster",
         r"(?m)^.*(?:checkpoint\.(?:recovery|protocol)|RecoveryManager"
