@@ -1,32 +1,23 @@
-"""Handler/transition exhaustiveness analysis.
+"""Closed-vocabulary analysis: message kinds and recovery phases.
 
-The protocol layers dispatch on two closed vocabularies: the
-:class:`~repro.net.message.MessageKind` enum and the recovery phase
-strings (:data:`repro.checkpoint.recovery.RECOVERY_PHASES`).  Both are
-easy to extend and easy to extend *incompletely* -- a new message kind
-with no dispatch branch raises ``ProtocolError`` only when the first
-such message arrives in some schedule, and a typoed phase literal
-simply never compares equal.  This analyzer closes the loop statically:
+Message kinds are routed by table: each layer's class-level ``handlers``
+maps the kinds it owns to one handler each, and a unit test checks that
+every :class:`~repro.net.message.MessageKind` has exactly one row.  What
+a test cannot see is a line that is never run, so two static rules stay:
 
-* ``handler-coverage`` -- every enum member must be *dispatched
-  on* somewhere (an ``if``/``elif``/``match`` comparison, or membership
-  in a registry collection of kinds such as a baseline's
-  ``handles_kind`` table).  A member that is constructed but never
-  dispatched, or never referenced at all, is a finding.
-* ``handler-dispatch`` -- within one dispatch chain: a kind claimed by
-  two branches (dead branch), a chain with no ``else``/wildcard that
-  does not cover the whole enum, and references to nonexistent members.
+* ``handler-dispatch`` -- a reference to a nonexistent ``MessageKind``
+  member (an ``AttributeError`` only when that line first runs);
 * ``phase-coverage`` -- every phase string literal compared against or
   assigned to a ``phase`` variable must be a member of
-  ``RECOVERY_PHASES``; phase dispatch chains without a fallback must
-  cover every phase.
+  ``RECOVERY_PHASES`` (:mod:`repro.checkpoint.recovery`); phase
+  dispatch chains without a fallback must cover every phase.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Set, Tuple
 
 from repro.analysis.cfg import iter_functions
 from repro.analysis.findings import Finding, Module, ModuleTable
@@ -45,23 +36,14 @@ _PHASE_SETTERS = frozenset({"_set_phase", "_announce_phase",
 
 
 @dataclass
-class _Branch:
-    kinds: Tuple[str, ...]
-    lineno: int
-
-
-@dataclass
 class _Chain:
-    """One if/elif (or match) dispatch chain over a closed vocabulary."""
+    """One if/elif chain comparing a phase subject against literals."""
 
     subject: str
-    module: Module
     lineno: int
-    branches: List[_Branch] = field(default_factory=list)
+    covered: Set[str]
+    literals: int
     has_fallback: bool = False
-
-    def covered(self) -> Set[str]:
-        return {kind for branch in self.branches for kind in branch.kinds}
 
 
 def _enum_members(table: ModuleTable) -> Tuple[Optional[Module],
@@ -104,55 +86,6 @@ def _phase_members(table: ModuleTable) -> Tuple[Optional[Module],
     return None, []
 
 
-def _kind_refs(node: ast.AST) -> List[str]:
-    """MessageKind member names referenced anywhere under ``node``."""
-    refs = []
-    for child in ast.walk(node):
-        if (isinstance(child, ast.Attribute)
-                and isinstance(child.value, ast.Name)
-                and child.value.id == ENUM_NAME
-                and child.attr.isupper()):
-            refs.append(child.attr)
-    return refs
-
-
-def _comparison_kinds(test: ast.expr, subject_of: str = ENUM_NAME,
-                      ) -> Optional[Tuple[str, Tuple[str, ...]]]:
-    """``(subject text, kinds)`` when ``test`` compares one subject
-    against MessageKind members (``is``/``==``/``in``, possibly
-    ``or``-joined)."""
-    if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.Or):
-        subject = None
-        kinds: List[str] = []
-        for value in test.values:
-            part = _comparison_kinds(value, subject_of)
-            if part is None:
-                return None
-            if subject is None:
-                subject = part[0]
-            elif subject != part[0]:
-                return None
-            kinds.extend(part[1])
-        if subject is None:
-            return None
-        return subject, tuple(kinds)
-    if not (isinstance(test, ast.Compare) and len(test.ops) == 1):
-        return None
-    op = test.ops[0]
-    if not isinstance(op, (ast.Is, ast.Eq, ast.In)):
-        return None
-    right = test.comparators[0]
-    kinds = _kind_refs(right)
-    if not kinds or len(kinds) != len(
-            [n for n in ast.walk(right) if isinstance(n, ast.Attribute)]):
-        return None
-    try:
-        subject = ast.unparse(test.left)
-    except Exception:  # pragma: no cover - unparse of odd expression
-        return None
-    return subject, tuple(kinds)
-
-
 def _phase_comparison(test: ast.expr) -> Optional[Tuple[str,
                                                         Tuple[str, ...]]]:
     """``(subject text, literals)`` when ``test`` compares a
@@ -179,67 +112,39 @@ def _phase_comparison(test: ast.expr) -> Optional[Tuple[str,
     return subject, tuple(literals)
 
 
-def _walk_chains(module: Module,
-                 extract: "Callable[[ast.expr], Optional[Tuple[str, Tuple[str, ...]]]]",
-                 min_branch_kinds: int) -> List[_Chain]:
-    """All if/elif chains in ``module`` whose tests ``extract`` to the
-    same subject."""
+def _phase_chains(module: Module) -> List[_Chain]:
+    """All if/elif chains in ``module`` over one phase subject."""
     chains: List[_Chain] = []
     consumed: Set[int] = set()
     for _, func in iter_functions(module.tree):
         for node in ast.walk(func):
             if not isinstance(node, ast.If) or id(node) in consumed:
                 continue
-            first = extract(node.test)
+            first = _phase_comparison(node.test)
             if first is None:
                 continue
-            chain = _Chain(subject=first[0], module=module,
-                           lineno=node.lineno)
-            chain.branches.append(_Branch(kinds=first[1],
-                                          lineno=node.lineno))
+            chain = _Chain(subject=first[0], lineno=node.lineno,
+                           covered=set(first[1]), literals=len(first[1]))
             cursor: ast.If = node
             while True:
                 orelse = cursor.orelse
                 if len(orelse) == 1 and isinstance(orelse[0], ast.If):
                     nxt = orelse[0]
-                    part = extract(nxt.test)
+                    part = _phase_comparison(nxt.test)
                     consumed.add(id(nxt))
-                    if part is not None and part[0] == chain.subject:
-                        chain.branches.append(_Branch(kinds=part[1],
-                                                      lineno=nxt.lineno))
-                    else:
-                        # elif on something else (delegation branch like
-                        # ``elif proto.handles_kind(kind)``) still acts
-                        # as a fallback for coverage purposes.
+                    if part is None or part[0] != chain.subject:
+                        # An elif on something else acts as a fallback.
                         chain.has_fallback = True
                         break
+                    chain.covered.update(part[1])
+                    chain.literals += len(part[1])
                     cursor = nxt
                 else:
-                    if orelse:
-                        chain.has_fallback = True
+                    chain.has_fallback = bool(orelse)
                     break
-            if sum(len(b.kinds) for b in chain.branches) >= min_branch_kinds:
+            if chain.literals >= 2:
                 chains.append(chain)
     return chains
-
-
-def _registry_kinds(module: Module) -> List[str]:
-    """Members appearing in collection literals of >= 2 kinds -- the
-    ``handles_kind`` registry idiom."""
-    found: List[str] = []
-    for node in ast.walk(module.tree):
-        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-            elements: List[ast.expr] = list(node.elts)
-        elif isinstance(node, ast.Dict):
-            elements = [key for key in node.keys if key is not None]
-        else:
-            continue
-        kinds = [attr for elt in elements
-                 for attr in _kind_refs(elt)
-                 if isinstance(elt, ast.Attribute)]
-        if len(kinds) >= 2:
-            found.extend(kinds)
-    return found
 
 
 def analyze_handlers(table: ModuleTable) -> List[Finding]:
@@ -255,135 +160,20 @@ def analyze_handlers(table: ModuleTable) -> List[Finding]:
 
 def _kind_findings(table: ModuleTable, enum_module: Module,
                    members: List[str]) -> List[Finding]:
-    findings: List[Finding] = []
+    """References to nonexistent members (a typo is an AttributeError
+    only when the line first runs)."""
     member_set = set(members)
-    handled: Dict[str, List[str]] = {}
-    referenced: Dict[str, List[str]] = {}
-
-    for module in table:
-        if module.path == enum_module.path:
-            continue
-        # Unknown-member references (typo -> AttributeError at runtime).
-        for node in ast.walk(module.tree):
-            if (isinstance(node, ast.Attribute)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == ENUM_NAME
-                    and node.attr.isupper()
-                    and node.attr not in member_set):
-                findings.append(Finding(
-                    rule="handler-dispatch", path=module.path,
-                    line=node.lineno,
-                    message=(f"reference to nonexistent "
-                             f"{ENUM_NAME}.{node.attr}"),
-                ))
-        for ref in _kind_refs(module.tree):
-            if ref in member_set:
-                referenced.setdefault(ref, []).append(module.path)
-        for ref in _registry_kinds(module):
-            if ref in member_set:
-                handled.setdefault(ref, []).append(module.path)
-
-        for chain in _walk_chains(module, _comparison_kinds,
-                                  min_branch_kinds=3):
-            claimed: Dict[str, int] = {}
-            for branch in chain.branches:
-                for kind in branch.kinds:
-                    if kind in claimed:
-                        findings.append(Finding(
-                            rule="handler-dispatch", path=module.path,
-                            line=branch.lineno,
-                            message=(f"dead branch: {ENUM_NAME}.{kind} "
-                                     f"already handled by the branch at "
-                                     f"line {claimed[kind]} of this "
-                                     f"dispatch chain"),
-                            witness=(f"chain over {chain.subject!r} at "
-                                     f"{module.path}:{chain.lineno}",),
-                        ))
-                    else:
-                        claimed[kind] = branch.lineno
-                    if kind in member_set:
-                        handled.setdefault(kind, []).append(module.path)
-            if not chain.has_fallback:
-                missing = sorted(member_set - chain.covered())
-                if missing:
-                    findings.append(Finding(
-                        rule="handler-dispatch", path=module.path,
-                        line=chain.lineno,
-                        message=(f"dispatch chain over {chain.subject!r} "
-                                 f"has no else/fallback and does not "
-                                 f"cover: {', '.join(missing)}"),
-                    ))
-
-        for match_chain in _match_chains(module):
-            for kind in match_chain.covered():
-                if kind in member_set:
-                    handled.setdefault(kind, []).append(module.path)
-            if not match_chain.has_fallback:
-                missing = sorted(member_set - match_chain.covered())
-                if missing:
-                    findings.append(Finding(
-                        rule="handler-dispatch", path=module.path,
-                        line=match_chain.lineno,
-                        message=(f"match over {match_chain.subject!r} has "
-                                 f"no wildcard and does not cover: "
-                                 f"{', '.join(missing)}"),
-                    ))
-
-    for member in members:
-        line = _member_line(enum_module, member)
-        if member not in referenced:
-            findings.append(Finding(
-                rule="handler-coverage", path=enum_module.path, line=line,
-                message=(f"{ENUM_NAME}.{member} is never referenced "
-                         f"outside its definition: dead message kind"),
-            ))
-        elif member not in handled:
-            sites = sorted(set(referenced[member]))
-            findings.append(Finding(
-                rule="handler-coverage", path=enum_module.path, line=line,
-                message=(f"{ENUM_NAME}.{member} is constructed but no "
-                         f"dispatch chain or handler registry covers it"),
-                witness=tuple(f"referenced in {path}" for path in sites),
-            ))
-    return findings
-
-
-def _match_chains(module: Module) -> List[_Chain]:
-    chains: List[_Chain] = []
-    for _, func in iter_functions(module.tree):
-        for node in ast.walk(func):
-            if not isinstance(node, ast.Match):
-                continue
-            try:
-                subject = ast.unparse(node.subject)
-            except Exception:  # pragma: no cover
-                continue
-            chain = _Chain(subject=subject, module=module,
-                           lineno=node.lineno)
-            any_kind = False
-            for case in node.cases:
-                kinds = tuple(_kind_refs(case.pattern))
-                if kinds:
-                    any_kind = True
-                    chain.branches.append(_Branch(kinds=kinds,
-                                                  lineno=case.pattern.lineno))
-                if (isinstance(case.pattern, ast.MatchAs)
-                        and case.pattern.pattern is None
-                        and case.guard is None):
-                    chain.has_fallback = True
-            if any_kind:
-                chains.append(chain)
-    return chains
-
-
-def _member_line(module: Module, member: str) -> int:
-    for node in ast.walk(module.tree):
-        if (isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and node.targets[0].id == member):
-            return node.lineno
-    return 1
+    return [
+        Finding(rule="handler-dispatch", path=module.path, line=node.lineno,
+                message=f"reference to nonexistent {ENUM_NAME}.{node.attr}")
+        for module in table if module.path != enum_module.path
+        for node in ast.walk(module.tree)
+        if (isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == ENUM_NAME
+            and node.attr.isupper()
+            and node.attr not in member_set)
+    ]
 
 
 def _phase_findings(table: ModuleTable, phase_module: Module,
@@ -427,14 +217,11 @@ def _phase_findings(table: ModuleTable, phase_module: Module,
                                  f"({', '.join(phases)})"),
                     ))
 
-        for chain in _walk_chains(module, _phase_comparison,
-                                  min_branch_kinds=2):
-            covered = {value for value in chain.covered()
-                       if value in phase_set}
-            if not covered:
+        for chain in _phase_chains(module):
+            if not chain.covered & phase_set:
                 continue
             if not chain.has_fallback:
-                missing = sorted(phase_set - chain.covered())
+                missing = sorted(phase_set - chain.covered)
                 if missing:
                     findings.append(Finding(
                         rule="phase-coverage", path=module.path,

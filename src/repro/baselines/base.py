@@ -13,10 +13,10 @@ provides no-op defaults for every integration point:
 * lifecycle (``on_start``/``stop_timer`` on process start/crash,
   ``flush_pending_writes`` at the end of a run, ``take_checkpoint`` on a
   cluster-wide cut);
-* every message kind the coherence engine does not handle
-  (``handles_kind``/``on_protocol_message``: DiSOM's recovery exchange
-  and abort, the coordinated baseline's rounds) and incoming-message
-  filtering (the coordinated baseline's epoch mechanism);
+* every message kind the coherence engine does not handle (the
+  ``handlers`` table: DiSOM's recovery exchange and abort, the
+  coordinated baseline's rounds) and incoming-message filtering (the
+  coordinated baseline's epoch mechanism);
 * crash handling (``recover_crashed``, ``recover_from_storage``,
   ``restore_from_checkpoint``) and the figures the run result reports
   (``peak_log_bytes``, ``overhead_summary``).
@@ -27,11 +27,11 @@ which scheme it holds.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, ClassVar, Mapping
 
 from repro.errors import ConfigError
 from repro.memory.coherence import CoherenceHooks
-from repro.net.message import Message, MessageKind
+from repro.net.message import Message, MessageHandler, MessageKind
 from repro.types import ProcessId
 
 
@@ -44,6 +44,9 @@ class FaultToleranceProtocol(CoherenceHooks):
     #: The inline verifier's dummy-coverage pass only applies to
     #: processes whose protocol does.
     emits_dummies = False
+    #: The scheme's own message kinds -> their one handler each; the
+    #: process binds them to this protocol object.
+    handlers: ClassVar[Mapping[MessageKind, MessageHandler]] = {}
 
     def __init__(self, process: Any) -> None:
         self.process = process
@@ -80,12 +83,6 @@ class FaultToleranceProtocol(CoherenceHooks):
         """Incoming piggyback payloads."""
 
     # -- protocol-private messages ------------------------------------------
-    def handles_kind(self, kind: MessageKind) -> bool:
-        return False
-
-    def on_protocol_message(self, message: Message) -> None:  # pragma: no cover
-        raise NotImplementedError
-
     def filter_incoming(self, message: Message) -> bool:
         """Return False to drop an incoming message (e.g. stale epoch)."""
         return True

@@ -38,13 +38,6 @@ from repro.checkpoint.stable import Checkpoint
 from repro.net.message import CoordRound, Message, MessageKind
 from repro.types import ProcessId
 
-_COORD_KINDS = {
-    MessageKind.COORD_CKPT_REQUEST,
-    MessageKind.COORD_CKPT_READY,
-    MessageKind.COORD_CKPT_COMMIT,
-    MessageKind.COORD_CKPT_ACK,
-}
-
 
 class CoordinatedProtocol(FaultToleranceProtocol):
     """See module docstring."""
@@ -111,26 +104,29 @@ class CoordinatedProtocol(FaultToleranceProtocol):
                 )
         self._begin_pause()
 
-    def handles_kind(self, kind: MessageKind) -> bool:
-        return kind in _COORD_KINDS
+    def _on_request(self, message: Message) -> None:
+        self._begin_pause()
 
-    def on_protocol_message(self, message: Message) -> None:
-        kind = message.kind
-        # Only reached for kinds in _COORD_KINDS (handles_kind gates the
-        # dispatch in Process.deliver), so no fallback branch is needed.
-        if kind is MessageKind.COORD_CKPT_REQUEST:  # analyze: allow(handler-dispatch)
-            self._begin_pause()
-        elif kind is MessageKind.COORD_CKPT_READY:
-            self._ready.add(message.src)
-            self._maybe_commit()
-        elif kind is MessageKind.COORD_CKPT_COMMIT:
-            self._commit()
-            self.process.send_raw(
-                MessageKind.COORD_CKPT_ACK, message.src, CoordRound(self.epoch)
-            )
-        elif kind is MessageKind.COORD_CKPT_ACK:
-            self._acked.add(message.src)
-            self._maybe_finish_round()
+    def _on_ready(self, message: Message) -> None:
+        self._ready.add(message.src)
+        self._maybe_commit()
+
+    def _on_commit(self, message: Message) -> None:
+        self._commit()
+        self.process.send_raw(
+            MessageKind.COORD_CKPT_ACK, message.src, CoordRound(self.epoch)
+        )
+
+    def _on_ack(self, message: Message) -> None:
+        self._acked.add(message.src)
+        self._maybe_finish_round()
+
+    handlers = {
+        MessageKind.COORD_CKPT_REQUEST: _on_request,
+        MessageKind.COORD_CKPT_READY: _on_ready,
+        MessageKind.COORD_CKPT_COMMIT: _on_commit,
+        MessageKind.COORD_CKPT_ACK: _on_ack,
+    }
 
     # -- participant side ------------------------------------------------
     def _begin_pause(self) -> None:

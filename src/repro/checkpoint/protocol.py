@@ -59,15 +59,6 @@ from repro.types import (
 #: reply latency (see the coherence engine's module docstring).
 REISSUE_DELAY = 50.0
 
-_DISOM_KINDS = frozenset({
-    MessageKind.DUMMY_SHIP,
-    MessageKind.CKPT_GC,
-    MessageKind.RECOVERY_REQUEST,
-    MessageKind.RECOVERY_REPLY,
-    MessageKind.RECOVERY_DONE,
-    MessageKind.ABORT,
-})
-
 
 class DisomCheckpointProtocol(FaultToleranceProtocol):
     """The paper's checkpoint protocol."""
@@ -545,36 +536,46 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
     # ==================================================================
     # protocol messages
     # ==================================================================
-    def handles_kind(self, kind: MessageKind) -> bool:
-        return kind in _DISOM_KINDS
+    def _piggyback_only(self, message: Message) -> None:
+        """DUMMY_SHIP, CKPT_GC: nothing left to do, the piggyback was
+        already consumed on arrival."""
 
-    def on_protocol_message(self, message: Message) -> None:
-        kind = message.kind
+    def _on_recovery_request(self, message: Message) -> None:
         manager = self.process.recovery_manager
-        if kind is MessageKind.RECOVERY_REQUEST:
-            if manager is not None:
-                manager.on_peer_request(message)
-            else:
-                answer_recovery_request(self.process, message, (
-                    list(self.log),
-                    list(self.dummy_log),
-                    {tid: t.dep_set for tid, t in self.process.threads.items()},
-                ))
-        elif kind is MessageKind.RECOVERY_REPLY:
-            if manager is not None:
-                manager.on_reply(message)
-        elif kind is MessageKind.RECOVERY_DONE:
-            if manager is not None:
-                # Still recovering ourselves: apply the purge once our own
-                # restore/replay is finished (it operates on the live log).
-                manager.defer_done(message)
-            else:
-                self.apply_recovery_done(message.src, message.payload.resume_lts)
-        elif kind is MessageKind.ABORT:
-            self.process.system.abort(message.payload.reason,
-                                      from_pid=message.src)
+        if manager is not None:
+            manager.on_peer_request(message)
         else:
-            pass  # DUMMY_SHIP, CKPT_GC: the piggyback was already consumed
+            answer_recovery_request(self.process, message, (
+                list(self.log),
+                list(self.dummy_log),
+                {tid: t.dep_set for tid, t in self.process.threads.items()},
+            ))
+
+    def _on_recovery_reply(self, message: Message) -> None:
+        manager = self.process.recovery_manager
+        if manager is not None:
+            manager.on_reply(message)
+
+    def _on_recovery_done(self, message: Message) -> None:
+        manager = self.process.recovery_manager
+        if manager is not None:
+            # Still recovering ourselves: apply the purge once our own
+            # restore/replay is finished (it operates on the live log).
+            manager.defer_done(message)
+        else:
+            self.apply_recovery_done(message.src, message.payload.resume_lts)
+
+    def _on_abort(self, message: Message) -> None:
+        self.process.system.abort(message.payload.reason, from_pid=message.src)
+
+    handlers = {
+        MessageKind.DUMMY_SHIP: _piggyback_only,
+        MessageKind.CKPT_GC: _piggyback_only,
+        MessageKind.RECOVERY_REQUEST: _on_recovery_request,
+        MessageKind.RECOVERY_REPLY: _on_recovery_reply,
+        MessageKind.RECOVERY_DONE: _on_recovery_done,
+        MessageKind.ABORT: _on_abort,
+    }
 
     # ==================================================================
     # recovery (section 4.3) and restore support

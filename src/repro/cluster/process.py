@@ -5,14 +5,15 @@ execution environment for multiple threads.  These resources include an
 address space, where a subset of the shared objects is mapped."
 
 The process composes the thread scheduler, the entry-consistency coherence
-engine and the checkpoint protocol, routes network messages between them,
-and implements the piggyback attachment point for checkpoint control
-information.
+engine and the checkpoint protocol, routes network messages between them
+through one table built from the layers' ``handlers``, and implements the
+piggyback attachment point for checkpoint control information.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from functools import partial
+from typing import Any, Callable, Optional
 
 from repro.analysis.metrics import ProcessMetrics
 from repro.checkpoint.policy import CheckpointPolicy
@@ -82,6 +83,15 @@ class DisomProcess:
             observers=self.observers,
         )
         self.engine.peer_lister = self.peer_pids
+        #: MessageKind -> the one layer entry that handles it: the
+        #: scheme's bound handlers, then the engine's kinds (which win
+        #: where both claim one) through its buffering ``on_message``.
+        routes: dict[MessageKind, Callable[[Message], None]] = {
+            kind: partial(handler, self.checkpoint_protocol)
+            for kind, handler in self.checkpoint_protocol.handlers.items()}
+        routes.update(dict.fromkeys(self.engine.handlers,
+                                    self.engine.on_message))
+        self._routes = routes
         #: Host slots for the scheme's recovery: set while this process
         #: is being recovered; the replayer owns acquire routing.
         self.recovery_manager: Optional[Any] = None
@@ -215,13 +225,10 @@ class DisomProcess:
                     self.checkpoint_protocol.on_piggyback(
                         message.src, message.piggyback.dummies, message.piggyback.ckp_sets
                     )
-        kind = message.kind
-        if kind in self.engine.handled_kinds:
-            self.engine.on_message(message)
-        elif self.checkpoint_protocol.handles_kind(kind):
-            self.checkpoint_protocol.on_protocol_message(message)
-        else:
+        route = self._routes.get(message.kind)
+        if route is None:
             raise ProtocolError(f"P{self.pid}: unhandled message {message}")
+        route(message)
 
     # ------------------------------------------------------------------
     # failure

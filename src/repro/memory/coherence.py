@@ -83,12 +83,6 @@ class EntryConsistencyEngine(ConsistencyModel):
     :class:`~repro.memory.model.ConsistencyModel` backend)."""
 
     name = "entry"
-    handled_kinds = frozenset({
-        MessageKind.ACQUIRE_REQUEST,
-        MessageKind.ACQUIRE_REPLY,
-        MessageKind.INVALIDATE,
-        MessageKind.INVALIDATE_ACK,
-    })
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
@@ -284,25 +278,8 @@ class EntryConsistencyEngine(ConsistencyModel):
         self.metrics.queued_requests += 1
 
     # ==================================================================
-    # message handling
+    # message handling (routed through ``handlers``, below)
     # ==================================================================
-    def on_message(self, message: Message) -> None:
-        if not self.accepting:
-            self._buffered.append(message)
-            return
-        kind = message.kind
-        if kind is MessageKind.ACQUIRE_REQUEST:
-            self._on_request(message)
-        elif kind is MessageKind.ACQUIRE_REPLY:
-            self._on_reply(message)
-        elif kind is MessageKind.INVALIDATE:
-            self._on_invalidate(message)
-        elif kind is MessageKind.INVALIDATE_ACK:
-            self._on_invalidate_ack(message)
-        else:
-            raise ProtocolError(f"{self.pid}: unexpected coherence message {message}")
-
-    # ------------------------------------------------------------------
     def _on_request(self, message: Message) -> None:
         request = message.payload
         req = PendingRequest(
@@ -628,6 +605,13 @@ class EntryConsistencyEngine(ConsistencyModel):
                 self._invalidating.discard(obj_id)
                 pending["action"]()
                 self._process_queue(obj)
+
+    handlers = {
+        MessageKind.ACQUIRE_REQUEST: _on_request,
+        MessageKind.ACQUIRE_REPLY: _on_reply,
+        MessageKind.INVALIDATE: _on_invalidate,
+        MessageKind.INVALIDATE_ACK: _on_invalidate_ack,
+    }
 
     # ==================================================================
     # recovery support hooks (used by repro.checkpoint.recovery/replay;

@@ -21,9 +21,9 @@ A backend owns four things:
    :meth:`ConsistencyModel.handle_release`, the syscall entry points the
    thread scheduler drives (CREW read/write admission);
 2. **ownership movement and invalidation policy** -- whatever message
-   protocol the backend speaks; it declares the
-   :class:`~repro.net.message.MessageKind` members it owns in
-   :attr:`ConsistencyModel.handled_kinds` and the process routes them to
+   protocol the backend speaks; its :attr:`ConsistencyModel.handlers`
+   table maps each :class:`~repro.net.message.MessageKind` it owns to
+   one handler, and the process routes those kinds to
    :meth:`ConsistencyModel.on_message`;
 3. **mem-event emission** -- :meth:`ConsistencyModel.emit_mem_event`,
    the typed event stream the race detector, the dummy-coverage rule
@@ -47,7 +47,8 @@ process construction (see :mod:`repro.cluster.process`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, ClassVar, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, ClassVar, Dict, List, Mapping,
+                    Optional, Tuple)
 
 from repro.analysis.metrics import ProcessMetrics
 from repro.errors import ConfigError
@@ -56,6 +57,7 @@ from repro.net.message import (
     AcquireRequest,
     GrantControl,
     Message,
+    MessageHandler,
     MessageKind,
     RequestControl,
 )
@@ -170,9 +172,9 @@ class CoherenceHooks:
 class ConsistencyModel:
     """Abstract per-process coherence backend (one instance per process).
 
-    Subclasses implement :meth:`handle_acquire`, :meth:`handle_release`
-    and :meth:`on_message`, declare :attr:`name` and
-    :attr:`handled_kinds`, and drive completion through the shared
+    Subclasses implement :meth:`handle_acquire` and
+    :meth:`handle_release`, declare :attr:`name` and their
+    :attr:`handlers` table, and drive completion through the shared
     helpers (:meth:`emit_mem_event`, ``scheduler.complete``).  The
     recovery surface defaults to inert no-ops; only the
     entry-consistency backend overrides it.
@@ -180,11 +182,9 @@ class ConsistencyModel:
 
     #: Registry name of the backend (``ClusterConfig(consistency=...)``).
     name: ClassVar[str] = "abstract"
-    #: MessageKind members this backend owns; the process routes them to
-    #: :meth:`on_message`.  The handlers analyzer treats membership here
-    #: as dispatch coverage, so every member must also appear in the
-    #: backend's ``on_message`` chain.
-    handled_kinds: ClassVar[frozenset] = frozenset()
+    #: The backend's routing table: each MessageKind it owns -> its one
+    #: handler.  The process routes these kinds to :meth:`on_message`.
+    handlers: ClassVar[Mapping[MessageKind, MessageHandler]] = {}
 
     def __init__(
         self,
@@ -247,7 +247,12 @@ class ConsistencyModel:
     # message handling
     # ==================================================================
     def on_message(self, message: Message) -> None:
-        raise NotImplementedError
+        """Handle a message of a kind in :attr:`handlers`; buffered
+        while recovery holds the backend not accepting."""
+        if not self.accepting:
+            self._buffered.append(message)
+            return
+        self.handlers[message.kind](self, message)
 
     def flush_buffered(self) -> None:
         """Process messages buffered during recovery, in arrival order."""

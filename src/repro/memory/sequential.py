@@ -63,14 +63,6 @@ class SequentialConsistencyEngine(ConsistencyModel):
     """Home-lock CREW admission + acknowledged write-through replication."""
 
     name = "sequential"
-    handled_kinds = frozenset({
-        MessageKind.SC_ACQUIRE,
-        MessageKind.SC_GRANT,
-        MessageKind.SC_RELEASE,
-        MessageKind.SC_RELEASE_DONE,
-        MessageKind.SC_UPDATE,
-        MessageKind.SC_UPDATE_ACK,
-    })
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
@@ -163,28 +155,8 @@ class SequentialConsistencyEngine(ConsistencyModel):
             self.scheduler.complete(thread, None)
 
     # ==================================================================
-    # message dispatch
+    # message handling (routed through ``handlers``, below)
     # ==================================================================
-    def on_message(self, message: Message) -> None:
-        if not self.accepting:
-            self._buffered.append(message)
-            return
-        kind = message.kind
-        if kind is MessageKind.SC_ACQUIRE:
-            self._on_acquire_msg(message)
-        elif kind is MessageKind.SC_GRANT:
-            self._on_grant(message)
-        elif kind is MessageKind.SC_RELEASE:
-            self._on_release_msg(message)
-        elif kind is MessageKind.SC_RELEASE_DONE:
-            self._on_release_done(message)
-        elif kind is MessageKind.SC_UPDATE:
-            self._on_update(message)
-        elif kind is MessageKind.SC_UPDATE_ACK:
-            self._on_update_ack(message)
-        else:
-            raise ProtocolError(f"{self.pid}: unexpected SC message {message}")
-
     def _on_acquire_msg(self, message: Message) -> None:
         request = message.payload
         req = PendingRequest(
@@ -438,6 +410,15 @@ class SequentialConsistencyEngine(ConsistencyModel):
             self.scheduler.complete(completion, None)
         self._lock_writer.pop(obj.obj_id, None)
         self._pump_lock_queue(obj)
+
+    handlers = {
+        MessageKind.SC_ACQUIRE: _on_acquire_msg,
+        MessageKind.SC_GRANT: _on_grant,
+        MessageKind.SC_RELEASE: _on_release_msg,
+        MessageKind.SC_RELEASE_DONE: _on_release_done,
+        MessageKind.SC_UPDATE: _on_update,
+        MessageKind.SC_UPDATE_ACK: _on_update_ack,
+    }
 
     # ==================================================================
     # introspection

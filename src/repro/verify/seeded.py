@@ -236,25 +236,29 @@ _HANDLERS_BAD: Dict[str, str] = {
         class MessageKind(enum.Enum):
             HELLO = "hello"
             GOODBYE = "goodbye"
-            PING = "ping"
-            PONG = "pong"
+        """),
+    "repro/checkpoint/recovery.py": textwrap.dedent(
+        """
+        RECOVERY_PHASES = ("loading", "collecting", "replaying", "done")
         """),
     "repro/cluster/seeded_dispatch.py": textwrap.dedent(
         """
         from repro.net.message import MessageKind
 
-        def dispatch(kind, payload):
-            if kind is MessageKind.HELLO:
-                return "hi"
-            elif kind is MessageKind.GOODBYE:
-                return "bye"
-            elif kind is MessageKind.PING:
-                return "pong"
-            # no else: PONG falls through silently
+        def greet(network):
+            network.push(MessageKind.HELO)      # no such member
 
-        def send_all(network):
-            network.push(MessageKind.PING)
-            network.push(MessageKind.PONG)
+        def advance(manager):
+            manager._set_phase("replayng")      # typoed phase
+
+        def progress(manager):
+            if manager.phase == "loading":
+                return 0
+            elif manager.phase == "collecting":
+                return 1
+            elif manager.phase == "replaying":
+                return 2
+            # no else: "done" falls through silently
         """),
 }
 

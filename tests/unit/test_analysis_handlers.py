@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.analysis.findings import load_source_table
 from repro.analysis.handlers import analyze_handlers
+from repro.verify.seeded import run_seeded_fault
 
 _ENUM = (
     "class MessageKind:\n"
@@ -14,25 +15,14 @@ _ENUM = (
 )
 
 _DISPATCHER_FULL = (
-    # One send() per kind: references every member without forming a
-    # collection literal (which would read as a handler registry).
+    # The table idiom the protocol layers use: one row per kind.
     "from repro.net.message import MessageKind\n"
-    "def make(send):\n"
-    "    send(MessageKind.HELLO)\n"
-    "    send(MessageKind.GOODBYE)\n"
-    "    send(MessageKind.PING)\n"
-    "    send(MessageKind.PONG)\n"
-    "def dispatch(kind):\n"
-    "    if kind is MessageKind.HELLO:\n"
-    "        return 1\n"
-    "    elif kind is MessageKind.GOODBYE:\n"
-    "        return 2\n"
-    "    elif kind is MessageKind.PING:\n"
-    "        return 3\n"
-    "    elif kind is MessageKind.PONG:\n"
-    "        return 4\n"
-    "    else:\n"
-    "        raise ValueError(kind)\n"
+    "HANDLERS = {\n"
+    "    MessageKind.HELLO: 'on_hello',\n"
+    "    MessageKind.GOODBYE: 'on_goodbye',\n"
+    "    MessageKind.PING: 'on_ping',\n"
+    "    MessageKind.PONG: 'on_pong',\n"
+    "}\n"
 )
 
 
@@ -48,70 +38,6 @@ class TestKindRules:
         })
         assert findings == []
 
-    def test_dead_kind_never_referenced(self):
-        dispatcher = _DISPATCHER_FULL.replace(
-            "    send(MessageKind.PONG)\n", ""
-        ).replace(
-            "    elif kind is MessageKind.PONG:\n        return 4\n", "")
-        findings = _findings({
-            "repro/net/message.py": _ENUM,
-            "repro/cluster/mod.py": dispatcher,
-        })
-        dead = [f for f in findings if "dead message kind" in f.message]
-        assert len(dead) == 1 and "PONG" in dead[0].message
-        assert dead[0].rule == "handler-coverage"
-        assert dead[0].path == "repro/net/message.py"
-
-    def test_constructed_but_never_dispatched_kind(self):
-        dispatcher = _DISPATCHER_FULL.replace(
-            "    elif kind is MessageKind.PONG:\n        return 4\n", "")
-        findings = _findings({
-            "repro/net/message.py": _ENUM,
-            "repro/cluster/mod.py": dispatcher,
-        })
-        unhandled = [f for f in findings
-                     if "no dispatch chain" in f.message]
-        assert len(unhandled) == 1 and "PONG" in unhandled[0].message
-
-    def test_registry_literal_counts_as_handling(self):
-        dispatcher = _DISPATCHER_FULL.replace(
-            "    elif kind is MessageKind.PONG:\n        return 4\n", "")
-        registry = (
-            "from repro.net.message import MessageKind\n"
-            "HANDLERS = {MessageKind.PONG: 'on_pong',\n"
-            "            MessageKind.PING: 'on_ping'}\n")
-        findings = _findings({
-            "repro/net/message.py": _ENUM,
-            "repro/cluster/mod.py": dispatcher,
-            "repro/cluster/registry.py": registry,
-        })
-        assert not [f for f in findings if "no dispatch chain" in f.message]
-
-    def test_chain_without_else_reports_missing_kinds(self):
-        dispatcher = _DISPATCHER_FULL.replace(
-            "    elif kind is MessageKind.PONG:\n"
-            "        return 4\n"
-            "    else:\n"
-            "        raise ValueError(kind)\n", "")
-        findings = _findings({
-            "repro/net/message.py": _ENUM,
-            "repro/cluster/mod.py": dispatcher,
-        })
-        missing = [f for f in findings if "no else/fallback" in f.message]
-        assert len(missing) == 1 and "PONG" in missing[0].message
-
-    def test_dead_branch_duplicate_kind(self):
-        dispatcher = _DISPATCHER_FULL.replace(
-            "    elif kind is MessageKind.PONG:\n        return 4\n",
-            "    elif kind is MessageKind.PONG:\n        return 4\n"
-            "    elif kind is MessageKind.HELLO:\n        return 5\n")
-        findings = _findings({
-            "repro/net/message.py": _ENUM,
-            "repro/cluster/mod.py": dispatcher,
-        })
-        dead = [f for f in findings if "dead branch" in f.message]
-        assert len(dead) == 1 and "HELLO" in dead[0].message
-
     def test_unknown_member_reference(self):
         user = (
             "from repro.net.message import MessageKind\n"
@@ -124,20 +50,24 @@ class TestKindRules:
         })
         unknown = [f for f in findings if "nonexistent" in f.message]
         assert len(unknown) == 1 and "HELO" in unknown[0].message
+        assert unknown[0].rule == "handler-dispatch"
+        assert unknown[0].path == "repro/cluster/typo.py"
 
-    def test_handles_kind_gate_counts_via_fallback_elif(self):
-        # A chain ending in a non-kind elif (e.g. a predicate call)
-        # counts as having a fallback.
-        dispatcher = _DISPATCHER_FULL.replace(
-            "    else:\n"
-            "        raise ValueError(kind)\n",
-            "    elif handles(kind):\n"
-            "        return 9\n")
-        findings = _findings({
-            "repro/net/message.py": _ENUM,
-            "repro/cluster/mod.py": dispatcher,
-        })
-        assert not [f for f in findings if "no else/fallback" in f.message]
+
+class TestSeededFault:
+    def test_each_planted_defect_yields_its_finding(self):
+        findings = run_seeded_fault("handlers")
+        found = sorted((f.rule, f.message.split(":")[0]) for f in findings)
+        assert found == [
+            ("handler-dispatch", "reference to nonexistent MessageKind.HELO"),
+            ("phase-coverage", "phase dispatch over 'manager.phase' has no "
+                               "else and does not cover"),
+            ("phase-coverage", "recovery phase literal 'replayng' is not in "
+                               "RECOVERY_PHASES (loading, collecting, "
+                               "replaying, done)"),
+        ]
+        missing = [f for f in findings if "does not cover" in f.message]
+        assert missing[0].message.endswith(": done")
 
 
 _PHASES = (

@@ -1,10 +1,12 @@
 """Unit-level tests of the baseline protocol mechanics."""
 
+from collections import Counter
 from functools import partial
 
 import pytest
 
 from repro.baselines import (
+    ALL_BASELINES,
     CoordinatedProtocol,
     JanssensFuchsProtocol,
     NullProtocol,
@@ -15,6 +17,7 @@ from repro.baselines import (
 )
 from repro.baselines.base import FaultToleranceProtocol
 from repro.errors import ConfigError, ProtocolError
+from repro.memory.model import CONSISTENCY_MODELS, consistency_backends
 from repro.net.message import Message, MessageKind
 
 from tests.conftest import counter_system, incrementer, make_system, reader
@@ -29,7 +32,7 @@ class TestInterfaceDefaults:
         assert protocol.collect_piggyback(1) == ([], [])
         assert protocol.filter_incoming(
             Message(1, 0, MessageKind.APP)) is True
-        assert not protocol.handles_kind(MessageKind.COORD_CKPT_REQUEST)
+        assert not protocol.handlers
         assert protocol.overhead_summary() == {}
         protocol.on_piggyback(1, [], [])
         protocol.on_start()
@@ -70,6 +73,37 @@ class TestInterfaceDefaults:
         protocol.recover_crashed(System(), 2)
         assert aborts == [
             ("process 2 crashed and scheme 'none' cannot recover it", 2)]
+
+
+def _layer_classes():
+    """Every class a process can host as a layer, with its bases."""
+    roots = [*consistency_backends().values(), *ALL_BASELINES.values()]
+    return {cls for root in roots for cls in root.__mro__}
+
+
+class TestRouting:
+    def test_every_kind_has_exactly_one_row(self):
+        rows = Counter(kind for cls in _layer_classes()
+                       for kind in vars(cls).get("handlers", {}))
+        # APP is raw-network traffic: tests deliver it to their own
+        # network sinks, never to DisomProcess.deliver, so no layer owns it.
+        assert set(MessageKind) - set(rows) == {MessageKind.APP}
+        assert {kind: n for kind, n in rows.items() if n != 1} == {}
+
+    # Every backend x scheme pair but DiSOM on the sequential backend,
+    # which process construction rejects (ConfigError).
+    @pytest.mark.parametrize("consistency, scheme", [
+        (consistency, scheme) for consistency in CONSISTENCY_MODELS
+        for scheme in sorted(ALL_BASELINES)
+        if scheme != "disom" or consistency == "entry"])
+    def test_a_process_routes_exactly_its_layers_kinds(self, consistency,
+                                                        scheme):
+        system = make_system(processes=2, consistency=consistency,
+                             protocol_factory=ALL_BASELINES[scheme])
+        process = system.processes[0]
+        assert set(process._routes) == (
+            set(process.engine.handlers)
+            | set(process.checkpoint_protocol.handlers))
 
 
 class TestRichardSinghalMechanics:
@@ -137,15 +171,9 @@ class TestCoordinatedMechanics:
             assert sorted(snapshots) == [epoch - 1, epoch]
 
     def test_message_kinds_routed(self):
-        protocol_cls = CoordinatedProtocol
-        for kind in (MessageKind.COORD_CKPT_REQUEST,
-                     MessageKind.COORD_CKPT_READY,
-                     MessageKind.COORD_CKPT_COMMIT,
-                     MessageKind.COORD_CKPT_ACK):
-            class Host:
-                pid = 0
-
-            assert protocol_cls(Host()).handles_kind(kind)
+        assert set(CoordinatedProtocol.handlers) == {
+            MessageKind.COORD_CKPT_REQUEST, MessageKind.COORD_CKPT_READY,
+            MessageKind.COORD_CKPT_COMMIT, MessageKind.COORD_CKPT_ACK}
 
 
 class TestMessageLoggingMechanics:

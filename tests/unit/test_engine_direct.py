@@ -4,8 +4,15 @@
 import pytest
 
 from repro import AcquireRead, AcquireWrite, Compute, Program, Release
-from repro.net.message import MessageKind
-from repro.types import ObjectStatus, Tid
+from repro.baselines import NullProtocol
+from repro.net.message import (
+    AcquireRequest,
+    Message,
+    MessageKind,
+    Piggyback,
+    RequestControl,
+)
+from repro.types import AcquireType, ExecutionPoint, ObjectStatus, Tid
 
 from tests.conftest import make_system
 
@@ -230,3 +237,34 @@ class TestForwardHints:
         # Hints stay off after the recovery: re-issued duplicates of a
         # request could point them at a writer that is already done.
         assert not engine._hinting
+
+
+class TestRecoveryBuffer:
+    """While recovery holds an engine not accepting, delivered coherence
+    messages wait; leaving recovery handles them in arrival order."""
+
+    @pytest.mark.parametrize("consistency, ask, reply", [
+        ("entry", MessageKind.ACQUIRE_REQUEST, MessageKind.ACQUIRE_REPLY),
+        ("sequential", MessageKind.SC_ACQUIRE, MessageKind.SC_GRANT),
+    ])
+    def test_buffered_then_handled_in_arrival_order(self, consistency,
+                                                    ask, reply):
+        system = make_system(processes=3, interval=None,
+                             consistency=consistency,
+                             protocol_factory=NullProtocol)
+        system.add_object("x", initial=0, home=0)
+        process = system.processes[0]
+        engine = process.engine
+        sent = []
+        engine.send_message = (
+            lambda kind, dst, payload, control: sent.append((kind, dst)))
+        engine.enter_recovery_mode()
+        for requester in (2, 1):
+            ep_acq = ExecutionPoint(Tid(requester, 0), 1)
+            process.deliver(Message(
+                requester, 0, ask,
+                AcquireRequest("x", AcquireType.READ, requester, 0),
+                Piggyback(RequestControl(ep_acq))))
+        assert not engine.accepting and sent == []
+        engine.exit_recovery_mode()
+        assert sent == [(reply, 2), (reply, 1)]

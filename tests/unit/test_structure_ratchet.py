@@ -97,6 +97,10 @@ MEASURES = {
     "locality-sites": lambda: sum(
         _matches(SRC / package, r"(?m)^.*system\.processes")
         for package in ("checkpoint", "memory")),
+    # One match per line, as above.
+    "kind-dispatch": lambda: _matches(
+        SRC, r"(?m)^.*(?:kind (?:is|==) MessageKind\.|\bhandles_kind\b"
+             r"|\bhandled_kinds\b|\bon_protocol_message\b)"),
     "cluster-scheme-names": lambda: _matches(
         SRC / "cluster",
         r"(?m)^.*(?:checkpoint\.(?:recovery|protocol)|RecoveryManager"
