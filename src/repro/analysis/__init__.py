@@ -9,21 +9,9 @@ Two halves live here:
   ``repro analyze`` (:mod:`~repro.analysis.runner` and friends):
   AST->CFG dataflow (:mod:`~repro.analysis.cfg`), a module-level call
   graph (:mod:`~repro.analysis.callgraph`), and the lock-discipline,
-  simulation-purity, handler-exhaustiveness, and exception-safety
-  analyzers.
+  simulation-purity and exception-safety analyzers.
+
+Nothing is re-exported here: the simulator imports
+:mod:`~repro.analysis.metrics` on every run, and importing the package
+must not drag the static analyzers in with it.
 """
-
-from repro.analysis.findings import Finding
-from repro.analysis.metrics import ProcessMetrics, SystemMetrics
-from repro.analysis.report import Table, format_table
-from repro.analysis.runner import AnalysisReport, run_analysis
-
-__all__ = [
-    "AnalysisReport",
-    "Finding",
-    "ProcessMetrics",
-    "SystemMetrics",
-    "Table",
-    "format_table",
-    "run_analysis",
-]

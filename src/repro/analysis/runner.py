@@ -24,7 +24,6 @@ from repro.analysis.findings import (
     load_tree,
     split_by_baseline,
 )
-from repro.analysis.handlers import analyze_handlers
 from repro.analysis.locks import analyze_locks
 from repro.analysis.purity import analyze_purity
 from repro.errors import ConfigError
@@ -33,7 +32,6 @@ from repro.errors import ConfigError
 ANALYZERS: Dict[str, Callable[[ModuleTable], List[Finding]]] = {
     "locks": analyze_locks,
     "purity": analyze_purity,
-    "handlers": analyze_handlers,
     "escapes": analyze_escapes,
 }
 

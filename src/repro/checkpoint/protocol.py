@@ -35,7 +35,11 @@ from repro.checkpoint.log import (
     pseudo_tid,
 )
 from repro.checkpoint.policy import CkpSet
-from repro.checkpoint.recovery import RecoveryManager, answer_recovery_request
+from repro.checkpoint.recovery import (
+    RecoveryManager,
+    RecoveryPhase,
+    answer_recovery_request,
+)
 from repro.checkpoint.stable import Checkpoint
 from repro.baselines.base import FaultToleranceProtocol
 from repro.errors import ConfigError, ProtocolError, RecoveryError
@@ -329,7 +333,20 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
         return peers[0] if peers else None
 
     def on_piggyback(self, src: ProcessId, dummies: list[DummyEntry], ckp_sets: list[CkpSet]) -> None:
-        """Incoming checkpoint information extracted from a message."""
+        """Incoming checkpoint information extracted from a message.
+
+        While our own checkpoint is still loading the application is
+        deferred (the restore would clobber the dummy log), but never
+        dropped: the recovery manager applies it right after the restore.
+        """
+        manager = self.process.recovery_manager
+        if manager is not None and manager.phase is RecoveryPhase.LOADING:
+            manager.defer_piggyback(src, dummies, ckp_sets)
+        else:
+            self._apply_piggyback(src, dummies, ckp_sets)
+
+    def _apply_piggyback(self, src: ProcessId, dummies: list[DummyEntry],
+                         ckp_sets: list[CkpSet]) -> None:
         for dummy in dummies:
             self.dummy_log.store(dummy)
             self.metrics.dummies_stored += 1

@@ -14,6 +14,7 @@ the object directory metadata and announce RECOVERY_DONE.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -50,17 +51,17 @@ from repro.types import (
     Tid,
 )
 
-#: The closed recovery-phase vocabulary ("loading" -> "collecting" ->
-#: "replaying" -> "done" | "aborted").  Every phase literal in the tree
-#: is checked against this tuple by the ``phase-coverage`` analyzer
-#: (:mod:`repro.analysis.handlers`).
-RECOVERY_PHASES: tuple[str, ...] = (
-    "loading",
-    "collecting",
-    "replaying",
-    "done",
-    "aborted",
-)
+class RecoveryPhase(enum.Enum):
+    """The phases of one recovery, in the order section 4.3 runs them:
+    load the checkpoint, collect the peers' replies, replay the logged
+    acquires, then done -- or aborted when multiple-failure detection
+    (section 4.5) finds an unrecoverable dependency."""
+
+    LOADING = "loading"
+    COLLECTING = "collecting"
+    REPLAYING = "replaying"
+    DONE = "done"
+    ABORTED = "aborted"
 
 
 @dataclass
@@ -224,8 +225,8 @@ class RecoveryManager:
     def __init__(self, process: Any, checkpoint: Checkpoint) -> None:
         self.process = process
         self.checkpoint = checkpoint
-        self.phase = "loading"
-        self._announce_phase("loading")
+        self.phase = RecoveryPhase.LOADING
+        self._announce_phase(RecoveryPhase.LOADING)
         self.ckp_set: Optional[CkpSet] = None
         self._replies: dict[ProcessId, RecoveryReplyData] = {}
         self._pending_requests: list[Message] = []
@@ -238,17 +239,16 @@ class RecoveryManager:
         self._deferred_piggyback: list[tuple[ProcessId, list, list]] = []
         self._deferred_dones: list[Message] = []
 
-    def _set_phase(self, phase: str) -> None:
+    def _set_phase(self, phase: RecoveryPhase) -> None:
         """Advance the recovery phase and announce it to the observers.
 
-        The phase sequence ("loading" -> "collecting" -> "replaying" ->
-        "done" | "aborted") is the protocol-state signal the fuzzer's
+        The phase sequence is the protocol-state signal the fuzzer's
         coverage map feeds on (see :mod:`repro.fuzz.coverage`).
         """
         self.phase = phase
         self._announce_phase(phase)
 
-    def _announce_phase(self, phase: str) -> None:
+    def _announce_phase(self, phase: RecoveryPhase) -> None:
         observers = self.process.observers
         if observers.active:
             observers.on_recovery_phase(self.process.pid, phase)
@@ -298,8 +298,8 @@ class RecoveryManager:
         )
         deferred, self._deferred_piggyback = self._deferred_piggyback, []
         for src, dummies, ckp_sets in deferred:
-            process.checkpoint_protocol.on_piggyback(src, dummies, ckp_sets)
-        self._set_phase("collecting")
+            process.checkpoint_protocol._apply_piggyback(src, dummies, ckp_sets)
+        self._set_phase(RecoveryPhase.COLLECTING)
         # Answer recovery requests that arrived while loading.
         pending, self._pending_requests = self._pending_requests, []
         for message in pending:
@@ -337,12 +337,12 @@ class RecoveryManager:
         self._maybe_build()
 
     def _maybe_build(self) -> None:
-        if self.phase != "collecting":
+        if self.phase is not RecoveryPhase.COLLECTING:
             return
         expected = {p for p in self.process.peer_pids() if p != self.process.pid}
         if not expected.issubset(self._replies.keys()):
             return
-        self._set_phase("replaying")
+        self._set_phase(RecoveryPhase.REPLAYING)
         self._build_and_replay()
 
     def _build_and_replay(self) -> None:
@@ -402,7 +402,7 @@ class RecoveryManager:
                     if peer != process.pid:
                         process.send_raw(MessageKind.ABORT, peer,
                                          Abort(abort_reason))
-            self._set_phase("aborted")
+            self._set_phase(RecoveryPhase.ABORTED)
             return
 
         plan = ReplayPlan(
@@ -431,7 +431,7 @@ class RecoveryManager:
         process = self.process
         assert self.replayer is not None
         self.replayer.finalize()
-        self._set_phase("done")
+        self._set_phase(RecoveryPhase.DONE)
         process.replayer = None
         process.recovery_manager = None
         process.checkpoint_protocol.suppress_checkpoints = False

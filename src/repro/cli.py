@@ -124,8 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser(
         "analyze",
         help="whole-program static analysis: lock discipline, simulation "
-             "purity (interprocedural), handler/phase exhaustiveness and "
-             "exception safety")
+             "purity (interprocedural) and exception safety")
     analyze.add_argument("--against", default=None, metavar="PATH",
                          help="baseline-suppressions file (default: the "
                               "checked-in ANALYSIS_baseline.json when it "

@@ -211,20 +211,11 @@ class DisomProcess:
             return
         # Checkpoint piggyback is consumed on arrival even when the
         # coherence payload is buffered (recovery): shipped dummy entries
-        # must never be dropped.  While our own checkpoint is still being
-        # loaded the application is deferred (the restore would clobber
-        # the dummy log), but never dropped.
-        if message.piggyback is not None:
-            if message.piggyback.dummies or message.piggyback.ckp_sets:
-                manager = self.recovery_manager
-                if manager is not None and manager.phase == "loading":
-                    manager.defer_piggyback(
-                        message.src, message.piggyback.dummies, message.piggyback.ckp_sets
-                    )
-                else:
-                    self.checkpoint_protocol.on_piggyback(
-                        message.src, message.piggyback.dummies, message.piggyback.ckp_sets
-                    )
+        # must never be dropped.
+        piggyback = message.piggyback
+        if piggyback is not None and (piggyback.dummies or piggyback.ckp_sets):
+            self.checkpoint_protocol.on_piggyback(
+                message.src, piggyback.dummies, piggyback.ckp_sets)
         route = self._routes.get(message.kind)
         if route is None:
             raise ProtocolError(f"P{self.pid}: unhandled message {message}")

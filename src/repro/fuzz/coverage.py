@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set
 
+from repro.checkpoint.recovery import RecoveryPhase
 from repro.fingerprint import canonical_json
 
 #: Coverage-map document schema identifier.
@@ -69,7 +70,7 @@ class CoverageProbe:
     """
 
     def __init__(self) -> None:
-        self.phases_seen: Set[str] = set()
+        self.phases_seen: Set[RecoveryPhase] = set()
         self.recoveries_started = 0
         self.max_concurrent_recoveries = 0
         self._active_recoveries: Set[int] = set()
@@ -90,17 +91,17 @@ class CoverageProbe:
     # ------------------------------------------------------------------
     # Observers listener surface (all optional callbacks we implement)
     # ------------------------------------------------------------------
-    def on_recovery_phase(self, pid: int, phase: str) -> None:
+    def on_recovery_phase(self, pid: int, phase: RecoveryPhase) -> None:
         self.phases_seen.add(phase)
         # The coverage map only keys on recovery start/end; the interior
-        # phases ("collecting", "replaying") are deliberately untracked.
-        if phase == "loading":  # analyze: allow(phase-coverage)
+        # phases (COLLECTING, REPLAYING) are deliberately untracked.
+        if phase is RecoveryPhase.LOADING:
             self.recoveries_started += 1
             self._active_recoveries.add(pid)
             self.max_concurrent_recoveries = max(
                 self.max_concurrent_recoveries, len(self._active_recoveries)
             )
-        elif phase in ("done", "aborted"):
+        elif phase in (RecoveryPhase.DONE, RecoveryPhase.ABORTED):
             self._active_recoveries.discard(pid)
 
     def on_ckp_set(self, ckp_set: Any) -> None:
@@ -157,7 +158,7 @@ class CoverageProbe:
         """The run's protocol-state features, sorted (deterministic)."""
         out: List[str] = []
         for phase in self.phases_seen:
-            out.append(f"recovery-phase:{phase}")
+            out.append(f"recovery-phase:{phase.value}")
         if self.recoveries_started:
             out.append(f"recoveries:{bucket(self.recoveries_started)}")
         if self.max_concurrent_recoveries > 1:

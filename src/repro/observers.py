@@ -26,9 +26,8 @@ Listener surface (thirteen callbacks, all optional)::
     on_gc_pair_drop(entry, pair, ckp_set)    # threadSet pair dropped by GC
     on_gc_dummy_drop(dummy, ckp_set)         # dummy entry dropped by GC
     on_gc_dep_drop(tid, dep, ckp_set)        # depSet entry dropped by GC
-    on_recovery_phase(pid, phase)        # recovery entered "loading" /
-                                         # "collecting" / "replaying" /
-                                         # "aborted" / "done"
+    on_recovery_phase(pid, phase)        # recovery entered a phase (a
+                                         # checkpoint.recovery.RecoveryPhase)
     on_mem_event(event)                  # one acquire/read/write/release
                                          # (repro.verify.events.MemEvent)
     on_process_created(process)          # a process joined the cluster

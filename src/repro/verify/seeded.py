@@ -228,40 +228,6 @@ _PURITY_BAD: Dict[str, str] = {
         """),
 }
 
-_HANDLERS_BAD: Dict[str, str] = {
-    "repro/net/message.py": textwrap.dedent(
-        """
-        import enum
-
-        class MessageKind(enum.Enum):
-            HELLO = "hello"
-            GOODBYE = "goodbye"
-        """),
-    "repro/checkpoint/recovery.py": textwrap.dedent(
-        """
-        RECOVERY_PHASES = ("loading", "collecting", "replaying", "done")
-        """),
-    "repro/cluster/seeded_dispatch.py": textwrap.dedent(
-        """
-        from repro.net.message import MessageKind
-
-        def greet(network):
-            network.push(MessageKind.HELO)      # no such member
-
-        def advance(manager):
-            manager._set_phase("replayng")      # typoed phase
-
-        def progress(manager):
-            if manager.phase == "loading":
-                return 0
-            elif manager.phase == "collecting":
-                return 1
-            elif manager.phase == "replaying":
-                return 2
-            # no else: "done" falls through silently
-        """),
-}
-
 _ESCAPES_BAD: Dict[str, str] = {
     "repro/server/seeded_fanout.py": textwrap.dedent(
         """
@@ -300,7 +266,6 @@ SEEDED_FAULTS: Dict[str, Callable[[], Sequence[object]]] = {
     "schedule": seeded_schedule,
     "locks": partial(_analyze_snippet, "locks", _LOCKS_BAD),
     "purity": partial(_analyze_snippet, "purity", _PURITY_BAD),
-    "handlers": partial(_analyze_snippet, "handlers", _HANDLERS_BAD),
     "escapes": partial(_analyze_snippet, "escapes", _ESCAPES_BAD),
 }
 

@@ -275,3 +275,28 @@ def test_a_cold_restart_replays_every_process_concurrently(
     result = restarted.run()
     assert result.completed and not result.invariant_violations
     assert sorted(plans) == [(pid, True) for pid in range(4)]
+
+
+@pytest.mark.parametrize("crashes, expected", [
+    ([(1, 40.0)], ["recoveries:1", "recovery-phase:collecting",
+                   "recovery-phase:done", "recovery-phase:loading",
+                   "recovery-phase:replaying"]),
+    # The clean abort of test_ci_former_schedule_aborts_cleanly.
+    ([(1, 40.0), (2, 41.0)], [
+        "concurrent-recoveries:2", "recoveries:2", "recovery-phase:aborted",
+        "recovery-phase:collecting", "recovery-phase:loading",
+        "recovery-phase:replaying"]),
+])
+def test_recovery_phases_reach_the_fuzz_coverage_vocabulary(crashes,
+                                                            expected):
+    """The fuzzer's recovery features are spelled from the phases'
+    values and count recoveries from their start and end phases."""
+    from repro import build_workload
+    from repro.fuzz.coverage import CoverageProbe
+
+    system = build_workload("synthetic", processes=4, interval=30.0,
+                            seed=11, crashes=crashes, check=True)
+    probe = system.observers.register(CoverageProbe())
+    system.run()
+    assert [feature for feature in probe.features()
+            if "recover" in feature] == expected

@@ -119,9 +119,9 @@ class TestSeededFaultsAreFlagged:
     def test_detected(self, kind):
         assert run_seeded_fault(kind), f"seeded fault {kind!r} went undetected"
 
-    def test_all_eight_kinds_are_registered(self):
+    def test_all_seven_kinds_are_registered(self):
         assert FAULT_KINDS == ("race", "gc-unsafe", "dummy-chain", "schedule",
-                               "locks", "purity", "handlers", "escapes")
+                               "locks", "purity", "escapes")
 
     def test_cli_exit_code_is_inverted(self, capsys):
         from repro.cli import main

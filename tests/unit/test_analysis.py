@@ -1,6 +1,10 @@
 """Unit tests for metrics aggregation and table rendering."""
 
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 from repro.analysis.metrics import ProcessMetrics, SystemMetrics
 from repro.analysis.report import Table, format_table
@@ -70,3 +74,16 @@ class TestReport:
         table.add_row(1)
         table.add_note("hello note")
         assert "hello note" in table.render()
+
+
+def test_import_repro_loads_no_static_analyzer():
+    # Every simulator run imports repro.analysis.metrics; the analyzer
+    # suite behind ``repro analyze`` must not ride along.
+    src = Path(__file__).resolve().parents[2] / "src"
+    probe = ("import repro, sys; print(' '.join(sorted("
+             "m for m in sys.modules if m.startswith('repro.analysis'))))")
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], check=True, capture_output=True,
+        text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout.split()
+    assert set(loaded) <= {"repro.analysis", "repro.analysis.metrics"}

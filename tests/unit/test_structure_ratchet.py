@@ -101,6 +101,10 @@ MEASURES = {
     "kind-dispatch": lambda: _matches(
         SRC, r"(?m)^.*(?:kind (?:is|==) MessageKind\.|\bhandles_kind\b"
              r"|\bhandled_kinds\b|\bon_protocol_message\b)"),
+    # One match per line, as above.
+    "phase-strings": lambda: _matches(
+        SRC, r"(?m)^.*(?:\bphase\b\s*(?:[!=]?=|\bin\b)\s*\(?\s*[\"']"
+             r"|_(?:set|announce)_phase\(\s*[\"'])"),
     "cluster-scheme-names": lambda: _matches(
         SRC / "cluster",
         r"(?m)^.*(?:checkpoint\.(?:recovery|protocol)|RecoveryManager"
