@@ -44,7 +44,9 @@ from repro.errors import CheckpointCorruptError
 
 MAGIC = b"DSCK"
 SEGMENT_MAGIC = b"DSEG"
-FORMAT_VERSION = 1
+#: Version 2: a replay record in the ``threads`` section is a plain
+#: ``(kind, value)`` tuple (version 1 pickled a record class).
+FORMAT_VERSION = 2
 
 #: Sections of a checkpoint image, in write order.  ``meta`` holds the
 #: small per-checkpoint scalars (thread_lts and accounting) and is always
@@ -147,7 +149,16 @@ def decode_payload(stored: bytes, comp: int, raw_len: int, crc: int,
         raise CheckpointCorruptError(
             f"{context}: CRC mismatch (stored {crc:#010x}, actual {actual:#010x})"
         )
-    return pickle.loads(raw)
+    try:
+        return pickle.loads(raw)
+    except (pickle.UnpicklingError, AttributeError, ImportError, EOFError,
+            TypeError, ValueError, IndexError, KeyError) as exc:
+        # CRC-valid bytes this build cannot load (a global that no
+        # longer exists, a schema from another format version): the
+        # slot is unusable, and the caller falls back to the other one.
+        raise CheckpointCorruptError(
+            f"{context}: payload does not unpickle ({exc!r})"
+        ) from exc
 
 
 def make_section(name: str, value: Any, compress: bool,

@@ -25,7 +25,7 @@ from repro.threads.syscalls import (
     Release,
     Syscall,
 )
-from repro.threads.thread import RecordedResult, Thread, ThreadState
+from repro.threads.thread import Record, Thread, ThreadState
 
 __all__ = [
     "AcquireRead",
@@ -34,7 +34,7 @@ __all__ = [
     "Log",
     "Program",
     "ProgramContext",
-    "RecordedResult",
+    "Record",
     "Release",
     "Syscall",
     "SyscallHandler",

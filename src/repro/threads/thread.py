@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import copy
 import enum
-from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.errors import MemoryModelError, RecoveryError
-from repro.net.sizing import payload_size, state_bytes
+from repro.net.sizing import payload_size
 from repro.threads.program import Program, ProgramContext, ProgramGen
 from repro.threads.syscalls import (
     AcquireRead,
@@ -104,28 +103,14 @@ class ThreadState(enum.Enum):
     FAILED = "failed"
 
 
-@dataclass(frozen=True, slots=True)
-class RecordedResult:
-    """One element of a thread's replay prefix.
-
-    ``kind`` is the syscall class name; ``value`` is the (pristine) result
-    the syscall returned.  Only acquires have non-None values.  The size
-    model walks its state; the value is a never-mutated snapshot, so a
-    record's size is fixed and :meth:`Thread.records_bytes` sizes it once.
-    """
-
-    kind: str
-    value: Any = None
-
-    wire_bytes = property(state_bytes)
-
-    # Fast pickle path; see repro.types.Tid.__getstate__ for the contract.
-    def __getstate__(self) -> list:
-        return [self.kind, self.value]
-
-    def __setstate__(self, state: list) -> None:
-        object.__setattr__(self, "kind", state[0])
-        object.__setattr__(self, "value", state[1])
+#: One element of a thread's replay prefix: ``(kind, value)``, the
+#: syscall class name and the (pristine) result the syscall returned.
+#: Only acquires have non-None values.  A plain tuple pickles and
+#: unpickles with no Python-level call, and the size model charges it
+#: ``STATE_BYTES`` plus its two fields, as it charges a wire type.  The
+#: value is a never-mutated snapshot, so a record's size is fixed and
+#: :meth:`Thread.records_bytes` sizes it once.
+Record = tuple[str, Any]
 
 
 class Thread:
@@ -154,7 +139,7 @@ class Thread:
         #: Private copies held between acquire-write and release-write.
         self.acquired_values: dict[ObjectId, Any] = {}
         #: Replay prefix: results of all completed syscalls since start.
-        self.records: list[RecordedResult] = []
+        self.records: list[Record] = []
         #: Size-model bytes of the first ``_records_sized`` records (records_bytes).
         self._records_bytes = self._records_sized = 0
         #: True between an acquire's logical-time tick (issue) and its
@@ -220,7 +205,7 @@ class Thread:
         if record:
             cls = syscall.__class__
             value = snapshot(result) if (cls is AcquireRead or cls is AcquireWrite) else None
-            self.records.append(RecordedResult(cls.__name__, value))
+            self.records.append((cls.__name__, value))
         self._advance(first=False, send_value=result)
 
     def _advance(self, first: bool, send_value: Any) -> None:
@@ -343,13 +328,13 @@ class Thread:
         except StopIteration as stop:
             syscall = None
             self.result = stop.value
-        for record in self.records:
+        for kind, value in self.records:
             if syscall is None:
                 raise RecoveryError(
                     f"{self.tid}: replay prefix longer than program execution"
                 )
-            self._check_replay_match(syscall, record)
-            send_value = snapshot(record.value) if record.value is not None else None
+            self._check_replay_match(syscall, kind)
+            send_value = snapshot(value) if value is not None else None
             try:
                 syscall = self._gen.send(send_value)
             except StopIteration as stop:
@@ -373,11 +358,11 @@ class Thread:
                 self.acquired_values.pop(syscall.obj_id, None)
         self.state = ThreadState.DONE if syscall is None else ThreadState.READY
 
-    def _check_replay_match(self, syscall: Syscall, record: RecordedResult) -> None:
-        if type(syscall).__name__ != record.kind:
+    def _check_replay_match(self, syscall: Syscall, kind: str) -> None:
+        if type(syscall).__name__ != kind:
             raise RecoveryError(
                 f"{self.tid}: replay divergence -- program yielded "
-                f"{type(syscall).__name__} where the prefix recorded {record.kind}; "
+                f"{type(syscall).__name__} where the prefix recorded {kind}; "
                 "piece-wise determinism violated"
             )
 

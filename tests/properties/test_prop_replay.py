@@ -144,7 +144,7 @@ class TestReplayDeterminism:
                 i += 1
 
         drive(thread, values())
-        acquires = [r for r in thread.records
-                    if r.kind in ("AcquireRead", "AcquireWrite")]
+        acquires = [kind for kind, _ in thread.records
+                    if kind in ("AcquireRead", "AcquireWrite")]
         expected = [op for op, _ in instructions if op.startswith("acquire")]
         assert len(acquires) == len(expected)

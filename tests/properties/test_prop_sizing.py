@@ -93,6 +93,32 @@ object_data = st.recursive(
     max_leaves=12)
 
 
+# ----------------------------------------------------------------------
+# Replay records: a plain (kind, value) tuple is charged what the walk
+# of a two-field wire type is, STATE_BYTES plus its fields, over every
+# syscall kind and the value shapes acquires return.
+# ----------------------------------------------------------------------
+
+from repro.threads.syscalls import Syscall
+
+SYSCALL_KINDS = sorted({cls.__name__ for cls in Syscall.__subclasses__()})
+atoms = st.none() | st.booleans() | ints | st.floats(allow_nan=False) | texts
+numbers = ints | st.floats(allow_nan=False)
+record_values = st.one_of(
+    st.none(),
+    st.dictionaries(texts, atoms, max_size=6),
+    st.lists(atoms, max_size=6),
+    st.lists(st.lists(numbers, min_size=1, max_size=4), max_size=4),
+    object_data,
+)
+
+
+@given(st.sampled_from(SYSCALL_KINDS), record_values)
+def test_a_replay_record_is_sized_as_the_walk_of_its_fields(kind, value):
+    assert payload_size((kind, value)) == (
+        STATE_BYTES + payload_size(kind) + payload_size(value))
+
+
 @st.composite
 def acquire_request(draw):
     obj_id, kind, p_acq, hops = (draw(texts), draw(acquire_types),

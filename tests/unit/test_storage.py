@@ -3,6 +3,8 @@ format, the two-slot commit scheme of both backends, CRC detection with
 slot fallback, fault injection and store maintenance."""
 
 import os
+import struct
+import zlib
 
 import pytest
 
@@ -63,6 +65,22 @@ def flip_byte(path: str, offset_from_middle: int = 0) -> None:
         index = len(blob) // 2 + offset_from_middle
         handle.seek(index)
         handle.write(bytes([blob[index] ^ 0xFF]))
+
+
+def latest_slot_path(backend, pid=0) -> str:
+    latest = [info for info in backend.slots(pid) if info.latest][0]
+    return os.path.join(backend.root, f"p{pid}", latest.slot)
+
+
+def set_format_version(path: str, version: int) -> None:
+    """Stamp ``version`` into a slot's header, with a valid header CRC."""
+    crc_at = fmt.HEADER_BYTES - 4
+    with open(path, "r+b") as handle:
+        head = bytearray(handle.read(fmt.HEADER_BYTES))
+        head[4:6] = struct.pack("<H", version)
+        head[crc_at:] = struct.pack("<I", zlib.crc32(head[:crc_at]))
+        handle.seek(0)
+        handle.write(head)
 
 
 class TestFileBackendRoundTrip:
@@ -154,6 +172,53 @@ class TestCrcAndFallback:
         assert len(reports) == 2
         bad = [info for info in reports if not info.ok]
         assert len(bad) == 1 and bad[0].error is not None
+
+    def test_unloadable_section_falls_back_to_previous(self, tmp_path):
+        # CRC-valid bytes naming a global this build does not have: how
+        # an image pickled by another format version looks to pickle.
+        backend = file_backend(tmp_path)
+        write_committed(backend, make_checkpoint(seq=1))
+        write_committed(backend, make_checkpoint(seq=2))
+        path = latest_slot_path(backend)
+        with open(path, "rb") as handle:
+            image = fmt.decode_image(handle.read(), path)
+        raw = b"crepro.threads.thread\nNoSuchRecord\n."
+        image.sections["threads"] = fmt.Section(
+            "threads", raw_len=len(raw), crc32=zlib.crc32(raw), stored=raw)
+        with open(path, "wb") as handle:
+            handle.write(fmt.encode_image(image.header,
+                                          list(image.sections.values())))
+        assert backend.read_latest(0).seq == 1
+        assert backend.counters.crc_failures == 1
+        assert backend.counters.slot_fallbacks == 1
+        bad = [info for info in backend.slots(0) if not info.ok]
+        assert len(bad) == 1 and "does not unpickle" in bad[0].error
+
+
+class TestFormatVersion:
+    def test_a_version_one_slot_is_skipped(self, tmp_path):
+        # Version 2: replay records are plain tuples in the threads section.
+        assert fmt.FORMAT_VERSION == 2
+        backend = file_backend(tmp_path)
+        write_committed(backend, make_checkpoint(seq=1))
+        write_committed(backend, make_checkpoint(seq=2))
+        set_format_version(latest_slot_path(backend), 1)
+        assert backend.read_latest(0).seq == 1
+        assert backend.counters.slot_fallbacks == 1
+        bad = [info for info in backend.slots(0) if not info.ok]
+        assert len(bad) == 1
+        assert "unsupported format version 1" in bad[0].error
+
+    def test_two_version_one_slots_raise(self, tmp_path):
+        backend = file_backend(tmp_path)
+        write_committed(backend, make_checkpoint(seq=1))
+        write_committed(backend, make_checkpoint(seq=2))
+        for info in backend.slots(0):
+            set_format_version(os.path.join(backend.root, "p0", info.slot), 1)
+        with pytest.raises(CheckpointCorruptError,
+                           match="unsupported format version 1"):
+            backend.read_latest(0)
+        assert not backend.has_checkpoint(0)
 
 
 class TestAtomicCommitCrashPoints:

@@ -113,8 +113,26 @@ class TestRecordingAndRestore:
         value = [1, 2]
         thread.resume(value)
         value.append(3)  # caller mutates after the fact
-        assert thread.records[0].kind == "AcquireWrite"
-        assert thread.records[0].value == [1, 2]
+        kind, recorded = thread.records[0]
+        assert kind == "AcquireWrite"
+        assert recorded == [1, 2]
+
+    def test_records_are_plain_tuples_after_a_synthetic_run(self):
+        # Live resumes and a restore from a checkpoint image (the crash)
+        # are the two producers of records; both leave exact 2-tuples.
+        from repro.api import run_workload
+
+        system, result = run_workload("synthetic", processes=3, seed=7,
+                                      crashes=[(1, 40.0)])
+        assert result.completed and len(result.recoveries) == 1
+        records = [record for process in system.processes.values()
+                   for thread in process.threads.values()
+                   for record in thread.records]
+        assert records
+        assert all(record.__class__ is tuple and len(record) == 2
+                   for record in records)
+        assert {kind for kind, _ in records} >= {
+            "AcquireRead", "AcquireWrite", "Release"}
 
     def test_restore_reproduces_suspension_point(self):
         original = make_thread(simple_body)
