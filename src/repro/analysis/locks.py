@@ -45,6 +45,7 @@ from repro.analysis.findings import Finding, Module, ModuleTable
 THREADED_PATHS: Tuple[str, ...] = (
     "repro/server/",
     "repro/parallel/service.py",
+    "repro/storage/backend.py",
 )
 
 #: Guard inference thresholds (see module docstring).

@@ -42,7 +42,7 @@ from repro.checkpoint.recovery import (
 )
 from repro.checkpoint.stable import Checkpoint
 from repro.baselines.base import FaultToleranceProtocol
-from repro.errors import ConfigError, ProtocolError, RecoveryError
+from repro.errors import ConfigError, ProtocolError
 from repro.memory.coherence import PendingRequest
 from repro.memory.objects import SharedObject, SharedObjectSpec
 from repro.net.message import GrantControl, Message, MessageKind, NO_PAYLOAD
@@ -599,8 +599,6 @@ class DisomCheckpointProtocol(FaultToleranceProtocol):
     # ==================================================================
     def recover_crashed(self, system: Any, pid: ProcessId) -> None:
         system.claim_spare(pid)
-        if not system.stable_store.has_checkpoint(pid):
-            raise RecoveryError(f"no checkpoint in stable storage for P{pid}")
         # "The first step to recover a process is to get its most recent
         # checkpoint and reload it in a free processor."
         system.rebuild_process(pid).checkpoint_protocol.recover_from_storage()

@@ -8,8 +8,9 @@ including detection and recovery of failed processes.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from repro.analysis.metrics import SystemMetrics
 from repro.baselines import ALL_BASELINES
@@ -293,6 +294,17 @@ class DisomSystem:
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
+    @contextmanager
+    def _driving(self) -> Iterator[None]:
+        """Hold the trace gate while the cluster is driven, then flush
+        the store: write-behind never outlives a call, so when control
+        returns every committed image is on disk."""
+        try:
+            with self.kernel.trace.feeding():
+                yield
+        finally:
+            self.storage_backend.flush()
+
     def run(self, until: Optional[float] = None) -> RunResult:
         """Run the cluster.
 
@@ -302,8 +314,9 @@ class DisomSystem:
         state without raising.
         """
         # The trace gate is held for exactly as long as the cluster is
-        # being driven; a finished run leaves nothing set behind it.
-        with self.kernel.trace.feeding():
+        # being driven; a finished run leaves nothing set behind it, and
+        # no store write pending.
+        with self._driving():
             if not self._started:
                 self._started = True
                 for pid in sorted(self.processes):
@@ -339,7 +352,7 @@ class DisomSystem:
         """
         if not self._started:
             raise ConfigError("checkpoint_all requires a started system")
-        with self.kernel.trace.feeding():
+        with self._driving():
             for pid in sorted(self.processes):
                 process = self.processes[pid]
                 if process.alive:
@@ -365,7 +378,7 @@ class DisomSystem:
         self._started = True
         # Each recovery only schedules its checkpoint load here, so every
         # process is recovering before the first request goes out.
-        with self.kernel.trace.feeding():
+        with self._driving():
             for pid in sorted(self.processes):
                 self.recovery_records.append(
                     RecoveryRecord(pid=pid, crashed_at=0.0, detected_at=0.0)

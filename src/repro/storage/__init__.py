@@ -5,7 +5,8 @@ checkpoints survive on ordinary disks.  This package supplies that layer:
 
 * :mod:`repro.storage.backend` -- the :class:`StorageBackend` interface
   with the volatile :class:`MemoryBackend` and the durable, two-slot
-  :class:`FileBackend` (write-to-temp + fsync + atomic rename);
+  :class:`FileBackend` (write-to-temp + fsync + atomic rename, done
+  behind the simulation by one writer thread per store);
 * :mod:`repro.storage.format` -- the segmented on-disk image format
   (per-section CRC32, optional zlib, content-addressed delta segments);
 * :mod:`repro.storage.faults` -- deterministic storage fault injection

@@ -19,15 +19,28 @@ its checkpoint write is still in flight -- leaves the previous
 checkpoint fully intact, which is what makes uncoordinated
 checkpointing safe on real disks.  ``read_latest`` CRC-verifies the
 newest slot and falls back to the older one if the newest is corrupt.
+
+FileBackend writes behind the simulation.  The calling thread encodes
+each image (pickle, zlib, CRC) and decides everything the protocol can
+observe -- ``commit``'s result, the slot a commit targets, every
+counter -- from what it has staged, never from the disk.  The file
+system calls of steps 1 and 2 (stage write and fsync, rename, directory
+fsync, segment files, the unlink of a discarded stage) run in
+submission order on the store's one writer thread.  The disk has
+caught up once :meth:`StorageBackend.flush` returns: every method that
+reads the store flushes first, and so does every
+:class:`~repro.cluster.system.DisomSystem` call that drives the cluster.
 """
 
 from __future__ import annotations
 
 import abc
 import os
+import threading
 import zlib
+from collections import deque
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.errors import CheckpointCorruptError, StorageError
 from repro.storage import format as fmt
@@ -38,6 +51,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.checkpoint.stable import Checkpoint
 
 SLOT_NAMES = ("slot-a.ckpt", "slot-b.ckpt")
+
+#: File operations a store's writer holds before ``submit`` blocks:
+#: bounds the encoded images kept alive while the disk lags.
+WRITE_QUEUE_BOUND = 32
 
 
 def atomic_write_file(path: str, blob: bytes, fsync: bool = True) -> None:
@@ -64,6 +81,67 @@ def fsync_dir(path: str) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+class _Writer:
+    """A store's write-behind thread: runs file operations in FIFO order.
+
+    The thread starts when work arrives and exits when the queue runs
+    empty; it is not a daemon, so interpreter exit waits for pending
+    images.  The first exception drops every later operation, so the
+    disk holds a prefix of what was submitted, and is raised by the
+    next :meth:`flush`.
+    """
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._queue: deque[tuple[Callable[..., Any], tuple[Any, ...]]] = deque()
+        self._running = False
+        self._thread: Optional[threading.Thread] = None
+        self._error: Optional[Exception] = None
+
+    def submit(self, op: Callable[..., Any], *args: Any) -> None:
+        with self._cond:
+            while len(self._queue) >= WRITE_QUEUE_BOUND:
+                self._cond.wait()
+            self._queue.append((op, args))
+            if self._running:
+                return
+            self._running = True
+            previous = self._thread
+            thread = self._thread = threading.Thread(
+                target=self._drain, name="repro-store-writer")
+        if previous is not None:
+            previous.join()  # past its last operation already
+        thread.start()
+
+    def _drain(self) -> None:
+        while True:
+            with self._cond:
+                if not self._queue:
+                    self._running = False
+                    return
+                op, args = self._queue.popleft()
+                self._cond.notify_all()
+                failed = self._error is not None
+            if failed:
+                continue
+            try:
+                op(*args)
+            except Exception as exc:  # re-raised by flush()
+                with self._cond:
+                    self._error = exc
+
+    def flush(self) -> None:
+        """Wait for every submitted operation; raise the first error."""
+        with self._cond:
+            thread, self._thread = self._thread, None
+        if thread is not None:
+            thread.join()
+        with self._cond:
+            error, self._error = self._error, None
+        if error is not None:
+            raise error
 
 
 @dataclass
@@ -128,6 +206,10 @@ class StorageBackend(abc.ABC):
     @abc.abstractmethod
     def discard(self, pid: ProcessId, seq: int) -> None:
         """Drop a staged image that will never commit (crash mid-write)."""
+
+    def flush(self) -> None:
+        """Return once every image committed so far is on disk (a no-op
+        for a store that does not write behind)."""
 
     # -- read path -----------------------------------------------------
     @abc.abstractmethod
@@ -284,6 +366,14 @@ class FileBackend(StorageBackend):
         #: Staged writes the torn-write fault truncated: their commit
         #: fails post-write verification (see :meth:`commit`).
         self._torn: set[tuple[ProcessId, int]] = set()
+        #: Stage files written and not yet renamed or unlinked.
+        self._staged: set[tuple[ProcessId, int]] = set()
+        #: Until the next flush, what the disk will hold once the writer
+        #: catches up: each slot's header seq (-1: none) by pid, and the
+        #: segment files written or found.
+        self._slot_seqs: dict[ProcessId, list[int]] = {}
+        self._segments: set[str] = set()
+        self._writer = _Writer()
         os.makedirs(self.root, exist_ok=True)
 
     # -- paths ---------------------------------------------------------
@@ -350,42 +440,48 @@ class FileBackend(StorageBackend):
             self._torn.add((pid, seq))
         # Written in place: a stage is only ever committed by the
         # process that finished writing it, and gc removes leftovers.
-        with open(self._stage_path(pid, seq), "wb") as handle:
+        self._writer.submit(self._write_stage, self._stage_path(pid, seq), blob)
+        self._staged.add((pid, seq))
+        written += len(blob)
+        self.counters.bytes_written += written
+        return written
+
+    def _write_stage(self, stage: str, blob: bytes) -> None:
+        with open(stage, "wb") as handle:
             handle.write(blob)
             if self.fsync:
                 handle.flush()
                 os.fsync(handle.fileno())
-        written += len(blob)
-        self.counters.bytes_written += written
-        return written
 
     def _write_segment(self, pid: ProcessId, section: fmt.Section,
                        stored: bytes) -> int:
         os.makedirs(self._segment_dir(pid), exist_ok=True)
         path = self._segment_path(pid, section.segment_key)
-        if os.path.exists(path):
+        # The disk is asked only about a segment this store never wrote.
+        if path in self._segments or os.path.exists(path):
             # Same content already durable: this is the incremental win.
+            self._segments.add(path)
             self.counters.segments_reused += 1
             return 0
         blob = fmt.encode_segment(section.crc32, section.comp,
                                   section.raw_len, stored)
         # Atomic: an existing segment path must mean complete content.
-        atomic_write_file(path, blob, fsync=self.fsync)
+        self._writer.submit(atomic_write_file, path, blob, self.fsync)
+        self._segments.add(path)
         self.counters.segments_written += 1
         return len(blob)
 
     def commit(self, pid: ProcessId, seq: int) -> bool:
-        stage = self._stage_path(pid, seq)
-        if not os.path.exists(stage):
+        if (pid, seq) not in self._staged:
             return False
         if self.faults.should_fire(StorageFault.MISSING_RENAME, pid, seq):
             # Crash between fsync and rename: the temp image is garbage
             # (gc removes it); the slot still holds the old checkpoint.
             self.counters.writes_lost += 1
             return False
-        target = self._commit_target(pid)
-        os.replace(stage, target)
-        self._fsync_dir(self._pid_dir(pid))
+        self._staged.discard((pid, seq))
+        target = self._commit_target(pid, seq)
+        self._writer.submit(self._publish, self._stage_path(pid, seq), target)
         self.counters.writes_committed += 1
         if (pid, seq) in self._torn:
             # Post-write read-back verification catches the short image:
@@ -396,21 +492,29 @@ class FileBackend(StorageBackend):
             self.counters.writes_lost += 1
             return False
         if self.faults.should_fire(StorageFault.BIT_FLIP, pid, seq):
-            self._flip_byte(target)
+            self._writer.submit(self._flip_byte, target)
             return False
         return True
 
-    def _commit_target(self, pid: ProcessId) -> str:
-        """The slot to overwrite: the one NOT holding the newest image."""
-        newest_slot, newest_seq = None, -1
-        for slot in SLOT_NAMES:
-            header = self._peek_slot(pid, slot)
-            if header is not None and header.seq > newest_seq:
-                newest_slot, newest_seq = slot, header.seq
-        if newest_slot is None:
-            return self._slot_path(pid, SLOT_NAMES[0])
-        other = SLOT_NAMES[1] if newest_slot == SLOT_NAMES[0] else SLOT_NAMES[0]
-        return self._slot_path(pid, other)
+    def _publish(self, stage: str, target: str) -> None:
+        os.replace(stage, target)
+        self._fsync_dir(os.path.dirname(target))
+
+    def _commit_target(self, pid: ProcessId, seq: int) -> str:
+        """The slot to overwrite: the one NOT holding the newest image
+        (slot a when neither holds one).  Decided from the headers the
+        queued renames will leave (a torn image keeps its header: the
+        tear is past it); the disk is read only for a pid with no rename
+        queued since the last flush."""
+        seqs = self._slot_seqs.get(pid)
+        if seqs is None:
+            headers = [self._peek_slot(pid, slot) for slot in SLOT_NAMES]
+            seqs = self._slot_seqs[pid] = [
+                header.seq if header is not None else -1 for header in headers]
+        newest = max(seqs)
+        index = 1 - seqs.index(newest) if newest >= 0 else 0
+        seqs[index] = seq
+        return self._slot_path(pid, SLOT_NAMES[index])
 
     def _flip_byte(self, path: str) -> None:
         with open(path, "r+b") as handle:
@@ -425,10 +529,18 @@ class FileBackend(StorageBackend):
 
     def discard(self, pid: ProcessId, seq: int) -> None:
         self._torn.discard((pid, seq))
-        stage = self._stage_path(pid, seq)
-        if os.path.exists(stage):
-            os.unlink(stage)
+        if (pid, seq) in self._staged:
+            self._staged.discard((pid, seq))
+            self._writer.submit(os.unlink, self._stage_path(pid, seq))
             self.counters.writes_lost += 1
+
+    def flush(self) -> None:
+        """Wait until the writer has caught up; raise its first error."""
+        try:
+            self._writer.flush()
+        finally:
+            self._slot_seqs.clear()
+            self._segments.clear()
 
     # -- read path -----------------------------------------------------
     def _peek_slot(self, pid: ProcessId, slot: str) -> Optional[fmt.ImageHeader]:
@@ -510,6 +622,7 @@ class FileBackend(StorageBackend):
         return [slot for _, slot in present]
 
     def read_latest(self, pid: ProcessId) -> Checkpoint:
+        self.flush()
         ordered = self._ordered_slots(pid)
         if not ordered:
             raise KeyError(pid)
@@ -531,6 +644,7 @@ class FileBackend(StorageBackend):
         )
 
     def has_checkpoint(self, pid: ProcessId) -> bool:
+        self.flush()
         return any(self._slot_ok(pid, slot) for slot in self._ordered_slots(pid))
 
     def _slot_ok(self, pid: ProcessId, slot: str) -> bool:
@@ -542,6 +656,7 @@ class FileBackend(StorageBackend):
 
     # -- maintenance ---------------------------------------------------
     def pids(self) -> list[ProcessId]:
+        self.flush()
         out = []
         try:
             entries = os.listdir(self.root)
@@ -553,6 +668,7 @@ class FileBackend(StorageBackend):
         return sorted(out)
 
     def slots(self, pid: ProcessId) -> list[SlotInfo]:
+        self.flush()
         infos = []
         latest_seq = -1
         for slot in SLOT_NAMES:
@@ -581,6 +697,7 @@ class FileBackend(StorageBackend):
     def gc(self) -> int:
         """Remove stale temp files and segments no intact slot references."""
         removed = 0
+        self._staged.clear()  # every stage file goes
         for pid in self.pids():
             pid_dir = self._pid_dir(pid)
             referenced: set[str] = set()
